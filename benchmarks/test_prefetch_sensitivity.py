@@ -23,7 +23,7 @@ def _time_with(arch, enable_prefetch, budget):
     machine = Machine(arch, line_budget=budget, enable_prefetch=enable_prefetch)
     case = make_benchmark("matmul", n=1024)
     func = case.funcs[-1]
-    schedule = optimize(func, arch, allow_nti=False).schedule
+    schedule = optimize(func, arch, use_nti=False).schedule
     return machine.time_funcs([(func, schedule)])
 
 

@@ -17,7 +17,7 @@ from repro.sim import Machine
 def _pair(machine, n):
     case = make_benchmark("syrk", n=n)
     func = case.funcs[-1]
-    proposed = optimize(func, machine.arch, allow_nti=False).schedule
+    proposed = optimize(func, machine.arch, use_nti=False).schedule
     t_prop = machine.time_funcs([(func, proposed)])
     case2 = make_benchmark("syrk", n=n)
     func2 = case2.funcs[-1]

@@ -34,11 +34,11 @@ def main() -> None:
     times = {}
 
     case = fresh()
-    schedules = {f: optimize(f, arch, allow_nti=False).schedule for f in case.funcs}
+    schedules = {f: optimize(f, arch, use_nti=False).schedule for f in case.funcs}
     times["proposed"] = machine.time_pipeline(case.pipeline, schedules)
 
     case = fresh()
-    schedules = {f: optimize(f, arch, allow_nti=True).schedule for f in case.funcs}
+    schedules = {f: optimize(f, arch, use_nti=True).schedule for f in case.funcs}
     times["proposed+NTI"] = machine.time_pipeline(case.pipeline, schedules)
 
     case = fresh()

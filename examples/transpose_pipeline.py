@@ -44,13 +44,13 @@ def main() -> None:
     baseline_ms = machine.time_funcs([(k1, baseline_schedule(k1, arch))])
 
     k2 = make_kernel(n)
-    tiled = optimize(k2, arch, allow_nti=False)
+    tiled = optimize(k2, arch, use_nti=False)
     assert tiled.spatial is not None
     print("spatial optimizer chose:", tiled.spatial.describe())
     tiled_ms = machine.time_funcs([(k2, tiled.schedule)])
 
     k3 = make_kernel(n)
-    nti = optimize(k3, arch, allow_nti=True)
+    nti = optimize(k3, arch, use_nti=True)
     nti_ms = machine.time_funcs([(k3, nti.schedule)])
 
     print()

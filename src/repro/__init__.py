@@ -83,7 +83,7 @@ from repro.util import (
     ValidationError,
 )
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "api",

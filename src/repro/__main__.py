@@ -85,7 +85,7 @@ from repro.core.exitcodes import (
 )
 from repro.robust import FallbackPolicy, safe_optimize
 from repro.sim import Machine
-from repro.util import ReproError
+from repro.util import ReproError, resolve_workers
 
 
 def _report_bind_error(host: str, port: int, exc: OSError, *, what: str) -> int:
@@ -209,15 +209,24 @@ def _resolve_platform(name: str):
         ) from None
 
 
-def _policy(args, *, allow_nti: bool = True) -> FallbackPolicy:
+def _check_jobs(args) -> None:
+    """``--jobs`` on optimize/compare/codegen/submit is a no-op kept for
+    compatibility; it is still validated, so bad values fail as before."""
     try:
-        jobs = getattr(args, "jobs", 1)
+        resolve_workers(args.jobs, name="jobs")
+    except ValueError as exc:
+        raise SystemExit(f"invalid options: {exc}") from None
+
+
+def _policy(args, *, allow_nti: bool = True) -> FallbackPolicy:
+    _check_jobs(args)
+    try:
         if args.lenient:
             return FallbackPolicy.lenient(
-                deadline_ms=args.deadline_ms, allow_nti=allow_nti, jobs=jobs
+                deadline_ms=args.deadline_ms, allow_nti=allow_nti
             )
         return FallbackPolicy.strict_policy(
-            deadline_ms=args.deadline_ms, allow_nti=allow_nti, jobs=jobs
+            deadline_ms=args.deadline_ms, allow_nti=allow_nti
         )
     except ValueError as exc:
         # e.g. --deadline-ms -5: a flag typo must not print a traceback.
@@ -311,11 +320,10 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Forward to the sweep-driven experiments entry point."""
-    from repro.core.parallel import resolve_jobs
     from repro.experiments.__main__ import main as experiments_main
 
     try:
-        jobs = resolve_jobs(args.jobs)
+        jobs = resolve_workers(args.jobs, name="jobs")
     except ValueError as exc:
         raise SystemExit(f"invalid options: {exc}") from None
     argv = []
@@ -395,6 +403,7 @@ def cmd_submit(args) -> int:
     from repro.serve.client import ServeClient
     from repro.util import ServeOverloaded
 
+    _check_jobs(args)
     client = ServeClient(
         args.host,
         args.port,
@@ -407,7 +416,6 @@ def cmd_submit(args) -> int:
             args.benchmark,
             args.platform,
             fast=args.fast,
-            jobs=args.jobs,
             deadline_ms=args.deadline_ms,
             spec=args.spec,
             dims=args.dims,
@@ -1006,9 +1014,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="MS",
                        help="per-stage optimizer time budget")
         p.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N",
-                       help="worker processes for candidate evaluation "
-                            "('auto' or 0 = one per core, capped; results "
-                            "are bit-identical to --jobs 1)")
+                       help="accepted for compatibility and ignored "
+                            "(the search is serial)")
         p.add_argument("--trace", default=None, metavar="PATH",
                        help="write a repro-trace-v1 JSONL event log")
         mode = p.add_mutually_exclusive_group()
@@ -1278,8 +1285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("--no-nti", action="store_true",
                        help="disable non-temporal stores")
     p_sub.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N",
-                       help="server-side search parallelism for this "
-                            "request ('auto' = server decides per core)")
+                       help="accepted for compatibility and ignored "
+                            "(the search is serial)")
     p_sub.add_argument("--deadline-ms", type=float, default=None,
                        metavar="MS", dest="deadline_ms",
                        help="server-side budget; expired requests fail "

@@ -15,9 +15,9 @@ now thin delegates over the same machinery this module drives), but the
     result.stats.considered    # canonical candidate accounting
 
 :class:`OptimizeRequest` is a frozen dataclass naming every knob the
-five legacy surfaces accepted — NT stores, ablations, parallel search
-``jobs``, deadlines, fallback policy, the persistent schedule cache, a
-tracer — with one ``mode`` selector:
+five legacy surfaces accepted — NT stores, ablations, deadlines,
+fallback policy, the persistent schedule cache, a tracer — with one
+``mode`` selector:
 
 * ``"auto"`` (default) — the paper's full flow (classify → Algorithm
   2/3 → schedule), via :func:`repro.core.optimize`;
@@ -35,13 +35,12 @@ for pipelines, ``rung``/``fell_back``/``diagnostics`` for safe mode,
 Versioning: this surface follows the package ``__version__`` under
 semantic-versioning rules — fields are only added (with defaults), never
 renamed or removed, within a major version; see docs/API.md's "Stable
-API" section for the deprecation schedule of the legacy keywords.
+API" section and its migration notes for what 2.0 removed.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
@@ -82,45 +81,6 @@ MODE_SAFE = "safe"
 _MODES = (MODE_AUTO, MODE_TEMPORAL, MODE_SPATIAL, MODE_SAFE)
 
 
-class _Unset:
-    """Sentinel distinguishing "not passed" from any real value."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<unset>"
-
-
-_UNSET = _Unset()
-
-#: Legacy per-keyword option spellings, now folded into ``options=``.
-_LEGACY_OPTION_FIELDS = (
-    "use_nti",
-    "parallelize",
-    "vectorize",
-    "exhaustive",
-    "use_emu",
-    "order_step",
-    "jobs",
-    "tracer",
-)
-
-#: The canonical constructor surface (everything that is *not* a legacy
-#: option keyword); ``with_overrides`` rebuilds requests from these.
-_CANONICAL_FIELDS = (
-    "arch",
-    "func",
-    "pipeline",
-    "spec",
-    "dims",
-    "dtypes",
-    "params",
-    "mode",
-    "options",
-    "deadline_ms",
-    "policy",
-    "cache_path",
-)
-
-
 @dataclass(frozen=True)
 class OptimizeRequest:
     """Everything one optimization run needs, in one value object.
@@ -147,11 +107,9 @@ class OptimizeRequest:
         docstring).
     options:
         The consolidated :class:`repro.options.OptimizeOptions` — the
-        six schedule-changing switches plus ``jobs`` and ``tracer``.
-        The per-keyword spellings (``use_nti=...``, ``jobs=...``, ...)
-        keep working but raise :class:`DeprecationWarning`; after
-        construction the resolved values are readable as plain
-        attributes (``request.use_nti`` etc.) either way.
+        schedule-changing switches plus ``tracer``; ``None`` means the
+        defaults (after construction it always holds an
+        ``OptimizeOptions``).
     deadline_ms:
         Cooperative time budget for the whole run (``None`` =
         unbounded).  In safe mode this becomes the policy's
@@ -174,20 +132,13 @@ class OptimizeRequest:
     params: Optional[Mapping[str, Union[int, float]]] = None
     mode: str = MODE_AUTO
     options: Optional[OptimizeOptions] = None
-    use_nti: object = _UNSET
-    parallelize: object = _UNSET
-    vectorize: object = _UNSET
-    exhaustive: object = _UNSET
-    use_emu: object = _UNSET
-    order_step: object = _UNSET
-    jobs: object = _UNSET
     deadline_ms: Optional[float] = None
     policy: Optional[FallbackPolicy] = None
     cache_path: Optional[str] = None
-    tracer: object = _UNSET
 
     def __post_init__(self) -> None:
-        self._resolve_options()
+        if self.options is None:
+            object.__setattr__(self, "options", OptimizeOptions())
         self._resolve_target()
         if self.mode not in _MODES:
             raise ValueError(
@@ -207,34 +158,6 @@ class OptimizeRequest:
             )
         if self.policy is not None and self.mode != MODE_SAFE:
             raise ValueError("policy= is only meaningful with mode='safe'")
-
-    def _resolve_options(self) -> None:
-        """Merge legacy per-keyword options into ``options`` and mirror
-        the resolved values back onto the legacy attribute names, so
-        both spellings *read* identically after construction."""
-        legacy = {
-            name: getattr(self, name)
-            for name in _LEGACY_OPTION_FIELDS
-            if getattr(self, name) is not _UNSET
-        }
-        if legacy:
-            warnings.warn(
-                f"passing {sorted(legacy)} to OptimizeRequest is "
-                f"deprecated; use options=OptimizeOptions(...) "
-                f"(see docs/API.md, 'Migration notes')",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if self.options is not None:
-                raise ValueError(
-                    f"pass options= or the legacy keyword(s) "
-                    f"{sorted(legacy)}, not both"
-                )
-        # OptimizeOptions.__post_init__ validates jobs for every path.
-        resolved = (self.options or OptimizeOptions()).replace(**legacy)
-        object.__setattr__(self, "options", resolved)
-        for name in _LEGACY_OPTION_FIELDS:
-            object.__setattr__(self, name, getattr(resolved, name))
 
     def _resolve_target(self) -> None:
         """Enforce exactly-one target and lower a spec into IR."""
@@ -279,12 +202,11 @@ class OptimizeRequest:
     def with_overrides(self, **kwargs) -> "OptimizeRequest":
         """Copy with some fields replaced (runs validation again).
 
-        Accepts the same keywords as the constructor; legacy option
-        keywords warn exactly like the constructor does.  Passing a new
+        Accepts the same keywords as the constructor.  Passing a new
         target (``func`` / ``pipeline`` / ``spec``) replaces the old
         one, whichever spelling built it.
         """
-        base = {name: getattr(self, name) for name in _CANONICAL_FIELDS}
+        base = {f.name: getattr(self, f.name) for f in fields(self)}
         if self.spec is not None:
             # The lowered twin of a spec target is derived state; keep
             # only the spec so re-validation lowers it afresh.
@@ -294,37 +216,11 @@ class OptimizeRequest:
             for key in ("func", "pipeline", "spec", "dims",
                         "dtypes", "params"):
                 base[key] = None
-        unknown = sorted(
-            set(kwargs) - set(_CANONICAL_FIELDS) - set(_LEGACY_OPTION_FIELDS)
-        )
+        unknown = sorted(set(kwargs) - set(base))
         if unknown:
             raise TypeError(
                 f"unknown OptimizeRequest field(s) {unknown}"
             )
-        legacy = {
-            name: kwargs.pop(name)
-            for name in _LEGACY_OPTION_FIELDS
-            if name in kwargs
-        }
-        if legacy:
-            # Same shim as the constructor: warn once, fold into the
-            # canonical options field (which `base` already carries, so
-            # passing both through would trip the both-spellings guard).
-            warnings.warn(
-                f"passing {sorted(legacy)} to with_overrides is "
-                f"deprecated; use options=OptimizeOptions(...) "
-                f"(see docs/API.md, 'Migration notes')",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if "options" in kwargs:
-                raise ValueError(
-                    f"pass options= or the legacy keyword(s) "
-                    f"{sorted(legacy)}, not both"
-                )
-            base["options"] = (
-                base["options"] or OptimizeOptions()
-            ).replace(**legacy)
         base.update(kwargs)
         return OptimizeRequest(**base)
 
@@ -400,16 +296,22 @@ def _schedule_cache(request: OptimizeRequest):
 def _safe_policy(request: OptimizeRequest) -> FallbackPolicy:
     if request.policy is not None:
         return request.policy
+    opts = request.options
     return FallbackPolicy(
         total_deadline_ms=request.deadline_ms,
-        allow_nti=request.use_nti,
-        parallelize=request.parallelize,
-        vectorize=request.vectorize,
-        exhaustive=request.exhaustive,
-        use_emu=request.use_emu,
-        order_step=request.order_step,
-        jobs=request.jobs,
+        allow_nti=opts.use_nti,
+        parallelize=opts.parallelize,
+        vectorize=opts.vectorize,
+        exhaustive=opts.exhaustive,
+        use_emu=opts.use_emu,
+        order_step=opts.order_step,
     )
+
+
+def _flow_switches(options: OptimizeOptions) -> dict:
+    """Every option field, spelled as the :func:`repro.core.optimize`
+    (and ``optimize_pipeline``) keyword of the same name."""
+    return {f.name: getattr(options, f.name) for f in fields(options)}
 
 
 def _from_core(
@@ -478,28 +380,28 @@ def optimize(request: OptimizeRequest) -> OptimizeResult:
         return _from_safe(request, safe)
 
     if request.mode == MODE_TEMPORAL:
+        opts = request.options
         result = optimize_temporal(
             request.func,
             request.arch,
-            exhaustive=request.exhaustive,
-            use_emu=request.use_emu,
-            order_step=request.order_step,
-            tracer=request.tracer,
-            jobs=request.jobs,
+            exhaustive=opts.exhaustive,
+            use_emu=opts.use_emu,
+            order_step=opts.order_step,
+            tracer=opts.tracer,
         )
         return OptimizeResult(
             request=request, mode=request.mode, temporal=result
         )
 
     if request.mode == MODE_SPATIAL:
+        opts = request.options
         result = optimize_spatial(
             request.func,
             request.arch,
-            exhaustive=request.exhaustive,
-            use_emu=request.use_emu,
-            order_step=request.order_step,
-            tracer=request.tracer,
-            jobs=request.jobs,
+            exhaustive=opts.exhaustive,
+            use_emu=opts.use_emu,
+            order_step=opts.order_step,
+            tracer=opts.tracer,
         )
         return OptimizeResult(
             request=request, mode=request.mode, spatial=result
@@ -510,16 +412,8 @@ def optimize(request: OptimizeRequest) -> OptimizeResult:
         schedules = _core_optimize_pipeline(
             request.pipeline,
             request.arch,
-            use_nti=request.use_nti,
-            parallelize=request.parallelize,
-            vectorize=request.vectorize,
-            exhaustive=request.exhaustive,
-            use_emu=request.use_emu,
-            order_step=request.order_step,
-            multistride=request.options.multistride,
-            jobs=request.jobs,
             deadline=_deadline(request),
-            tracer=request.tracer,
+            **_flow_switches(request.options),
         )
         return OptimizeResult(
             request=request,
@@ -540,16 +434,8 @@ def optimize(request: OptimizeRequest) -> OptimizeResult:
     result = _core_optimize(
         request.func,
         request.arch,
-        use_nti=request.use_nti,
-        parallelize=request.parallelize,
-        vectorize=request.vectorize,
-        exhaustive=request.exhaustive,
-        use_emu=request.use_emu,
-        order_step=request.order_step,
-        multistride=request.options.multistride,
-        jobs=request.jobs,
         deadline=_deadline(request),
-        tracer=request.tracer,
+        **_flow_switches(request.options),
     )
     if cache is not None:
         cache.put(

@@ -33,11 +33,7 @@ from repro.ir.analysis import analyze_func
 from repro.ir.func import Func
 from repro.ir.schedule import Schedule
 from repro.obs.events import REASON_CAPACITY
-from repro.obs.stats import (
-    CandidateCounter,
-    CandidateStats,
-    deprecated_counter_read,
-)
+from repro.obs.stats import CandidateCounter, CandidateStats
 from repro.util import ceil_div, tile_candidates
 
 
@@ -48,12 +44,6 @@ class TileModelResult:
     tiles: Dict[str, int]
     cost: float
     stats: CandidateStats
-
-    @property
-    def candidates_evaluated(self) -> int:
-        """Deprecated alias for ``stats.considered``."""
-        deprecated_counter_read("TileModelResult")
-        return self.stats.considered
 
 
 def _capacity_bound(arch: ArchSpec, level: int, dts: int) -> int:

@@ -10,7 +10,7 @@ Gate (CI)::
 
     python -m repro.bench --fast --check --baseline BENCH_search.json
 
-``--check`` exits 1 when a gated ratio (warm / cold-parallel speedup)
+``--check`` exits 1 when a gated ratio (cold / warm speedup)
 falls more than ``--tolerance`` (default 20%) below the committed
 baseline, or when the scenarios stop producing identical schedules.
 Absolute milliseconds are recorded but never gated — they are machine
@@ -36,13 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fast",
         action="store_true",
         help="CI subset with small problem sizes (seconds, not minutes)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=4,
-        metavar="N",
-        help="worker processes for the parallel scenarios (default 4)",
     )
     parser.add_argument(
         "--platform",
@@ -79,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     arch = platform_by_name(args.platform)
-    payload = run_bench(fast=args.fast, jobs=args.jobs, arch=arch)
+    payload = run_bench(fast=args.fast, arch=arch)
 
     e2e = payload["end_to_end"]
     print(
@@ -88,8 +81,7 @@ def main(argv=None) -> int:
     )
     print(
         f"  serial uncached {e2e['serial_uncached_ms']:.0f} ms | "
-        f"cold --jobs {payload['jobs']} {e2e['cold_parallel_ms']:.0f} ms "
-        f"({e2e['speedup_cold_parallel']:.2f}x) | "
+        f"cold {e2e['cold_ms']:.0f} ms ({e2e['speedup_cold']:.2f}x) | "
         f"warm {e2e['warm_ms']:.0f} ms ({e2e['speedup_warm']:.2f}x)"
     )
     print(

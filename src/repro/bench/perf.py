@@ -15,11 +15,10 @@ Two families of numbers:
 * **End-to-end scenarios** — the full ``optimize`` flow over every
   suite stage, three ways:
 
-  - ``serial_uncached`` — ``jobs=1``, emu memoization disabled, no
-    schedule cache: the reference path, and the source of the reference
-    schedules;
-  - ``cold_parallel`` — caches start empty, emu memoization on,
-    ``jobs=N``: what a first run on a fresh machine pays;
+  - ``serial_uncached`` — emu memoization disabled, no schedule cache:
+    the reference path, and the source of the reference schedules;
+  - ``cold`` — caches start empty, emu memoization on: what a first run
+    on a fresh machine pays;
   - ``warm`` — emu memo hot and every schedule served by a
     :class:`repro.cache.ScheduleCache`: what every later run pays.
 
@@ -57,7 +56,7 @@ from repro.core.optimizer import optimize
 from repro.ir.serialize import schedule_to_dict
 
 #: Schema tag of BENCH_search.json; bump on incompatible layout change.
-BENCH_FORMAT = "repro-bench-search-v1"
+BENCH_FORMAT = "repro-bench-search-v2"
 
 #: Benchmarks whose optimization exercises each search phase.
 _TEMPORAL_NAMES = ("matmul", "gemm", "syrk")
@@ -154,7 +153,6 @@ def _optimize_suite(
     cases,
     arch: ArchSpec,
     *,
-    jobs: int,
     cache: Optional[ScheduleCache],
 ) -> Tuple[float, List[Dict]]:
     """Time one full pass of ``optimize`` over every suite stage.
@@ -171,7 +169,7 @@ def _optimize_suite(
             if cache is not None:
                 schedule = cache.get(stage, arch, options)
             if schedule is None:
-                schedule = optimize(stage, arch, jobs=jobs).schedule
+                schedule = optimize(stage, arch).schedule
                 if cache is not None:
                     cache.put(stage, arch, options, schedule)
             schedules.append(schedule_to_dict(schedule))
@@ -181,7 +179,6 @@ def _optimize_suite(
 def run_bench(
     *,
     fast: bool = False,
-    jobs: int = 4,
     arch: Optional[ArchSpec] = None,
 ) -> Dict:
     """Measure everything; returns the BENCH_search.json payload."""
@@ -195,24 +192,22 @@ def run_bench(
     clear_emu_cache()
     try:
         serial_ms, serial_schedules = _optimize_suite(
-            cases, arch, jobs=1, cache=None
+            cases, arch, cache=None
         )
     finally:
         configure_emu_cache(previous)
 
     configure_emu_cache(True)
     clear_emu_cache()
-    cold_ms, cold_schedules = _optimize_suite(
-        cases, arch, jobs=jobs, cache=None
-    )
+    cold_ms, cold_schedules = _optimize_suite(cases, arch, cache=None)
 
     with tempfile.TemporaryDirectory() as tmp:
         cache = ScheduleCache(os.path.join(tmp, "schedules.jsonl"))
         # Populate: one pass fills the schedule cache and the emu memo...
-        _optimize_suite(cases, arch, jobs=jobs, cache=cache)
+        _optimize_suite(cases, arch, cache=cache)
         # ...and the warm pass is what a second run of the same sweep pays.
         warm_ms, warm_schedules = _optimize_suite(
-            cases, arch, jobs=jobs, cache=cache
+            cases, arch, cache=cache
         )
         warm_cache_stats = cache.stats.to_dict()
     emu_stats = emu_cache_stats()
@@ -223,15 +218,14 @@ def run_bench(
         "format": BENCH_FORMAT,
         "mode": "fast" if fast else "full",
         "arch": arch.name,
-        "jobs": jobs,
         "benchmarks": [name for name, _ in cases],
         "phases": phases,
         "end_to_end": {
             "stages": len(serial_schedules),
             "serial_uncached_ms": round(serial_ms, 3),
-            "cold_parallel_ms": round(cold_ms, 3),
+            "cold_ms": round(cold_ms, 3),
             "warm_ms": round(warm_ms, 3),
-            "speedup_cold_parallel": round(serial_ms / max(cold_ms, 1e-9), 3),
+            "speedup_cold": round(serial_ms / max(cold_ms, 1e-9), 3),
             "speedup_warm": round(serial_ms / max(warm_ms, 1e-9), 3),
             "schedules_identical": identical,
         },
@@ -251,7 +245,7 @@ def run_bench(
 
 #: The ratios the CI gate protects (regression-only: current may exceed
 #: the baseline freely, it may not fall more than ``tolerance`` below).
-GATED_RATIOS = ("speedup_cold_parallel", "speedup_warm")
+GATED_RATIOS = ("speedup_cold", "speedup_warm")
 
 
 def check_regression(
@@ -281,7 +275,7 @@ def check_regression(
     base_e2e = baseline.get("end_to_end", {})
     if not cur_e2e.get("schedules_identical", False):
         failures.append(
-            "schedules are not identical across serial/parallel/cached "
+            "schedules are not identical across serial/cold/cached "
             "scenarios — determinism regression"
         )
     for key in GATED_RATIOS:

@@ -14,10 +14,7 @@ is unchanged, so cache keys are built from three independent hashes:
   invalidates cached schedules for that platform.
 * :func:`options_fingerprint` — the optimizer configuration that can
   change the chosen schedule (``use_nti``, ``use_emu``, ``order_step``,
-  ``exhaustive``...).  Note that ``jobs`` is deliberately *not* part of
-  the options: parallel evaluation is bit-identical to serial (see
-  :mod:`repro.core.parallel`), so worker count must not fragment the
-  cache.
+  ``exhaustive``...).
 
 All hashes are SHA-256 over canonical (sorted-key, tight-separator)
 JSON, matching the checksum discipline of :mod:`repro.sweep.journal`.
@@ -107,12 +104,12 @@ def optimize_options(
 ) -> Dict[str, object]:
     """The canonical options dict for one :func:`repro.core.optimize`
     configuration — exactly the switches that can change the chosen
-    schedule, nothing that cannot (``jobs``, tracers, deadlines).
+    schedule, nothing that cannot (tracers, deadlines).
 
     Delegates to :class:`repro.options.OptimizeOptions`, the single
     source of truth for the option surface; the explicit keyword-only
     signature is kept so anything *outside* the cache identity
-    (``jobs=...``) is rejected right here with a ``TypeError``.
+    (``tracer=...``) is rejected right here with a ``TypeError``.
     """
     from repro.options import OptimizeOptions
 

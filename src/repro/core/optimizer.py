@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import contextlib
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -36,20 +35,6 @@ from repro.core.standard import build_schedule, untransformed_schedule
 from repro.core.temporal import TemporalResult, optimize_temporal
 from repro.ir.func import Func, Pipeline
 from repro.ir.schedule import Schedule
-
-
-def _resolve_use_nti(use_nti: bool, allow_nti: Optional[bool]) -> bool:
-    """Apply the deprecated ``allow_nti`` spelling of ``use_nti``."""
-    if allow_nti is None:
-        return use_nti
-    warnings.warn(
-        "the allow_nti keyword is deprecated and will be removed in 2.0; "
-        "pass use_nti instead (same meaning, uniform with the "
-        "use_emu/order_step switches)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return allow_nti
 
 
 @dataclass
@@ -101,10 +86,8 @@ def optimize(
     use_emu: bool = True,
     order_step: bool = True,
     multistride="off",
-    jobs: int = 1,
     deadline: Optional[Deadline] = None,
     tracer=None,
-    allow_nti: Optional[bool] = None,
 ) -> OptimizationResult:
     """Run the full optimization flow on ``func``'s main definition.
 
@@ -133,10 +116,6 @@ def optimize(
         :mod:`repro.multistride` and keep the cheapest strategy), or an
         ``int >= 2`` (force that stream count on the best eligible
         loop).
-    jobs:
-        Worker processes for the Algorithm-2/3 candidate searches
-        (0 = auto, 1 = serial); results are bit-identical either way
-        (see :mod:`repro.core.parallel`).
     deadline:
         Optional time budget.  Installed as the ambient deadline for the
         whole flow, so the cooperative checkpoints inside classification
@@ -150,11 +129,7 @@ def optimize(
         the stage optimizers; ``None`` keeps whatever tracer an outer
         caller installed (defaulting to the zero-overhead
         :data:`repro.obs.NULL_TRACER`).
-    allow_nti:
-        Deprecated spelling of ``use_nti``; passing it warns and takes
-        precedence.
     """
-    use_nti = _resolve_use_nti(use_nti, allow_nti)
     with contextlib.ExitStack() as stack:
         if deadline is not None:
             stack.enter_context(active_deadline(deadline))
@@ -172,7 +147,6 @@ def optimize(
             use_emu=use_emu,
             order_step=order_step,
             multistride=multistride,
-            jobs=jobs,
             tracer=tracer,
         )
 
@@ -188,7 +162,6 @@ def _optimize_under_deadline(
     use_emu: bool,
     order_step: bool,
     multistride,
-    jobs: int,
     tracer,
 ) -> OptimizationResult:
     start = time.perf_counter()
@@ -214,7 +187,6 @@ def _optimize_under_deadline(
             use_emu=use_emu,
             order_step=order_step,
             tracer=tracer,
-            jobs=jobs,
         )
         if temporal_result.cost == float("inf"):
             schedule = untransformed_schedule(
@@ -244,7 +216,6 @@ def _optimize_under_deadline(
             use_emu=use_emu,
             order_step=order_step,
             tracer=tracer,
-            jobs=jobs,
         )
         tiles = dict(spatial_result.tiles)
         # Untiled outer output dimensions (3-D+ outputs) stay untouched.
@@ -325,20 +296,16 @@ def optimize_pipeline(
     use_emu: bool = True,
     order_step: bool = True,
     multistride="off",
-    jobs: int = 1,
     deadline: Optional[Deadline] = None,
     tracer=None,
-    allow_nti: Optional[bool] = None,
 ) -> Dict[Func, Schedule]:
     """Optimize every stage of a pipeline independently (compute_root).
 
     All keyword switches are forwarded to :func:`optimize` per stage —
     the same uniform surface, including the ``use_emu``/``order_step``
-    ablations, ``tracer``, and the deprecated ``allow_nti`` spelling of
-    ``use_nti``; a ``deadline`` (and a ``tracer``) is shared across the
-    whole pipeline, not per stage.
+    ablations and ``tracer``; a ``deadline`` (and a ``tracer``) is
+    shared across the whole pipeline, not per stage.
     """
-    use_nti = _resolve_use_nti(use_nti, allow_nti)
     out: Dict[Func, Schedule] = {}
     with contextlib.ExitStack() as stack:
         if deadline is not None:
@@ -357,6 +324,5 @@ def optimize_pipeline(
                 use_emu=use_emu,
                 order_step=order_step,
                 multistride=multistride,
-                jobs=jobs,
             ).schedule
     return out

@@ -20,22 +20,15 @@ with the streaming prefetchers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.arch import ArchSpec
 from repro.core.costs import (
-    RefPattern,
     extract_patterns,
     spatial_partial_cost,
     spatial_working_sets,
 )
 from repro.core.emu import emu_l2
-from repro.core.parallel import (
-    GroupOutcome,
-    evaluate_groups,
-    merge_outcomes,
-    resolve_jobs,
-)
 from repro.ir.analysis import StatementInfo, analyze_func
 from repro.ir.func import Func
 from repro.obs.events import (
@@ -46,11 +39,7 @@ from repro.obs.events import (
     REASON_EMU_BOUND,
     REASON_PARALLELISM,
 )
-from repro.obs.stats import (
-    CandidateCounter,
-    CandidateStats,
-    deprecated_counter_read,
-)
+from repro.obs.stats import CandidateCounter, CandidateStats
 from repro.obs.tracer import current_tracer
 from repro.util import DeadlineExceeded, ceil_div, checkpoint, tile_candidates
 
@@ -67,12 +56,6 @@ class SpatialResult:
     stats: CandidateStats
     ws_l1: float
     ws_l2: float
-
-    @property
-    def candidates_evaluated(self) -> int:
-        """Deprecated alias for ``stats.considered``."""
-        deprecated_counter_read("SpatialResult")
-        return self.stats.considered
 
     @property
     def tile_width(self) -> int:
@@ -99,7 +82,6 @@ def optimize_spatial(
     use_emu: bool = True,
     order_step: bool = True,
     tracer=None,
-    jobs: int = 1,
 ) -> SpatialResult:
     """Run Algorithm 3 on the main definition of ``func``.
 
@@ -116,12 +98,6 @@ def optimize_spatial(
     ``candidate.pruned`` / ``search.bound`` events and a
     ``spatial.search`` span; the returned ``stats`` are identical with
     or without a recording tracer.
-
-    ``jobs`` evaluates the width/height lattice across that many worker
-    processes (0 = auto); the chosen tile, cost and ``stats`` counts are
-    bit-identical to the serial scan (see :mod:`repro.core.parallel`).
-    A recording tracer forces the serial path so per-candidate events
-    keep their serial order.
     """
     del order_step  # uniform keyword surface; no ordering step here
     info = info or analyze_func(func)
@@ -162,23 +138,6 @@ def optimize_spatial(
     tracer = tracer if tracer is not None else current_tracer()
     traced = tracer.enabled
     counter = CandidateCounter("spatial", tracer)
-
-    ctx = _SpatialContext(
-        patterns=tuple(patterns),
-        bounds=dict(bounds),
-        row=row,
-        col=col,
-        n_arrays=n_arrays,
-        lc=lc,
-        l1_capacity=l1_capacity,
-        l2_capacity=l2_capacity,
-        threads=threads,
-        exhaustive=exhaustive,
-    )
-    # A recording tracer needs per-candidate events in serial order, so
-    # parallel evaluation only engages untraced (results are identical).
-    parallel = resolve_jobs(jobs) > 1 and not traced
-    groups: List[_SpatialGroup] = []
 
     best: Optional[Tuple[float, int, int, float, float]] = None
     emu_excluded = set()
@@ -223,40 +182,40 @@ def optimize_spatial(
                             tile=t,
                             bound=max_h,
                         )
-            group = _SpatialGroup(t_w=t_w, max_h=max_h)
-            if parallel:
-                # Defer: groups are evaluated across workers below,
-                # merged in this exact construction order.
-                groups.append(group)
-                continue
-            outcome = _evaluate_spatial_group(
-                ctx,
-                group,
-                counter=counter,
-                tracer=tracer if traced else None,
-                checkpoints=True,
+            height_cands = tile_candidates(
+                bounds[row], max_h, exhaustive=exhaustive
             )
-            if outcome.best is not None and (
-                best is None or outcome.best[0] < best[0]
-            ):
-                best = outcome.best
-
-        if parallel and groups:
-            merged = merge_outcomes(
-                evaluate_groups(
-                    _evaluate_spatial_group,
-                    ctx,
-                    groups,
-                    jobs=jobs,
-                    checkpoint_label="spatial tile search",
+            for t_h in height_cands:
+                # Cooperative deadline probe: Algorithm 3's search must stay
+                # interruptible per candidate.
+                try:
+                    checkpoint("spatial tile search")
+                except DeadlineExceeded:
+                    if traced:
+                        tracer.event(
+                            EVENT_CANDIDATE_PRUNED,
+                            phase="spatial",
+                            reason=REASON_DEADLINE,
+                        )
+                    raise
+                counter.considered()
+                ws1, ws2 = spatial_working_sets(n_arrays, t_w, t_h, lc)
+                if ws1 > l1_capacity or ws2 > l2_capacity:
+                    counter.pruned(REASON_CAPACITY, t_w=t_w, t_h=t_h)
+                    continue
+                if ceil_div(bounds[row], t_h) < threads:
+                    # Eq. 13 on the parallelized row loop
+                    counter.pruned(REASON_PARALLELISM, t_w=t_w, t_h=t_h)
+                    continue
+                # Sum of per-array partial costs; the (contiguous) output
+                # only adds a tile-independent constant, so including it is
+                # harmless.
+                cost = sum(
+                    spatial_partial_cost(p, col, t_w, t_h, bounds, lc)
+                    for p in patterns
                 )
-            )
-            counter.stats.considered += merged.considered
-            for reason, count in merged.pruned.items():
-                counter.stats.pruned[reason] = (
-                    counter.stats.pruned.get(reason, 0) + count
-                )
-            best = merged.best
+                if best is None or cost < best[0]:
+                    best = (cost, t_w, t_h, ws1, ws2)
 
     if best is None:
         # Constraints rejected everything: degenerate single-line tiles.
@@ -275,91 +234,3 @@ def optimize_spatial(
         ws_l1=ws1,
         ws_l2=ws2,
     )
-
-
-@dataclass(frozen=True)
-class _SpatialContext:
-    """Search-invariant inputs of the Algorithm-3 lattice, shipped to
-    workers once per process (see :mod:`repro.core.parallel`)."""
-
-    patterns: Tuple[RefPattern, ...]
-    bounds: Dict[str, int]
-    row: str
-    col: str
-    n_arrays: int
-    lc: int
-    l1_capacity: int
-    l2_capacity: int
-    threads: int
-    exhaustive: bool
-
-
-@dataclass(frozen=True)
-class _SpatialGroup:
-    """One lattice group: a ``T_width`` choice plus its Algorithm-1
-    height bound.  Height candidates are recomputed inside the group."""
-
-    t_w: int
-    max_h: int
-
-
-def _evaluate_spatial_group(
-    ctx: _SpatialContext,
-    group: _SpatialGroup,
-    *,
-    counter: Optional[CandidateCounter] = None,
-    tracer=None,
-    checkpoints: bool = False,
-) -> GroupOutcome:
-    """Evaluate every height for one ``T_width``, in serial-scan order.
-
-    Serial callers pass the live ``counter``/``tracer`` and get per-
-    candidate accounting, trace events and deadline checkpoints exactly
-    as before; workers call with the defaults and the accounting comes
-    back in the :class:`GroupOutcome`.
-    """
-    t_w = group.t_w
-    height_cands = tile_candidates(
-        ctx.bounds[ctx.row], group.max_h, exhaustive=ctx.exhaustive
-    )
-    out = GroupOutcome()
-    for t_h in height_cands:
-        if checkpoints:
-            # Cooperative deadline probe: Algorithm 3's search must stay
-            # interruptible per candidate.
-            try:
-                checkpoint("spatial tile search")
-            except DeadlineExceeded:
-                if tracer is not None:
-                    tracer.event(
-                        EVENT_CANDIDATE_PRUNED,
-                        phase="spatial",
-                        reason=REASON_DEADLINE,
-                    )
-                raise
-        out.considered += 1
-        if counter is not None:
-            counter.considered()
-        ws1, ws2 = spatial_working_sets(ctx.n_arrays, t_w, t_h, ctx.lc)
-        if ws1 > ctx.l1_capacity or ws2 > ctx.l2_capacity:
-            out.pruned[REASON_CAPACITY] = out.pruned.get(REASON_CAPACITY, 0) + 1
-            if counter is not None:
-                counter.pruned(REASON_CAPACITY, t_w=t_w, t_h=t_h)
-            continue
-        if ceil_div(ctx.bounds[ctx.row], t_h) < ctx.threads:
-            # Eq. 13 on the parallelized row loop
-            out.pruned[REASON_PARALLELISM] = (
-                out.pruned.get(REASON_PARALLELISM, 0) + 1
-            )
-            if counter is not None:
-                counter.pruned(REASON_PARALLELISM, t_w=t_w, t_h=t_h)
-            continue
-        # Sum of per-array partial costs; the (contiguous) output only
-        # adds a tile-independent constant, so including it is harmless.
-        cost = sum(
-            spatial_partial_cost(p, ctx.col, t_w, t_h, ctx.bounds, ctx.lc)
-            for p in ctx.patterns
-        )
-        if out.best is None or cost < out.best[0]:
-            out.best = (cost, t_w, t_h, ws1, ws2)
-    return out

@@ -30,7 +30,7 @@ is what keeps the optimizer in paper-reported runtime territory
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.arch import ArchSpec
@@ -43,12 +43,6 @@ from repro.core.costs import (
     working_set_l2,
 )
 from repro.core.emu import emu_l1, emu_l2
-from repro.core.parallel import (
-    GroupOutcome,
-    evaluate_groups,
-    merge_outcomes,
-    resolve_jobs,
-)
 from repro.ir.analysis import StatementInfo, analyze_func
 from repro.ir.func import Func
 from repro.obs.events import (
@@ -60,11 +54,7 @@ from repro.obs.events import (
     REASON_PARALLELISM,
     REASON_VECTOR_TILE,
 )
-from repro.obs.stats import (
-    CandidateCounter,
-    CandidateStats,
-    deprecated_counter_read,
-)
+from repro.obs.stats import CandidateCounter, CandidateStats
 from repro.obs.tracer import current_tracer
 from repro.util import DeadlineExceeded, ceil_div, checkpoint, tile_candidates
 
@@ -82,12 +72,6 @@ class TemporalResult:
     stats: CandidateStats
     ws_l1: float
     ws_l2: float
-
-    @property
-    def candidates_evaluated(self) -> int:
-        """Deprecated alias for ``stats.considered``."""
-        deprecated_counter_read("TemporalResult")
-        return self.stats.considered
 
     def describe(self) -> str:
         tiles = ", ".join(f"T_{v}={t}" for v, t in sorted(self.tiles.items()))
@@ -127,7 +111,6 @@ def optimize_temporal(
     use_emu: bool = True,
     order_step: bool = True,
     tracer=None,
-    jobs: int = 1,
 ) -> TemporalResult:
     """Run Algorithm 2 on the main definition of ``func``.
 
@@ -143,12 +126,6 @@ def optimize_temporal(
     Algorithm-1 lattice caps, and a ``temporal.search`` /
     ``temporal.order`` span pair.  The returned ``stats`` are identical
     with or without a recording tracer.
-
-    ``jobs`` evaluates the Step-1 tile lattice across that many worker
-    processes (0 = auto); the chosen schedule, cost and ``stats`` counts
-    are bit-identical to the serial scan (see :mod:`repro.core.parallel`).
-    A recording tracer forces the serial path so per-candidate events
-    keep their serial order.
     """
     info = info or analyze_func(func)
     patterns = extract_patterns(info)
@@ -232,23 +209,6 @@ def optimize_temporal(
             min(strided_cap, bounds[c])
         ]
 
-    ctx = _TemporalContext(
-        arch=arch,
-        patterns=tuple(patterns),
-        bounds=dict(bounds),
-        c=c,
-        non_column=tuple(non_column),
-        l1_capacity=l1_capacity,
-        l2_capacity=l2_capacity,
-        threads=threads,
-        dts=dts,
-        exhaustive=exhaustive,
-    )
-    # A recording tracer needs per-candidate events in serial order, so
-    # parallel evaluation only engages untraced (results are identical).
-    parallel = resolve_jobs(jobs) > 1 and not traced
-    groups: List[_TemporalGroup] = []
-
     # Placement choices: d2/d3 = 2nd/3rd innermost intra positions,
     # L = outermost intra (reuse loop), M = innermost inter (reuse loop).
     emu_excluded: Set[Tuple[str, int]] = set()
@@ -321,47 +281,69 @@ def optimize_temporal(
                                 tile=t,
                                 bound=cap,
                             )
-                group = _TemporalGroup(
-                    t_c=t_c,
-                    d2=d2,
-                    d3=d3,
-                    max_d2=max_d2,
-                    max_d3=max_d3,
-                    rest=tuple(rest),
+                d2_cands = (
+                    _divisor_biased(
+                        tile_candidates(
+                            bounds[d2], max_d2, exhaustive=exhaustive
+                        ),
+                        bounds[d2],
+                    )
+                    if d2
+                    else [None]
                 )
-                if parallel:
-                    # Defer: groups are evaluated across workers below,
-                    # merged in this exact construction order.
-                    groups.append(group)
-                    continue
-                outcome = _evaluate_temporal_group(
-                    ctx,
-                    group,
-                    counter=counter,
-                    tracer=tracer if traced else None,
-                    checkpoints=True,
+                d3_cands = (
+                    _divisor_biased(
+                        tile_candidates(
+                            bounds[d3], max_d3, exhaustive=exhaustive
+                        ),
+                        bounds[d3],
+                    )
+                    if d3
+                    else [None]
                 )
-                if outcome.best is not None and (
-                    best is None or outcome.best[0] < best[0]
-                ):
-                    best = outcome.best
-
-        if parallel and groups:
-            merged = merge_outcomes(
-                evaluate_groups(
-                    _evaluate_temporal_group,
-                    ctx,
-                    groups,
-                    jobs=jobs,
-                    checkpoint_label="temporal tile search",
-                )
-            )
-            counter.stats.considered += merged.considered
-            for reason, count in merged.pruned.items():
-                counter.stats.pruned[reason] = (
-                    counter.stats.pruned.get(reason, 0) + count
-                )
-            best = merged.best
+                rest_cands = [_middle_candidates(bounds[v]) for v in rest]
+                for t_d2 in d2_cands:
+                    for t_d3 in d3_cands:
+                        for rest_tiles in itertools.product(*rest_cands):
+                            # Cooperative deadline probe: Algorithm 2's
+                            # search must stay interruptible per candidate.
+                            try:
+                                checkpoint("temporal tile search")
+                            except DeadlineExceeded:
+                                if traced:
+                                    tracer.event(
+                                        EVENT_CANDIDATE_PRUNED,
+                                        phase="temporal",
+                                        reason=REASON_DEADLINE,
+                                    )
+                                raise
+                            tiles = {c: t_c}
+                            if d2:
+                                tiles[d2] = t_d2
+                            if d3:
+                                tiles[d3] = t_d3
+                            tiles.update(zip(rest, rest_tiles))
+                            outcome, reason = _evaluate_tiles(
+                                arch,
+                                patterns,
+                                tiles,
+                                bounds,
+                                c,
+                                d2,
+                                d3,
+                                rest,
+                                non_column,
+                                l1_capacity,
+                                l2_capacity,
+                                threads,
+                                dts,
+                            )
+                            counter.considered()
+                            if outcome is None:
+                                counter.pruned(reason, tiles=dict(tiles))
+                                continue
+                            if best is None or outcome[0] < best[0]:
+                                best = outcome
 
     if best is None:
         # No candidate satisfied the fit/parallel constraints; fall back to
@@ -417,124 +399,6 @@ def _placement_pairs(others: Sequence[str]) -> List[Tuple[Optional[str], Optiona
     return [
         (a, b) for a, b in itertools.permutations(others, 2)
     ]
-
-
-@dataclass(frozen=True)
-class _TemporalContext:
-    """Search-invariant inputs of the Step-1 lattice, shipped to workers
-    once per process (see :mod:`repro.core.parallel`)."""
-
-    arch: ArchSpec
-    patterns: Tuple[RefPattern, ...]
-    bounds: Dict[str, int]
-    c: str
-    non_column: Tuple[str, ...]
-    l1_capacity: int
-    l2_capacity: int
-    threads: int
-    dts: int
-    exhaustive: bool
-
-
-@dataclass(frozen=True)
-class _TemporalGroup:
-    """One lattice group: a ``(T_c, d2, d3)`` placement plus its
-    Algorithm-1 bounds.  The candidate tile lists are recomputed inside
-    the group (they are deterministic functions of these fields), keeping
-    the pickled descriptor tiny."""
-
-    t_c: int
-    d2: Optional[str]
-    d3: Optional[str]
-    max_d2: int
-    max_d3: int
-    rest: Tuple[str, ...]
-
-
-def _evaluate_temporal_group(
-    ctx: _TemporalContext,
-    group: _TemporalGroup,
-    *,
-    counter: Optional[CandidateCounter] = None,
-    tracer=None,
-    checkpoints: bool = False,
-) -> GroupOutcome:
-    """Evaluate every candidate of one ``(T_c, d2, d3)`` group, in the
-    exact order the serial scan visits them.
-
-    Serial callers pass the live ``counter``/``tracer`` and get per-
-    candidate accounting, trace events and deadline checkpoints exactly
-    as before; workers call with the defaults and the accounting comes
-    back in the :class:`GroupOutcome`.
-    """
-    bounds = ctx.bounds
-    d2, d3 = group.d2, group.d3
-    d2_cands = (
-        _divisor_biased(
-            tile_candidates(bounds[d2], group.max_d2, exhaustive=ctx.exhaustive),
-            bounds[d2],
-        )
-        if d2
-        else [None]
-    )
-    d3_cands = (
-        _divisor_biased(
-            tile_candidates(bounds[d3], group.max_d3, exhaustive=ctx.exhaustive),
-            bounds[d3],
-        )
-        if d3
-        else [None]
-    )
-    rest_cands = [_middle_candidates(bounds[v]) for v in group.rest]
-    out = GroupOutcome()
-    for t_d2 in d2_cands:
-        for t_d3 in d3_cands:
-            for rest_tiles in itertools.product(*rest_cands):
-                if checkpoints:
-                    # Cooperative deadline probe: Algorithm 2's search
-                    # must stay interruptible per candidate.
-                    try:
-                        checkpoint("temporal tile search")
-                    except DeadlineExceeded:
-                        if tracer is not None:
-                            tracer.event(
-                                EVENT_CANDIDATE_PRUNED,
-                                phase="temporal",
-                                reason=REASON_DEADLINE,
-                            )
-                        raise
-                tiles = {ctx.c: group.t_c}
-                if d2:
-                    tiles[d2] = t_d2
-                if d3:
-                    tiles[d3] = t_d3
-                tiles.update(zip(group.rest, rest_tiles))
-                outcome, reason = _evaluate_tiles(
-                    ctx.arch,
-                    ctx.patterns,
-                    tiles,
-                    bounds,
-                    ctx.c,
-                    d2,
-                    d3,
-                    group.rest,
-                    ctx.non_column,
-                    ctx.l1_capacity,
-                    ctx.l2_capacity,
-                    ctx.threads,
-                    ctx.dts,
-                )
-                out.considered += 1
-                if counter is not None:
-                    counter.considered()
-                if outcome is None:
-                    out.pruned[reason] = out.pruned.get(reason, 0) + 1
-                    if counter is not None:
-                        counter.pruned(reason, tiles=dict(tiles))
-                    continue
-                if out.best is None or outcome[0] < out.best[0]:
-                    out.best = outcome
-    return out
 
 
 def _evaluate_tiles(

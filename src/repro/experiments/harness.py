@@ -109,7 +109,6 @@ def schedules_for(
     config: Optional[ExperimentConfig] = None,
     autotune_evals: Optional[int] = None,
     cache=None,
-    jobs: int = 1,
     options=None,
 ) -> Dict[Func, Schedule]:
     """Produce one schedule per pipeline stage under a technique.
@@ -117,8 +116,7 @@ def schedules_for(
     ``cache`` is an optional :class:`repro.cache.ScheduleCache` consulted
     for the ``proposed``/``proposed_nti`` techniques (the only ones whose
     schedules come from the expensive Algorithm-2/3 search); hits skip
-    the search, misses search and store.  ``jobs`` parallelizes the
-    search itself (bit-identical results; see :mod:`repro.core.parallel`).
+    the search, misses search and store.
 
     ``options`` is an optional :class:`repro.options.OptimizeOptions`
     overriding the full switch set for the ``proposed``/``proposed_nti``
@@ -144,7 +142,7 @@ def schedules_for(
                 switches = {
                     key: bool(getattr(opts, key)) for key in CACHE_KEYS
                 }
-                schedule = optimize(stage, arch, jobs=jobs, **switches).schedule
+                schedule = optimize(stage, arch, **switches).schedule
                 if cache is not None:
                     cache.put(
                         stage,

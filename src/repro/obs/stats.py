@@ -4,10 +4,9 @@ Before this module existed, ``core.temporal``, ``core.spatial`` and
 ``baselines.tss``/``tts`` each kept a private ``candidates_evaluated``
 integer — enough for Table 5's runtime model, useless for explaining
 *why* a search rejected what it rejected.  :class:`CandidateStats` is
-the one replacement: every search result now carries one, the legacy
-``candidates_evaluated`` dataclass fields live on as deprecated
-read-through properties, and Table 5's deterministic runtime model reads
-``stats.considered`` — the exact same count, byte for byte.
+the one replacement: every search result carries one, and Table 5's
+deterministic runtime model reads ``stats.considered`` — the exact same
+count, byte for byte.
 
 The companion :class:`CandidateCounter` bundles the stats object with a
 tracer so the hot search loops make a single call per candidate; with
@@ -25,13 +24,12 @@ the stats stay identical whether or not a tracer is attached.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.obs.tracer import current_tracer
 
-__all__ = ["CandidateStats", "CandidateCounter", "deprecated_counter_read"]
+__all__ = ["CandidateStats", "CandidateCounter"]
 
 
 @dataclass
@@ -99,13 +97,3 @@ class CandidateCounter:
                 reason=reason,
                 **attrs,
             )
-
-
-def deprecated_counter_read(owner: str) -> None:
-    """Warn for a read of a legacy ``candidates_evaluated`` field."""
-    warnings.warn(
-        f"{owner}.candidates_evaluated is deprecated and will be removed "
-        f"in 2.0; read {owner}.stats.considered instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )

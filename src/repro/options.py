@@ -12,21 +12,14 @@ arguments on :class:`repro.api.OptimizeRequest`:
   stream count ``>= 2``); schedule-changing and therefore
   fingerprint-bearing, but included in :meth:`cache_dict` **only when
   enabled**, so every pre-multistride fingerprint stays byte-identical;
-* ``jobs`` — parallel candidate evaluation; bit-identical to serial, so
-  deliberately **excluded** from :meth:`cache_dict` (worker count must
-  never fragment caches; see :mod:`repro.core.parallel`);
-* ``tracer`` — observability; likewise excluded (tracing is
-  bit-for-bit neutral by contract, see :mod:`repro.obs`).
+* ``tracer`` — observability; deliberately **excluded** from
+  :meth:`cache_dict` (tracing is bit-for-bit neutral by contract, see
+  :mod:`repro.obs`).
 
 :func:`repro.cache.fingerprint.optimize_options` delegates here, which
 makes this class the single source of truth for option fingerprints:
 the cache key, the serve coalesce key, and the fleet shard key all
 derive from :meth:`cache_dict` of the same value object.
-
-The legacy per-keyword spelling on ``OptimizeRequest`` keeps working
-through a deprecation shim (warns :class:`DeprecationWarning`; CI runs
-the suite with ``-W error::DeprecationWarning`` so no internal caller
-may use it).
 """
 
 from __future__ import annotations
@@ -54,15 +47,12 @@ class OptimizeOptions:
     Attributes
     ----------
     use_nti / parallelize / vectorize / exhaustive / use_emu / order_step:
-        The uniform switch set of the legacy surfaces (paper ablations).
-    jobs:
-        Worker processes for the Algorithm-2/3 candidate searches
-        (0 or ``"auto"`` = resolve from ``os.cpu_count()``; 1 = serial);
-        results are bit-identical either way, so ``jobs`` is not part of
-        :meth:`cache_dict`.
+        The uniform switch set of the stage optimizers (paper ablations).
+    multistride:
+        ``"off"`` | ``"auto"`` | stream count ``>= 2``.
     tracer:
         Optional :class:`repro.obs.Tracer` installed for the run;
-        bit-for-bit neutral, so likewise not part of the cache identity.
+        bit-for-bit neutral, so not part of the cache identity.
     """
 
     use_nti: bool = True
@@ -72,15 +62,9 @@ class OptimizeOptions:
     use_emu: bool = True
     order_step: bool = True
     multistride: Union[str, int] = "off"
-    jobs: Union[int, str] = 1
     tracer: object = None
 
     def __post_init__(self) -> None:
-        # Delegate jobs validation (and the "auto" spelling) to the
-        # parallel-search layer so every surface rejects the same inputs.
-        from repro.core.parallel import resolve_jobs
-
-        resolve_jobs(self.jobs)
         ms = self.multistride
         if isinstance(ms, bool) or not (
             ms in ("off", "auto") or (isinstance(ms, int) and ms >= 2)
@@ -92,8 +76,8 @@ class OptimizeOptions:
 
     def cache_dict(self) -> Dict[str, object]:
         """The canonical options dict — exactly the switches that can
-        change the chosen schedule, nothing that cannot (``jobs``,
-        tracers, deadlines).  This is the options half of every cache,
+        change the chosen schedule, nothing that cannot (tracers,
+        deadlines).  This is the options half of every cache,
         coalescing and shard key.
 
         ``multistride`` joins the dict **only when enabled**: the default

@@ -18,7 +18,7 @@ underlying optimizers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 RUNG_PROPOSED = "proposed"
 RUNG_AUTOSCHEDULER = "auto-scheduler"
@@ -78,11 +78,6 @@ class FallbackPolicy:
         The proposed flow's ablation switches, forwarded verbatim (both
         default to the paper's full method).  They are part of the
         schedule-cache key — ablated and full schedules never mix.
-    jobs:
-        Worker processes for the proposed rung's candidate searches
-        (0 or ``"auto"`` = resolve from the CPU count, 1 = serial);
-        bit-identical results either way, so *not* part of the cache
-        key.
     """
 
     rungs: Tuple[str, ...] = FALLBACK_CHAIN
@@ -98,7 +93,6 @@ class FallbackPolicy:
     exhaustive: bool = False
     use_emu: bool = True
     order_step: bool = True
-    jobs: Union[int, str] = 1
 
     def __post_init__(self) -> None:
         if not self.rungs:
@@ -124,9 +118,6 @@ class FallbackPolicy:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        from repro.core.parallel import resolve_jobs
-
-        resolve_jobs(self.jobs)  # rejects negatives and unknown spellings
 
     # -- conveniences --------------------------------------------------
 

@@ -131,7 +131,6 @@ def _rung_builders(
             exhaustive=policy.exhaustive,
             use_emu=policy.use_emu,
             order_step=policy.order_step,
-            jobs=policy.jobs,
         )
         if policy.require_finite_cost:
             _check_finite_cost(result)

@@ -36,7 +36,7 @@ import json
 import socket
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from repro.serve.http import (
     ChunkDecoder,
@@ -240,7 +240,6 @@ class ServeClient:
         platform: str = "",
         *,
         fast: bool = False,
-        jobs: Union[int, str] = 1,
         deadline_ms: Optional[float] = None,
         hedge_after_s: Optional[float] = None,
         spec: Optional[str] = None,
@@ -283,7 +282,6 @@ class ServeClient:
             benchmark,
             platform,
             fast=fast,
-            jobs=jobs,
             deadline_ms=deadline_ms,
             spec=spec,
             dims=dims,

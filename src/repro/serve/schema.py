@@ -28,6 +28,10 @@ Because :mod:`repro.serve.identify` fingerprints the *lowered* Func,
 spec- and benchmark-submissions of the same kernel coalesce, cache-hit
 and shard together.
 
+``jobs`` is a documented no-op kept for wire compatibility: both formats
+accept it (an integer ``>= 0`` or ``"auto"``; anything else is a 400),
+the value is ignored, and clients always send ``"jobs": 1``.
+
 One result carries the serialized schedule of every pipeline stage
 (:func:`repro.ir.serialize.schedule_to_dict` — replayable on any machine
 with :func:`repro.ir.serialize.schedule_from_dict`), the coalescing key
@@ -58,7 +62,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.cache.fingerprint import optimize_options, options_fingerprint
-from repro.util import ServeError
+from repro.util import ServeError, resolve_workers
 
 #: Request/response schema tag; bump on any incompatible layout change.
 SERVE_FORMAT = "repro-serve-v1"
@@ -173,7 +177,6 @@ class ServeRequest:
     platform: str = ""
     fast: bool = False
     options: Dict[str, bool] = field(default_factory=optimize_options)
-    jobs: Union[int, str] = 1
     deadline_ms: Optional[float] = None
     format: str = SERVE_FORMAT
     spec: Optional[str] = None
@@ -198,7 +201,7 @@ class ServeRequest:
                 "platform": self.platform,
                 "fast": self.fast,
                 "options": dict(self.options),
-                "jobs": self.jobs,
+                "jobs": 1,
             }
             if self.deadline_ms is not None:
                 payload["deadline_ms"] = self.deadline_ms
@@ -217,7 +220,7 @@ class ServeRequest:
             platform=self.platform,
             fast=self.fast,
             options=dict(self.options),
-            jobs=self.jobs,
+            jobs=1,
         )
         if self.deadline_ms is not None:
             payload["deadline_ms"] = self.deadline_ms
@@ -229,7 +232,6 @@ def build_request(
     platform: str = "",
     *,
     fast: bool = False,
-    jobs: Union[int, str] = 1,
     deadline_ms: Optional[float] = None,
     spec: Optional[str] = None,
     dims: Optional[Mapping[str, int]] = None,
@@ -277,7 +279,6 @@ def build_request(
         platform=platform,
         fast=bool(fast),
         options=canonical,
-        jobs=jobs,
         deadline_ms=deadline_ms,
         format=SERVE_FORMAT if spec is None else SERVE_FORMAT_V11,
         spec=spec,
@@ -416,11 +417,9 @@ def parse_request(payload) -> ServeRequest:
             raise ServeError(
                 f"option {key!r} must be a boolean, got {value!r}"
             )
-    jobs = payload.get("jobs", 1)
     try:
-        from repro.core.parallel import resolve_jobs
-
-        resolve_jobs(jobs)
+        # Validated for wire compatibility, then ignored (a no-op).
+        resolve_workers(payload.get("jobs", 1), name="jobs")
     except ValueError as exc:
         raise ServeError(str(exc)) from None
     deadline_ms = payload.get("deadline_ms")
@@ -439,7 +438,6 @@ def parse_request(payload) -> ServeRequest:
         platform=platform,
         fast=fast,
         options=optimize_options(**raw_options),
-        jobs=jobs,
         deadline_ms=deadline_ms,
         format=fmt,
         spec=spec,
@@ -456,8 +454,8 @@ def coalesce_key(
 
     Built from exactly what determines the chosen schedules — the
     content fingerprints of every pipeline stage, the platform
-    fingerprint, and the options fingerprint.  ``jobs``, deadlines and
-    tracers are deliberately excluded (they cannot change the result;
+    fingerprint, and the options fingerprint.  Deadlines and tracers
+    are deliberately excluded (they cannot change the result;
     see :mod:`repro.cache.fingerprint`), so differently-budgeted
     identical requests still share one computation.
     """

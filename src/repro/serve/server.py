@@ -6,9 +6,7 @@ Architecture (one event loop, one bounded queue, one worker pool)::
                    (400/429/503)   (share in-flight)  (bounded)       (micro-batch)
                                                                         │
     HTTP conn ◄── response  ◄── job future  ◄── worker pool  ◄──────────┘
-                                               (threads; each search may
-                                                fan out further through
-                                                repro.core.parallel)
+                                               (threads)
 
 * **Admission control** — requests are validated, fingerprinted and
   either coalesced onto an in-flight job, enqueued, or *shed*: when the
@@ -54,7 +52,6 @@ from typing import Dict, List, Optional, Tuple
 from repro import api
 from repro.arch import platform_by_name
 from repro.cache import ScheduleCache
-from repro.core.parallel import resolve_jobs
 from repro.ir.serialize import schedule_to_dict
 from repro.obs import NULL_TRACER
 from repro.obs.events import (
@@ -99,6 +96,7 @@ from repro.util import (
     ReproError,
     ServeError,
     ValidationError,
+    resolve_workers,
 )
 
 __all__ = ["OptimizeServer"]
@@ -114,9 +112,7 @@ class OptimizeServer:
         the bound one after :meth:`start`).
     workers:
         Worker-pool threads executing jobs (``0``/``"auto"`` resolve via
-        :func:`repro.core.parallel.resolve_jobs`).  Each job may fan out
-        further through ``repro.core.parallel`` worker *processes* when
-        its request asks for ``jobs > 1``.
+        :func:`repro.util.resolve_workers`).
     queue_limit:
         Bound on admitted-but-undispatched jobs; beyond it requests are
         shed with 429 + ``Retry-After``.
@@ -150,7 +146,7 @@ class OptimizeServer:
     ) -> None:
         self.host = host
         self.port = int(port)
-        self.workers = resolve_jobs(workers)
+        self.workers = resolve_workers(workers)
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
         if batch_window_ms < 0:
@@ -639,9 +635,7 @@ class OptimizeServer:
                     func=stage,
                     arch=arch,
                     deadline_ms=remaining_ms,
-                    options=OptimizeOptions(
-                        jobs=request.jobs, **request.options
-                    ),
+                    options=OptimizeOptions(**request.options),
                 )
             )
             if self.cache is not None:

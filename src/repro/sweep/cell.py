@@ -11,16 +11,11 @@ the on-disk journal and the same entry in the in-process memo
 
 Optimizer switches travel as one frozen
 :class:`~repro.options.OptimizeOptions` value in the ``options`` field
-(``None`` = let the technique decide, the historical behaviour).  The
-loose per-keyword spellings (``use_nti=...`` etc.) that predate the
-consolidated option object keep constructing but raise
-:class:`DeprecationWarning`; the suite runs with
-``-W error::DeprecationWarning`` so no internal caller may use them.
+(``None`` = let the technique decide, the historical behaviour).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -29,7 +24,7 @@ from repro.experiments.harness import (
     measure_key,
     optimize_runtime_key,
 )
-from repro.options import CACHE_KEYS, OptimizeOptions
+from repro.options import OptimizeOptions
 
 #: A ``measure_case`` cell (simulated milliseconds for one technique).
 KIND_MEASURE = "measure"
@@ -41,19 +36,6 @@ KIND_OPTIMIZE_RUNTIME = "optimize_runtime"
 KIND_TUNE = "tune"
 
 _KINDS = (KIND_MEASURE, KIND_OPTIMIZE_RUNTIME, KIND_TUNE)
-
-
-class _Unset:
-    """Sentinel distinguishing "not passed" from any real value."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<unset>"
-
-
-_UNSET = _Unset()
-
-#: Legacy loose option keywords, now folded into ``options=``.
-_LEGACY_OPTION_FIELDS = CACHE_KEYS
 
 
 @dataclass(frozen=True)
@@ -79,17 +61,8 @@ class SweepCell:
     size_overrides: Tuple[Tuple[str, int], ...] = field(default=())
     kind: str = KIND_MEASURE
     options: Optional[OptimizeOptions] = None
-    # Deprecated loose spellings; excluded from equality/hash — the
-    # consolidated ``options`` value *is* the identity.
-    use_nti: object = field(default=_UNSET, repr=False, compare=False)
-    parallelize: object = field(default=_UNSET, repr=False, compare=False)
-    vectorize: object = field(default=_UNSET, repr=False, compare=False)
-    exhaustive: object = field(default=_UNSET, repr=False, compare=False)
-    use_emu: object = field(default=_UNSET, repr=False, compare=False)
-    order_step: object = field(default=_UNSET, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._resolve_options()
         if self.kind not in _KINDS:
             raise ValueError(
                 f"unknown cell kind {self.kind!r}; known: {_KINDS}"
@@ -103,39 +76,6 @@ class SweepCell:
                 self,
                 "size_overrides",
                 tuple(sorted(self.size_overrides.items())),
-            )
-
-    def _resolve_options(self) -> None:
-        """Fold deprecated loose option keywords into ``options`` and
-        mirror the resolved switches back onto the loose names, so both
-        spellings *read* identically after construction."""
-        legacy = {
-            name: getattr(self, name)
-            for name in _LEGACY_OPTION_FIELDS
-            if getattr(self, name) is not _UNSET
-        }
-        if legacy:
-            warnings.warn(
-                f"passing {sorted(legacy)} to SweepCell is deprecated; "
-                f"use options=OptimizeOptions(...) (see docs/API.md, "
-                f"'Migration notes')",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if self.options is not None:
-                raise ValueError(
-                    f"pass options= or the legacy keyword(s) "
-                    f"{sorted(legacy)}, not both"
-                )
-            object.__setattr__(
-                self, "options", OptimizeOptions().replace(**legacy)
-            )
-        resolved = self.options
-        for name in _LEGACY_OPTION_FIELDS:
-            object.__setattr__(
-                self,
-                name,
-                None if resolved is None else getattr(resolved, name),
             )
 
     # -- identity ------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.util.numbers import (
     tile_candidates,
     clamp,
 )
+from repro.util.workers import resolve_workers
 
 __all__ = [
     "ReproError",
@@ -42,4 +43,5 @@ __all__ = [
     "pow2_range",
     "tile_candidates",
     "clamp",
+    "resolve_workers",
 ]

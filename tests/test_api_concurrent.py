@@ -14,8 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import api
-from repro.core.parallel import default_jobs, resolve_jobs
 from repro.ir.serialize import schedule_to_dict
+from repro.util import resolve_workers
 
 from tests.helpers import make_matmul, make_transpose_mask
 
@@ -110,47 +110,27 @@ class TestConcurrentCallers:
 
 
 class TestJobsAuto:
+    """The ``"auto"`` worker spelling lives on in ``resolve_workers``
+    (server pool, sweep ``--jobs``); the facade no longer takes ``jobs``."""
+
     def test_resolve_jobs_auto_spelling(self):
-        assert resolve_jobs("auto") == default_jobs()
-        assert resolve_jobs(0) == default_jobs()
-        assert resolve_jobs(3) == 3
-        with pytest.raises(ValueError):
-            resolve_jobs("many")
-        with pytest.raises(ValueError):
-            resolve_jobs(-1)
-        with pytest.raises(ValueError):
-            resolve_jobs(1.5)
+        auto = resolve_workers("auto", name="jobs")
+        assert resolve_workers(0, name="jobs") == auto
+        assert resolve_workers(3, name="jobs") == 3
+        for bad in ("many", -1, 1.5):
+            with pytest.raises(ValueError, match="^jobs"):
+                resolve_workers(bad, name="jobs")
 
     def test_default_jobs_tracks_cpu_count(self):
         cores = os.cpu_count() or 1
-        assert default_jobs() == max(1, min(8, cores))
-
-    def test_api_accepts_auto_and_matches_serial(self, arch):
-        serial = api.optimize(
-            api.OptimizeRequest(
-                arch=arch,
-                func=make_matmul(48)[0],
-                mode=api.MODE_AUTO,
-                options=api.OptimizeOptions(jobs=1),
-            )
-        )
-        auto = api.optimize(
-            api.OptimizeRequest(
-                arch=arch,
-                func=make_matmul(48)[0],
-                mode=api.MODE_AUTO,
-                options=api.OptimizeOptions(jobs="auto"),
-            )
-        )
-        assert _serialize(serial) == _serialize(auto)
+        assert resolve_workers("auto") == max(1, min(8, cores))
 
     def test_api_rejects_bad_jobs_spellings(self, arch):
-        with pytest.raises(ValueError, match="jobs"):
-            api.OptimizeOptions(jobs="fast")
-        with pytest.raises(ValueError, match="jobs"):
-            api.OptimizeOptions(jobs=-2)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="jobs"):
-                api.OptimizeRequest(
-                    arch=arch, func=make_matmul(48)[0], jobs="fast"
-                )
+        # Removed in 2.0: every spelling, good or bad, is a TypeError.
+        for value in ("fast", -2, "auto", 1):
+            with pytest.raises(TypeError, match="jobs"):
+                api.OptimizeOptions(jobs=value)
+        with pytest.raises(TypeError, match="jobs"):
+            api.OptimizeRequest(
+                arch=arch, func=make_matmul(48)[0], jobs="fast"
+            )

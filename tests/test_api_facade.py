@@ -48,12 +48,19 @@ class TestRequestValidation:
                 OptimizeRequest(arch=arch, pipeline=_pipeline(), mode=mode)
 
     def test_negative_jobs(self, arch):
-        with pytest.raises(ValueError, match="jobs"):
+        # Removed in 2.0 with the in-search process pool: any value,
+        # negative or not, is a TypeError.
+        func = make_matmul(64)[0]
+        with pytest.raises(TypeError, match="jobs"):
             OptimizeRequest(
-                arch=arch,
-                func=make_matmul(64)[0],
-                options=OptimizeOptions(jobs=-2),
+                arch=arch, func=func, options=OptimizeOptions(jobs=-2)
             )
+        with pytest.raises(TypeError, match="jobs"):
+            OptimizeOptions(jobs=2)
+        with pytest.raises(TypeError, match="jobs"):
+            OptimizeRequest(arch=arch, func=func, jobs=2)
+        with pytest.raises(TypeError, match="jobs"):
+            core_optimize(func, arch, jobs=2)
 
     def test_non_positive_deadline(self, arch):
         with pytest.raises(ValueError, match="deadline_ms"):
@@ -72,26 +79,22 @@ class TestRequestValidation:
     def test_request_is_frozen(self, arch):
         request = OptimizeRequest(arch=arch, func=make_matmul(64)[0])
         with pytest.raises(dataclasses.FrozenInstanceError):
-            request.jobs = 4
+            request.mode = MODE_SAFE
 
     def test_with_overrides_revalidates(self, arch):
         request = OptimizeRequest(arch=arch, func=make_matmul(64)[0])
-        bumped = request.with_overrides(options=OptimizeOptions(jobs=4))
-        assert bumped.options.jobs == 4
-        assert bumped.jobs == 4  # mirrored legacy read, warning-free
+        bumped = request.with_overrides(options=OptimizeOptions(use_nti=False))
+        assert bumped.options.use_nti is False
+        assert request.options.use_nti is True
         with pytest.raises(ValueError):
             request.with_overrides(mode="turbo")
 
-    def test_with_overrides_legacy_kwargs_warn_but_work(self, arch):
+    def test_with_overrides_rejects_loose_option_keywords(self, arch):
+        # The per-keyword spellings were removed in 2.0.
         request = OptimizeRequest(arch=arch, func=make_matmul(64)[0])
-        with pytest.warns(DeprecationWarning, match="with_overrides"):
-            bumped = request.with_overrides(jobs=4)
-        assert bumped.options.jobs == 4
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="not both"):
-                request.with_overrides(
-                    jobs=4, options=OptimizeOptions(jobs=2)
-                )
+        for name in ("use_nti", "jobs", "tracer"):
+            with pytest.raises(TypeError, match=name):
+                request.with_overrides(**{name: None})
 
 
 class TestDispatch:
@@ -152,25 +155,6 @@ class TestDispatch:
         )
         assert len(result.schedules) == 1
         assert not result.fell_back
-
-    def test_jobs_do_not_change_the_result(self, arch):
-        serial = optimize(
-            OptimizeRequest(
-                arch=arch,
-                func=make_matmul(128)[0],
-                options=OptimizeOptions(jobs=1),
-            )
-        )
-        parallel = optimize(
-            OptimizeRequest(
-                arch=arch,
-                func=make_matmul(128)[0],
-                options=OptimizeOptions(jobs=4),
-            )
-        )
-        assert schedule_to_dict(serial.schedule) == schedule_to_dict(
-            parallel.schedule
-        )
 
 
 class TestCachePath:

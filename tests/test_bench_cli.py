@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 
 import pytest
 
@@ -20,15 +21,14 @@ def _payload(**overrides):
         "format": BENCH_FORMAT,
         "mode": "fast",
         "arch": "i7-5930k",
-        "jobs": 2,
         "benchmarks": ["matmul"],
         "phases": {"classify_ms": 1.0},
         "end_to_end": {
             "stages": 1,
             "serial_uncached_ms": 100.0,
-            "cold_parallel_ms": 60.0,
+            "cold_ms": 60.0,
             "warm_ms": 2.0,
-            "speedup_cold_parallel": 1.667,
+            "speedup_cold": 1.667,
             "speedup_warm": 50.0,
             "schedules_identical": True,
         },
@@ -86,6 +86,17 @@ class TestCheckRegression:
         for key in GATED_RATIOS:
             assert key in _payload()["end_to_end"]
 
+    def test_committed_baseline_has_the_current_layout(self):
+        path = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "BENCH_search.json",
+        )
+        with open(path, encoding="utf-8") as handle:
+            baseline = json.load(handle)
+        assert baseline["format"] == BENCH_FORMAT
+        for key in GATED_RATIOS:
+            assert key in baseline["end_to_end"]
+
 
 class TestCli:
     @pytest.fixture
@@ -137,7 +148,7 @@ class TestCli:
 class TestRealRun:
     def test_fast_bench_end_to_end(self):
         """One real --fast measurement: structure, determinism, caching."""
-        payload = run_bench(fast=True, jobs=2)
+        payload = run_bench(fast=True)
         assert payload["format"] == BENCH_FORMAT
         assert payload["mode"] == "fast"
         e2e = payload["end_to_end"]

@@ -2,11 +2,16 @@
 
 import json
 import time
+import warnings
 
 import pytest
 
 from repro.arch import intel_i7_5930k
+from repro.baselines.tss import tss_tiles
+from repro.baselines.tts import tts_tiles
 from repro.core import optimize
+from repro.core.spatial import optimize_spatial
+from repro.core.temporal import optimize_temporal
 from repro.obs import (
     NULL_TRACER,
     CollectingTracer,
@@ -16,7 +21,7 @@ from repro.obs import (
     current_tracer,
 )
 
-from tests.helpers import make_matmul
+from tests.helpers import make_copy, make_matmul
 
 
 class TestCollectingTracer:
@@ -165,3 +170,53 @@ class TestJsonlTracer:
     def test_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             JsonlTracer(str(tmp_path / "no" / "such" / "dir" / "t.jsonl"))
+
+
+class TestUnifiedSwitches:
+    def test_use_nti_does_not_warn(self, arch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            optimize(make_matmul(32)[0], arch, use_nti=True)
+
+    def test_optimize_accepts_and_forwards_use_emu(self, arch):
+        func, _, _ = make_matmul(32)
+        with CollectingTracer() as tracer:
+            optimize(func, arch, use_emu=False, tracer=tracer)
+        names = {r["name"] for r in tracer.events}
+        assert "emu" not in names  # the ablation never invokes Algorithm 1
+
+    def test_optimize_accepts_order_step(self, arch):
+        func, _, _ = make_matmul(32)
+        with_order = optimize(func, arch, order_step=True)
+        without = optimize(make_matmul(32)[0], arch, order_step=False)
+        assert with_order.schedule is not None
+        assert without.schedule is not None
+
+    def test_spatial_accepts_new_switches(self, arch):
+        func, _ = make_copy(64)
+        emu_on = optimize_spatial(func, arch, use_emu=True)
+        emu_off = optimize_spatial(
+            func, arch, use_emu=False, order_step=False
+        )
+        assert emu_on.tiles and emu_off.tiles
+
+    def test_temporal_accepts_tracer_kwarg(self, arch):
+        func, _, _ = make_matmul(32)
+        tracer = CollectingTracer()
+        result = optimize_temporal(func, arch, tracer=tracer)
+        assert result.stats.considered > 0
+        assert any(
+            r["name"] == "candidate.pruned" for r in tracer.events
+        )
+
+
+class TestAmbientBaselineTracing:
+    def test_tile_models_pick_up_ambient_tracer(self, arch):
+        func, _, _ = make_matmul(32)
+        tracer = CollectingTracer()
+        with activate_tracer(tracer):
+            tss_tiles(func, arch)
+            tts_tiles(make_matmul(32)[0], arch)
+        counters = tracer.counters()
+        assert counters.get("tss.candidates", 0) > 0
+        assert counters.get("tts.candidates", 0) > 0

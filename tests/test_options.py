@@ -1,9 +1,6 @@
-"""Tests for :class:`repro.options.OptimizeOptions` and the shim.
-
-The suite (and CI) runs these under ``-W error::DeprecationWarning``:
-every legacy spelling must be *caught* by ``pytest.warns`` here, and
-every canonical spelling must be warning-free.
-"""
+"""Tests for :class:`repro.options.OptimizeOptions`, the one option
+surface of :class:`repro.api.OptimizeRequest` (the loose per-keyword
+spellings and ``jobs`` were removed in 2.0)."""
 
 from __future__ import annotations
 
@@ -29,12 +26,10 @@ class TestOptimizeOptions:
             "use_emu": True,
             "order_step": True,
         }
-        assert options.jobs == 1
         assert options.tracer is None
 
-    def test_jobs_and_tracer_do_not_change_the_fingerprint(self):
+    def test_tracer_does_not_change_the_fingerprint(self):
         base = OptimizeOptions()
-        assert base.fingerprint() == OptimizeOptions(jobs=8).fingerprint()
         assert (
             base.fingerprint()
             == OptimizeOptions(tracer=object()).fingerprint()
@@ -55,15 +50,16 @@ class TestOptimizeOptions:
         )
 
     def test_replace_validates(self):
-        assert OptimizeOptions().replace(jobs=4).jobs == 4
-        with pytest.raises(TypeError, match="unknown option"):
-            OptimizeOptions().replace(speed="ludicrous")
-        with pytest.raises(ValueError, match="jobs"):
-            OptimizeOptions().replace(jobs=-1)
+        assert OptimizeOptions().replace(multistride=4).multistride == 4
+        for unknown in ("speed", "jobs"):
+            with pytest.raises(TypeError, match="unknown option"):
+                OptimizeOptions().replace(**{unknown: 1})
+        with pytest.raises(ValueError, match="multistride"):
+            OptimizeOptions().replace(multistride=1)
 
     def test_frozen(self):
         with pytest.raises(Exception):
-            OptimizeOptions().jobs = 9
+            OptimizeOptions().use_nti = False
 
 
 class TestFingerprintNeutrality:
@@ -102,19 +98,16 @@ class TestFingerprintNeutrality:
         )
 
 
-class TestDeprecationShim:
+class TestRequestOptions:
     def test_canonical_spelling_is_warning_free(self, arch):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             request = OptimizeRequest(
                 arch=arch,
                 func=make_matmul(48)[0],
-                options=OptimizeOptions(use_nti=False, jobs=2),
+                options=OptimizeOptions(use_nti=False),
             )
             assert request.options.use_nti is False
-            # mirrored legacy reads stay warning-free too
-            assert request.use_nti is False
-            assert request.jobs == 2
 
     @pytest.mark.parametrize(
         "legacy",
@@ -126,26 +119,12 @@ class TestDeprecationShim:
             {"parallelize": False},
             {"vectorize": False},
             {"exhaustive": True},
+            {"tracer": None},
         ],
     )
-    def test_legacy_kwargs_warn_and_resolve(self, arch, legacy):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            request = OptimizeRequest(
-                arch=arch, func=make_matmul(48)[0], **legacy
-            )
-        for name, value in legacy.items():
-            assert getattr(request.options, name) == value
-            assert getattr(request, name) == value
-
-    def test_both_spellings_rejected(self, arch):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="not both"):
-                OptimizeRequest(
-                    arch=arch,
-                    func=make_matmul(48)[0],
-                    use_nti=False,
-                    options=OptimizeOptions(),
-                )
+    def test_loose_keywords_are_rejected(self, arch, legacy):
+        with pytest.raises(TypeError, match=next(iter(legacy))):
+            OptimizeRequest(arch=arch, func=make_matmul(48)[0], **legacy)
 
     def test_options_survive_with_overrides(self, arch):
         request = OptimizeRequest(

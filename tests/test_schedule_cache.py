@@ -48,8 +48,8 @@ class TestFingerprints:
         )
 
     def test_options_exclude_jobs(self):
-        # jobs changes how the search runs, never what it returns, so it
-        # must not fragment the cache key space.
+        # jobs never changed what the search returns (and was removed
+        # in 2.0), so it must stay out of the cache key space.
         assert "jobs" not in optimize_options()
         with pytest.raises(TypeError):
             optimize_options(jobs=4)

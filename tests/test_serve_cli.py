@@ -63,6 +63,25 @@ class TestParser:
         assert excinfo.value.code == 2  # argparse usage error
         assert "integer or 'auto'" in capsys.readouterr().err
 
+    def test_optimize_output_ignores_jobs(self, capsys):
+        # --jobs is a no-op since 2.0; only the wall-clock line may vary.
+        def run(*extra):
+            assert main(["optimize", "matmul", "--fast", *extra]) == 0
+            out = capsys.readouterr().out
+            return [l for l in out.splitlines() if "runtime:" not in l]
+
+        plain = run()
+        assert run("--jobs", "4") == plain
+        assert run("--jobs", "auto") == plain
+
+    def test_bad_jobs_still_rejected(self):
+        for command in (["optimize", "matmul"], ["submit", "matmul"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*command, "--fast", "--jobs", "-1"])
+            assert str(excinfo.value) == (
+                "invalid options: jobs must be >= 0 (0 = auto), got -1"
+            )
+
     def test_submit_defaults(self):
         args = build_parser().parse_args(["submit", "matmul"])
         assert args.port == 8377

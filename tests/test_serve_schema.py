@@ -35,8 +35,10 @@ class TestRequestRoundTrip:
         assert parsed.options == optimize_options()
 
     def test_build_rejects_unknown_option(self):
-        with pytest.raises(ServeError, match="unknown option"):
-            build_request("matmul", "i7-5930k", use_warp_drive=True)
+        # jobs left the client surface in 2.0 (the wire keeps a no-op).
+        for unknown in ("use_warp_drive", "jobs"):
+            with pytest.raises(ServeError, match="unknown option"):
+                build_request("matmul", "i7-5930k", **{unknown: True})
 
     def test_option_keys_are_the_cache_key_switches(self):
         # The wire surface is the six boolean cache-key switches plus the
@@ -68,13 +70,24 @@ class TestParseRejections:
             parse_request(self.base(options={"use_nti": "yes"}))
 
     def test_bad_jobs(self):
-        with pytest.raises(ServeError, match="jobs"):
-            parse_request(self.base(jobs=-2))
-        with pytest.raises(ServeError, match="jobs"):
-            parse_request(self.base(jobs="many"))
+        # jobs is a no-op on the wire, but malformed values still get
+        # the 1.x rejection text (a 400 from the server).
+        for jobs, message in (
+            (-2, "jobs must be >= 0 (0 = auto), got -2"),
+            (-1, "jobs must be >= 0 (0 = auto), got -1"),
+            ("many", "jobs must be an integer >= 0 or 'auto', got 'many'"),
+            (1.5, "jobs must be an integer >= 0 or 'auto', got 1.5"),
+            (True, "jobs must be an integer >= 0 or 'auto', got True"),
+        ):
+            with pytest.raises(ServeError) as excinfo:
+                parse_request(self.base(jobs=jobs))
+            assert str(excinfo.value) == message
 
     def test_jobs_auto_accepted(self):
-        assert parse_request(self.base(jobs="auto")).jobs == "auto"
+        # Accepted and ignored: the parsed request does not depend on it.
+        plain = parse_request(self.base())
+        for jobs in ("auto", 0, 4):
+            assert parse_request(self.base(jobs=jobs)) == plain
 
     def test_bad_deadline(self):
         with pytest.raises(ServeError, match="deadline_ms"):

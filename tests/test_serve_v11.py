@@ -80,6 +80,19 @@ class TestSchemaVersioning:
             GOLDEN_V1_BODY, sort_keys=True
         )
 
+    def test_v11_body_is_bit_identical(self):
+        # Byte order included: the body the 1.x client sent.
+        body = build_request(
+            spec=MATMUL_SPEC, dims=MATMUL_DIMS, platform="i7-5930k", fast=True
+        )
+        assert json.dumps(body) == (
+            '{"format": "repro-serve-v1.1", "spec": "C[i,j] += A[i,k] * '
+            'B[k,j]", "dims": {"i": 256, "j": 256, "k": 256}, "platform": '
+            '"i7-5930k", "fast": true, "options": {"use_nti": true, '
+            '"parallelize": true, "vectorize": true, "exhaustive": false, '
+            '"use_emu": true, "order_step": true}, "jobs": 1}'
+        )
+
     def test_v11_body_shape(self):
         body = build_request(
             spec=MATMUL_SPEC, dims=MATMUL_DIMS, platform="i7-5930k"
@@ -175,6 +188,17 @@ class TestIdentity:
         _, _, key_ir = identify_request(r_ir)
         assert key_spec == key_ir
 
+    @pytest.mark.parametrize("jobs", [4, "auto", 0])
+    def test_jobs_is_a_no_op(self, jobs):
+        v11 = build_request(
+            spec=MATMUL_SPEC, dims=MATMUL_DIMS, platform="i7-5930k", fast=True
+        )
+        for body in (GOLDEN_V1_BODY, v11):
+            plain = parse_request(body)
+            other = parse_request(dict(body, jobs=jobs))
+            assert other == plain
+            assert identify_request(other)[2] == identify_request(plain)[2]
+
     def test_bad_spec_raises_validation_error(self):
         request = parse_request(
             build_request(
@@ -233,6 +257,22 @@ class TestLiveServer:
         # ...and the v1 response carries no v1.1 fields
         assert "schema_version" not in by_ir
         assert "spec" not in by_ir
+
+    def test_jobs_bodies_share_schedule_and_cache_key(self, tmp_path):
+        with make_server(tmp_path) as srv:
+            client = ServeClient(port=srv.port)
+            results = []
+            for jobs in (1, 4, "auto"):
+                status, body = client.post(
+                    "/v1/optimize", dict(GOLDEN_V1_BODY, jobs=jobs)
+                )
+                assert status == 200
+                results.append(body)
+        assert [r["served_by"] for r in results] == [
+            "search", "cache", "cache"
+        ]
+        assert len({r["key"] for r in results}) == 1
+        assert len({serialized(r) for r in results}) == 1
 
     def test_spec_and_ir_coalesce_in_flight(self, tmp_path):
         # The ir submission is slowed so the spec submission provably

@@ -1,6 +1,7 @@
-"""The consolidated ``SweepCell.options`` field and its deprecation
-shim for the historical loose option keywords."""
+"""The consolidated ``SweepCell.options`` field (the historical loose
+option keywords were removed in 2.0)."""
 
+import json
 import warnings
 
 import pytest
@@ -28,8 +29,6 @@ class TestOptionsField:
             cell = measure_cell()
         assert cell.options is None
         assert cell.options_dict() is None
-        # The loose names read as None too — nothing was decided.
-        assert cell.use_nti is None
 
     def test_options_object_is_the_identity(self):
         with warnings.catch_warnings():
@@ -38,30 +37,31 @@ class TestOptionsField:
                 options=OptimizeOptions().replace(use_nti=False)
             )
         assert cell.options.use_nti is False
-        # The loose names mirror the resolved switches read-side.
-        assert cell.use_nti is False
-        assert cell.parallelize is True
         assert f"opt{cell.options.fingerprint()[:12]}" in cell.key()
 
-    def test_legacy_keywords_warn_and_fold(self):
-        with pytest.warns(DeprecationWarning, match="Migration notes"):
-            legacy = measure_cell(use_nti=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            modern = measure_cell(
-                options=OptimizeOptions().replace(use_nti=False)
-            )
-        # Both spellings denote the same cell: equal value, same key,
-        # same memo slot.
-        assert legacy == modern
-        assert legacy.key() == modern.key()
-        assert legacy.memo_key() == modern.memo_key()
-        assert legacy.options == modern.options
+    def test_loose_keywords_are_rejected(self):
+        with pytest.raises(TypeError, match="use_nti"):
+            measure_cell(use_nti=False)
 
-    def test_legacy_plus_options_is_an_error(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="not both"):
-                measure_cell(options=OptimizeOptions(), use_nti=False)
+    def test_journal_identity_is_unchanged(self):
+        # Pinned from 1.x: resume must keep matching old journal lines.
+        cell = measure_cell(
+            line_budget=2000, options=OptimizeOptions(use_nti=False)
+        )
+        line = (
+            '{"autotune_evals": null, "benchmark": "matmul", "fast": true, '
+            '"kind": "measure", "line_budget": 2000, "options": '
+            '{"exhaustive": false, "order_step": true, "parallelize": true, '
+            '"use_emu": true, "use_nti": false, "vectorize": true}, '
+            '"platform": "i7-5930k", "seed": 0, "size_overrides": {}, '
+            '"technique": "proposed"}'
+        )
+        assert json.dumps(cell.to_dict(), sort_keys=True) == line
+        assert SweepCell.from_dict(json.loads(line)) == cell
+        assert cell.key() == "matmul:proposed:i7-5930k:lb2000:fast:opt9163b7ba341c"
+        assert cell.memo_key() == (
+            "matmul", "proposed", "i7-5930k", 2000, 0, True, 0, ()
+        )
 
 
 class TestTuneCells:

@@ -1,9 +1,18 @@
 """Unit and property tests for repro.util.numbers."""
 
+import os
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util import ceil_div, clamp, divisors, pow2_range, tile_candidates
+from repro.util import (
+    ceil_div,
+    clamp,
+    divisors,
+    pow2_range,
+    resolve_workers,
+    tile_candidates,
+)
 
 
 class TestCeilDiv:
@@ -125,3 +134,30 @@ class TestTileCandidates:
         assert cands == sorted(set(cands))
         assert all(1 <= t <= cap for t in cands)
         assert 1 in cands and cap in cands
+
+
+class TestResolveWorkers:
+    def test_zero_and_auto_track_cpu_count(self):
+        cores = os.cpu_count() or 1
+        assert resolve_workers(0) == max(1, min(8, cores))
+        assert resolve_workers("auto") == resolve_workers(0)
+
+    def test_positive_passes_through(self):
+        assert resolve_workers(1) == 1
+        assert resolve_workers(7) == 7
+
+    @pytest.mark.parametrize("bad", [-1, "many", 1.5, True, None])
+    def test_bad_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="^workers must be"):
+            resolve_workers(bad)
+
+    def test_messages_name_the_knob(self):
+        with pytest.raises(
+            ValueError, match=r"^jobs must be >= 0 \(0 = auto\), got -1$"
+        ):
+            resolve_workers(-1, name="jobs")
+        with pytest.raises(
+            ValueError,
+            match=r"^jobs must be an integer >= 0 or 'auto', got 'many'$",
+        ):
+            resolve_workers("many", name="jobs")
