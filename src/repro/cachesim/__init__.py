@@ -24,7 +24,14 @@ from repro.cachesim.prefetch import (
     StreamTableStats,
     StridePrefetcher,
 )
-from repro.cachesim.hierarchy import CacheHierarchy, AccessResult
+from repro.cachesim.hierarchy import (
+    LOAD,
+    NT_STORE,
+    STORE,
+    AccessResult,
+    CacheHierarchy,
+    access_kind,
+)
 from repro.cachesim.stats import LevelStats, HierarchyStats
 
 __all__ = [
@@ -36,6 +43,10 @@ __all__ = [
     "StridePrefetcher",
     "CacheHierarchy",
     "AccessResult",
+    "LOAD",
+    "STORE",
+    "NT_STORE",
+    "access_kind",
     "LevelStats",
     "HierarchyStats",
 ]

@@ -18,27 +18,44 @@ are applied by :mod:`repro.sim.machine` through capacity/associativity
 scaling, the same modelling device the paper itself uses
 (``Liway / Nthreads``).
 
-This class is the simulator's innermost loop, so the demand path is written
-against pre-bound set arrays rather than through the generic
-:class:`~repro.cachesim.cache.SetAssocCache` API (which remains the
-reference implementation and is used by the unit tests to cross-check
-behaviour).
+This class is the simulator's innermost loop.  All traffic — a block of
+a trace, one :meth:`~CacheHierarchy.access`, one
+:meth:`~CacheHierarchy.nt_store` — goes through one demand loop,
+:meth:`CacheHierarchy.run`, over a flat ``(line, ref)`` stream.  The loop
+binds every set array, engine table and counter to a local, and inlines
+the set index, the fills, the next-line engine and the stride (or
+multi-stream) engine training; counters are written back once per call.
+The generic :class:`~repro.cachesim.cache.SetAssocCache` API and the
+engines' ``observe`` methods remain the reference implementation, which
+the tests compose into a plain hierarchy to cross-check this loop access
+by access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch import ArchSpec
 from repro.cachesim.cache import SetAssocCache
 from repro.cachesim.prefetch import (
     MultiStreamPrefetcher,
-    NextLinePrefetcher,
     StreamModelParams,
     StridePrefetcher,
+    _Engine,
+    _Stream,
 )
 from repro.cachesim.stats import HierarchyStats
+
+#: Access kinds of a reference, as :meth:`CacheHierarchy.run` reads them.
+LOAD, STORE, NT_STORE = 0, 1, 2
+
+
+def access_kind(is_store: bool, nontemporal: bool) -> int:
+    """The :meth:`CacheHierarchy.run` kind of a reference."""
+    if nontemporal:
+        return NT_STORE
+    return STORE if is_store else LOAD
 
 
 @dataclass(frozen=True)
@@ -111,12 +128,13 @@ class CacheHierarchy:
             )
         self.num_levels = len(self.levels)
 
-        self.l1_stream = NextLinePrefetcher(degree=1)
-        self.l2_stream = NextLinePrefetcher(degree=1)
         self.l2_stride = StridePrefetcher(
             degree=arch.l2_prefetches_per_access,
             max_distance=arch.l2_max_prefetch_distance,
         )
+        # Stride -> line offsets one trained access prefetches: the
+        # next-line engine's +1 first, then the stride engine's targets.
+        self._stride_offsets: Dict[int, Tuple[int, ...]] = {}
         self.stream_model = stream_model
         self._multi: Optional[MultiStreamPrefetcher] = None
         # line -> simulated arrival time of its outstanding prefetch.
@@ -133,93 +151,20 @@ class CacheHierarchy:
         # Write-combining coalescing for non-temporal stores.
         self._last_nt_line = None
 
-        # Hot-path bindings.
-        self._sets = [c._sets for c in self.levels]
-        self._nsets = [c.num_sets for c in self.levels]
-        self._hashed = [c.hashed_index for c in self.levels]
-        self._ways = [c.ways for c in self.levels]
-        self._lstats = [c.stats for c in self.levels]
-
     # ------------------------------------------------------------------
 
     def access(
         self, line: int, *, is_write: bool = False, ref_id: int = 0
     ) -> AccessResult:
         """One demand access to a cache line; returns where it hit."""
-        stats = self.stats
-        stats.total_accesses += 1
-        hit_level = 0
-        prefetch_credit = False
-        late = False
-        multi = self._multi
-        sets = self._sets
-        n = self.num_levels
-        for idx in range(n):
-            nsets = self._nsets[idx]
-            if self._hashed[idx]:
-                set_ix = (line ^ (line // nsets) ^ (line // (nsets * nsets))) % nsets
-            else:
-                set_ix = line % nsets
-            s = sets[idx][set_ix]
-            lstat = self._lstats[idx]
-            if line in s:
-                if s[line]:
-                    lstat.prefetch_hits += 1
-                    s[line] = False
-                    prefetch_credit = True
-                s.move_to_end(line)
-                lstat.hits += 1
-                hit_level = idx + 1
-                break
-            lstat.misses += 1
-        if hit_level == 0:
-            hit_level = n + 1
-            stats.memory_lines += 1
-        if multi is not None and line in self._inflight:
-            arrival = self._inflight.pop(line)
-            if prefetch_credit:
-                if arrival > multi._clock:
-                    late = True
-                    stats.late_prefetch_hits += 1
-                    multi.stats.late_hits += 1
-                else:
-                    multi.stats.on_time_hits += 1
-        if is_write and line not in self._dirty:
-            # Write-allocate: the dirty line eventually goes back out,
-            # whether the allocation came from a demand miss or a prefetch.
-            self._dirty.add(line)
-            stats.writeback_lines += 1
-        # Fill the levels that missed (inclusive), nearest last.
-        for idx in range(hit_level - 2, -1, -1):
-            self._fill(idx, line, False)
-        if self.enable_prefetch:
-            if multi is not None:
-                targets, arrival = multi.observe(ref_id, line)
-                for target in targets:
-                    if target >= 0 and not self._contains(1, target):
-                        self._prefetch_fill(target, into_level=2)
-                        self._inflight[target] = arrival
-            else:
-                self._prefetch_after(line, ref_id)
-        return AccessResult(hit_level, prefetch_credit, late)
-
-    def _fill(self, idx: int, line: int, prefetched: bool) -> None:
-        """Insert ``line`` into level ``idx`` (0-based); evict LRU."""
-        s = self._sets[idx][self.levels[idx].set_index(line)]
-        if line in s:
-            if not prefetched:
-                s[line] = False
-            s.move_to_end(line)
-            return
-        s[line] = prefetched
-        lstat = self._lstats[idx]
-        if prefetched:
-            lstat.prefetches_issued += 1
-        if len(s) > self._ways[idx]:
-            s.popitem(last=False)
-            lstat.evictions += 1
-            if prefetched:
-                lstat.prefetch_evictions += 1
+        level_hits = [0] * (self.num_levels + 2)
+        late = self.stats.late_prefetch_hits
+        credit = self.run(
+            (line,), (ref_id,), {ref_id: STORE if is_write else LOAD}, level_hits
+        )
+        return AccessResult(
+            level_hits.index(1), credit, self.stats.late_prefetch_hits != late
+        )
 
     def nt_store(self, line: int) -> None:
         """A non-temporal store: bypass caches, invalidate stale copies.
@@ -228,49 +173,331 @@ class CacheHierarchy:
         write-combining buffers and cost a single DRAM line transaction —
         the mechanism that makes ``movntps`` streams efficient.
         """
-        self.stats.total_accesses += 1
-        if line == self._last_nt_line:
-            return
-        self._last_nt_line = line
-        self.stats.nt_store_lines += 1
-        for cache in self.levels:
-            cache.invalidate(line)
+        self.run((line,), (0,), (NT_STORE,), [0] * (self.num_levels + 2))
 
-    # ------------------------------------------------------------------
+    def run(
+        self,
+        lines: Sequence[int],
+        refs: Sequence[int],
+        kinds,
+        level_hits: List[int],
+    ) -> bool:
+        """Drive a flat access stream through the hierarchy, in order.
 
-    def _contains(self, idx: int, line: int) -> bool:
-        return line in self._sets[idx][self.levels[idx].set_index(line)]
+        ``lines[i]`` is accessed through reference ``refs[i]``, whose kind
+        is ``kinds[refs[i]]`` (:data:`LOAD`, :data:`STORE` or
+        :data:`NT_STORE`).  The level that served each demand access
+        (1..num_levels, ``num_levels + 1`` for DRAM) is counted into
+        ``level_hits`` in place; non-temporal stores count nowhere there.
+        Returns whether the last demand access hit a prefetched line.
+        """
+        # L1 and L2 are modulo-indexed, an L3 is hashed (see __init__).
+        l1, l2 = self.levels[0], self.levels[1]
+        sets1, n1, w1 = l1._sets, l1.num_sets, l1.ways
+        sets2, n2, w2 = l2._sets, l2.num_sets, l2.ways
+        if self.num_levels >= 3:
+            l3 = self.levels[2]
+            sets3, n3, w3 = l3._sets, l3.num_sets, l3.ways
+        else:
+            sets3, n3, w3 = None, 1, 0
+        nn3 = n3 * n3
+        kind_store, kind_nt = STORE, NT_STORE
+        dirty = self._dirty
+        inflight = self._inflight
+        last_nt = self._last_nt_line
 
-    def _prefetch_after(self, line: int, ref_id: int) -> None:
-        nxt = line + 1
-        # Streaming next-line engines: the L1 engine pulls the line through
-        # the hierarchy (filling L2/L3 on the way); when the line already
-        # sits in L1, the independent L2 engine may still need to fill L2.
-        if not self._contains(0, nxt):
-            self._prefetch_fill(nxt, into_level=1)
-        elif self.num_levels >= 2 and not self._contains(1, nxt):
-            self._prefetch_fill(nxt, into_level=2)
-        # Stride engine fills L2 and L3.
-        for target in self.l2_stride.observe(ref_id, line):
-            if target >= 0 and not self._contains(1, target):
-                self._prefetch_fill(target, into_level=2)
+        multi = self._multi
+        legacy = self.enable_prefetch and multi is None
+        streamed = self.enable_prefetch and multi is not None
+        stride = self.l2_stride
+        streams = stride._streams
+        max_streams = stride.max_streams
+        threshold = stride.train_threshold
+        offsets_of = self._stride_offsets
+        if multi is not None:
+            params = multi.params
+            engines = multi._engines
+            clock = multi._clock
+            page_lines = params.page_lines
+            n_engines = params.n_engines
+            m_threshold = params.train_threshold
+            m_degree = params.degree
+            m_distance = params.max_distance
+            latency = params.latency_accesses
 
-    def _prefetch_fill(self, line: int, *, into_level: int) -> None:
-        """Insert a prefetched line into ``into_level`` and every missing
-        level farther from the core."""
-        if line < 0:
-            return
-        # Where does the prefetch get the data from?
-        source = self.num_levels + 1
-        for idx in range(into_level, self.num_levels):
-            if self._contains(idx, line):
-                source = idx + 1
+        # Demand accesses served by L1 / L2 / L3 / DRAM.
+        c1 = c2 = c3 = cm = 0
+        pfh1 = pfh2 = pfh3 = 0          # demand hits on prefetched lines
+        pfi1 = pfi2 = pfi3 = 0          # lines prefetch fills inserted
+        evd1 = evd2 = evd3 = 0          # evictions by demand fills
+        evp1 = evp2 = evp3 = 0          # evictions by prefetch fills
+        pf_mem = writebacks = nt_lines = nt_accesses = late = on_time = 0
+        s_issued = s_trained = m_issued = m_trained = 0
+        credit = False
+
+        for line, ref in zip(lines, refs):
+            kind = kinds[ref]
+            if kind == kind_nt:
+                nt_accesses += 1
+                if line != last_nt:
+                    last_nt = line
+                    nt_lines += 1
+                    sets1[line % n1].pop(line, None)
+                    sets2[line % n2].pop(line, None)
+                    if sets3 is not None:
+                        sets3[(line ^ line // n3 ^ line // nn3) % n3].pop(line, None)
+                continue
+
+            # Probe nearest first; fill every level that missed.
+            s1 = sets1[line % n1]
+            if line in s1:
+                credit = s1[line]
+                if credit:
+                    s1[line] = False
+                    pfh1 += 1
+                s1.move_to_end(line)
+                c1 += 1
+            else:
+                s2 = sets2[line % n2]
+                if line in s2:
+                    credit = s2[line]
+                    if credit:
+                        s2[line] = False
+                        pfh2 += 1
+                    s2.move_to_end(line)
+                    c2 += 1
+                else:
+                    credit = False
+                    if sets3 is None:
+                        cm += 1
+                    else:
+                        s3 = sets3[(line ^ line // n3 ^ line // nn3) % n3]
+                        if line in s3:
+                            credit = s3[line]
+                            if credit:
+                                s3[line] = False
+                                pfh3 += 1
+                            s3.move_to_end(line)
+                            c3 += 1
+                        else:
+                            cm += 1
+                            s3[line] = False
+                            if len(s3) > w3:
+                                s3.popitem(last=False)
+                                evd3 += 1
+                    s2[line] = False
+                    if len(s2) > w2:
+                        s2.popitem(last=False)
+                        evd2 += 1
+                s1[line] = False
+                if len(s1) > w1:
+                    s1.popitem(last=False)
+                    evd1 += 1
+
+            if multi is not None and line in inflight:
+                arrival = inflight.pop(line)
+                if credit:
+                    if arrival > clock:
+                        late += 1
+                    else:
+                        on_time += 1
+            if kind == kind_store and line not in dirty:
+                # Write-allocate: the dirty line eventually goes back out,
+                # whether the allocation came from a demand miss or a
+                # prefetch.
+                dirty.add(line)
+                writebacks += 1
+
+            if legacy:
+                # Next-line engines: the L1 engine pulls line + 1 into L1;
+                # it and the stride engine's targets are then brought into
+                # L2 (and L3) when L2 lacks them.
+                nxt = line + 1
+                t1 = sets1[nxt % n1]
+                if nxt not in t1:
+                    t1[nxt] = True
+                    pfi1 += 1
+                    if len(t1) > w1:
+                        t1.popitem(last=False)
+                        evp1 += 1
+                # Stride engine training, per reference stream.
+                offsets = (1,)
+                st = streams.get(ref)
+                if st is None:
+                    if len(streams) >= max_streams:
+                        streams.popitem(last=False)
+                        stride.stats.evictions += 1
+                    st = streams[ref] = _Stream()
+                    st.last_line = line
+                    stride.stats.allocations += 1
+                    occupancy = stride.stats.occupancy = len(streams)
+                    if occupancy > stride.stats.peak_occupancy:
+                        stride.stats.peak_occupancy = occupancy
+                else:
+                    streams.move_to_end(ref)
+                    step = line - st.last_line
+                    if step:
+                        st.last_line = line
+                        if step == st.stride:
+                            confidence = st.confidence = st.confidence + 1
+                        else:
+                            st.stride = step
+                            confidence = st.confidence = 1
+                        if confidence >= threshold:
+                            if confidence == threshold:
+                                s_trained += 1
+                            offsets = offsets_of.get(step)
+                            if offsets is None:
+                                offsets = self._offsets_for(step)
+                            s_issued += len(offsets) - 1
+                for offset in offsets:
+                    target = line + offset
+                    if target < 0:
+                        continue
+                    t2 = sets2[target % n2]
+                    if target in t2:
+                        continue
+                    if sets3 is None:
+                        pf_mem += 1
+                    else:
+                        t3 = sets3[(target ^ target // n3 ^ target // nn3) % n3]
+                        if target not in t3:
+                            pf_mem += 1
+                            t3[target] = True
+                            pfi3 += 1
+                            if len(t3) > w3:
+                                t3.popitem(last=False)
+                                evp3 += 1
+                    t2[target] = True
+                    pfi2 += 1
+                    if len(t2) > w2:
+                        t2.popitem(last=False)
+                        evp2 += 1
+
+            elif streamed:
+                # Multi-stream detector: one engine per page, LRU pool.
+                clock += 1
+                page = line // page_lines
+                engine = engines.get(page)
+                if engine is None:
+                    if len(engines) >= n_engines:
+                        engines.popitem(last=False)
+                        multi.stats.evictions += 1
+                    engines[page] = _Engine(page, line)
+                    multi.stats.allocations += 1
+                    occupancy = multi.stats.occupancy = len(engines)
+                    if occupancy > multi.stats.peak_occupancy:
+                        multi.stats.peak_occupancy = occupancy
+                    continue
+                engines.move_to_end(page)
+                step = line - engine.last_line
+                if not step:
+                    continue
+                engine.last_line = line
+                if step == engine.stride:
+                    confidence = engine.confidence = engine.confidence + 1
+                else:
+                    engine.stride = step
+                    confidence = engine.confidence = 1
+                    engine.issued_until = line
+                if confidence < m_threshold:
+                    continue
+                if confidence == m_threshold:
+                    m_trained += 1
+                    engine.issued_until = line
+                # Rate-limited issue along the stride, within the run-ahead
+                # window, never past the page boundary.
+                page_lo = page * page_lines
+                page_hi = page_lo + page_lines - 1
+                arrival = clock + latency
+                frontier = engine.issued_until
+                for _ in range(m_degree):
+                    target = frontier + step
+                    if (
+                        target < page_lo
+                        or target > page_hi
+                        or abs(target - line) > m_distance
+                    ):
+                        break
+                    frontier = target
+                    m_issued += 1
+                    if target < 0:
+                        continue
+                    t2 = sets2[target % n2]
+                    if target in t2:
+                        continue
+                    if sets3 is None:
+                        pf_mem += 1
+                    else:
+                        t3 = sets3[(target ^ target // n3 ^ target // nn3) % n3]
+                        if target not in t3:
+                            pf_mem += 1
+                            t3[target] = True
+                            pfi3 += 1
+                            if len(t3) > w3:
+                                t3.popitem(last=False)
+                                evp3 += 1
+                    t2[target] = True
+                    pfi2 += 1
+                    if len(t2) > w2:
+                        t2.popitem(last=False)
+                        evp2 += 1
+                    inflight[target] = arrival
+                engine.issued_until = frontier
+
+        # Write the counters back.  served[k] is the count of level k + 1;
+        # DRAM comes last.
+        served = (c1, c2, c3, cm) if sets3 is not None else (c1, c2, cm)
+        for slot, count in enumerate(served, start=1):
+            level_hits[slot] += count
+        demand = sum(served)
+        farther = demand
+        for level, count in zip(self.levels, served):
+            farther -= count
+            level.stats.hits += count
+            level.stats.misses += farther
+        self._last_nt_line = last_nt
+        stats = self.stats
+        stats.total_accesses += demand + nt_accesses
+        stats.memory_lines += cm
+        stats.prefetch_memory_lines += pf_mem
+        stats.nt_store_lines += nt_lines
+        stats.writeback_lines += writebacks
+        stats.late_prefetch_hits += late
+        for level, hits, issued, ev_demand, ev_prefetch in zip(
+            self.levels,
+            (pfh1, pfh2, pfh3),
+            (pfi1, pfi2, pfi3),
+            (evd1, evd2, evd3),
+            (evp1, evp2, evp3),
+        ):
+            level.stats.prefetch_hits += hits
+            level.stats.prefetches_issued += issued
+            level.stats.evictions += ev_demand + ev_prefetch
+            level.stats.prefetch_evictions += ev_prefetch
+        stride.stats.trained += s_trained
+        stride.stats.prefetches_issued += s_issued
+        if multi is not None:
+            multi._clock = clock
+            multi.stats.trained += m_trained
+            multi.stats.prefetches_issued += m_issued
+            multi.stats.late_hits += late
+            multi.stats.on_time_hits += on_time
+        return credit
+
+    def _offsets_for(self, step: int) -> Tuple[int, ...]:
+        """Line offsets a trained stride-``step`` access prefetches."""
+        stride = self.l2_stride
+        offsets = [1]
+        for d in range(1, stride.degree + 1):
+            offset = step * d
+            if abs(offset) > stride.max_distance and abs(step) > 1:
                 break
-        if source > self.num_levels:
-            self.stats.prefetch_memory_lines += 1
-        # Fill from the outermost missing level inward, down to the target.
-        for level_no in range(min(source - 1, self.num_levels), into_level - 1, -1):
-            self._fill(level_no - 1, line, True)
+            if abs(offset) > stride.max_distance * 4:
+                break
+            offsets.append(offset)
+        self._stride_offsets[step] = out = tuple(offsets)
+        return out
 
     # ------------------------------------------------------------------
 
@@ -282,6 +509,7 @@ class CacheHierarchy:
         if self._multi is not None:
             self._multi.reset()
         self._inflight.clear()
+        self._last_nt_line = None
 
     def summary(self) -> str:
         return self.stats.summary()

@@ -2,13 +2,13 @@
 
 The pipeline is:
 
-1. :mod:`repro.sim.trace` assigns every buffer a base address and walks a
-   lowered :class:`~repro.ir.loopnest.LoopNest`, emitting **cache-line
-   granular** access chunks (numpy-vectorized over the innermost loop).
-   Long nests are *sampled*: emission stops after a line budget and the
-   covered fraction of the iteration space is recorded so costs can be
-   extrapolated.
-2. :mod:`repro.sim.executor` feeds the chunks through a
+1. :mod:`repro.sim.trace` assigns every buffer a base address and turns
+   a lowered :class:`~repro.ir.loopnest.LoopNest` into a flat stream of
+   **cache-line granular** ``(line, ref)`` accesses, one numpy pass per
+   block of consecutive outer iterations.  Long nests are *sampled*:
+   emission stops after a line budget and the covered fraction of the
+   iteration space is recorded so costs can be extrapolated.
+2. :mod:`repro.sim.executor` feeds the blocks to the demand loop of a
    :class:`~repro.cachesim.CacheHierarchy` and collects per-nest counter
    deltas.
 3. :mod:`repro.sim.timing` converts counters into milliseconds with a

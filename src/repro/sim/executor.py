@@ -5,9 +5,13 @@ or more pipeline stages, in order) against one shared
 :class:`~repro.cachesim.CacheHierarchy`, so later stages see the cache state
 earlier stages left behind — as on real hardware.
 
-Each nest gets its own line budget; the per-nest counter deltas and the
-sampling scale factor are recorded in a :class:`NestCounters` for the timing
-model to extrapolate.
+Each sampling window is a :class:`~repro.sim.trace.TraceGenerator` whose
+blocks — flat ``(line, ref)`` streams in program order — go straight into
+the hierarchy's single demand loop (:meth:`CacheHierarchy.run`), which
+counts the serving level of every access in place; no per-chunk or
+per-access work happens here.  Each nest gets its own line budget; the
+per-nest counter deltas and the sampling scale factor are recorded in a
+:class:`NestCounters` for the timing model to extrapolate.
 """
 
 from __future__ import annotations
@@ -200,26 +204,18 @@ def _run_window(
     gen = TraceGenerator(
         nest, layout, hierarchy.line_size, line_budget=budget, phase=phase
     )
-    pf_mem_before = hierarchy.stats.prefetch_memory_lines
-    wb_before = hierarchy.stats.writeback_lines
-    late_before = hierarchy.stats.late_prefetch_hits
-    access = hierarchy.access
-    nt_store = hierarchy.nt_store
+    stats = hierarchy.stats
+    pf_mem_before = stats.prefetch_memory_lines
+    wb_before = stats.writeback_lines
+    late_before = stats.late_prefetch_hits
+    nt_before = stats.nt_store_lines
+    run = hierarchy.run
+    kinds = gen.ref_kinds
     level_hits = [0] * (num_levels + 2)
-    for chunk in gen.chunks():
-        ref_id = chunk.ref_id
-        if chunk.nontemporal:
-            before = hierarchy.stats.nt_store_lines
-            for line in chunk.lines.tolist():
-                nt_store(line)
-            # Count DRAM transactions (after write-combining), not
-            # emitted store accesses.
-            counters.nt_lines += hierarchy.stats.nt_store_lines - before
-            continue
-        is_write = chunk.is_store
-        for line in chunk.lines.tolist():
-            result = access(line, is_write=is_write, ref_id=ref_id)
-            level_hits[result.hit_level] += 1
+    for block in gen.blocks():
+        run(block.lines.tolist(), block.refs.tolist(), kinds, level_hits)
+    # DRAM transactions after write-combining, not emitted store accesses.
+    counters.nt_lines += stats.nt_store_lines - nt_before
     counters.l1_hits += level_hits[1]
     counters.l2_hits += level_hits[2]
     if num_levels >= 3:
@@ -230,9 +226,7 @@ def _run_window(
     counters.simulated_stmts += gen.record.simulated_stmts
     counters.emitted_lines += gen.record.emitted_lines
     counters.truncated = counters.truncated or gen.record.truncated
-    counters.prefetch_mem_lines += (
-        hierarchy.stats.prefetch_memory_lines - pf_mem_before
-    )
-    counters.writeback_lines += hierarchy.stats.writeback_lines - wb_before
-    counters.late_pf_hits += hierarchy.stats.late_prefetch_hits - late_before
+    counters.prefetch_mem_lines += stats.prefetch_memory_lines - pf_mem_before
+    counters.writeback_lines += stats.writeback_lines - wb_before
+    counters.late_pf_hits += stats.late_prefetch_hits - late_before
     return gen.record

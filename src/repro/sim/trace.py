@@ -1,34 +1,41 @@
 """Line-granular memory-trace generation from lowered loop nests.
 
-The generator walks the scheduled loops recursively; the **innermost** loop
-is evaluated with numpy in one shot, so each visit of the innermost level
-("leaf block") costs a handful of vectorized operations regardless of its
-extent.  For every array reference the affine index expressions collapse to
+The generator treats a nest as ``rows x inner``: every combination of the
+outer loops' values is one *row* (numbered in loop order, outermost
+slowest), and the innermost loop is the vector within a row.  A *block*
+of consecutive rows is evaluated in one numpy pass: the flat row numbers
+are decomposed into per-loop values in mixed radix, the index trees are
+broadcast over ``(rows, inner)``, guards become a mask, and for every
+array reference the affine index expressions collapse to
 
     element = sum_v coeff_v * value(v) + const
 
-with per-variable coefficients precomputed in *elements*; byte addresses are
-then divided by the line size and consecutive duplicates are dropped (a row
-of contiguous elements becomes one access per line, which is also the
-granularity the hardware prefetchers see).
+with per-variable coefficients precomputed in *elements*.  Byte addresses
+are divided by the line size and consecutive duplicate lines are dropped
+within each (row, reference) segment — a row of contiguous elements
+becomes one access per line, which is also the granularity the hardware
+prefetchers see.  The references' segments are then interleaved row by
+row into one flat ``(line, ref)`` stream in program order
+(:class:`TraceBlock`); blocks hold about :data:`BLOCK_ELEMENTS` elements.
 
-Sampling: emission stops once ``line_budget`` lines have been produced; the
-fraction of statement executions covered is reported so the executor can
-extrapolate.  The window is a prefix of the iteration space — the same
-steady state a real measurement warms into, minus the (negligible at these
-trip counts) tail effects.
+Sampling: a row runs only if fewer than ``line_budget`` lines were
+emitted before it (the cut is found with a cumulative sum over the
+block's rows); the fraction of statement executions covered is reported
+so the executor can extrapolate.  The window is a prefix of the
+iteration space — the same steady state a real measurement warms into,
+minus the (negligible at these trip counts) tail effects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
+from repro.cachesim.hierarchy import access_kind
 from repro.ir.analysis import AffineIndex
 from repro.ir.expr import Access
-from repro.ir.func import Buffer, Func
 from repro.ir.loopnest import LoopNest
 from repro.ir.schedule import (
     FusedInner,
@@ -44,6 +51,10 @@ from repro.util import SimulationError
 _BASE_ALIGN = 4096
 #: Extra pad between buffers, in bytes, to decorrelate set mappings a bit.
 _BASE_PAD = 64 * 7
+#: Rough size of one block, in (row, inner) elements: large enough to
+#: amortise numpy's per-call cost, small enough to keep memory flat.  A
+#: block always holds at least one row.
+BLOCK_ELEMENTS = 16_384
 
 
 class MemoryLayout:
@@ -127,8 +138,23 @@ class _RefPlan:
 
 
 @dataclass
+class TraceBlock:
+    """The line accesses of a run of consecutive rows, in program order."""
+
+    #: Line addresses.
+    lines: np.ndarray
+    #: Reference id of each access (index into ``TraceGenerator.plans``).
+    refs: np.ndarray
+    #: Lines each (row, reference) segment emitted, shape ``(rows, refs)``.
+    counts: np.ndarray
+    #: Guard-live statement executions of each row.
+    live: np.ndarray
+
+
+@dataclass
 class TraceChunk:
-    """One batch of line accesses belonging to a single reference stream."""
+    """One (row, reference) segment of a block: the line accesses one
+    innermost-loop visit made through one reference."""
 
     lines: np.ndarray
     ref_id: int
@@ -155,7 +181,7 @@ class NestTrace:
 
 
 class TraceGenerator:
-    """Generates line-granular access chunks for one loop nest."""
+    """Generates the line-granular access stream of one loop nest."""
 
     def __init__(
         self,
@@ -178,9 +204,25 @@ class TraceGenerator:
         #: reaches.
         self.phase = phase
         self.record = NestTrace(nest=nest, total_stmts=self._guarded_total())
-        self._plans = self._build_plans()
+        self.plans = self._build_plans()
+        #: Demand-path access kind of each reference, by ref id.
+        self.ref_kinds = tuple(
+            access_kind(p.is_store, p.nontemporal) for p in self.plans
+        )
         self._guards = nest.stmt.guards
         self._trees = nest.stmt.index_trees
+        loops = nest.loops
+        # (name, extent, row stride) of every outer loop, outermost first.
+        outer = []
+        row_stride = 1
+        for loop in reversed(loops[:-1]):
+            outer.append((loop.name, loop.extent, row_stride))
+            row_stride *= loop.extent
+        self._outer = tuple(reversed(outer))
+        self._inner_name = loops[-1].name if loops else None
+        n_inner = loops[-1].extent if loops else 1
+        self._inner_values = np.arange(n_inner, dtype=np.int64)[None, :]
+        self._max_rows = max(1, BLOCK_ELEMENTS // n_inner)
 
     # ------------------------------------------------------------------
 
@@ -221,94 +263,141 @@ class TraceGenerator:
 
     # ------------------------------------------------------------------
 
-    def chunks(self) -> Iterator[TraceChunk]:
-        """Yield access chunks until the nest ends or the budget is hit."""
-        loops = self.nest.loops
-        if not loops:
-            yield from self._leaf({}, np.zeros(1, dtype=np.int64), None)
+    def blocks(self) -> Iterator[TraceBlock]:
+        """Yield the window's line accesses, a block of consecutive outer
+        iterations at a time, until the nest ends or the budget is hit.
+
+        The window is exactly what a walk of one innermost-loop visit at
+        a time would emit: it starts at the ``phase`` point of every outer
+        loop, and stops before the first visit that begins with at least
+        ``line_budget`` lines already emitted.
+        """
+        record = self.record
+        if not self.nest.loops:
+            # A loop-free nest is one statement: no budget, no phase.
+            block = self._block(0, 1)
+            record.simulated_stmts += int(block.live.sum())
+            record.emitted_lines += int(block.lines.size)
+            yield block
             return
-        outer = loops[:-1]
-        inner = loops[-1]
-        inner_values = np.arange(inner.extent, dtype=np.int64)
-        env: Dict[str, object] = {}
-
-        phase = self.phase
-
-        def walk(depth: int, on_start_path: bool) -> Iterator[TraceChunk]:
-            if self.record.emitted_lines >= self.line_budget:
-                self.record.truncated = True
-                return
-            if depth == len(outer):
-                yield from self._leaf(env, inner_values, inner.name)
-                return
-            loop = outer[depth]
-            start = int(loop.extent * phase) if on_start_path else 0
-            for value in range(start, loop.extent):
-                if self.record.emitted_lines >= self.line_budget:
-                    self.record.truncated = True
-                    return
-                env[loop.name] = value
-                yield from walk(depth + 1, on_start_path and value == start)
-
-        yield from walk(0, True)
-        if phase > 0.0 and not self.record.truncated:
+        budget = self.line_budget
+        total_rows = 1
+        start = 0
+        for _name, extent, row_stride in self._outer:
+            total_rows *= extent
+            start += int(extent * self.phase) * row_stride
+        if budget <= 0:
+            record.truncated = True
+        row = start
+        while row < total_rows and not record.truncated:
+            remaining = budget - record.emitted_lines
+            # Every live visit emits at least one line per reference, so
+            # this many rows reach the budget unless guards kill some.
+            wanted = -(-remaining // len(self.plans))
+            rows = min(self._max_rows, total_rows - row, max(wanted, 1))
+            block = self._block(row, rows)
+            emitted = block.counts.sum(axis=1)
+            ends = record.emitted_lines + np.cumsum(emitted)
+            # A visit runs iff fewer than ``budget`` lines precede it.
+            ran = int(np.searchsorted(ends - emitted, budget, side="left"))
+            if ran < rows:
+                n_lines = int(ends[ran - 1] - record.emitted_lines) if ran else 0
+                block = TraceBlock(
+                    lines=block.lines[:n_lines],
+                    refs=block.refs[:n_lines],
+                    counts=block.counts[:ran],
+                    live=block.live[:ran],
+                )
+            record.simulated_stmts += int(block.live.sum())
+            record.emitted_lines += int(block.lines.size)
+            row += ran
+            if row < total_rows and record.emitted_lines >= budget:
+                record.truncated = True
+            if block.lines.size:
+                yield block
+        if self.phase > 0.0 and not record.truncated:
             # A phased window that ran off the end of the space covered
             # only the tail; flag it so callers know coverage is partial.
-            self.record.truncated = True
+            record.truncated = True
 
-    def _leaf(
-        self,
-        env: Dict[str, object],
-        inner_values: np.ndarray,
-        inner_name: Optional[str],
-    ) -> Iterator[TraceChunk]:
-        local = dict(env)
-        if inner_name is not None:
-            local[inner_name] = inner_values
-        # Original variable values (scalar or vector).
-        var_values: Dict[str, object] = {}
-        for orig, tree in self._trees.items():
-            var_values[orig] = _eval_index_tree(tree, local)
-        # Guard mask for imperfect splits.
+    def chunks(self) -> Iterator[TraceChunk]:
+        """The same accesses as :meth:`blocks`, split into one chunk per
+        (iteration, reference) with at least one line."""
+        plans = self.plans
+        n_refs = len(plans)
+        for block in self.blocks():
+            begin = 0
+            for segment, end in enumerate(np.cumsum(block.counts).tolist()):
+                if end > begin:
+                    plan = plans[segment % n_refs]
+                    yield TraceChunk(
+                        lines=block.lines[begin:end],
+                        ref_id=plan.ref_id,
+                        is_store=plan.is_store,
+                        nontemporal=plan.nontemporal,
+                    )
+                    begin = end
+
+    def _block(self, first: int, rows: int) -> TraceBlock:
+        """All accesses of outer iterations ``first .. first + rows - 1``,
+        in program order, before any budget cut."""
+        env: Dict[str, object] = {}
+        if self._outer:
+            flat = np.arange(first, first + rows, dtype=np.int64)[:, None]
+            for name, extent, row_stride in self._outer:
+                env[name] = flat // row_stride % extent
+        if self._inner_name is not None:
+            env[self._inner_name] = self._inner_values
+        values = {
+            orig: _eval_index_tree(tree, env) for orig, tree in self._trees.items()
+        }
+        n_inner = self._inner_values.shape[1]
+        shape = (rows, n_inner)
         mask = None
         for orig, bound in self._guards.items():
-            cond = var_values[orig] < bound
+            cond = values[orig] < bound
             mask = cond if mask is None else (mask & cond)
-        if mask is not None and not np.any(mask):
-            return
-        n_inner = len(inner_values)
+        # Row of every live (row, inner) element, in row-major order.
         if mask is None:
-            live = n_inner
-        elif isinstance(mask, np.ndarray):
-            live = int(np.count_nonzero(mask))
-        else:  # scalar guard over outer vars only
-            live = n_inner if mask else 0
-            if live == 0:
-                return
-            mask = None
-        self.record.simulated_stmts += live
+            live = np.full(rows, n_inner, dtype=np.int64)
+            live_rows = np.repeat(np.arange(rows), n_inner)
+        else:
+            mask = np.broadcast_to(mask, shape)
+            live = np.count_nonzero(mask, axis=1)
+            live_rows = np.nonzero(mask)[0]
 
-        for plan in self._plans:
-            elem = plan.element_index(var_values)
-            if not isinstance(elem, np.ndarray):
-                elem = np.full(1, elem, dtype=np.int64)
-                ref_mask = None
-            else:
-                ref_mask = mask if isinstance(mask, np.ndarray) else None
-            if ref_mask is not None:
-                elem = elem[ref_mask]
-                if elem.size == 0:
-                    continue
+        n_refs = len(self.plans)
+        counts = np.zeros((rows, n_refs), dtype=np.int64)
+        per_ref = []
+        for k, plan in enumerate(self.plans):
+            elem = np.asarray(plan.element_index(values), dtype=np.int64)
             lines = (plan.base_bytes + elem * plan.dtype_size) // self.line_size
-            if lines.size > 1:
-                keep = np.empty(lines.size, dtype=bool)
-                keep[0] = True
-                np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-                lines = lines[keep]
-            self.record.emitted_lines += int(lines.size)
-            yield TraceChunk(
-                lines=lines,
-                ref_id=plan.ref_id,
-                is_store=plan.is_store,
-                nontemporal=plan.nontemporal,
-            )
+            if lines.ndim < 2 or lines.shape[1] == 1:
+                # Constant over the innermost loop: one line per live visit.
+                column = np.broadcast_to(lines.reshape(-1, 1), (rows, 1))[:, 0]
+                kept_rows = np.nonzero(live)[0]
+                kept = column[kept_rows]
+            else:
+                lines = np.broadcast_to(lines, shape)
+                flat = lines.reshape(-1) if mask is None else lines[mask]
+                # Keep a line unless it repeats its predecessor in the row.
+                new = np.empty(flat.size, dtype=bool)
+                new[:1] = True
+                np.not_equal(flat[1:], flat[:-1], out=new[1:])
+                new[1:] |= live_rows[1:] != live_rows[:-1]
+                kept = flat[new]
+                kept_rows = live_rows[new]
+            counts[:, k] = np.bincount(kept_rows, minlength=rows)
+            per_ref.append((kept, kept_rows))
+
+        # Interleave the references: visit by visit, refs in plan order.
+        ends = np.cumsum(counts.reshape(-1)).reshape(rows, n_refs)
+        starts = ends - counts
+        out_lines = np.empty(int(ends[-1, -1]), dtype=np.int64)
+        out_refs = np.empty(out_lines.size, dtype=np.int64)
+        for k, (kept, kept_rows) in enumerate(per_ref):
+            shift = starts[:, k] - (np.cumsum(counts[:, k]) - counts[:, k])
+            pos = np.arange(kept.size, dtype=np.int64) + shift[kept_rows]
+            out_lines[pos] = kept
+            out_refs[pos] = k
+        return TraceBlock(lines=out_lines, refs=out_refs, counts=counts, live=live)

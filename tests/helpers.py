@@ -49,3 +49,253 @@ def make_stencil(n: int = 64):
     )
     out.set_bounds({x: n, y: n})
     return out, a
+
+
+# ---------------------------------------------------------------------------
+# Reference trace walker (test oracle for repro.sim.trace.TraceGenerator)
+# ---------------------------------------------------------------------------
+
+
+def _reference_leaf(gen, env, inner_values, inner_name):
+    """One visit of the innermost loop, vectorized over its extent only."""
+    import numpy as np
+
+    from repro.sim.trace import TraceChunk, _eval_index_tree
+
+    local = dict(env)
+    if inner_name is not None:
+        local[inner_name] = inner_values
+    var_values = {
+        orig: _eval_index_tree(tree, local)
+        for orig, tree in gen.nest.stmt.index_trees.items()
+    }
+    mask = None
+    for orig, bound in gen.nest.stmt.guards.items():
+        cond = var_values[orig] < bound
+        mask = cond if mask is None else (mask & cond)
+    if mask is not None and not np.any(mask):
+        return
+    n_inner = len(inner_values)
+    if mask is None:
+        live = n_inner
+    elif isinstance(mask, np.ndarray):
+        live = int(np.count_nonzero(mask))
+    else:  # scalar guard over outer vars only
+        live = n_inner if mask else 0
+        if live == 0:
+            return
+        mask = None
+    gen.record.simulated_stmts += live
+
+    for plan in gen.plans:
+        elem = plan.const_elements
+        for var, coeff in plan.var_coeffs:
+            elem = elem + var_values[var] * coeff
+        if not isinstance(elem, np.ndarray):
+            elem = np.full(1, elem, dtype=np.int64)
+            ref_mask = None
+        else:
+            ref_mask = mask if isinstance(mask, np.ndarray) else None
+        if ref_mask is not None:
+            elem = elem[ref_mask]
+            if elem.size == 0:
+                continue
+        lines = (plan.base_bytes + elem * plan.dtype_size) // gen.line_size
+        if lines.size > 1:
+            keep = np.empty(lines.size, dtype=bool)
+            keep[0] = True
+            np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+            lines = lines[keep]
+        gen.record.emitted_lines += int(lines.size)
+        yield TraceChunk(
+            lines=lines,
+            ref_id=plan.ref_id,
+            is_store=plan.is_store,
+            nontemporal=plan.nontemporal,
+        )
+
+
+def reference_chunks(gen):
+    """Reference walker: recursive, one innermost-loop visit at a time.
+
+    Walks ``gen``'s nest one innermost-loop visit at a time, honouring its
+    ``line_budget`` and ``phase`` exactly as :class:`TraceGenerator` must,
+    and updates ``gen.record`` as it goes.  Use a fresh generator: the
+    record accumulates.
+    """
+    import numpy as np
+
+    loops = gen.nest.loops
+    record = gen.record
+    if not loops:
+        yield from _reference_leaf(gen, {}, np.zeros(1, dtype=np.int64), None)
+        return
+    outer = loops[:-1]
+    inner = loops[-1]
+    inner_values = np.arange(inner.extent, dtype=np.int64)
+    env = {}
+    phase = gen.phase
+
+    def walk(depth, on_start_path):
+        if record.emitted_lines >= gen.line_budget:
+            record.truncated = True
+            return
+        if depth == len(outer):
+            yield from _reference_leaf(gen, env, inner_values, inner.name)
+            return
+        loop = outer[depth]
+        start = int(loop.extent * phase) if on_start_path else 0
+        for value in range(start, loop.extent):
+            if record.emitted_lines >= gen.line_budget:
+                record.truncated = True
+                return
+            env[loop.name] = value
+            yield from walk(depth + 1, on_start_path and value == start)
+
+    yield from walk(0, True)
+    if phase > 0.0 and not record.truncated:
+        record.truncated = True
+
+
+# ---------------------------------------------------------------------------
+# Reference demand path (test oracle for repro.cachesim.CacheHierarchy)
+# ---------------------------------------------------------------------------
+
+
+class ReferenceHierarchy:
+    """The hierarchy's demand path as a plain composition of the reference
+    parts: :class:`SetAssocCache` levels (same geometry as ``like``), a
+    :class:`NextLinePrefetcher`, a :class:`StridePrefetcher` and, under
+    the stream model, a :class:`MultiStreamPrefetcher`, each driven
+    through its public methods one access at a time."""
+
+    def __init__(self, like):
+        from repro.cachesim import (
+            MultiStreamPrefetcher,
+            NextLinePrefetcher,
+            SetAssocCache,
+            StridePrefetcher,
+        )
+        from repro.cachesim.stats import HierarchyStats
+
+        arch = like.arch
+        self.levels = [
+            SetAssocCache(c.name, c.num_sets, c.ways, hashed_index=c.hashed_index)
+            for c in like.levels
+        ]
+        self.enable_prefetch = like.enable_prefetch
+        self.next_line = NextLinePrefetcher(degree=1)
+        self.stride = StridePrefetcher(
+            degree=arch.l2_prefetches_per_access,
+            max_distance=arch.l2_max_prefetch_distance,
+        )
+        self.multi = (
+            MultiStreamPrefetcher(like.stream_model)
+            if like.stream_model is not None
+            else None
+        )
+        self.stats = HierarchyStats(levels=[c.stats for c in self.levels])
+        self.stats.stream_tables["l2_stride"] = self.stride.stats
+        if self.multi is not None:
+            self.stats.stream_tables["multi_stream"] = self.multi.stats
+        self.inflight = {}
+        self.dirty = set()
+        self.last_nt_line = None
+
+    def access(self, line, *, is_write=False, ref_id=0):
+        """One demand access; returns (hit_level, prefetch_credit, late)."""
+        stats = self.stats
+        stats.total_accesses += 1
+        n = len(self.levels)
+        hit_level, credit, late = n + 1, False, False
+        for idx, cache in enumerate(self.levels):
+            before = cache.stats.prefetch_hits
+            if cache.lookup(line):
+                hit_level = idx + 1
+                credit = cache.stats.prefetch_hits != before
+                break
+        if hit_level == n + 1:
+            stats.memory_lines += 1
+        if self.multi is not None and line in self.inflight:
+            arrival = self.inflight.pop(line)
+            if credit:
+                if arrival > self.multi._clock:
+                    late = True
+                    stats.late_prefetch_hits += 1
+                    self.multi.stats.late_hits += 1
+                else:
+                    self.multi.stats.on_time_hits += 1
+        if is_write and line not in self.dirty:
+            self.dirty.add(line)
+            stats.writeback_lines += 1
+        for idx in range(hit_level - 2, -1, -1):
+            self.levels[idx].fill(line)
+        if self.enable_prefetch:
+            l1, l2 = self.levels[0], self.levels[1]
+            if self.multi is not None:
+                targets, arrival = self.multi.observe(ref_id, line)
+                for target in targets:
+                    if target >= 0 and not l2.contains(target):
+                        self._prefetch_fill(target, into_level=2)
+                        self.inflight[target] = arrival
+            else:
+                for nxt in self.next_line.requests(line):
+                    if not l1.contains(nxt):
+                        self._prefetch_fill(nxt, into_level=1)
+                    elif not l2.contains(nxt):
+                        self._prefetch_fill(nxt, into_level=2)
+                for target in self.stride.observe(ref_id, line):
+                    if target >= 0 and not l2.contains(target):
+                        self._prefetch_fill(target, into_level=2)
+        return hit_level, credit, late
+
+    def _prefetch_fill(self, line, *, into_level):
+        n = len(self.levels)
+        source = n + 1
+        for idx in range(into_level, n):
+            if self.levels[idx].contains(line):
+                source = idx + 1
+                break
+        if source > n:
+            self.stats.prefetch_memory_lines += 1
+        for level_no in range(min(source - 1, n), into_level - 1, -1):
+            self.levels[level_no - 1].fill(line, prefetched=True)
+
+    def nt_store(self, line):
+        self.stats.total_accesses += 1
+        if line == self.last_nt_line:
+            return
+        self.last_nt_line = line
+        self.stats.nt_store_lines += 1
+        for cache in self.levels:
+            cache.invalidate(line)
+
+    def flush(self):
+        for cache in self.levels:
+            cache.flush()
+        self.stride.reset()
+        if self.multi is not None:
+            self.multi.reset()
+        self.inflight.clear()
+        self.last_nt_line = None
+
+
+def hierarchy_state(h):
+    """Every counter and the full cache contents (with prefetch flags, in
+    LRU order) of a hierarchy, for exact comparison."""
+    stats = h.stats
+    return {
+        "levels": [s.snapshot() for s in stats.levels],
+        "memory_lines": stats.memory_lines,
+        "prefetch_memory_lines": stats.prefetch_memory_lines,
+        "nt_store_lines": stats.nt_store_lines,
+        "writeback_lines": stats.writeback_lines,
+        "total_accesses": stats.total_accesses,
+        "late_prefetch_hits": stats.late_prefetch_hits,
+        "stream_tables": {
+            name: table.snapshot() for name, table in stats.stream_tables.items()
+        },
+        "contents": [
+            [list(s.items()) for s in cache._sets] for cache in h.levels
+        ],
+    }

@@ -260,6 +260,18 @@ class TestCacheHierarchy:
         assert h.stats.memory_lines == 1
         assert h.access(0).hit_level == 4
 
+    def test_flush_forgets_write_combining(self):
+        # After a flush the write-combining buffer is empty: an NT store
+        # to the last NT-stored line is a new transaction and invalidates
+        # the copy a demand access brought back in.
+        h = self.make(prefetch=False)
+        h.nt_store(100)
+        h.flush()
+        h.access(100)
+        h.nt_store(100)
+        assert h.stats.nt_store_lines == 2
+        assert h.access(100).hit_level == 4
+
     def test_rejects_bad_divisors(self):
         with pytest.raises(ValueError):
             CacheHierarchy(intel_i7_5930k(), l1_ways_divisor=0)

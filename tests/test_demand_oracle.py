@@ -1,0 +1,180 @@
+"""Differential oracle for the hierarchy's demand loop.
+
+:meth:`CacheHierarchy.run` inlines the set index, the fills and the
+prefetch engines into one loop.  These tests drive it side by side with
+:class:`tests.helpers.ReferenceHierarchy` — the reference
+``SetAssocCache`` levels composed with the ``NextLinePrefetcher``,
+``StridePrefetcher`` and ``MultiStreamPrefetcher`` engines through their
+public methods — and require the same level for every access and the
+same counters, stream-table statistics and cache contents throughout.
+Both prefetcher models are covered, on random traces and on corpus
+kernels' real traces.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.arch import arm_cortex_a15, intel_i7_5930k
+from repro.cachesim import (
+    LOAD,
+    NT_STORE,
+    STORE,
+    CacheHierarchy,
+    StreamModelParams,
+)
+from repro.frontend.corpus import corpus_kernel
+from repro.ir import Schedule, lower
+from repro.sim.trace import MemoryLayout, TraceGenerator
+
+from tests.helpers import ReferenceHierarchy, hierarchy_state
+
+#: Hierarchy configurations: both platforms, both prefetcher models,
+#: prefetching off, and shrunken caches so that short traces evict.
+CONFIGS = {
+    "i7": (intel_i7_5930k, {}),
+    "i7-multi": (intel_i7_5930k, {"stream_model": StreamModelParams()}),
+    "i7-noprefetch": (intel_i7_5930k, {"enable_prefetch": False}),
+    "i7-tiny": (intel_i7_5930k, {
+        "l1_ways_divisor": 8, "l2_ways_divisor": 8,
+        "l3_capacity_divisor": 4096,
+    }),
+    "i7-tiny-multi": (intel_i7_5930k, {
+        "l1_ways_divisor": 8, "l2_ways_divisor": 8,
+        "l3_capacity_divisor": 4096,
+        "stream_model": StreamModelParams(n_engines=2, latency_accesses=7),
+    }),
+    "a15": (arm_cortex_a15, {}),
+    "a15-tiny-multi": (arm_cortex_a15, {
+        "l1_ways_divisor": 2, "l2_ways_divisor": 16,
+        "stream_model": StreamModelParams(n_engines=3, latency_accesses=5),
+    }),
+}
+
+
+def make_pair(config):
+    arch, kwargs = CONFIGS[config]
+    fast = CacheHierarchy(arch(), **kwargs)
+    return fast, ReferenceHierarchy(fast)
+
+
+def replay_reference(ref, lines, refs, kinds, level_hits):
+    for line, ref_id in zip(lines, refs):
+        kind = kinds[ref_id]
+        if kind == NT_STORE:
+            ref.nt_store(line)
+        else:
+            hit, _credit, _late = ref.access(
+                line, is_write=kind == STORE, ref_id=ref_id
+            )
+            level_hits[hit] += 1
+
+
+#: One trace segment: (ref id, kind, first line, line stride, length).
+segments = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.sampled_from([LOAD, LOAD, STORE, NT_STORE]),
+        st.integers(0, 1 << 14),
+        st.sampled_from([0, 1, 1, 2, -1, 3, 8, 17, 64, -40, 512, 4096]),
+        st.integers(1, 24),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def expand(segs, interleave):
+    """Accesses of the segments, back to back or round-robin."""
+    runs = [
+        [(ref, kind, max(0, start + stride * n)) for n in range(length)]
+        for ref, kind, start, stride, length in segs
+    ]
+    if not interleave:
+        return [access for run in runs for access in run]
+    out = []
+    for n in range(max(len(run) for run in runs)):
+        out.extend(run[n] for run in runs if n < len(run))
+    return out
+
+
+class TestRandomTraces:
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @given(segs=segments, interleave=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_every_access_hits_the_same_level(self, config, segs, interleave):
+        fast, ref = make_pair(config)
+        for ref_id, kind, line in expand(segs, interleave):
+            if kind == NT_STORE:
+                fast.nt_store(line)
+                ref.nt_store(line)
+                continue
+            got = fast.access(line, is_write=kind == STORE, ref_id=ref_id)
+            want = ref.access(line, is_write=kind == STORE, ref_id=ref_id)
+            assert (got.hit_level, got.prefetch_credit, got.late) == want
+        assert hierarchy_state(fast) == hierarchy_state(ref)
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @given(
+        segs=segments,
+        interleave=st.booleans(),
+        cut=st.integers(1, 50),
+        flush_at=st.integers(0, 3),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_batched_stream_matches(self, config, segs, interleave, cut,
+                                    flush_at):
+        """Whole blocks through ``run`` (counters written back per call),
+        with a mid-trace flush."""
+        fast, ref = make_pair(config)
+        trace = expand(segs, interleave)
+        # A ref id's kind is fixed within a block; remap ids so that each
+        # (id, kind) pair of the trace gets its own id.
+        ids = {}
+        lines, refs = [], []
+        for ref_id, kind, line in trace:
+            refs.append(ids.setdefault((ref_id, kind), len(ids)))
+            lines.append(line)
+        kinds = {n: kind for (_ref_id, kind), n in ids.items()}
+        n_levels = fast.num_levels + 2
+        got, want = [0] * n_levels, [0] * n_levels
+        for block, start in enumerate(range(0, len(lines), cut)):
+            if block == flush_at:
+                fast.flush()
+                ref.flush()
+            chunk = slice(start, start + cut)
+            fast.run(lines[chunk], refs[chunk], kinds, got)
+            replay_reference(ref, lines[chunk], refs[chunk], kinds, want)
+            assert got == want
+        assert hierarchy_state(fast) == hierarchy_state(ref)
+
+
+#: Corpus kernels (smoke sizes) whose nests cover streaming, transposed,
+#: reduction, stencil, convolution and multi-stage access patterns.
+CORPUS_SAMPLE = (
+    "mxv", "matmul", "atax", "gemver", "transpose-add", "copy2d", "axpy",
+    "jacobi2d", "seidel9", "conv3x3", "attn-chain", "mef-mxvt", "mef-bicg",
+)
+
+
+@pytest.mark.parametrize("config", ["i7", "i7-multi", "a15-tiny-multi"])
+@pytest.mark.parametrize("kernel", CORPUS_SAMPLE)
+def test_corpus_traces_match(kernel, config):
+    """Every nest of a kernel, in order, on one shared hierarchy, with
+    plain and with non-temporal stores."""
+    fast, ref = make_pair(config)
+    layout = MemoryLayout()
+    n_levels = fast.num_levels + 2
+    for func in corpus_kernel(kernel).lower(fast=True).funcs:
+        nontemporal = Schedule(func)
+        nontemporal.store_nontemporal()
+        for nest in lower(func) + lower(func, nontemporal):
+            gen = TraceGenerator(nest, layout, fast.line_size, line_budget=3000)
+            got, want = [0] * n_levels, [0] * n_levels
+            for block in gen.blocks():
+                lines, refs = block.lines.tolist(), block.refs.tolist()
+                fast.run(lines, refs, gen.ref_kinds, got)
+                replay_reference(ref, lines, refs, gen.ref_kinds, want)
+            assert got == want, nest.name
+            assert hierarchy_state(fast) == hierarchy_state(ref), nest.name
