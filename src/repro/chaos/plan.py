@@ -30,6 +30,12 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.fleet.hashring import HashRing
+from repro.robust.faults import (
+    SERVE_FAULT_ENV,
+    SITE_JOB,
+    FaultSpec,
+    slow_job,
+)
 from repro.serve.identify import identify_request
 from repro.serve.schema import build_request, parse_request
 
@@ -114,8 +120,10 @@ class ChaosScenario:
     require_all_ok: bool = True
     use_cache: bool = True
     actions: Tuple[ChaosAction, ...] = ()
-    #: Optional per-shard worker fault: ``(shard_spec, REPRO_SERVE_FAULT)``.
-    worker_fault: Optional[Tuple[str, str]] = None
+    #: Optional per-shard worker fault ``(shard_spec, spec)``: a one-shot
+    #: ``slow``/``crash`` spec armed through ``REPRO_SERVE_FAULT``, so it
+    #: fires on that shard's first job.
+    worker_fault: Optional[Tuple[str, FaultSpec]] = None
     #: Optional tune-job shape (kernels/families/grid/fast — the
     #: :func:`repro.tune.build_tune_request` keywords).  When set the
     #: engine drives a journaled ``repro tune`` grid instead of the
@@ -213,8 +221,13 @@ def build_plan(
     worker_env: Dict[int, Dict[str, str]] = {}
     if scenario.worker_fault is not None:
         shard_spec, fault = scenario.worker_fault
+        if fault.site != SITE_JOB or (fault.n, fault.count) != (1, 1):
+            raise ValueError(
+                f"scenario {scenario.name!r}: a worker fault must be a "
+                f"slow/crash fault firing once, on its shard's first job"
+            )
         shard = _resolve_shard(shard_spec, identities, scenario.workers, rng)
-        worker_env[shard] = {"REPRO_SERVE_FAULT": fault}
+        worker_env[shard] = {SERVE_FAULT_ENV: fault.env()}
     return ChaosPlan(
         scenario=scenario,
         seed=seed,
@@ -241,7 +254,7 @@ SCENARIOS: Dict[str, ChaosScenario] = {
             requests=4,
             distinct_identities=1,
             client_retries=5,
-            worker_fault=("home:0", "slow:2.5:1"),
+            worker_fault=("home:0", slow_job(seconds=2.5)),
             actions=(
                 ChaosAction(
                     kind=ACTION_KILL,
@@ -295,7 +308,7 @@ SCENARIOS: Dict[str, ChaosScenario] = {
             requests=6,
             distinct_identities=2,
             client_retries=5,
-            worker_fault=("home:0", "slow:1.0:1"),
+            worker_fault=("home:0", slow_job(seconds=1.0)),
         ),
         ChaosScenario(
             name="corrupt-cache-under-load",
@@ -348,7 +361,7 @@ SCENARIOS: Dict[str, ChaosScenario] = {
             client_retries=0,
             client_concurrency=10,
             require_all_ok=False,
-            worker_fault=("home:0", "slow:0.8:1"),
+            worker_fault=("home:0", slow_job(seconds=0.8)),
         ),
     )
 }

@@ -20,10 +20,7 @@ code    name                meaning
 tune that finishes with quarantined cells is *partially* unavailable in
 exactly the sense a shed request is — retrying later may succeed.
 
-History: these constants grew up scattered across ``repro.__main__``,
-the sweep runner, and the experiments driver with per-module literals.
-They are defined here once; the historical homes re-export them, so
-``from repro.sweep.runner import EXIT_QUARANTINED`` keeps working.
+Import them from here: this module is their only public home.
 """
 
 from __future__ import annotations

@@ -23,20 +23,16 @@ from repro.robust.diagnostics import (
 )
 from repro.robust.faults import (
     FaultInjector,
+    FaultPlan,
     FaultSpec,
     SERVE_FAULT_ENV,
-    ServeFaultPlan,
-    ServeFaultSpec,
     WORKER_FAULT_ENV,
-    WorkerFaultPlan,
-    WorkerFaultSpec,
     corrupt_worker,
     crash_job,
     exhaust_deadline,
     hang_worker,
     inject,
     kill_worker,
-    parse_serve_fault,
     poison,
     raise_on,
     slow_job,
@@ -64,20 +60,16 @@ __all__ = [
     "SEVERITY_INFO",
     "SEVERITY_WARNING",
     "FaultInjector",
+    "FaultPlan",
     "FaultSpec",
     "SERVE_FAULT_ENV",
-    "ServeFaultPlan",
-    "ServeFaultSpec",
     "WORKER_FAULT_ENV",
-    "WorkerFaultPlan",
-    "WorkerFaultSpec",
     "corrupt_worker",
     "crash_job",
     "exhaust_deadline",
     "hang_worker",
     "inject",
     "kill_worker",
-    "parse_serve_fault",
     "poison",
     "raise_on",
     "slow_job",

@@ -17,8 +17,11 @@ schedule   :func:`repro.core.standard.build_schedule`           ScheduleError
 analyze    :func:`repro.ir.analysis.analyze_func`               ClassificationError
 ========== ==================================================== ===========
 
-Three fault kinds are supported, each firing on the *N*-th call to the
-site (and optionally a limited number of subsequent calls):
+Every fault is one :class:`FaultSpec`: a *kind*, the *site* whose
+events it counts, and a window — it fires on the ``n``-th event at that
+site and the ``count - 1`` after it (``count=None``: every event from
+``n`` on).  One :class:`FaultPlan` counts events per site and hands back
+the spec that fires.  The in-process kinds count calls to a seam above:
 
 * ``raise`` — raise an exception (default per site, overridable);
 * ``deadline`` — exhaust the ambient :class:`~repro.util.Deadline`
@@ -37,13 +40,23 @@ Injection patches the functions in their defining modules *and* in the
 namespaces of the known importers (``optimize`` binds ``classify`` at
 import time), and restores everything on exit, even when the body raises.
 
-A second, process-level family targets the sweep workers of
-:mod:`repro.sweep`: a :class:`WorkerFaultPlan` built from
-:func:`kill_worker` / :func:`hang_worker` / :func:`corrupt_worker` specs
-arms the ``REPRO_WORKER_FAULT`` environment variable for chosen worker
-spawns, making the subprocess die by SIGKILL, stall past its timeout, or
-write garbage on its result channel — the failure modes the runner's
-retry/quarantine machinery exists to absorb.
+The process kinds reach a child process through one environment
+variable spelled ``kind[:seconds[:n]]`` (:meth:`FaultSpec.parse`):
+
+======= ===== ====================== ===================================
+kind    site  variable               effect
+======= ===== ====================== ===================================
+kill    spawn ``REPRO_WORKER_FAULT`` the sweep worker SIGKILLs itself
+hang    spawn ``REPRO_WORKER_FAULT`` the sweep worker sleeps ``seconds``
+corrupt spawn ``REPRO_WORKER_FAULT`` the worker writes garbage, exits 0
+slow    job   ``REPRO_SERVE_FAULT``  the job sleeps ``seconds`` first
+crash   job   ``REPRO_SERVE_FAULT``  the job raises before any work
+======= ===== ====================== ===================================
+
+:class:`repro.sweep.SweepRunner` consults its plan once per worker
+spawn and arms the firing spec's :meth:`FaultSpec.env` for that spawn
+only; :class:`repro.serve.OptimizeServer` consults its plan once per
+executed job (coalesced waiters share their leader's job).
 """
 
 from __future__ import annotations
@@ -51,8 +64,9 @@ from __future__ import annotations
 import functools
 import importlib
 import math
+import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.util import DeadlineExceeded, ReproError, current_deadline
@@ -65,8 +79,36 @@ from repro.util.errors import (
 KIND_RAISE = "raise"
 KIND_DEADLINE = "deadline"
 KIND_POISON = "poison"
+KIND_KILL = "kill"
+KIND_HANG = "hang"
+KIND_CORRUPT = "corrupt"
+KIND_SLOW = "slow"
+KIND_CRASH = "crash"
 
-_KINDS = (KIND_RAISE, KIND_DEADLINE, KIND_POISON)
+#: The process-level event sites: sweep-worker spawns and served jobs.
+SITE_SPAWN = "spawn"
+SITE_JOB = "job"
+
+#: Environment variable read by ``repro.sweep.worker`` at startup.
+WORKER_FAULT_ENV = "REPRO_WORKER_FAULT"
+#: Environment variable read by ``repro.serve.server`` at startup.
+SERVE_FAULT_ENV = "REPRO_SERVE_FAULT"
+
+#: Process kind -> the site whose events it counts.
+_PROCESS_SITES = {
+    KIND_KILL: SITE_SPAWN,
+    KIND_HANG: SITE_SPAWN,
+    KIND_CORRUPT: SITE_SPAWN,
+    KIND_SLOW: SITE_JOB,
+    KIND_CRASH: SITE_JOB,
+}
+_KINDS = (KIND_RAISE, KIND_DEADLINE, KIND_POISON, *_PROCESS_SITES)
+
+#: Kinds that sleep, with the ``seconds`` an env spelling defaults to.
+_SLEEP_DEFAULTS = {KIND_HANG: 3600.0, KIND_SLOW: 0.5}
+
+#: Environment variable -> the site whose faults it arms.
+_ENV_SITES = {WORKER_FAULT_ENV: SITE_SPAWN, SERVE_FAULT_ENV: SITE_JOB}
 
 #: site -> [(module, attribute), ...]: every namespace holding a reference
 #: that must be patched for the fault to be visible to the flow.
@@ -128,58 +170,130 @@ _DEFAULT_EXC: Dict[str, Callable[[str], ReproError]] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class FaultSpec:
-    """One fault: *where*, *what kind*, and *when* it fires.
+    """One fault: *what kind*, *when* it fires, and *where*.
 
     Attributes
     ----------
-    site:
-        One of ``classify``, ``emu``, ``cost``, ``simulate``.
     kind:
-        ``raise``, ``deadline`` or ``poison``.
-    on_call:
-        1-based call index at which the fault starts firing.
+        ``raise``, ``deadline`` or ``poison`` (in-process seams), or
+        ``kill``, ``hang``, ``corrupt``, ``slow`` or ``crash`` (process
+        events; see the module docstring).
+    n:
+        1-based index of the first event at ``site`` that fires.
     count:
-        How many consecutive calls fire (``None`` = every call from
-        ``on_call`` on).
-    exc:
-        Exception *instance* to raise for ``raise`` faults; defaults to
-        the site's natural error type.
+        How many consecutive events fire (``None`` = every event from
+        ``n`` on).
+    site:
+        One of the six seams ``classify``, ``emu``, ``cost``,
+        ``simulate``, ``schedule``, ``analyze`` for in-process kinds;
+        process kinds fill in their own (``spawn`` or ``job``).
+    seconds:
+        Sleep length for ``hang`` and ``slow``; pick a ``hang`` above
+        the sweep's per-cell timeout.
     value:
         Return value for ``poison`` faults (default NaN; use
         ``float("inf")`` for infinity poisoning).
+    exc:
+        Exception *instance* to raise for ``raise`` faults; defaults to
+        the site's natural error type.
     """
 
-    site: str
     kind: str = KIND_RAISE
-    on_call: int = 1
+    n: int = 1
     count: Optional[int] = None
-    exc: Optional[BaseException] = None
+    site: Optional[str] = None
+    seconds: float = 0.0
     value: float = float("nan")
+    exc: Optional[BaseException] = None
 
     def __post_init__(self) -> None:
-        if self.site not in _PATCH_TABLE:
-            raise ValueError(
-                f"unknown fault site {self.site!r}; known: "
-                f"{sorted(_PATCH_TABLE)}"
-            )
         if self.kind not in _KINDS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; known: {list(_KINDS)}"
             )
-        if self.on_call < 1:
-            raise ValueError(f"on_call is 1-based, got {self.on_call}")
+        process_site = _PROCESS_SITES.get(self.kind)
+        if self.site is None and process_site:
+            object.__setattr__(self, "site", process_site)
+        sites = [process_site] if process_site else sorted(_PATCH_TABLE)
+        if self.site not in sites:
+            raise ValueError(
+                f"unknown fault site {self.site!r} for kind {self.kind!r}; "
+                f"known: {sites}"
+            )
+        if self.n < 1:
+            raise ValueError(f"n is 1-based, got {self.n}")
         if self.count is not None and self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
+        if not 0 <= self.seconds < math.inf:
+            raise ValueError(
+                f"seconds must be finite and >= 0, got {self.seconds}"
+            )
 
-    def fires(self, call_index: int) -> bool:
-        """Whether the fault is armed for the given 1-based call index."""
-        if call_index < self.on_call:
+    def fires(self, index: int) -> bool:
+        """Whether the fault is armed for the given 1-based event index."""
+        if index < self.n:
             return False
-        if self.count is None:
-            return True
-        return call_index < self.on_call + self.count
+        return self.count is None or index < self.n + self.count
+
+    def env(self) -> str:
+        """The ``kind[:seconds]`` spelling a child process fires at once."""
+        if self.kind in _SLEEP_DEFAULTS:
+            return f"{self.kind}:{self.seconds}"
+        return self.kind
+
+    @classmethod
+    def parse(cls, text: str) -> "FaultSpec":
+        """Build a one-shot process fault from ``kind[:seconds[:n]]``.
+
+        E.g. ``kill``, ``hang:2.5``, ``crash``, ``slow:0.5:2``; an empty
+        ``seconds`` takes the kind's default (3600 for ``hang``, 0.5 for
+        ``slow``).  Raises :class:`ValueError` on malformed input.
+        """
+        kind, *rest = text.split(":")
+        if kind not in _PROCESS_SITES:
+            raise ValueError(
+                f"unknown process fault kind {kind!r}; "
+                f"known: {list(_PROCESS_SITES)}"
+            )
+        if len(rest) > 2:
+            raise ValueError(
+                f"malformed fault {text!r}: expected kind[:seconds[:n]]"
+            )
+        try:
+            seconds = (
+                float(rest[0]) if rest and rest[0]
+                else _SLEEP_DEFAULTS.get(kind, 0.0)
+            )
+            n = int(rest[1]) if len(rest) > 1 else 1
+        except ValueError:
+            raise ValueError(
+                f"malformed fault {text!r}: seconds must be a number and "
+                f"n an integer"
+            ) from None
+        return cls(kind, n=n, count=1, seconds=seconds)
+
+    @classmethod
+    def from_env(cls, name: str) -> Optional["FaultSpec"]:
+        """The fault armed by environment variable ``name``, if any.
+
+        ``name`` is :data:`WORKER_FAULT_ENV` or :data:`SERVE_FAULT_ENV`;
+        errors name the variable and its value, and reject a kind the
+        variable's reader would never fire.
+        """
+        text = os.environ.get(name)
+        if not text:
+            return None
+        try:
+            spec = cls.parse(text)
+            if spec.site != _ENV_SITES[name]:
+                raise ValueError(
+                    f"{spec.kind!r} faults are not armed through {name}"
+                )
+        except ValueError as exc:
+            raise ValueError(f"{name}={text!r}: {exc}") from None
+        return spec
 
 
 def raise_on(
@@ -189,23 +303,85 @@ def raise_on(
     count: Optional[int] = None,
 ) -> FaultSpec:
     """Fault: raise on the ``n``-th call to ``site`` (and onwards)."""
-    return FaultSpec(site=site, kind=KIND_RAISE, on_call=n, count=count, exc=exc)
+    return FaultSpec(KIND_RAISE, n=n, count=count, site=site, exc=exc)
 
 
 def poison(
     site: str, value: float = float("nan"), n: int = 1
 ) -> FaultSpec:
     """Fault: return ``value`` (NaN/inf) instead of the real result."""
-    return FaultSpec(site=site, kind=KIND_POISON, on_call=n, value=value)
+    return FaultSpec(KIND_POISON, n=n, site=site, value=value)
 
 
 def exhaust_deadline(site: str, n: int = 1) -> FaultSpec:
     """Fault: expire the ambient deadline when ``site`` is called."""
-    return FaultSpec(site=site, kind=KIND_DEADLINE, on_call=n)
+    return FaultSpec(KIND_DEADLINE, n=n, site=site)
 
 
-class FaultInjector:
-    """Context manager / decorator installing a set of :class:`FaultSpec`.
+def kill_worker(n: int = 1, count: Optional[int] = 1) -> FaultSpec:
+    """Fault: the ``n``-th spawned worker SIGKILLs itself immediately."""
+    return FaultSpec(KIND_KILL, n=n, count=count)
+
+
+def hang_worker(
+    n: int = 1, seconds: float = 3600.0, count: Optional[int] = 1
+) -> FaultSpec:
+    """Fault: the ``n``-th spawned worker stalls for ``seconds``."""
+    return FaultSpec(KIND_HANG, n=n, count=count, seconds=seconds)
+
+
+def corrupt_worker(n: int = 1, count: Optional[int] = 1) -> FaultSpec:
+    """Fault: the ``n``-th spawned worker emits garbage instead of JSON."""
+    return FaultSpec(KIND_CORRUPT, n=n, count=count)
+
+
+def slow_job(
+    n: int = 1, seconds: float = 0.5, count: Optional[int] = 1
+) -> FaultSpec:
+    """Fault: the ``n``-th served job stalls for ``seconds`` first."""
+    return FaultSpec(KIND_SLOW, n=n, count=count, seconds=seconds)
+
+
+def crash_job(n: int = 1, count: Optional[int] = 1) -> FaultSpec:
+    """Fault: the ``n``-th served job raises before doing any work."""
+    return FaultSpec(KIND_CRASH, n=n, count=count)
+
+
+class FaultPlan:
+    """A set of :class:`FaultSpec` and a per-site event counter.
+
+    Each :meth:`next` call records one event at a site and returns the
+    first spec for that site whose window covers the event's 1-based
+    index.  Thread-safe: parallel sweep spawns and the serve worker
+    pool share one counter per site.  :meth:`calls` exposes the
+    counters so tests can assert how many events actually happened.
+    """
+
+    def __init__(self, *specs: FaultSpec) -> None:
+        if not specs:
+            raise ValueError(
+                f"{type(self).__name__} needs at least one FaultSpec"
+            )
+        self.specs: Tuple[FaultSpec, ...] = tuple(specs)
+        self._lock = threading.Lock()
+        self._counters: Dict[str, int] = {}
+
+    def calls(self, site: str) -> int:
+        """How many events ``site`` has recorded."""
+        return self._counters.get(site, 0)
+
+    def next(self, site: str) -> Optional[FaultSpec]:
+        """Record one event at ``site``; return the spec firing on it."""
+        with self._lock:
+            index = self._counters[site] = self._counters.get(site, 0) + 1
+        for spec in self.specs:
+            if spec.site == site and spec.fires(index):
+                return spec
+        return None
+
+
+class FaultInjector(FaultPlan):
+    """Context manager / decorator installing in-process faults.
 
     Call counters are **per site** (shared across that site's patched
     functions) and reset on every ``__enter__``, so one injector can be
@@ -214,35 +390,20 @@ class FaultInjector:
     """
 
     def __init__(self, *specs: FaultSpec) -> None:
-        if not specs:
-            raise ValueError("FaultInjector needs at least one FaultSpec")
-        self.specs: Tuple[FaultSpec, ...] = tuple(specs)
-        self._counters: Dict[str, int] = {}
+        super().__init__(*specs)
+        for spec in self.specs:
+            if spec.site not in _PATCH_TABLE:
+                raise ValueError(
+                    f"{spec.kind!r} is a process fault; run it through a "
+                    f"FaultPlan, not a FaultInjector"
+                )
         self._saved: List[Tuple[object, str, object]] = []
         self._active = False
-
-    # -- bookkeeping ---------------------------------------------------
-
-    def calls(self, site: str) -> int:
-        """How many times ``site`` has been called under injection."""
-        return self._counters.get(site, 0)
-
-    def _specs_for(self, site: str) -> List[FaultSpec]:
-        return [s for s in self.specs if s.site == site]
-
-    def _fire(self, site: str) -> Optional[FaultSpec]:
-        """Record a call to ``site``; return the spec that fires, if any."""
-        self._counters[site] = self._counters.get(site, 0) + 1
-        index = self._counters[site]
-        for spec in self._specs_for(site):
-            if spec.fires(index):
-                return spec
-        return None
 
     def _wrap(self, site: str, original: Callable) -> Callable:
         @functools.wraps(original)
         def wrapper(*args, **kwargs):
-            spec = self._fire(site)
+            spec = self.next(site)
             if spec is None:
                 return original(*args, **kwargs)
             if spec.kind == KIND_RAISE:
@@ -309,232 +470,3 @@ class FaultInjector:
 def inject(*specs: FaultSpec) -> FaultInjector:
     """Sugar: ``with inject(raise_on("classify")): ...``."""
     return FaultInjector(*specs)
-
-
-# ----------------------------------------------------------------------
-# Worker-process faults (sweep subprocess isolation)
-# ----------------------------------------------------------------------
-
-KIND_KILL = "kill"
-KIND_HANG = "hang"
-KIND_CORRUPT = "corrupt"
-
-_WORKER_KINDS = (KIND_KILL, KIND_HANG, KIND_CORRUPT)
-
-#: Environment variable read by ``repro.sweep.worker`` at startup.
-WORKER_FAULT_ENV = "REPRO_WORKER_FAULT"
-
-
-@dataclass
-class WorkerFaultSpec:
-    """One process-level fault, fired on the *N*-th worker spawn.
-
-    Attributes
-    ----------
-    kind:
-        ``kill`` (SIGKILL self before any work), ``hang`` (sleep
-        ``hang_seconds``, forcing the parent's timeout), or ``corrupt``
-        (write non-JSON garbage to the result channel and exit 0).
-    on_spawn:
-        1-based spawn index at which the fault starts firing.
-    count:
-        How many consecutive spawns fire (``None`` = every spawn from
-        ``on_spawn`` on).  Defaults to 1 so a retried cell succeeds.
-    hang_seconds:
-        Sleep length for ``hang`` faults; pick it above the sweep's
-        per-cell timeout.
-    """
-
-    kind: str
-    on_spawn: int = 1
-    count: Optional[int] = 1
-    hang_seconds: float = 3600.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in _WORKER_KINDS:
-            raise ValueError(
-                f"unknown worker fault kind {self.kind!r}; "
-                f"known: {list(_WORKER_KINDS)}"
-            )
-        if self.on_spawn < 1:
-            raise ValueError(f"on_spawn is 1-based, got {self.on_spawn}")
-        if self.count is not None and self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-
-    def fires(self, spawn_index: int) -> bool:
-        if spawn_index < self.on_spawn:
-            return False
-        if self.count is None:
-            return True
-        return spawn_index < self.on_spawn + self.count
-
-    def env_value(self) -> str:
-        if self.kind == KIND_HANG:
-            return f"{KIND_HANG}:{self.hang_seconds}"
-        return self.kind
-
-
-def kill_worker(n: int = 1, count: Optional[int] = 1) -> WorkerFaultSpec:
-    """Fault: the ``n``-th spawned worker SIGKILLs itself immediately."""
-    return WorkerFaultSpec(kind=KIND_KILL, on_spawn=n, count=count)
-
-
-def hang_worker(
-    n: int = 1, seconds: float = 3600.0, count: Optional[int] = 1
-) -> WorkerFaultSpec:
-    """Fault: the ``n``-th spawned worker stalls for ``seconds``."""
-    return WorkerFaultSpec(
-        kind=KIND_HANG, on_spawn=n, count=count, hang_seconds=seconds
-    )
-
-
-def corrupt_worker(n: int = 1, count: Optional[int] = 1) -> WorkerFaultSpec:
-    """Fault: the ``n``-th spawned worker emits garbage instead of JSON."""
-    return WorkerFaultSpec(kind=KIND_CORRUPT, on_spawn=n, count=count)
-
-
-class ServeFaultPlan:
-    """Deterministic faults for the optimization service's worker pool.
-
-    :class:`repro.serve.server.OptimizeServer` consults the plan once
-    per *executed job* (coalesced waiters share their leader's job, so
-    indices count distinct computations, in admission order):
-
-    * ``slow`` — the worker sleeps ``seconds`` before doing the real
-      work, modelling a stuck search so queue backpressure and
-      ``Retry-After`` shedding become testable without real load;
-    * ``crash`` — the worker raises :class:`~repro.util.ReproError`
-      before doing any work, driving the 500 error path for every
-      waiter of the job.
-
-    The environment spelling ``REPRO_SERVE_FAULT=slow:0.5:2`` (kind,
-    optional seconds, optional 1-based job index) lets subprocess tests
-    and CI arm one fault without touching code; :func:`parse_serve_fault`
-    builds the plan.
-    """
-
-    def __init__(self, *specs: "ServeFaultSpec") -> None:
-        if not specs:
-            raise ValueError("ServeFaultPlan needs at least one spec")
-        self.specs: Tuple[ServeFaultSpec, ...] = tuple(specs)
-        self._lock = threading.Lock()
-        self._jobs = 0
-
-    @property
-    def jobs(self) -> int:
-        """How many job executions have consulted the plan."""
-        return self._jobs
-
-    def spec_for_job(self) -> Optional["ServeFaultSpec"]:
-        """Record one job execution; return the spec firing on it."""
-        with self._lock:
-            self._jobs += 1
-            index = self._jobs
-        for spec in self.specs:
-            if spec.fires(index):
-                return spec
-        return None
-
-
-KIND_SLOW = "slow"
-KIND_CRASH = "crash"
-
-_SERVE_KINDS = (KIND_SLOW, KIND_CRASH)
-
-#: Environment variable read by ``repro.serve.server`` at startup.
-SERVE_FAULT_ENV = "REPRO_SERVE_FAULT"
-
-
-@dataclass
-class ServeFaultSpec:
-    """One serving-layer fault: *what kind*, *which job*, *how long*."""
-
-    kind: str
-    on_job: int = 1
-    count: Optional[int] = 1
-    seconds: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.kind not in _SERVE_KINDS:
-            raise ValueError(
-                f"unknown serve fault kind {self.kind!r}; "
-                f"known: {list(_SERVE_KINDS)}"
-            )
-        if self.on_job < 1:
-            raise ValueError(f"on_job is 1-based, got {self.on_job}")
-        if self.count is not None and self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.seconds < 0:
-            raise ValueError(f"seconds must be >= 0, got {self.seconds}")
-
-    def fires(self, job_index: int) -> bool:
-        if job_index < self.on_job:
-            return False
-        if self.count is None:
-            return True
-        return job_index < self.on_job + self.count
-
-
-def slow_job(
-    n: int = 1, seconds: float = 0.5, count: Optional[int] = 1
-) -> ServeFaultSpec:
-    """Fault: the ``n``-th served job stalls for ``seconds`` first."""
-    return ServeFaultSpec(
-        kind=KIND_SLOW, on_job=n, count=count, seconds=seconds
-    )
-
-
-def crash_job(n: int = 1, count: Optional[int] = 1) -> ServeFaultSpec:
-    """Fault: the ``n``-th served job raises before doing any work."""
-    return ServeFaultSpec(kind=KIND_CRASH, on_job=n, count=count)
-
-
-def parse_serve_fault(value: str) -> ServeFaultPlan:
-    """Build a plan from the ``REPRO_SERVE_FAULT`` spelling.
-
-    Format: ``kind[:seconds[:on_job]]`` — e.g. ``crash``, ``slow:2``,
-    ``slow:0.25:3``.  Raises :class:`ValueError` on malformed input so
-    a typo'd environment fails server startup loudly instead of
-    silently disarming the fault.
-    """
-    parts = value.split(":")
-    kind = parts[0]
-    seconds = float(parts[1]) if len(parts) > 1 and parts[1] else 0.5
-    on_job = int(parts[2]) if len(parts) > 2 else 1
-    if len(parts) > 3:
-        raise ValueError(f"malformed serve fault {value!r}")
-    return ServeFaultPlan(
-        ServeFaultSpec(kind=kind, on_job=on_job, seconds=seconds)
-    )
-
-
-class WorkerFaultPlan:
-    """Decides, per worker spawn, which fault environment to install.
-
-    The sweep runner calls :meth:`env_for_spawn` once per subprocess
-    launch (thread-safe — spawns from parallel ``--jobs`` workers share
-    one counter) and merges the returned mapping into the worker's
-    environment.  :attr:`spawns` exposes the counter so tests can assert
-    how many launches a retry policy actually performed.
-    """
-
-    def __init__(self, *specs: WorkerFaultSpec) -> None:
-        if not specs:
-            raise ValueError("WorkerFaultPlan needs at least one spec")
-        self.specs: Tuple[WorkerFaultSpec, ...] = tuple(specs)
-        self._lock = threading.Lock()
-        self._spawns = 0
-
-    @property
-    def spawns(self) -> int:
-        return self._spawns
-
-    def env_for_spawn(self) -> Dict[str, str]:
-        """Record a spawn; return the fault env for it (possibly empty)."""
-        with self._lock:
-            self._spawns += 1
-            index = self._spawns
-        for spec in self.specs:
-            if spec.fires(index):
-                return {WORKER_FAULT_ENV: spec.env_value()}
-        return {}

@@ -29,8 +29,9 @@ Architecture (one event loop, one bounded queue, one worker pool)::
 * **Operability** — ``/healthz``, ``/metrics``
   (``repro-serve-metrics-v1``), per-request ``serve.*`` trace events
   through the standard :class:`repro.obs.Tracer` protocol, and a
-  deterministic fault hook (:class:`repro.robust.ServeFaultPlan`,
-  ``REPRO_SERVE_FAULT``) for testing slow/crashed workers.
+  deterministic fault hook (a :class:`repro.robust.FaultPlan` of
+  ``slow``/``crash`` specs, or ``REPRO_SERVE_FAULT``) for testing
+  slow/crashed workers.
 
 The HTTP surface is deliberately minimal — ``Connection: close``, JSON
 bodies, three routes — because the protocol is an implementation detail
@@ -42,7 +43,6 @@ from __future__ import annotations
 import asyncio
 import json
 import math
-import os
 import signal
 import sys
 import time
@@ -63,9 +63,9 @@ from repro.robust.faults import (
     KIND_CRASH,
     KIND_SLOW,
     SERVE_FAULT_ENV,
-    ServeFaultPlan,
-    ServeFaultSpec,
-    parse_serve_fault,
+    SITE_JOB,
+    FaultPlan,
+    FaultSpec,
 )
 from repro.serve.coalesce import CoalesceTable, Job
 from repro.serve.http import (
@@ -124,8 +124,10 @@ class OptimizeServer:
     tracer:
         :class:`repro.obs.Tracer` receiving ``serve.*`` events.
     fault_plan:
-        :class:`repro.robust.ServeFaultPlan`; defaults to whatever
-        ``REPRO_SERVE_FAULT`` arms (or nothing).
+        :class:`repro.robust.FaultPlan` (or a bare ``slow``/``crash``
+        :class:`~repro.robust.FaultSpec`) consulted once per executed
+        job; defaults to whatever ``REPRO_SERVE_FAULT`` arms (or
+        nothing).
     retry_after_s:
         The backoff hint attached to shed responses.
     """
@@ -141,7 +143,7 @@ class OptimizeServer:
         batch_max: int = 8,
         cache_path: Optional[str] = None,
         tracer=None,
-        fault_plan: Optional[ServeFaultPlan] = None,
+        fault_plan: Optional[FaultPlan] = None,
         retry_after_s: float = 1.0,
     ) -> None:
         self.host = host
@@ -171,11 +173,10 @@ class OptimizeServer:
             else None
         )
         if fault_plan is None:
-            armed = os.environ.get(SERVE_FAULT_ENV)
-            fault_plan = parse_serve_fault(armed) if armed else None
-        elif isinstance(fault_plan, ServeFaultSpec):
-            # Accept a bare spec (the slow_job/crash_job helpers) too.
-            fault_plan = ServeFaultPlan(fault_plan)
+            fault_plan = FaultSpec.from_env(SERVE_FAULT_ENV)
+        if isinstance(fault_plan, FaultSpec):
+            # A bare spec (slow_job/crash_job, or the env's) is a plan of one.
+            fault_plan = FaultPlan(fault_plan)
         self.fault_plan = fault_plan
 
         self._table = CoalesceTable()
@@ -594,7 +595,7 @@ class OptimizeServer:
 
     def _execute(self, job: Job) -> Dict:
         if self.fault_plan is not None:
-            spec = self.fault_plan.spec_for_job()
+            spec = self.fault_plan.next(SITE_JOB)
             if spec is not None:
                 self.metrics.bump("faults_injected")
                 if spec.kind == KIND_SLOW:

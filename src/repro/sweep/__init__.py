@@ -36,7 +36,6 @@ from repro.sweep.journal import (
 from repro.sweep.plan import plan_cells
 from repro.sweep.runner import (
     CellOutcome,
-    EXIT_QUARANTINED,
     RetryPolicy,
     SweepReport,
     SweepRunner,
@@ -44,7 +43,6 @@ from repro.sweep.runner import (
 
 __all__ = [
     "CellOutcome",
-    "EXIT_QUARANTINED",
     "JOURNAL_FORMAT",
     "Journal",
     "JournalRecord",

@@ -39,6 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
+from repro.core.exitcodes import EXIT_QUARANTINED
 from repro.experiments.harness import mark_quarantined, seed_measure_cache
 from repro.obs.events import (
     EVENT_CELL_ATTEMPT,
@@ -48,7 +49,8 @@ from repro.obs.events import (
     EVENT_CELL_RETRY,
 )
 from repro.obs.tracer import NULL_TRACER
-from repro.robust import Diagnostics, WorkerFaultPlan
+from repro.robust import Diagnostics, FaultPlan
+from repro.robust.faults import SITE_SPAWN, WORKER_FAULT_ENV
 from repro.sweep.cell import SweepCell
 from repro.sweep.journal import (
     STATUS_OK,
@@ -56,11 +58,6 @@ from repro.sweep.journal import (
     Journal,
     JournalRecord,
 )
-
-# "Sweep completed but some cells are quarantined" — distinct from the
-# CLI's 3 (degraded) and 4 (hard failure).  Defined centrally with the
-# rest of the exit-code protocol; re-exported here for compatibility.
-from repro.core.exitcodes import EXIT_QUARANTINED  # noqa: E402,F401
 
 
 @dataclass(frozen=True)
@@ -159,7 +156,7 @@ class SweepRunner:
         jobs: int = 1,
         timeout_s: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
-        fault_plan: Optional[WorkerFaultPlan] = None,
+        fault_plan: Optional[FaultPlan] = None,
         progress: Optional[TextIO] = None,
         tracer=None,
         schedule_cache: Optional[str] = None,
@@ -391,7 +388,9 @@ class SweepRunner:
             src_dir if not existing else os.pathsep.join([src_dir, existing])
         )
         if self.fault_plan is not None:
-            env.update(self.fault_plan.env_for_spawn())
+            spec = self.fault_plan.next(SITE_SPAWN)
+            if spec is not None:
+                env[WORKER_FAULT_ENV] = spec.env()
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "repro.sweep.worker"],

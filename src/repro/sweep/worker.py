@@ -24,10 +24,11 @@ timeout, so slow searches stop at a checkpoint with a clean
 ``DeadlineExceeded`` instead of being SIGKILLed mid-write.
 
 Fault injection (test-only): the ``REPRO_WORKER_FAULT`` environment
-variable — set per spawn by :class:`repro.robust.faults.WorkerFaultPlan`
-— makes the worker die (``kill``), stall (``hang:<seconds>``), or emit
-garbage output (``corrupt``) so the runner's retry/quarantine paths can
-be exercised deterministically.
+variable — armed per spawn by the runner's :class:`repro.robust.FaultPlan`
+and read with :meth:`repro.robust.FaultSpec.from_env` — makes the worker
+die (``kill``), stall (``hang:<seconds>``), or emit garbage output
+(``corrupt``) so the runner's retry/quarantine paths can be exercised
+deterministically.
 """
 
 from __future__ import annotations
@@ -38,45 +39,46 @@ import signal
 import sys
 import time
 
+from repro.arch import platform_by_name
+from repro.bench import make_benchmark, size_for
+from repro.cache import ScheduleCache
+from repro.experiments.harness import modeled_optimize_seconds, schedules_for
+from repro.ir.serialize import schedule_to_dict
+from repro.robust.faults import (
+    KIND_HANG,
+    KIND_KILL,
+    WORKER_FAULT_ENV,
+    FaultSpec,
+)
+from repro.sweep.cell import KIND_OPTIMIZE_RUNTIME, SweepCell
+from repro.util import Deadline
+from repro.util.deadline import active_deadline
+
 
 def _apply_injected_fault() -> None:
     """Honor REPRO_WORKER_FAULT before doing any real work."""
-    fault = os.environ.get("REPRO_WORKER_FAULT", "")
-    if not fault:
+    try:
+        spec = FaultSpec.from_env(WORKER_FAULT_ENV)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    if spec is None:
         return
-    kind, _, arg = fault.partition(":")
-    if kind == "kill":
+    if spec.kind == KIND_KILL:
         os.kill(os.getpid(), signal.SIGKILL)
-    elif kind == "hang":
-        time.sleep(float(arg or "3600"))
-    elif kind == "corrupt":
+    elif spec.kind == KIND_HANG:
+        time.sleep(spec.seconds)
+    else:  # KIND_CORRUPT
         sys.stdout.write("\x00corrupt-worker-output-not-json\n")
         sys.stdout.flush()
         raise SystemExit(0)
-    else:
-        raise SystemExit(f"unknown REPRO_WORKER_FAULT kind {kind!r}")
 
 
 def run_cell(payload: dict) -> dict:
     """Measure one cell; returns the result envelope (never raises)."""
-    # Imports happen here, after the fault hook, so even an import-time
-    # crash in the measurement stack is contained to the worker.
-    from repro.arch import platform_by_name
-    from repro.bench import make_benchmark, size_for
-    from repro.experiments.harness import schedules_for
-    from repro.ir.serialize import schedule_to_dict
-    from repro.sweep.cell import KIND_OPTIMIZE_RUNTIME, SweepCell
-    from repro.util import Deadline
-    from repro.util.deadline import active_deadline
-
     cell = SweepCell.from_dict(payload["cell"])
     deadline_s = payload.get("deadline_s")
     cache_path = payload.get("schedule_cache")
-    schedule_cache = None
-    if cache_path:
-        from repro.cache import ScheduleCache
-
-        schedule_cache = ScheduleCache(cache_path)
+    schedule_cache = ScheduleCache(cache_path) if cache_path else None
     config = cell.config()
     started = time.perf_counter()
     schedules = None
@@ -89,10 +91,6 @@ def run_cell(payload: dict) -> dict:
         deadline = Deadline(deadline_s, label=f"sweep:{cell.key()}")
         with active_deadline(deadline):
             if cell.kind == KIND_OPTIMIZE_RUNTIME:
-                from repro.experiments.harness import (
-                    modeled_optimize_seconds,
-                )
-
                 value = modeled_optimize_seconds(case, arch)
             else:
                 schedules = schedules_for(

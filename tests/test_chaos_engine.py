@@ -23,6 +23,7 @@ from repro.chaos import (
     scenario_names,
 )
 from repro.chaos.plan import ACTION_KILL, _resolve_shard
+from repro.robust import FaultSpec, kill_worker, slow_job
 from repro.__main__ import main
 
 
@@ -96,6 +97,28 @@ class TestPlanDeterminism:
         # The worker fault is armed on the SAME shard the kill targets —
         # both resolved from the home of identity 0.
         assert set(plan.worker_env) == {kill.shard}
+
+    def test_worker_faults_are_specs_armed_on_their_shard(self):
+        armed = [s for s in SCENARIOS.values() if s.worker_fault is not None]
+        assert armed
+        for scenario in armed:
+            shard_spec, fault = scenario.worker_fault
+            assert isinstance(fault, FaultSpec)
+            plan = build_plan(scenario, 7)
+            shard = _resolve_shard(
+                shard_spec, plan.identities, scenario.workers, None
+            )
+            assert plan.worker_env == {
+                shard: {"REPRO_SERVE_FAULT": fault.env()}
+            }
+
+    @pytest.mark.parametrize(
+        "fault", [slow_job(n=2), slow_job(count=None), kill_worker()]
+    )
+    def test_unarmable_worker_fault_fails_at_build_plan(self, fault):
+        scenario = _scenario(worker_fault=("home:0", fault))
+        with pytest.raises(ValueError, match="worker fault"):
+            build_plan(scenario, 0)
 
     def test_home_spec_matches_the_ring(self):
         scenario = _scenario(

@@ -6,7 +6,8 @@ usage error, 3 = completed but degraded, 4 = hard failure.
 
 import pytest
 
-from repro.__main__ import EXIT_FALLBACK, EXIT_HARD, EXIT_OK, main
+from repro.__main__ import main
+from repro.core.exitcodes import EXIT_FALLBACK, EXIT_HARD, EXIT_OK
 from repro.robust import inject, raise_on
 
 

@@ -12,11 +12,17 @@ costs_mod = importlib.import_module("repro.core.costs")
 emu_mod = importlib.import_module("repro.core.emu")
 from repro.robust.faults import (
     FaultInjector,
+    FaultPlan,
     FaultSpec,
+    corrupt_worker,
+    crash_job,
     exhaust_deadline,
+    hang_worker,
     inject,
+    kill_worker,
     poison,
     raise_on,
+    slow_job,
 )
 from repro.util import (
     ClassificationError,
@@ -39,18 +45,92 @@ class TestFaultSpec:
 
     def test_rejects_zero_on_call(self):
         with pytest.raises(ValueError, match="1-based"):
-            FaultSpec(site="classify", on_call=0)
+            FaultSpec(site="classify", n=0)
 
     def test_fires_window(self):
-        spec = FaultSpec(site="classify", on_call=2, count=2)
+        spec = FaultSpec(site="classify", n=2, count=2)
         assert [spec.fires(n) for n in (1, 2, 3, 4)] == [
             False, True, True, False,
         ]
 
     def test_fires_forever_without_count(self):
-        spec = FaultSpec(site="classify", on_call=3)
+        spec = FaultSpec(site="classify", n=3)
         assert not spec.fires(2)
         assert spec.fires(3) and spec.fires(100)
+
+
+    @pytest.mark.parametrize(
+        "kind, site",
+        [(kind, "classify") for kind in ("raise", "deadline", "poison")]
+        + [(kind, None) for kind in ("kill", "hang", "corrupt", "slow")]
+        + [("crash", None)],
+    )
+    def test_rejects_negative_seconds_for_every_kind(self, kind, site):
+        with pytest.raises(ValueError, match="seconds"):
+            FaultSpec(kind, site=site, seconds=-1)
+
+    def test_process_kinds_fill_in_their_site(self):
+        assert kill_worker().site == "spawn"
+        assert crash_job().site == "job"
+        with pytest.raises(ValueError, match="unknown fault site"):
+            FaultSpec("slow", site="spawn")
+
+
+PROCESS_FAULTS = [
+    kill_worker(),
+    hang_worker(seconds=2.5),
+    corrupt_worker(),
+    slow_job(seconds=0.25),
+    crash_job(),
+]
+
+
+class TestEnvGrammar:
+    @pytest.mark.parametrize(
+        "spec", PROCESS_FAULTS, ids=[s.kind for s in PROCESS_FAULTS]
+    )
+    def test_parse_rebuilds_env(self, spec):
+        parsed = FaultSpec.parse(spec.env())
+        assert (parsed.kind, parsed.seconds) == (spec.kind, spec.seconds)
+        assert parsed.site == spec.site
+
+    @pytest.mark.parametrize(
+        "text", ["slow:0.5:2:", "slow:abc", "crash:1:0", "explode", ""]
+    )
+    def test_malformed_spellings_raise(self, text):
+        with pytest.raises(ValueError):
+            FaultSpec.parse(text)
+
+    def test_existing_spellings(self):
+        assert FaultSpec.parse("hang:2.5") == hang_worker(seconds=2.5)
+        assert FaultSpec.parse("slow:0.5:2") == slow_job(n=2, seconds=0.5)
+        assert FaultSpec.parse("crash") == crash_job()
+        assert FaultSpec.parse("hang").seconds == 3600.0
+
+    def test_from_env_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SERVE_FAULT", "slow:what")
+        with pytest.raises(ValueError, match="REPRO_SERVE_FAULT='slow:what'"):
+            FaultSpec.from_env("REPRO_SERVE_FAULT")
+
+    def test_from_env_rejects_the_other_family(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKER_FAULT", "crash")
+        with pytest.raises(ValueError, match="REPRO_WORKER_FAULT"):
+            FaultSpec.from_env("REPRO_WORKER_FAULT")
+        monkeypatch.delenv("REPRO_WORKER_FAULT")
+        assert FaultSpec.from_env("REPRO_WORKER_FAULT") is None
+
+
+class TestFaultPlan:
+    def test_counts_each_site_separately(self):
+        plan = FaultPlan(kill_worker(2), crash_job(1))
+        assert plan.next("job").kind == "crash"
+        assert plan.next("spawn") is None
+        assert plan.next("spawn").kind == "kill"
+        assert (plan.calls("spawn"), plan.calls("job")) == (2, 1)
+
+    def test_injector_rejects_process_faults(self):
+        with pytest.raises(ValueError, match="process fault"):
+            FaultInjector(kill_worker())
 
 
 class TestInjection:

@@ -109,6 +109,7 @@ class TestSubmitErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--port", str(free_port())])
         assert "invalid options" in str(excinfo.value)
+        assert "REPRO_SERVE_FAULT='explode:what'" in str(excinfo.value)
 
 
 @pytest.mark.slow

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.obs import CollectingTracer
-from repro.robust import crash_job, parse_serve_fault, slow_job
+from repro.robust import FaultPlan, FaultSpec, crash_job, slow_job
 from repro.serve import (
     ServeClient,
     ServerThread,
@@ -271,7 +271,7 @@ class TestFaultsAndDeadlines:
         assert counters["responses_ok"] == 1
 
     def test_env_string_arms_the_same_plan(self, tmp_path):
-        plan = parse_serve_fault("slow:0.01:2")
+        plan = FaultPlan(FaultSpec.parse("slow:0.01:2"))
         with make_server(tmp_path, fault_plan=plan) as srv:
             client = ServeClient(port=srv.port)
             client.optimize("copy", "i7-5930k", fast=True)

@@ -15,8 +15,8 @@ import pytest
 
 from repro.experiments import ExperimentConfig, clear_measure_cache, measure_case
 from repro.robust import (
-    WorkerFaultPlan,
-    WorkerFaultSpec,
+    FaultPlan,
+    FaultSpec,
     corrupt_worker,
     hang_worker,
     kill_worker,
@@ -75,20 +75,24 @@ class TestRetryPolicy:
 class TestWorkerFaults:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            WorkerFaultSpec(kind="explode")
+            FaultSpec(kind="explode")
         with pytest.raises(ValueError):
-            WorkerFaultSpec(kind="kill", on_spawn=0)
+            FaultSpec(kind="kill", n=0)
 
     def test_plan_counts_spawns_and_fires_once(self):
-        plan = WorkerFaultPlan(kill_worker(2))
-        assert plan.env_for_spawn() == {}
-        assert plan.env_for_spawn() == {"REPRO_WORKER_FAULT": "kill"}
-        assert plan.env_for_spawn() == {}
-        assert plan.spawns == 3
+        plan = FaultPlan(kill_worker(2))
+        assert plan.next("spawn") is None
+        assert plan.next("spawn").env() == "kill"
+        assert plan.next("spawn") is None
+        assert plan.calls("spawn") == 3
 
     def test_hang_env_encodes_seconds(self):
-        plan = WorkerFaultPlan(hang_worker(1, seconds=2.5))
-        assert plan.env_for_spawn() == {"REPRO_WORKER_FAULT": "hang:2.5"}
+        plan = FaultPlan(hang_worker(1, seconds=2.5))
+        assert plan.next("spawn").env() == "hang:2.5"
+
+    def test_negative_hang_seconds_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="seconds"):
+            hang_worker(seconds=-1)
 
 
 class TestRunner:
@@ -135,17 +139,17 @@ class TestRunner:
         assert len(journal.load()) == 2
 
     def test_kill_then_retry_succeeds(self, journal):
-        plan = WorkerFaultPlan(kill_worker(1))
+        plan = FaultPlan(kill_worker(1))
         report = SweepRunner(
             journal, timeout_s=120, retry=FAST_RETRY, fault_plan=plan
         ).run([CHEAP])
         assert report.completed == 1
         assert report.retried == 1
-        assert plan.spawns == 2
+        assert plan.calls("spawn") == 2
         assert journal.load()[CHEAP.key()].attempts == 2
 
     def test_persistent_corruption_quarantines(self, journal):
-        plan = WorkerFaultPlan(corrupt_worker(1, count=None))
+        plan = FaultPlan(corrupt_worker(1, count=None))
         report = SweepRunner(
             journal, timeout_s=120, retry=FAST_RETRY, fault_plan=plan
         ).run([CHEAP])
@@ -156,7 +160,7 @@ class TestRunner:
         assert "corrupt" in record.error
 
     def test_hung_worker_killed_by_timeout(self, journal):
-        plan = WorkerFaultPlan(hang_worker(1, seconds=60))
+        plan = FaultPlan(hang_worker(1, seconds=60))
         report = SweepRunner(
             journal, timeout_s=5, retry=FAST_RETRY, fault_plan=plan
         ).run([CHEAP])
@@ -165,8 +169,8 @@ class TestRunner:
 
     def test_quarantine_does_not_abort_sweep(self, journal):
         # First cell always corrupt, second clean: the sweep continues.
-        plan = WorkerFaultPlan(
-            WorkerFaultSpec(kind="corrupt", on_spawn=1, count=2)
+        plan = FaultPlan(
+            FaultSpec(kind="corrupt", n=1, count=2)
         )
         report = SweepRunner(
             journal, timeout_s=120, retry=FAST_RETRY, fault_plan=plan
@@ -175,7 +179,7 @@ class TestRunner:
         assert report.completed == 1
 
     def test_quarantine_is_a_persistent_poison_list(self, journal):
-        plan = WorkerFaultPlan(corrupt_worker(1, count=None))
+        plan = FaultPlan(corrupt_worker(1, count=None))
         SweepRunner(
             journal, timeout_s=120, retry=FAST_RETRY, fault_plan=plan
         ).run([CHEAP])
@@ -276,6 +280,14 @@ class TestWorkerProtocol:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout.strip())
         assert payload["ok"] and payload["ms"] > 0
+
+    def test_worker_bad_fault_env_names_the_variable(self):
+        proc = self._run_worker(
+            "{}", env_extra={"REPRO_WORKER_FAULT": "hang:soon"}
+        )
+        assert proc.returncode != 0
+        assert "REPRO_WORKER_FAULT='hang:soon'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_worker_bad_stdin_is_structured(self):
         proc = self._run_worker("this is not json")
