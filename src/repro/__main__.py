@@ -65,7 +65,7 @@ import sys
 
 from repro.arch import PLATFORMS, platform_by_name
 from repro.baselines import Autotuner, autoschedule, baseline_schedule
-from repro.bench import EXTRAS, SUITE, make_benchmark, make_extra, size_for
+from repro.bench import benchmark_names, make_benchmark, size_for
 from repro.ir import lower, print_nest
 from repro.ir.codegen_c import codegen
 from repro.obs import (
@@ -153,13 +153,12 @@ def _param_arg(value: str):
 
 
 def _make_case(name: str, fast: bool):
-    if name in SUITE:
+    try:
         return make_benchmark(name, **size_for(name, small=fast))
-    if name in EXTRAS:
-        return make_extra(name)
-    raise SystemExit(
-        f"unknown benchmark {name!r}; see `python -m repro list`"
-    )
+    except KeyError:
+        raise SystemExit(
+            f"unknown benchmark {name!r}; see `python -m repro list`"
+        ) from None
 
 
 def _resolve_case(args):
@@ -180,23 +179,16 @@ def _resolve_case(args):
             "--spec needs --dims (loop extents, e.g. "
             "--dims i=512,j=512,k=512)"
         )
-    from repro.bench.suite import BenchmarkCase
-    from repro.frontend import lower_spec
+    from repro.frontend.corpus import spec_case
     from repro.util import ValidationError
 
     params = dict(p for group in (args.params or []) for p in group)
     try:
-        lowered = lower_spec(
+        return spec_case(
             args.spec, args.dims, dtypes=args.dtypes, params=params or None
         )
     except ValidationError as exc:
         raise SystemExit(f"invalid --spec: {exc}") from None
-    return BenchmarkCase(
-        name=lowered.name,
-        description="kernel spec",
-        pipeline=lowered.pipeline,
-        problem_size="x".join(str(v) for v in args.dims.values()),
-    )
 
 
 def _resolve_platform(name: str):
@@ -234,8 +226,8 @@ def _policy(args, *, allow_nti: bool = True) -> FallbackPolicy:
 
 
 def cmd_list(_args) -> int:
-    print("Table 4 benchmarks:", ", ".join(sorted(SUITE)))
-    print("extra kernels:     ", ", ".join(sorted(EXTRAS)))
+    print("Table 4 benchmarks:", ", ".join(sorted(benchmark_names())))
+    print("extra kernels:     ", ", ".join(sorted(benchmark_names("extra"))))
     print("platforms:         ", ", ".join(sorted(PLATFORMS)))
     return EXIT_OK
 

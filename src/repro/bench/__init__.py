@@ -1,9 +1,8 @@
-"""The paper's benchmark suite (Table 4) expressed in the mini-DSL.
+"""The paper's benchmark suite (Table 4) plus six extras, as spec rows.
 
-:mod:`repro.bench.suite` defines all twelve benchmarks with factory
-functions so every use gets fresh ``Func`` objects;
-:mod:`repro.bench.workloads` records the paper's problem sizes and the
-scaled-down sizes used by fast tests.
+:mod:`repro.bench.suite` holds one spec row per benchmark with its paper
+and small sizes; :func:`make_benchmark` lowers a row into a fresh
+:class:`BenchmarkCase` and :func:`size_for` gives its size keywords.
 
 :mod:`repro.bench.perf` (CLI: ``python -m repro.bench``) times the
 *search machinery itself* over this suite and gates CI against the
@@ -12,61 +11,17 @@ committed ``BENCH_search.json`` baseline; see docs/API.md
 """
 
 from repro.bench.suite import (
+    BENCHMARKS,
     BenchmarkCase,
-    SUITE,
-    make_benchmark,
     benchmark_names,
-    make_matmul,
-    make_gemm,
-    make_trmm,
-    make_syrk,
-    make_syr2k,
-    make_3mm,
-    make_doitgen,
-    make_convlayer,
-    make_transpose,
-    make_transpose_mask,
-    make_copy,
-    make_mask,
-)
-from repro.bench.workloads import PAPER_SIZES, SMALL_SIZES, size_for
-from repro.bench.polybench import (
-    EXTRAS,
-    make_extra,
-    make_2mm,
-    make_atax,
-    make_bicg,
-    make_mvt,
-    make_jacobi2d,
-    make_seidel_like,
+    make_benchmark,
+    size_for,
 )
 
 __all__ = [
+    "BENCHMARKS",
     "BenchmarkCase",
-    "SUITE",
-    "make_benchmark",
     "benchmark_names",
-    "make_matmul",
-    "make_gemm",
-    "make_trmm",
-    "make_syrk",
-    "make_syr2k",
-    "make_3mm",
-    "make_doitgen",
-    "make_convlayer",
-    "make_transpose",
-    "make_transpose_mask",
-    "make_copy",
-    "make_mask",
-    "PAPER_SIZES",
-    "SMALL_SIZES",
+    "make_benchmark",
     "size_for",
-    "EXTRAS",
-    "make_extra",
-    "make_2mm",
-    "make_atax",
-    "make_bicg",
-    "make_mvt",
-    "make_jacobi2d",
-    "make_seidel_like",
 ]

@@ -41,8 +41,7 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.arch import ArchSpec, intel_i7_5930k
-from repro.bench.suite import SUITE, make_benchmark
-from repro.bench.workloads import size_for
+from repro.bench.suite import benchmark_names, make_benchmark, size_for
 from repro.cache import ScheduleCache, optimize_options
 from repro.core.classify import classify
 from repro.core.emu import (
@@ -72,7 +71,7 @@ def _now_ms() -> float:
 
 
 def _suite_cases(fast: bool) -> List[Tuple[str, object]]:
-    names = _FAST_NAMES if fast else tuple(SUITE)
+    names = _FAST_NAMES if fast else benchmark_names()
     return [
         (name, make_benchmark(name, **size_for(name, small=fast)))
         for name in names

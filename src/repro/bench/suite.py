@@ -1,9 +1,13 @@
-"""The twelve benchmarks of the paper's Table 4, as DSL pipelines.
+"""The paper's Table 4 benchmarks and six extra PolyBench kernels as spec rows.
 
-Each ``make_*`` factory returns a fresh :class:`BenchmarkCase` (Funcs are
-mutable, so sharing instances across experiments would leak schedules).
-Index conventions follow the paper's C listings: the **last** index of
-every access is the contiguous dimension.
+Every benchmark is one :class:`~repro.frontend.corpus.CorpusKernel` row:
+a spec in the frontend's notation, lowered by
+:func:`repro.frontend.lower_spec`, so every use gets fresh ``Func``
+objects.  Each row keeps its paper (``dims``) and small (``fast_dims``)
+extents and maps its size keywords (``n``; ``width``, ``height``,
+``channels``, ``filters``, ``batch`` and ``ksize`` for convlayer) to
+loop variables.  Index conventions follow the paper's C listings: the
+**last** index of every access is the contiguous dimension.
 
 Expected classifier outcomes (asserted by the test suite):
 
@@ -18,6 +22,10 @@ trmm           temporal    no
 syrk/syr2k     temporal    no
 tpm, tp        spatial     yes
 copy, mask     none        yes
+2mm, atax,     temporal    no   (the extras)
+bicg, mvt
+jacobi2d,      none        -    (stencils)
+seidel
 =============  ==========  ====
 
 Deviations from PolyBench documented here:
@@ -28,307 +36,232 @@ Deviations from PolyBench documented here:
 * **doitgen**'s copy-back stage writes to a separate output array instead
   of in-place over ``A`` (no aliasing analysis in the simulator); traffic
   is identical.
+* **seidel** is expressed Jacobi-style (reads the input plane, writes a
+  fresh plane): in-place wavefront dependences are not expressible in a
+  Halide-like pure DSL.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.ir.func import Buffer, Func, Pipeline, Var, RVar, float32, int32
+from repro.frontend.corpus import BenchmarkCase, CorpusKernel, spec_case
 
-
-@dataclass
-class BenchmarkCase:
-    """One runnable benchmark: a pipeline plus metadata."""
-
-    name: str
-    description: str
-    pipeline: Pipeline
-    problem_size: str
-
-    @property
-    def funcs(self) -> List[Func]:
-        return list(self.pipeline)
-
-    @property
-    def output(self) -> Func:
-        return self.pipeline.output
-
-    def __repr__(self) -> str:
-        return f"BenchmarkCase({self.name}, {self.problem_size})"
+__all__ = [
+    "BENCHMARKS",
+    "BenchmarkCase",
+    "benchmark_names",
+    "make_benchmark",
+    "size_for",
+]
 
 
-# ---------------------------------------------------------------------------
-# Linear-algebra kernels (temporal reuse)
-# ---------------------------------------------------------------------------
-
-
-def _matmul_func(
-    name: str, a: Buffer, b: Buffer, n: int, suffix: str = ""
-) -> Func:
-    i = Var(f"i{suffix}")
-    j = Var(f"j{suffix}")
-    k = RVar(f"k{suffix}", n)
-    c = Func(name)
-    c[i, j] = 0.0
-    c[i, j] = c[i, j] + a[i, k] * b[k, j]
-    c.set_bounds({i: n, j: n})
-    return c
-
-
-def make_matmul(n: int = 2048) -> BenchmarkCase:
-    """Matrix multiplication ``C = A @ B`` (Table 4: 2048x2048)."""
-    a = Buffer("A", (n, n), float32)
-    b = Buffer("B", (n, n), float32)
-    c = _matmul_func("C", a, b, n)
-    return BenchmarkCase(
-        name="matmul",
-        description="Matrix Multiplication",
-        pipeline=Pipeline([c]),
-        problem_size=f"{n}x{n}",
+def _row(
+    name: str,
+    family: str,
+    description: str,
+    spec: str,
+    sizes: Dict[str, Tuple[str, ...]],
+    paper: Dict[str, int],
+    small: Dict[str, int],
+    *,
+    label: str = "{n}x{n}",
+    dtypes: Optional[Dict[str, str]] = None,
+    params: Optional[Dict[str, float]] = None,
+) -> CorpusKernel:
+    return CorpusKernel(
+        name=name,
+        family=family,
+        description=description,
+        spec=spec,
+        dims=_extents(sizes, paper),
+        fast_dims=_extents(sizes, small),
+        dtypes=dtypes,
+        params=params,
+        sizes=sizes,
+        label=label,
     )
 
 
-def make_gemm(n: int = 2048, alpha: float = 1.5, beta: float = 1.2) -> BenchmarkCase:
-    """Generalized matrix-matrix multiply ``C = alpha*A@B + beta*C``."""
-    a = Buffer("A", (n, n), float32)
-    b = Buffer("B", (n, n), float32)
-    c_in = Buffer("Cin", (n, n), float32)
-    i, j = Var("i"), Var("j")
-    k = RVar("k", n)
-    c = Func("C")
-    c[i, j] = beta * c_in[i, j]
-    c[i, j] = c[i, j] + alpha * a[i, k] * b[k, j]
-    c.set_bounds({i: n, j: n})
-    return BenchmarkCase(
-        name="gemm",
-        description="Generalized Matrix Matrix Multiplication",
-        pipeline=Pipeline([c]),
-        problem_size=f"{n}x{n}",
+def _extents(
+    sizes: Mapping[str, Tuple[str, ...]], values: Mapping[str, int]
+) -> Dict[str, int]:
+    return {var: values[kw] for kw, names in sizes.items() for var in names}
+
+
+def _n(*names: str) -> Dict[str, Tuple[str, ...]]:
+    return {"n": names}
+
+
+_ALPHA = {"alpha": 1.5}
+
+#: Every benchmark: Table 4 in the paper's order, then the extras.
+BENCHMARKS: Tuple[CorpusKernel, ...] = (
+    _row(
+        "convlayer", "table4",
+        "{ksize}x{ksize}x{channels}x{filters} Convolution Layer",
+        "Conv[n,f,y,x] += In[n,c,y+ky,x+kx] * W[f,c,ky,kx]",
+        {"width": ("x",), "height": ("y",), "channels": ("c",),
+         "filters": ("f",), "batch": ("n",), "ksize": ("ky", "kx")},
+        {"width": 256, "height": 256, "channels": 64, "filters": 64,
+         "batch": 16, "ksize": 3},
+        {"width": 32, "height": 32, "channels": 8, "filters": 8,
+         "batch": 2, "ksize": 3},
+        label="{width}x{height}x{channels}x{batch}",
+    ),
+    _row(
+        "doitgen", "table4", "Multiresolution Analysis Kernel",
+        "Sum[r,q,p] += A[r,q,s] * C4[s,p]; Aout[r,q,p] = Sum[r,q,p]",
+        _n("r", "q", "p", "s"), {"n": 256}, {"n": 32},
+        label="{n}x{n}x{n}",
+    ),
+    _row(
+        "matmul", "table4", "Matrix Multiplication",
+        "C[i,j] += A[i,k] * B[k,j]",
+        _n("i", "j", "k"), {"n": 2048}, {"n": 256},
+    ),
+    _row(
+        "3mm", "table4",
+        "Linear Algebra Kernel - three matrix multiplications",
+        "E[i1,j1] += A[i1,k1] * B[k1,j1];"
+        " F[i2,j2] += Cm[i2,k2] * D[k2,j2];"
+        " G[i3,j3] += E[i3,k3] * F[k3,j3]",
+        _n("i1", "j1", "k1", "i2", "j2", "k2", "i3", "j3", "k3"),
+        {"n": 2048}, {"n": 128},
+    ),
+    _row(
+        "gemm", "table4", "Generalized Matrix Matrix Multiplication",
+        "C[i,j] = beta * Cin[i,j]; C[i,j] += alpha * A[i,k] * B[k,j]",
+        _n("i", "j", "k"), {"n": 2048}, {"n": 256},
+        params={"alpha": 1.5, "beta": 1.2},
+    ),
+    _row(
+        "trmm", "table4", "In-place Triangular Matrix Matrix Multiplication",
+        "B[i,j] = Bin[i,j]; B[i,j] += A[i,k] * Bin[k,j]",
+        _n("i", "j", "k"), {"n": 2048}, {"n": 256},
+    ),
+    _row(
+        "syrk", "table4", "Symmetric rank k update",
+        "C[i,j] = Cin[i,j]; C[i,j] += alpha * A[i,k] * A[j,k]",
+        _n("i", "j", "k"), {"n": 2048}, {"n": 256},
+        params=_ALPHA,
+    ),
+    _row(
+        "syr2k", "table4", "Symmetric rank 2k update",
+        "C[i,j] = Cin[i,j];"
+        " C[i,j] = C[i,j] + alpha * A[i,k] * B[j,k]"
+        " + alpha * B[i,k] * A[j,k]",
+        _n("i", "j", "k"), {"n": 2048}, {"n": 256},
+        params=_ALPHA,
+    ),
+    _row(
+        "tpm", "table4", "Matrix Transposition and Masking",
+        "Tpm[y,x] = A[x,y] & B[y,x]",
+        _n("x", "y"), {"n": 4096}, {"n": 512},
+        dtypes={"Tpm": "int32", "A": "int32", "B": "int32"},
+    ),
+    _row(
+        "tp", "table4", "Matrix Transposition",
+        "Tp[y,x] = A[x,y]",
+        _n("x", "y"), {"n": 4096}, {"n": 512},
+        dtypes={"Tp": "int32", "A": "int32"},
+    ),
+    _row(
+        "copy", "table4", "Array Copy",
+        "Copy[y,x] = A[y,x]",
+        _n("x", "y"), {"n": 4096}, {"n": 512},
+        dtypes={"Copy": "int32", "A": "int32"},
+    ),
+    _row(
+        "mask", "table4", "Array Mask",
+        "Mask[y,x] = A[y,x] & B[y,x]",
+        _n("x", "y"), {"n": 4096}, {"n": 512},
+        dtypes={"Mask": "int32", "A": "int32", "B": "int32"},
+    ),
+    _row(
+        "2mm", "extra", "Two chained matrix multiplications",
+        "Tmp[i1,j1] += alpha * A[i1,k1] * B[k1,j1];"
+        " D[i2,j2] += Tmp[i2,k2] * Cm[k2,j2]",
+        _n("i1", "j1", "k1", "i2", "j2", "k2"), {"n": 1024}, {"n": 128},
+        params=_ALPHA,
+    ),
+    _row(
+        "atax", "extra", "Matrix transpose and vector multiplication",
+        "TmpV[i] += A[i,j] * x[j]; y[i2] += A[j2,i2] * TmpV[j2]",
+        _n("i", "j", "i2", "j2"), {"n": 2048}, {"n": 256},
+    ),
+    _row(
+        "bicg", "extra", "BiCG sub-kernel of BiCGStab",
+        "s[i] += A[k,i] * r[k]; q[i2] += A[i2,k2] * p[k2]",
+        _n("i", "k", "i2", "k2"), {"n": 2048}, {"n": 256},
+    ),
+    _row(
+        "mvt", "extra", "Matrix-vector product and transpose",
+        "x1[i] = x1in[i]; x1[i] += A[i,j] * y1[j];"
+        " x2[i2] = x2in[i2]; x2[i2] += A[j2,i2] * y2[j2]",
+        _n("i", "j", "i2", "j2"), {"n": 2048}, {"n": 256},
+    ),
+    _row(
+        "jacobi2d", "extra", "Jacobi 2-D five-point stencil sweep",
+        "Jac[y,x] = 0.2 * (Ain[y,x] + Ain[y,x-1] + Ain[y,x+1]"
+        " + Ain[y-1,x] + Ain[y+1,x])",
+        _n("x", "y"), {"n": 2048}, {"n": 256},
+    ),
+    _row(
+        "seidel", "extra", "Nine-point neighborhood average",
+        "Seidel[y,x] = (Ain[y-1,x-1] + Ain[y-1,x] + Ain[y-1,x+1]"
+        " + Ain[y,x-1] + Ain[y,x] + Ain[y,x+1]"
+        " + Ain[y+1,x-1] + Ain[y+1,x] + Ain[y+1,x+1]) / 9.0",
+        _n("x", "y"), {"n": 2048}, {"n": 256},
+    ),
+)
+
+_BY_NAME: Dict[str, CorpusKernel] = {k.name: k for k in BENCHMARKS}
+
+
+def benchmark_names(family: str = "table4") -> List[str]:
+    """The Table 4 benchmark names in the paper's order, or those of
+    the ``"extra"`` kernels."""
+    return [k.name for k in BENCHMARKS if k.family == family]
+
+
+def _kernel(name: str) -> CorpusKernel:
+    try:
+        return _BY_NAME[name]
+    except KeyError:
+        known = sorted(benchmark_names()) + sorted(benchmark_names("extra"))
+        raise KeyError(f"unknown benchmark {name!r}; known: {known}") from None
+
+
+def size_for(name: str, *, small: bool = False) -> Dict[str, int]:
+    """A benchmark's size keywords at its paper (default) or small size."""
+    kernel = _kernel(name)
+    dims = kernel.fast_dims if small else kernel.dims
+    return {kw: dims[names[0]] for kw, names in kernel.sizes.items()}
+
+
+def make_benchmark(name: str, **sizes: int) -> BenchmarkCase:
+    """Instantiate a benchmark by name, at its paper size unless
+    overridden (``make_benchmark("matmul", n=256)``)."""
+    kernel = _kernel(name)
+    unknown = sorted(set(sizes) - set(kernel.sizes))
+    if unknown:
+        raise TypeError(
+            f"benchmark {name!r} has no size {unknown[0]!r}; "
+            f"its sizes: {list(kernel.sizes)}"
+        )
+    values = {**size_for(name), **sizes}
+    case = spec_case(
+        kernel.spec,
+        _extents(kernel.sizes, values),
+        dtypes=kernel.dtypes,
+        params=kernel.params,
+        name=name,
+        description=kernel.description.format(**values),
+        problem_size=kernel.label.format(**values),
     )
-
-
-def make_trmm(n: int = 2048) -> BenchmarkCase:
-    """Triangular matrix multiply, rectangularized (see module docstring)."""
-    a = Buffer("A", (n, n), float32)
-    b_in = Buffer("Bin", (n, n), float32)
-    i, j = Var("i"), Var("j")
-    k = RVar("k", n)
-    b = Func("B")
-    b[i, j] = b_in[i, j]
-    b[i, j] = b[i, j] + a[i, k] * b_in[k, j]
-    b.set_bounds({i: n, j: n})
-    return BenchmarkCase(
-        name="trmm",
-        description="In-place Triangular Matrix Matrix Multiplication",
-        pipeline=Pipeline([b]),
-        problem_size=f"{n}x{n}",
-    )
-
-
-def make_syrk(n: int = 2048, alpha: float = 1.5) -> BenchmarkCase:
-    """Symmetric rank-k update ``C = alpha*A@A^T + C``."""
-    a = Buffer("A", (n, n), float32)
-    c_in = Buffer("Cin", (n, n), float32)
-    i, j = Var("i"), Var("j")
-    k = RVar("k", n)
-    c = Func("C")
-    c[i, j] = c_in[i, j]
-    c[i, j] = c[i, j] + alpha * a[i, k] * a[j, k]
-    c.set_bounds({i: n, j: n})
-    return BenchmarkCase(
-        name="syrk",
-        description="Symmetric rank k update",
-        pipeline=Pipeline([c]),
-        problem_size=f"{n}x{n}",
-    )
-
-
-def make_syr2k(n: int = 2048, alpha: float = 1.5) -> BenchmarkCase:
-    """Symmetric rank-2k update ``C = alpha*(A@B^T + B@A^T) + C``."""
-    a = Buffer("A", (n, n), float32)
-    b = Buffer("B", (n, n), float32)
-    c_in = Buffer("Cin", (n, n), float32)
-    i, j = Var("i"), Var("j")
-    k = RVar("k", n)
-    c = Func("C")
-    c[i, j] = c_in[i, j]
-    c[i, j] = c[i, j] + alpha * a[i, k] * b[j, k] + alpha * b[i, k] * a[j, k]
-    c.set_bounds({i: n, j: n})
-    return BenchmarkCase(
-        name="syr2k",
-        description="Symmetric rank 2k update",
-        pipeline=Pipeline([c]),
-        problem_size=f"{n}x{n}",
-    )
-
-
-def make_3mm(n: int = 2048) -> BenchmarkCase:
-    """Three chained matrix multiplications ``G = (A@B) @ (C@D)``."""
-    a = Buffer("A", (n, n), float32)
-    b = Buffer("B", (n, n), float32)
-    c = Buffer("Cm", (n, n), float32)
-    d = Buffer("D", (n, n), float32)
-    e = _matmul_func("E", a, b, n, suffix="1")
-    f = _matmul_func("F", c, d, n, suffix="2")
-    i, j = Var("i3"), Var("j3")
-    k = RVar("k3", n)
-    g = Func("G")
-    g[i, j] = 0.0
-    g[i, j] = g[i, j] + e[i, k] * f[k, j]
-    g.set_bounds({i: n, j: n})
-    return BenchmarkCase(
-        name="3mm",
-        description="Linear Algebra Kernel - three matrix multiplications",
-        pipeline=Pipeline([e, f, g], name="3mm"),
-        problem_size=f"{n}x{n}",
-    )
-
-
-def make_doitgen(n: int = 256) -> BenchmarkCase:
-    """PolyBench doitgen: multiresolution analysis kernel (256^3)."""
-    a = Buffer("A", (n, n, n), float32)
-    c4 = Buffer("C4", (n, n), float32)
-    r, q, p = Var("r"), Var("q"), Var("p")
-    s = RVar("s", n)
-    acc = Func("Sum")
-    acc[r, q, p] = 0.0
-    acc[r, q, p] = acc[r, q, p] + a[r, q, s] * c4[s, p]
-    acc.set_bounds({r: n, q: n, p: n})
-    out = Func("Aout")
-    out[r, q, p] = acc[r, q, p]
-    out.set_bounds({r: n, q: n, p: n})
-    return BenchmarkCase(
-        name="doitgen",
-        description="Multiresolution Analysis Kernel",
-        pipeline=Pipeline([acc, out], name="doitgen"),
-        problem_size=f"{n}x{n}x{n}",
-    )
-
-
-def make_convlayer(
-    width: int = 256,
-    height: int = 256,
-    channels: int = 64,
-    filters: int = 64,
-    batch: int = 16,
-    ksize: int = 3,
-) -> BenchmarkCase:
-    """A convolution layer (3x3x64x64 kernel over 256x256x64x16 input)."""
-    image = Buffer(
-        "In", (batch, channels, height + ksize - 1, width + ksize - 1), float32
-    )
-    weights = Buffer("W", (filters, channels, ksize, ksize), float32)
-    nb, f, y, x = Var("n"), Var("f"), Var("y"), Var("x")
-    c = RVar("c", channels)
-    ky = RVar("ky", ksize)
-    kx = RVar("kx", ksize)
-    out = Func("Conv")
-    out[nb, f, y, x] = 0.0
-    out[nb, f, y, x] = (
-        out[nb, f, y, x] + image[nb, c, y + ky, x + kx] * weights[f, c, ky, kx]
-    )
-    out.set_bounds({nb: batch, f: filters, y: height, x: width})
-    return BenchmarkCase(
-        name="convlayer",
-        description=f"{ksize}x{ksize}x{channels}x{filters} Convolution Layer",
-        pipeline=Pipeline([out]),
-        problem_size=f"{width}x{height}x{channels}x{batch}",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Data-movement kernels (spatial / none)
-# ---------------------------------------------------------------------------
-
-
-def make_transpose_mask(n: int = 4096) -> BenchmarkCase:
-    """Matrix transposition and masking: ``out[y][x] = A[x][y] & B[y][x]``."""
-    a = Buffer("A", (n, n), int32)
-    b = Buffer("B", (n, n), int32)
-    x, y = Var("x"), Var("y")
-    out = Func("Tpm", int32)
-    out[y, x] = a[x, y] & b[y, x]
-    out.set_bounds({x: n, y: n})
-    return BenchmarkCase(
-        name="tpm",
-        description="Matrix Transposition and Masking",
-        pipeline=Pipeline([out]),
-        problem_size=f"{n}x{n}",
-    )
-
-
-def make_transpose(n: int = 4096) -> BenchmarkCase:
-    """Matrix transposition: ``out[y][x] = A[x][y]``."""
-    a = Buffer("A", (n, n), int32)
-    x, y = Var("x"), Var("y")
-    out = Func("Tp", int32)
-    out[y, x] = a[x, y]
-    out.set_bounds({x: n, y: n})
-    return BenchmarkCase(
-        name="tp",
-        description="Matrix Transposition",
-        pipeline=Pipeline([out]),
-        problem_size=f"{n}x{n}",
-    )
-
-
-def make_copy(n: int = 4096) -> BenchmarkCase:
-    """Array copy: ``out[y][x] = A[y][x]``."""
-    a = Buffer("A", (n, n), int32)
-    x, y = Var("x"), Var("y")
-    out = Func("Copy", int32)
-    out[y, x] = a[y, x]
-    out.set_bounds({x: n, y: n})
-    return BenchmarkCase(
-        name="copy",
-        description="Array Copy",
-        pipeline=Pipeline([out]),
-        problem_size=f"{n}x{n}",
-    )
-
-
-def make_mask(n: int = 4096) -> BenchmarkCase:
-    """Array masking: ``out[y][x] = A[y][x] & B[y][x]``."""
-    a = Buffer("A", (n, n), int32)
-    b = Buffer("B", (n, n), int32)
-    x, y = Var("x"), Var("y")
-    out = Func("Mask", int32)
-    out[y, x] = a[y, x] & b[y, x]
-    out.set_bounds({x: n, y: n})
-    return BenchmarkCase(
-        name="mask",
-        description="Array Mask",
-        pipeline=Pipeline([out]),
-        problem_size=f"{n}x{n}",
-    )
-
-
-#: Factory registry, keyed by the benchmark names of Table 4.
-SUITE: Dict[str, Callable[..., BenchmarkCase]] = {
-    "convlayer": make_convlayer,
-    "doitgen": make_doitgen,
-    "matmul": make_matmul,
-    "3mm": make_3mm,
-    "gemm": make_gemm,
-    "trmm": make_trmm,
-    "syrk": make_syrk,
-    "syr2k": make_syr2k,
-    "tpm": make_transpose_mask,
-    "tp": make_transpose,
-    "copy": make_copy,
-    "mask": make_mask,
-}
-
-
-def benchmark_names() -> List[str]:
-    """All benchmark names, in Table 4 order."""
-    return list(SUITE)
-
-
-def make_benchmark(name: str, **kwargs) -> BenchmarkCase:
-    """Instantiate a benchmark by name with optional size overrides."""
-    if name not in SUITE:
-        raise KeyError(f"unknown benchmark {name!r}; known: {sorted(SUITE)}")
-    return SUITE[name](**kwargs)
+    if len(case.pipeline) > 1:
+        # Multi-stage pipelines carry the benchmark's name; single-stage
+        # ones keep their stage's.
+        case.pipeline.name = name
+    return case

@@ -12,9 +12,10 @@ string is accepted everywhere a Func is: :class:`repro.api
 CLI (``repro optimize --spec`` / ``repro submit --spec``) and the serve
 wire format (repro-serve-v1.1 ``{"spec": ..., "dims": ...}`` bodies).
 
-:mod:`repro.frontend.corpus` uses it to generate the next workload ring
-beyond the hand-written Table 4 suite: the remaining PolyBench kernels
-plus DL-shaped ops (batched matmul, convolutions with channels,
+The paper's Table 4 suite and its extras are spec rows too
+(:mod:`repro.bench.suite`), and :mod:`repro.frontend.corpus` uses the
+same row type for the next workload ring: the remaining PolyBench
+kernels plus DL-shaped ops (batched matmul, convolutions with channels,
 attention-shaped chains) — see ``python -m repro.frontend corpus``.
 """
 

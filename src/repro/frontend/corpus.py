@@ -9,9 +9,8 @@ or classifier drift.
 
 Four families:
 
-* **polybench** — the PolyBench kernels ROADMAP item 3 calls for beyond
-  the hand-written suite (bicg, atax, mvt, gemver, gesummv, doitgen,
-  2mm/3mm, jacobi-1d/2d, seidel...);
+* **polybench** — PolyBench kernels beyond the Table 4 suite (bicg,
+  atax, mvt, gemver, gesummv, doitgen, 2mm/3mm, jacobi-1d/2d, seidel...);
 * **dl** — DL-shaped ops (batched matmul, convolutions with channels,
   depthwise, attention-shaped chains, a 2-layer MLP);
 * **micro** — streaming/transposition micro-kernels that pin the
@@ -30,13 +29,14 @@ per-kernel size for breadth); ``fast_dims`` are the smoke sizes used by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.bench.suite import BenchmarkCase
 from repro.frontend.lowering import Lowered, lower_spec
+from repro.ir.func import Func, Pipeline
 
 __all__ = [
+    "BenchmarkCase",
     "CORPUS",
     "CorpusKernel",
     "MANIFEST_FORMAT",
@@ -44,6 +44,7 @@ __all__ = [
     "corpus_kernel",
     "corpus_manifest",
     "corpus_names",
+    "spec_case",
 ]
 
 #: Format tag of the committed golden manifest.
@@ -52,18 +53,78 @@ MANIFEST_FORMAT = "repro-frontend-corpus-v1"
 Number = Union[int, float]
 
 
-@dataclass(frozen=True)
-class CorpusKernel:
-    """One corpus entry: a spec plus everything needed to lower it."""
+@dataclass
+class BenchmarkCase:
+    """One runnable benchmark: a pipeline plus metadata."""
 
     name: str
-    family: str  # "polybench" | "dl" | "micro" | "mef"
+    description: str
+    pipeline: Pipeline
+    problem_size: str
+
+    @property
+    def funcs(self) -> List[Func]:
+        return list(self.pipeline)
+
+    @property
+    def output(self) -> Func:
+        return self.pipeline.output
+
+    def __repr__(self) -> str:
+        return f"BenchmarkCase({self.name}, {self.problem_size})"
+
+
+def spec_case(
+    spec: str,
+    dims: Mapping[str, int],
+    *,
+    dtypes: Optional[Mapping[str, str]] = None,
+    params: Optional[Mapping[str, Number]] = None,
+    pipeline: Optional[str] = None,
+    name: Optional[str] = None,
+    description: str = "kernel spec",
+    problem_size: Optional[str] = None,
+) -> BenchmarkCase:
+    """Lower one spec into a fresh :class:`BenchmarkCase`.
+
+    ``pipeline`` names the pipeline (default: its final stage), ``name``
+    the case (default: the pipeline's name) and ``problem_size``
+    defaults to the extents joined by ``x``.  A spec that does not lower
+    raises :class:`~repro.util.ValidationError`.
+    """
+    lowered = lower_spec(
+        spec, dims, dtypes=dtypes, params=params, name=pipeline
+    )
+    return BenchmarkCase(
+        name=name or lowered.name,
+        description=description,
+        pipeline=lowered.pipeline,
+        problem_size=problem_size
+        or "x".join(str(v) for v in lowered.dims.values()),
+    )
+
+
+@dataclass(frozen=True)
+class CorpusKernel:
+    """One kernel row: a spec plus everything needed to lower it.
+
+    Corpus rows are lowered at ``dims`` (measurement) or ``fast_dims``
+    (smoke) extents.  Benchmark-suite rows (:mod:`repro.bench.suite`)
+    hold their paper and small sizes there and add ``sizes``, which maps
+    each ``make_benchmark`` size keyword to the loop variables it sets,
+    and ``label``, the ``problem_size`` template over those keywords.
+    """
+
+    name: str
+    family: str  # "polybench" | "dl" | "micro" | "mef" | "table4" | "extra"
     description: str
     spec: str
     dims: Mapping[str, int]
     fast_dims: Mapping[str, int]
     dtypes: Optional[Mapping[str, str]] = None
     params: Optional[Mapping[str, Number]] = None
+    sizes: Optional[Mapping[str, Tuple[str, ...]]] = None
+    label: Optional[str] = None
 
     def lower(self, *, fast: bool = False) -> Lowered:
         """Lower at measurement (default) or smoke (``fast``) sizes."""
@@ -76,15 +137,14 @@ class CorpusKernel:
         )
 
     def case(self, *, fast: bool = False) -> BenchmarkCase:
-        """The kernel as a :class:`repro.bench.BenchmarkCase`."""
-        lowered = self.lower(fast=fast)
-        dims = self.fast_dims if fast else self.dims
-        size = "x".join(str(v) for v in dims.values())
-        return BenchmarkCase(
-            name=self.name,
+        """The kernel as a :class:`BenchmarkCase`."""
+        return spec_case(
+            self.spec,
+            self.fast_dims if fast else self.dims,
+            dtypes=self.dtypes,
+            params=self.params,
+            pipeline=self.name,
             description=f"[{self.family}] {self.description}",
-            pipeline=lowered.pipeline,
-            problem_size=size,
         )
 
 

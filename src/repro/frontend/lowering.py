@@ -19,8 +19,9 @@ How the stability is achieved:
 * **Offset normalization** — stencil specs are written with natural
   negative neighbors (``A[i-1, j]``); lowering shifts each buffer
   dimension so the smallest reachable index is 0 and pads the inferred
-  shape accordingly, which reproduces the hand-padded form of kernels
-  like :func:`repro.bench.polybench.make_jacobi2d` exactly.
+  shape accordingly, which reproduces the hand-padded form of
+  stencils exactly (the suite's ``jacobi2d`` reads ``Ain`` of shape
+  ``(n + 2, n + 2)``).
 * **Inferred shapes** — buffer shapes are the tightest extent every
   access can reach given ``dims`` (after the shift), so the same spec
   never lowers to two different shapes.
@@ -552,10 +553,12 @@ class _Lowering:
                 raise ValidationError(
                     f"stage {sname!r} does not lower: {exc}"
                 ) from None
+            # Once defined, later statements may read the stage: a later
+            # `C[i,j] = C[i,j] + ...` lowers as an update.
+            self.built_funcs[sname] = func
         func.set_bounds(
             {env[v]: self.dims[v] for v in lhs_names}
         )
-        self.built_funcs[sname] = func
 
     def _build_value(
         self,
@@ -603,8 +606,8 @@ class _Lowering:
         return Access(buffer, tuple(indices))
 
     def _self(self, sname: str) -> Func:
-        # Self-references appear only inside updates, by which point the
-        # Func exists; reaching here otherwise is a lowering bug.
+        # A stage's first statement cannot read the stage: it is not in
+        # ``built_funcs`` until that statement is defined.
         raise ValidationError(
             f"stage {sname!r} reads itself in its pure definition"
         )

@@ -23,36 +23,13 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.arch import platform_by_name
-from repro.bench import EXTRAS, SUITE, make_benchmark, make_extra, size_for
+from repro.bench import make_benchmark, size_for
 from repro.cache.fingerprint import func_fingerprint
+from repro.frontend.corpus import spec_case
 from repro.serve.schema import ServeRequest, coalesce_key
 from repro.util import ServeError
 
 __all__ = ["identify_request"]
-
-
-def _spec_case(request: ServeRequest):
-    """Lower a v1.1 spec target into a benchmark-shaped case.
-
-    ``ValidationError`` from the frontend propagates untouched — the
-    serve layers give it a 400 + ``invalid_spec`` mapping.
-    """
-    from repro.bench.suite import BenchmarkCase
-    from repro.frontend import lower_spec
-
-    lowered = lower_spec(
-        request.spec,
-        request.dims or {},
-        dtypes=request.dtypes,
-        params=request.params,
-    )
-    dims = lowered.dims
-    return BenchmarkCase(
-        name=request.label,
-        description="kernel spec",
-        pipeline=lowered.pipeline,
-        problem_size="x".join(str(v) for v in dims.values()),
-    )
 
 
 def identify_request(request: ServeRequest) -> Tuple[object, object, str]:
@@ -65,22 +42,22 @@ def identify_request(request: ServeRequest) -> Tuple[object, object, str]:
     (also a 400, tagged ``invalid_spec``).
     """
     if request.spec is not None:
-        case = _spec_case(request)
+        # A ValidationError propagates untouched: the serve layers map
+        # it to a 400 tagged ``invalid_spec``.
+        case = spec_case(
+            request.spec,
+            request.dims or {},
+            dtypes=request.dtypes,
+            params=request.params,
+            name=request.label,
+        )
     else:
         name = request.benchmark
         try:
-            if name in SUITE:
-                case = make_benchmark(
-                    name, **size_for(name, small=request.fast)
-                )
-            elif name in EXTRAS:
-                case = make_extra(name)
-            else:
-                raise ServeError(
-                    f"unknown benchmark {name!r}; known: "
-                    f"{sorted(SUITE) + sorted(EXTRAS)}"
-                )
-        except (KeyError, ValueError) as exc:
+            case = make_benchmark(name, **size_for(name, small=request.fast))
+        except KeyError as exc:
+            raise ServeError(exc.args[0]) from None
+        except ValueError as exc:
             raise ServeError(
                 f"cannot build benchmark {name!r}: {exc}"
             ) from None

@@ -2,20 +2,13 @@
 
 import pytest
 
-from repro.bench import (
-    PAPER_SIZES,
-    SMALL_SIZES,
-    SUITE,
-    benchmark_names,
-    make_benchmark,
-    size_for,
-)
+from repro.bench import BENCHMARKS, benchmark_names, make_benchmark, size_for
 from repro.ir import lower_pipeline
 
 
 class TestRegistry:
     def test_all_twelve_present(self):
-        assert len(SUITE) == 12
+        assert len(benchmark_names()) == 12
         assert benchmark_names() == [
             "convlayer", "doitgen", "matmul", "3mm", "gemm", "trmm",
             "syrk", "syr2k", "tpm", "tp", "copy", "mask",
@@ -26,25 +19,35 @@ class TestRegistry:
             make_benchmark("fizzbuzz")
 
     def test_sizes_cover_every_benchmark(self):
-        assert set(PAPER_SIZES) == set(SUITE)
-        assert set(SMALL_SIZES) == set(SUITE)
+        for kernel in BENCHMARKS:
+            paper = size_for(kernel.name)
+            assert set(size_for(kernel.name, small=True)) == set(paper)
 
     def test_size_for_unknown(self):
         with pytest.raises(KeyError):
             size_for("fizzbuzz")
 
+    @pytest.mark.parametrize(
+        ("name", "sizes"),
+        [("convlayer", {"n": 16}), ("matmul", {"width": 16}),
+         ("gemm", {"alpha": 2.0})],
+    )
+    def test_unknown_size_keyword_raises(self, name, sizes):
+        with pytest.raises(TypeError, match="has no size"):
+            make_benchmark(name, **sizes)
+
 
 class TestPaperSizes:
     def test_table4_sizes(self):
-        assert PAPER_SIZES["matmul"] == {"n": 2048}
-        assert PAPER_SIZES["doitgen"] == {"n": 256}
-        assert PAPER_SIZES["tp"] == {"n": 4096}
-        assert PAPER_SIZES["convlayer"]["batch"] == 16
-        assert PAPER_SIZES["convlayer"]["ksize"] == 3
+        assert size_for("matmul") == {"n": 2048}
+        assert size_for("doitgen") == {"n": 256}
+        assert size_for("tp") == {"n": 4096}
+        assert size_for("convlayer")["batch"] == 16
+        assert size_for("convlayer")["ksize"] == 3
 
 
 class TestCaseConstruction:
-    @pytest.mark.parametrize("name", sorted(SUITE))
+    @pytest.mark.parametrize("name", sorted(benchmark_names()))
     def test_builds_and_lowers(self, name):
         case = make_benchmark(name, **size_for(name, small=True))
         nests = lower_pipeline(case.pipeline)

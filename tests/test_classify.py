@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import SMALL_SIZES, make_benchmark, size_for
+from repro.bench import make_benchmark, size_for
 from repro.core import Locality, classify
 from repro.ir import Buffer, Func, RVar, Var, float32
 

@@ -170,9 +170,9 @@ class TestCompileAndRun:
 class TestSignatureBuffers:
     def test_order_matches_parameters(self):
         from repro.ir.codegen_c import signature_buffers
-        from repro.bench import make_gemm
+        from repro.bench import make_benchmark
 
-        case = make_gemm(n=8)
+        case = make_benchmark("gemm", n=8)
         func = case.funcs[0]
         nests = lower(func)
         inputs, outputs = signature_buffers(nests)
@@ -183,9 +183,9 @@ class TestSignatureBuffers:
 
     def test_gemm_first_use_order(self):
         from repro.ir.codegen_c import signature_buffers
-        from repro.bench import make_gemm
+        from repro.bench import make_benchmark
 
-        case = make_gemm(n=8)
+        case = make_benchmark("gemm", n=8)
         nests = lower(case.funcs[0])
         inputs, outputs = signature_buffers(nests)
         assert [b.name for b in inputs] == ["Cin", "A", "B"]

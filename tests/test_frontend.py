@@ -109,6 +109,27 @@ class TestLowering:
         assert [f.name for f in lowered.funcs] == ["T", "D"]
         assert lowered.output.name == "D"
 
+    def test_later_self_read_lowers_as_update(self):
+        lowered = lower_spec(
+            "C[i,j] = Cin[i,j]; C[i,j] = C[i,j] + X[i,j] + Y[i,j]",
+            {"i": 8, "j": 8},
+        )
+        pure, update = lowered.output.definitions
+        assert not pure.is_update and update.is_update
+        # The factory shape `(C + X) + Y`, not `C + (X + Y)`.
+        assert repr(update.rhs).startswith(
+            "BinOp('+', BinOp('+', Access(C, "
+        )
+
+    @pytest.mark.parametrize(
+        "spec", ["C[i] = C[i] + A[i]", "C[i] += C[i] * A[i]"]
+    )
+    def test_first_statement_self_read_is_rejected(self, spec):
+        with pytest.raises(
+            ValidationError, match="reads itself in its pure definition"
+        ):
+            lower_spec(spec, {"i": 8})
+
     def test_known_dtypes_table(self):
         assert "float32" in DTYPES and "int32" in DTYPES
 

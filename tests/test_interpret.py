@@ -61,9 +61,9 @@ class TestAgainstNumpy:
 
     def test_gemm_with_coefficients(self):
         n = 16
-        from repro.bench import make_gemm
+        from repro.bench import make_benchmark
 
-        case = make_gemm(n=n, alpha=1.5, beta=1.2)
+        case = make_benchmark("gemm", n=n)  # alpha=1.5, beta=1.2
         func = case.funcs[0]
         buffers = {b.name: b for b in func.input_buffers()}
         a_v, b_v, c_v = rand((n, n), 7), rand((n, n), 8), rand((n, n), 9)
@@ -142,9 +142,9 @@ class TestScheduledEquivalence:
 class TestPipelines:
     def test_3mm_matches_numpy(self):
         n = 16
-        from repro.bench import make_3mm
+        from repro.bench import make_benchmark
 
-        case = make_3mm(n=n)
+        case = make_benchmark("3mm", n=n)
         bufs = {}
         for stage in case.funcs:
             for b in stage.input_buffers():
@@ -160,9 +160,9 @@ class TestPipelines:
 
     def test_doitgen_matches_numpy(self):
         n = 12
-        from repro.bench import make_doitgen
+        from repro.bench import make_benchmark
 
-        case = make_doitgen(n=n)
+        case = make_benchmark("doitgen", n=n)
         bufs = {b.name: b for b in case.funcs[0].input_buffers()}
         a_v = rand((n, n, n), 30)
         c4_v = rand((n, n), 31)
