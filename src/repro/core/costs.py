@@ -26,12 +26,24 @@ shrinks with tile height and grows with tile width (its *prefetching
 efficiency* is ``T_width / lc``), while contiguous arrays cost a constant
 ``B_total / lc`` — which is why the spatial optimizer picks cache-line-wide,
 maximally tall tiles.
+
+The Eq. 1–11 helpers (``working_set_l1/l2``, ``level1/2_misses``,
+``total_cost`` and the ``_footprint_*`` terms beneath them) take a
+``tiles`` mapping whose values are either Python ints or int64 arrays of
+one shape: Algorithm 2 prices a whole tile grid in one call, and the
+scalar callers (the TSS/TTS baselines, the tests) get Python numbers
+back as before.  Each grid element is computed with the scalar
+expression's own float64 operations in the same order — left-folded
+products and sums, ``max(1.0, x)`` as ``np.maximum`` — so an array call
+is bit-identical to one scalar call per element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+
+import numpy as np
 
 from repro.arch import ArchSpec
 from repro.ir.analysis import RefInfo, StatementInfo
@@ -90,6 +102,10 @@ def extract_patterns(info: StatementInfo) -> List[RefPattern]:
     return list(seen.values())
 
 
+#: A tile size, or an int64 array of them (one per grid candidate).
+Tile = Union[int, np.ndarray]
+
+
 def _prod(values: Iterable[float]) -> float:
     out = 1.0
     for v in values:
@@ -97,10 +113,23 @@ def _prod(values: Iterable[float]) -> float:
     return out
 
 
+def _at_least_one(x):
+    """``max(1.0, x)``, elementwise over a tile array."""
+    return np.maximum(1.0, x) if isinstance(x, np.ndarray) else max(1.0, x)
+
+
+def _ceil_div(a: Tile, b: Tile) -> Tile:
+    """``ceil(a / b)``, elementwise when either side is a tile array
+    (``ceil_div`` checks scalar operands)."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return -(-a // b)
+    return ceil_div(a, b)
+
+
 def _footprint_misses(
     pattern: RefPattern,
     varying: Set[str],
-    tiles: Dict[str, int],
+    tiles: Dict[str, Tile],
     lc: int,
     *,
     prefetch_aware: bool = True,
@@ -119,15 +148,15 @@ def _footprint_misses(
         return 1.0
     leading = pattern.leading_var
     if leading in varying and leading in pattern.vars:
-        rows = max(1.0, _prod(tiles[v] for v in active if v != leading))
+        rows = _at_least_one(_prod(tiles[v] for v in active if v != leading))
         if prefetch_aware:
             return rows
-        return rows * max(1.0, ceil_div(tiles[leading], lc))
+        return rows * _at_least_one(_ceil_div(tiles[leading], lc))
     return _prod(tiles[v] for v in active)
 
 
 def _footprint_elements(
-    pattern: RefPattern, varying: Set[str], tiles: Dict[str, int], lc: int
+    pattern: RefPattern, varying: Set[str], tiles: Dict[str, Tile], lc: int
 ) -> float:
     """Cache footprint of one reference, in element-equivalents.
 
@@ -150,7 +179,7 @@ def _footprint_elements(
 
 def working_set_l1(
     patterns: Sequence[RefPattern],
-    tiles: Dict[str, int],
+    tiles: Dict[str, Tile],
     intra_order: Sequence[str],
     lc: int = 1,
 ) -> float:
@@ -163,7 +192,7 @@ def working_set_l1(
 
 def working_set_l2(
     patterns: Sequence[RefPattern],
-    tiles: Dict[str, int],
+    tiles: Dict[str, Tile],
     intra_order: Sequence[str],
     lc: int = 1,
 ) -> float:
@@ -180,7 +209,7 @@ def working_set_l2(
 
 def level1_misses(
     patterns: Sequence[RefPattern],
-    tiles: Dict[str, int],
+    tiles: Dict[str, Tile],
     bounds: Dict[str, int],
     intra_order: Sequence[str],
     lc: int,
@@ -201,21 +230,19 @@ def level1_misses(
         )
         if reuse_var in p.vars:
             if reuse_var == p.leading_var:
-                mult = max(1.0, tiles[reuse_var] / lc)
+                mult = _at_least_one(tiles[reuse_var] / lc)
             else:
                 mult = tiles[reuse_var]
         else:
             mult = 1.0
         per_tile += per_iter * mult
-    inter_iters = _prod(
-        ceil_div(bounds[v], tiles[v]) for v in intra_order
-    )
+    inter_iters = _prod(_ceil_div(bounds[v], tiles[v]) for v in intra_order)
     return per_tile * inter_iters
 
 
 def level2_misses(
     patterns: Sequence[RefPattern],
-    tiles: Dict[str, int],
+    tiles: Dict[str, Tile],
     bounds: Dict[str, int],
     intra_order: Sequence[str],
     inter_order: Sequence[str],
@@ -231,23 +258,21 @@ def level2_misses(
     reuse_var = inter_order[-1]
     all_intra = set(intra_order)
     per_block = 0.0
-    reuse_trips = ceil_div(bounds[reuse_var], tiles[reuse_var])
+    reuse_trips = _ceil_div(bounds[reuse_var], tiles[reuse_var])
     for p in patterns:
         per_iter = _footprint_misses(
             p, all_intra, tiles, lc, prefetch_aware=prefetch_aware
         )
         mult = reuse_trips if reuse_var in p.vars else 1.0
         per_block += per_iter * mult
-    outer_iters = _prod(
-        ceil_div(bounds[v], tiles[v]) for v in inter_order[:-1]
-    )
+    outer_iters = _prod(_ceil_div(bounds[v], tiles[v]) for v in inter_order[:-1])
     return per_block * outer_iters
 
 
 def total_cost(
     arch: ArchSpec,
     patterns: Sequence[RefPattern],
-    tiles: Dict[str, int],
+    tiles: Dict[str, Tile],
     bounds: Dict[str, int],
     intra_order: Sequence[str],
     inter_order: Sequence[str],

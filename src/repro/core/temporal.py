@@ -22,20 +22,32 @@ reuse loops, and the parallel loop outermost.
 
 The search enumerates *placements* ``(L, d2, d3, M)`` — outermost intra,
 second/third innermost intra, innermost inter — rather than raw
-permutations, because the Step-1 cost depends only on those positions; this
-is what keeps the optimizer in paper-reported runtime territory
-(milliseconds for 3-D nests, seconds for the 5-D convolution layer).
+permutations, because the Step-1 cost depends only on those positions.
+Each placement's tile grid (``d2 x d3 x rest`` tiles for one column tile)
+is priced in one array pass: the :mod:`repro.core.costs` helpers accept
+int64 tile arrays and compute every element exactly as a scalar call
+would, the constraint masks are checked in the scalar order, and the
+first strictly cheapest candidate in visit order wins.  Traced runs
+replay one ``candidate.pruned`` event per rejected candidate from the
+masks.  This keeps the optimizer in paper-reported runtime territory
+(milliseconds for 3-D nests and for the 5-D convolution layer).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.arch import ArchSpec
 from repro.core.costs import (
     RefPattern,
+    Tile,
+    _ceil_div,
     extract_patterns,
     order_cost,
     total_cost,
@@ -281,69 +293,45 @@ def optimize_temporal(
                                 tile=t,
                                 bound=cap,
                             )
-                d2_cands = (
-                    _divisor_biased(
-                        tile_candidates(
-                            bounds[d2], max_d2, exhaustive=exhaustive
-                        ),
-                        bounds[d2],
+                grid = {
+                    v: _divisor_biased(
+                        tile_candidates(bounds[v], cap, exhaustive=exhaustive),
+                        bounds[v],
                     )
-                    if d2
-                    else [None]
+                    for v, cap in ((d2, max_d2), (d3, max_d3))
+                    if v
+                }
+                grid.update((v, _middle_candidates(bounds[v])) for v in rest)
+                # Cooperative deadline probe: Algorithm 2's search stays
+                # interruptible once per placement block.
+                try:
+                    checkpoint("temporal tile search")
+                except DeadlineExceeded:
+                    if traced:
+                        tracer.event(
+                            EVENT_CANDIDATE_PRUNED,
+                            phase="temporal",
+                            reason=REASON_DEADLINE,
+                        )
+                    raise
+                best = _search_block(
+                    arch,
+                    patterns,
+                    bounds,
+                    c,
+                    t_c,
+                    d2,
+                    d3,
+                    grid,
+                    non_column,
+                    l1_capacity,
+                    l2_capacity,
+                    threads,
+                    dts,
+                    counter,
+                    traced,
+                    best,
                 )
-                d3_cands = (
-                    _divisor_biased(
-                        tile_candidates(
-                            bounds[d3], max_d3, exhaustive=exhaustive
-                        ),
-                        bounds[d3],
-                    )
-                    if d3
-                    else [None]
-                )
-                rest_cands = [_middle_candidates(bounds[v]) for v in rest]
-                for t_d2 in d2_cands:
-                    for t_d3 in d3_cands:
-                        for rest_tiles in itertools.product(*rest_cands):
-                            # Cooperative deadline probe: Algorithm 2's
-                            # search must stay interruptible per candidate.
-                            try:
-                                checkpoint("temporal tile search")
-                            except DeadlineExceeded:
-                                if traced:
-                                    tracer.event(
-                                        EVENT_CANDIDATE_PRUNED,
-                                        phase="temporal",
-                                        reason=REASON_DEADLINE,
-                                    )
-                                raise
-                            tiles = {c: t_c}
-                            if d2:
-                                tiles[d2] = t_d2
-                            if d3:
-                                tiles[d3] = t_d3
-                            tiles.update(zip(rest, rest_tiles))
-                            outcome, reason = _evaluate_tiles(
-                                arch,
-                                patterns,
-                                tiles,
-                                bounds,
-                                c,
-                                d2,
-                                d3,
-                                rest,
-                                non_column,
-                                l1_capacity,
-                                l2_capacity,
-                                threads,
-                                dts,
-                            )
-                            counter.considered()
-                            if outcome is None:
-                                counter.pruned(reason, tiles=dict(tiles))
-                                continue
-                            if best is None or outcome[0] < best[0]:
-                                best = outcome
 
     if best is None:
         # No candidate satisfied the fit/parallel constraints; fall back to
@@ -401,29 +389,37 @@ def _placement_pairs(others: Sequence[str]) -> List[Tuple[Optional[str], Optiona
     ]
 
 
-def _evaluate_tiles(
+#: Rejection reasons by grid code, in checking order (0: valid).
+_REASONS = (None, REASON_PARALLELISM, REASON_VECTOR_TILE, REASON_CAPACITY)
+
+
+def _search_block(
     arch: ArchSpec,
     patterns: Sequence[RefPattern],
-    tiles: Dict[str, int],
     bounds: Dict[str, int],
     c: str,
+    t_c: int,
     d2: Optional[str],
     d3: Optional[str],
-    rest: Sequence[str],
+    grid: Dict[str, List[int]],
     non_column: Sequence[str],
     l1_capacity: int,
     l2_capacity: int,
     threads: int,
     dts: int,
-) -> Tuple[
-    Optional[Tuple[float, Dict[str, int], str, str, float, float]],
-    Optional[str],
-]:
-    """Check constraints and price one tile assignment.
+    counter: CandidateCounter,
+    traced: bool,
+    best: Optional[Tuple[float, Dict[str, int], str, str, float, float]],
+) -> Optional[Tuple[float, Dict[str, int], str, str, float, float]]:
+    """Check constraints and price one placement's whole tile grid.
 
-    Returns ``((cost, tiles, L, M, wsL1, wsL2), None)`` for a valid
-    candidate, or ``(None, reason)`` with a machine-readable rejection
-    reason from :data:`repro.obs.events.PRUNE_REASONS`.
+    ``grid`` maps ``d2``, ``d3`` and the ``rest`` variables, in that
+    order, to their tile candidates; their product in C order is the
+    candidate-at-a-time visit order.  Each candidate is checked in the
+    order parallelism (Eq. 13), vector tile, capacity (Eqs. 1/6) and
+    priced with Eq. 11; the running ``best`` — ``(cost, tiles, L, M,
+    wsL1, wsL2)`` — is replaced only by a strictly cheaper candidate, the
+    first one in visit order.
     """
     # The cost is evaluated against the *structural* tiled nest of the
     # paper's derivation, independent of degenerate tile values (a tile of
@@ -431,39 +427,73 @@ def _evaluate_tiles(
     # ``L=d3 > middles > d2 > c`` and inter-tile order ``... > cc`` — L1
     # reuse anchored at the outermost intra loop, L2 reuse at the column
     # variable's (innermost) inter-tile loop, exactly as in Listing 1.
-    middle = list(rest)
     chain = [v for v in (d3, d2) if v]
+    rest = [v for v in grid if v not in chain]
     reuse_l = chain[0] if chain else c
-    intra_order = (
-        ([chain[0]] if chain else [])
-        + middle
-        + chain[1:]
-        + [c]
-    )
+    intra_order = chain[:1] + rest + chain[1:] + [c]
     reuse_m = c
     inter_order = [v for v in intra_order if v != c] + [c]
 
+    # One int64 array per grid variable, flattened in C order.
+    shape = [len(cands) for cands in grid.values()]
+    size = math.prod(shape)
+    tiles: Dict[str, Tile] = {c: t_c}
+    if grid:
+        index = np.unravel_index(np.arange(size), shape)
+        for (v, cands), ix in zip(grid.items(), index):
+            tiles[v] = np.array(cands, dtype=np.int64)[ix]
+
     # The parallel loop: a non-column inter-tile loop subject to Eq. 13
-    # (at least one tile iteration per hardware thread).
-    trips = {v: ceil_div(bounds[v], tiles[v]) for v in tiles}
-    par_pool = [v for v in non_column if trips[v] > 1]
-    if not par_pool or max(trips[v] for v in par_pool) < threads:
-        return None, REASON_PARALLELISM
+    # (more than one tile iteration, and at least one per hardware thread).
+    parallel = np.zeros(size, dtype=bool)
+    for v in non_column:
+        parallel |= _ceil_div(bounds[v], tiles[v]) >= max(2, threads)
     # A schedule also needs at least one non-trivial intra loop besides the
     # vector loop to anchor L1 reuse, unless the nest is two-deep.
-    if tiles.get(c, 1) < 2:
-        return None, REASON_VECTOR_TILE
-
+    vector = t_c >= 2
     lc = arch.lc(dts)
     ws1 = working_set_l1(patterns, tiles, intra_order, lc)
     ws2 = working_set_l2(patterns, tiles, intra_order, lc)
-    if ws1 > l1_capacity or ws2 > l2_capacity:
-        return None, REASON_CAPACITY
+    fits = (ws1 <= l1_capacity) & (ws2 <= l2_capacity)
+    codes = np.where(~parallel, 1, np.where(not vector, 2, np.where(fits, 0, 3)))
 
-    cost = total_cost(
-        arch, patterns, tiles, bounds, intra_order, inter_order, dts
+    counter.considered(size)
+    codes_list = codes.tolist()
+    if traced:
+        # Replay one event per rejected candidate, in visit order.
+        for code, combo in zip(codes_list, itertools.product(*grid.values())):
+            if code:
+                counter.pruned(
+                    _REASONS[code], tiles={c: t_c, **dict(zip(grid, combo))}
+                )
+    else:
+        # Counter keeps first-seen order, so reasons are recorded in the
+        # order the candidate-at-a-time search first met them.
+        for code, n in Counter(codes_list).items():
+            if code:
+                counter.pruned(_REASONS[code], n)
+
+    valid = np.flatnonzero(codes == 0)
+    if not valid.size:
+        return best
+    # ``total_cost`` is the fault seam: a poisoned scalar broadcasts, and
+    # ``argmin`` picks the first NaN if there is one.
+    cost = np.broadcast_to(
+        total_cost(arch, patterns, tiles, bounds, intra_order, inter_order, dts),
+        size,
+    )[valid]
+    k = int(np.argmin(cost))
+    if best is not None and not cost[k] < best[0]:
+        return best
+    i = int(valid[k])
+    return (
+        float(cost[k]),
+        {c: t_c, **{v: int(tiles[v][i]) for v in grid}},
+        reuse_l,
+        reuse_m,
+        float(np.broadcast_to(ws1, size)[i]),
+        float(np.broadcast_to(ws2, size)[i]),
     )
-    return (cost, dict(tiles), reuse_l, reuse_m, ws1, ws2), None
 
 
 def _order_step(

@@ -300,6 +300,9 @@ def optimize_runtime_key(name: str, platform: str, fast: bool) -> Tuple:
 #: outlier (322k candidates, paper: 7.6 s), doitgen second (11.5k), the
 #: rest milliseconds — while staying a pure function of the search space,
 #: so every run of every process renders the same Table 5 bit for bit.
+#: The calibration predates Algorithm 2's array-priced tile grid, which
+#: is an order of magnitude cheaper per candidate; the constant stays so
+#: Table 5 keeps both the paper's shape and its committed bytes.
 OPTIMIZER_BASE_S = 2e-3
 OPTIMIZER_PER_CANDIDATE_S = 25e-6
 

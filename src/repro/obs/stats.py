@@ -9,9 +9,10 @@ deterministic runtime model reads ``stats.considered`` — the exact same
 count, byte for byte.
 
 The companion :class:`CandidateCounter` bundles the stats object with a
-tracer so the hot search loops make a single call per candidate; with
-the :data:`~repro.obs.tracer.NULL_TRACER` installed that call is an
-integer increment plus one attribute check.
+tracer so a search makes a single call per candidate — or per block of
+candidates, for Algorithm 2's array-priced tile grid; with the
+:data:`~repro.obs.tracer.NULL_TRACER` installed that call is an integer
+increment plus one attribute check.
 
 Note the accounting contract: ``considered`` counts candidates the
 search *evaluated* (exactly the legacy integer), and ``pruned`` breaks
@@ -79,18 +80,25 @@ class CandidateCounter:
         self._phase = phase
         self._traced = self._tracer.enabled
 
-    def considered(self) -> None:
-        """One candidate entered constraint checking / pricing."""
-        self.stats.considered += 1
+    def considered(self, n: int = 1) -> None:
+        """``n`` candidates entered constraint checking / pricing."""
+        self.stats.considered += n
         if self._traced:
-            self._tracer.count(f"{self._phase}.candidates")
+            self._tracer.count(f"{self._phase}.candidates", n)
 
-    def pruned(self, reason: str, **attrs) -> None:
-        """The candidate just considered was rejected for ``reason``."""
+    def pruned(self, reason: str, n: int = 1, **attrs) -> None:
+        """``n`` of the candidates just considered were rejected for
+        ``reason``.
+
+        Traced, each call also records one ``candidate.pruned`` event
+        carrying ``attrs``, so a search that prices candidates in bulk
+        replays one call per rejected candidate when tracing and passes
+        ``n`` only when not.
+        """
         pruned = self.stats.pruned
-        pruned[reason] = pruned.get(reason, 0) + 1
+        pruned[reason] = pruned.get(reason, 0) + n
         if self._traced:
-            self._tracer.count(f"{self._phase}.pruned.{reason}")
+            self._tracer.count(f"{self._phase}.pruned.{reason}", n)
             self._tracer.event(
                 "candidate.pruned",
                 phase=self._phase,
