@@ -13,9 +13,9 @@ Examples::
 trail; ``compare`` measures all techniques on the simulator (one Fig. 4
 row); ``codegen`` emits the optimized schedule as a C translation unit;
 ``sweep`` regenerates every table and figure through the crash-safe,
-resumable sweep runner (``python -m repro sweep --fast --jobs 4``; same
-flags as ``python -m repro.experiments``, exit code 5 when cells were
-quarantined).
+resumable sweep runner (``python -m repro sweep --fast --jobs 4``; it is
+``python -m repro.experiments``: the same flags and the same run, exit
+code 5 when cells were quarantined).
 
 Observability: ``--trace PATH`` on ``optimize`` / ``compare`` /
 ``codegen`` / ``sweep`` streams a schema-versioned JSONL event log
@@ -49,11 +49,13 @@ status`` and ``repro fleet restart`` talk to a running router
 repro loadgen`` drives a seeded open-loop workload against a server or
 fleet and writes/gates the ``BENCH_serve.json`` baseline.
 
-Exit codes: 0 = ok, 2 = argparse usage error, 3 = completed but fell back
-to a degraded schedule (or a degraded fleet in ``fleet status``), 4 =
-hard failure, 5 = service unavailable or overloaded (``submit`` could
-not get a result; ``sweep`` quarantined cells), 6 = cannot bind the
-requested address/port (``serve`` / ``fleet``: it is already in use).
+Exit codes: 0 = ok, 1 = invalid input found after parsing (unknown
+benchmark/platform, ``invalid options:``, ``cannot write``), 2 = argparse
+usage error, 3 = completed but fell back to a degraded schedule (or a
+degraded fleet in ``fleet status``), 4 = hard failure, 5 = service
+unavailable or overloaded (``submit`` could not get a result; ``sweep``
+quarantined cells), 6 = cannot bind the requested address/port
+(``serve`` / ``fleet``: it is already in use).
 """
 
 from __future__ import annotations
@@ -66,6 +68,9 @@ import sys
 from repro.arch import PLATFORMS, platform_by_name
 from repro.baselines import Autotuner, autoschedule, baseline_schedule
 from repro.bench import benchmark_names, make_benchmark, size_for
+from repro.experiments.__main__ import add_arguments as add_sweep_arguments
+from repro.experiments.__main__ import run as run_sweep
+from repro.frontend.__main__ import add_spec_args
 from repro.ir import lower, print_nest
 from repro.ir.codegen_c import codegen
 from repro.obs import (
@@ -85,7 +90,13 @@ from repro.core.exitcodes import (
 )
 from repro.robust import FallbackPolicy, safe_optimize
 from repro.sim import Machine
-from repro.util import ReproError, resolve_workers
+from repro.util import (
+    ReproError,
+    canonical_json,
+    jobs_arg,
+    resolve_workers,
+    write_json,
+)
 
 
 def _report_bind_error(host: str, port: int, exc: OSError, *, what: str) -> int:
@@ -106,50 +117,6 @@ def _report_bind_error(host: str, port: int, exc: OSError, *, what: str) -> int:
         file=sys.stderr,
     )
     return EXIT_HARD
-
-
-def _jobs_arg(value: str):
-    """argparse type for ``--jobs``: a non-negative integer or ``auto``."""
-    if value == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer or 'auto', got {value!r}"
-        ) from None
-
-
-def _kv_arg(value: str, *, flag: str, cast, what: str):
-    """Parse ``name=value,name=value`` flag payloads (``--dims`` etc.)."""
-    out = {}
-    for item in value.split(","):
-        name, sep, raw = item.partition("=")
-        name = name.strip()
-        if not sep or not name:
-            raise argparse.ArgumentTypeError(
-                f"{flag} wants NAME=VALUE[,NAME=VALUE...], got {item!r}"
-            )
-        try:
-            out[name] = cast(raw.strip())
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"{flag}: {name}={raw.strip()!r} is not {what}"
-            ) from None
-    return out
-
-
-def _dims_arg(value: str):
-    return _kv_arg(value, flag="--dims", cast=int, what="an integer")
-
-
-def _dtypes_arg(value: str):
-    return _kv_arg(value, flag="--dtypes", cast=str, what="a dtype name")
-
-
-def _param_arg(value: str):
-    pairs = _kv_arg(value, flag="--param", cast=float, what="a number")
-    return list(pairs.items())
 
 
 def _make_case(name: str, fast: bool):
@@ -182,10 +149,12 @@ def _resolve_case(args):
     from repro.frontend.corpus import spec_case
     from repro.util import ValidationError
 
-    params = dict(p for group in (args.params or []) for p in group)
     try:
         return spec_case(
-            args.spec, args.dims, dtypes=args.dtypes, params=params or None
+            args.spec,
+            args.dims,
+            dtypes=args.dtypes,
+            params=dict(args.params) if args.params else None,
         )
     except ValidationError as exc:
         raise SystemExit(f"invalid --spec: {exc}") from None
@@ -310,32 +279,6 @@ def cmd_compare(args) -> int:
     return EXIT_FALLBACK if fell_back else EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    """Forward to the sweep-driven experiments entry point."""
-    from repro.experiments.__main__ import main as experiments_main
-
-    try:
-        jobs = resolve_workers(args.jobs, name="jobs")
-    except ValueError as exc:
-        raise SystemExit(f"invalid options: {exc}") from None
-    argv = []
-    if args.fast:
-        argv.append("--fast")
-    if args.fresh:
-        argv.append("--fresh")
-    if jobs != 1:
-        argv.extend(["--jobs", str(jobs)])
-    if args.timeout_s is not None:
-        argv.extend(["--timeout-s", str(args.timeout_s)])
-    if args.journal is not None:
-        argv.extend(["--journal", args.journal])
-    if args.trace is not None:
-        argv.extend(["--trace", args.trace])
-    if args.schedule_cache is not None:
-        argv.extend(["--schedule-cache", args.schedule_cache])
-    return experiments_main(argv)
-
-
 def cmd_trace(args) -> int:
     """Summarize (or schema-validate) a recorded JSONL event log."""
     events, problems = read_trace(args.path)
@@ -402,7 +345,6 @@ def cmd_submit(args) -> int:
         timeout_s=args.timeout_s,
         retries=args.retries,
     )
-    params = dict(p for group in (args.params or []) for p in group)
     try:
         result = client.optimize(
             args.benchmark,
@@ -412,7 +354,7 @@ def cmd_submit(args) -> int:
             spec=args.spec,
             dims=args.dims,
             dtypes=args.dtypes,
-            params=params or None,
+            params=dict(args.params) if args.params else None,
             use_nti=not args.no_nti,
         )
     except ServeOverloaded as exc:
@@ -432,9 +374,7 @@ def cmd_submit(args) -> int:
         )
         return EXIT_UNAVAILABLE
     if args.json:
-        import json as _json
-
-        print(_json.dumps(result, indent=2, sort_keys=True))
+        sys.stdout.write(canonical_json(result))
         return EXIT_OK
     print(
         f"{result['benchmark']} on {result['platform']}: "
@@ -573,8 +513,6 @@ def cmd_fleet(args) -> int:
 
 def cmd_chaos(args) -> int:
     """Run a seeded chaos scenario against a live in-process fleet."""
-    import json as _json
-
     from repro.chaos import SCENARIOS, run_scenario, scenario_names
     from repro.obs import current_tracer
 
@@ -610,8 +548,8 @@ def cmd_chaos(args) -> int:
         # the same (scenario, seed) must produce a bit-identical
         # invariant report.
         repeat = one_run()
-        mismatch = _json.dumps(result.report, sort_keys=True) != _json.dumps(
-            repeat.report, sort_keys=True
+        mismatch = canonical_json(result.report) != canonical_json(
+            repeat.report
         )
 
     if args.json:
@@ -619,7 +557,7 @@ def cmd_chaos(args) -> int:
                     "observations": result.observations}
         if args.check:
             document["check"] = "mismatch" if mismatch else "identical"
-        print(_json.dumps(document, indent=2, sort_keys=True))
+        sys.stdout.write(canonical_json(document))
     else:
         report = result.report
         print(
@@ -655,11 +593,7 @@ def cmd_loadgen(args) -> int:
     """Drive a seeded open-loop load; write/gate BENCH_serve.json."""
     import json as _json
 
-    from repro.loadgen import (
-        check_serve_regression,
-        run_loadgen,
-        write_payload,
-    )
+    from repro.loadgen import check_serve_regression, run_loadgen
 
     loadgen_kwargs = dict(
         requests=args.requests,
@@ -674,25 +608,14 @@ def cmd_loadgen(args) -> int:
         if args.fleet:
             # Self-hosted mode: boot a whole fleet, measure it, tear it
             # down — what the CI bench-serve job runs as one command.
-            import os
-            import tempfile
+            from repro.fleet.testing import self_hosted_fleet
 
-            from repro.fleet.testing import FleetThread
-
-            with tempfile.TemporaryDirectory() as tmp:
-                with FleetThread(
-                    workers=args.fleet,
-                    cache_path=os.path.join(tmp, "cache.jsonl"),
-                    queue_limit=32,
-                ) as fleet:
-                    payload = run_loadgen(port=fleet.port, **loadgen_kwargs)
-                    payload["target"] = {
-                        "mode": "fleet",
-                        "workers": args.fleet,
-                    }
-                    payload["fleet_counters"] = fleet.router.metrics_snapshot()[
-                        "counters"
-                    ]
+            with self_hosted_fleet(args.fleet) as fleet:
+                payload = run_loadgen(port=fleet.port, **loadgen_kwargs)
+                payload["target"] = {"mode": "fleet", "workers": args.fleet}
+                payload["fleet_counters"] = fleet.router.metrics_snapshot()[
+                    "counters"
+                ]
         else:
             payload = run_loadgen(
                 host=args.host, port=args.port, **loadgen_kwargs
@@ -725,7 +648,7 @@ def cmd_loadgen(args) -> int:
         f"{dup['warm']}/{dup['total']}"
     )
     if args.out:
-        write_payload(payload, args.out)
+        write_json(payload, args.out)
         print(f"  wrote {args.out}")
     if args.check:
         try:
@@ -750,8 +673,6 @@ def cmd_loadgen(args) -> int:
 
 def cmd_tune(args) -> int:
     """Fleet-scale autotuning: plan a grid, fan it out, stream results."""
-    import json as _json
-
     from repro.options import CACHE_KEYS
     from repro.tune import (
         TUNE_REPORT_FORMAT,
@@ -864,23 +785,13 @@ def cmd_tune(args) -> int:
         if args.fleet:
             # Self-hosted mode: boot a whole fleet, tune it, tear it
             # down — what the CI tune-smoke job runs as one command.
-            import os
-            import tempfile
+            # --check's second POST resumes from the fleet's journal.
+            from repro.fleet.testing import self_hosted_fleet
 
-            from repro.fleet.testing import FleetThread
-
-            # The shard caches — and therefore the server-side tune
-            # journal, which defaults to the cache's directory — live
-            # in the tempdir, so --check's second POST resumes from it.
-            with tempfile.TemporaryDirectory() as tmp:
-                with FleetThread(
-                    workers=args.fleet,
-                    cache_path=os.path.join(tmp, "cache.jsonl"),
-                    queue_limit=32,
-                ) as fleet:
-                    document = run_once("127.0.0.1", fleet.port)
-                    if args.check:
-                        repeat = run_once("127.0.0.1", fleet.port)
+            with self_hosted_fleet(args.fleet) as fleet:
+                document = run_once("127.0.0.1", fleet.port)
+                if args.check:
+                    repeat = run_once("127.0.0.1", fleet.port)
         else:
             document = run_once(args.host, args.port)
             if args.check:
@@ -901,15 +812,13 @@ def cmd_tune(args) -> int:
         for problem in problems:
             print(f"invalid report: {problem}", file=sys.stderr)
         return EXIT_HARD
-    mismatch = args.check and _json.dumps(
-        document, sort_keys=True
-    ) != _json.dumps(repeat, sort_keys=True)
+    mismatch = args.check and canonical_json(document) != canonical_json(
+        repeat
+    )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            _json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(document, args.out)
     if args.json:
-        print(_json.dumps(document, indent=2, sort_keys=True))
+        sys.stdout.write(canonical_json(document))
     else:
         print(
             f"tune {document['tune_id']}: {document['cells']} cells: "
@@ -975,27 +884,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list benchmarks and platforms")
 
-    def spec_flags(p):
+    def target(p):
+        """What to optimize and how: shared by the commands that search
+        locally and by ``submit``, which asks a server to."""
+        p.add_argument("benchmark", nargs="?", default=None)
         p.add_argument("--spec", default=None, metavar="SPEC",
                        help="kernel spec string instead of a benchmark "
                             "name, e.g. 'C[i,j] += A[i,k] * B[k,j]' "
                             "(see docs/API.md, \"Kernel spec language\")")
-        p.add_argument("--dims", type=_dims_arg, default=None,
-                       metavar="N=EXT,...",
-                       help="loop extents for --spec, e.g. "
-                            "i=512,j=512,k=512")
-        p.add_argument("--dtypes", type=_dtypes_arg, default=None,
-                       metavar="T=DT,...",
-                       help="per-tensor dtypes for --spec "
-                            "(default float32), e.g. C=float64")
-        p.add_argument("--param", action="append", type=_param_arg,
-                       default=None, dest="params", metavar="NAME=VALUE",
-                       help="scalar constant for --spec (repeatable), "
-                            "e.g. --param a=0.5")
-
-    def common(p):
-        p.add_argument("benchmark", nargs="?", default=None)
-        spec_flags(p)
+        add_spec_args(p)
         p.add_argument("--platform", default="i7-5930k",
                        help="i7-5930k | i7-6700 | arm-a15")
         p.add_argument("--fast", action="store_true",
@@ -1005,9 +902,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--deadline-ms", type=float, default=None,
                        metavar="MS",
                        help="per-stage optimizer time budget")
-        p.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N",
+        p.add_argument("--jobs", type=jobs_arg, default=1, metavar="N",
                        help="accepted for compatibility and ignored "
                             "(the search is serial)")
+
+    def common(p):
+        target(p)
         p.add_argument("--trace", default=None, metavar="PATH",
                        help="write a repro-trace-v1 JSONL event log")
         mode = p.add_mutually_exclusive_group()
@@ -1039,28 +939,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_gen)
     p_gen.add_argument("-o", "--output", help="write to a file")
 
-    p_sweep = sub.add_parser(
+    add_sweep_arguments(sub.add_parser(
         "sweep",
         help="regenerate all tables/figures (crash-safe, resumable)",
-    )
-    p_sweep.add_argument("--fast", action="store_true",
-                         help="scaled-down problem sizes")
-    p_sweep.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N",
-                         help="parallel worker subprocesses ('auto' or 0 "
-                              "= one per core, capped)")
-    p_sweep.add_argument("--fresh", action="store_true",
-                         help="discard the journal and start over")
-    p_sweep.add_argument("--timeout-s", type=float, default=None,
-                         metavar="S", dest="timeout_s",
-                         help="hard per-cell timeout")
-    p_sweep.add_argument("--journal", default=None, metavar="PATH",
-                         help="journal path (default: .repro-sweep.jsonl)")
-    p_sweep.add_argument("--trace", default=None, metavar="PATH",
-                         help="write a repro-trace-v1 JSONL event log")
-    p_sweep.add_argument("--schedule-cache", default=None, metavar="PATH",
-                         dest="schedule_cache",
-                         help="persistent cross-run schedule cache (JSONL) "
-                              "shared by the sweep workers")
+    ))
 
     p_trace = sub.add_parser(
         "trace",
@@ -1078,7 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bind address (default: 127.0.0.1)")
     p_serve.add_argument("--port", type=int, default=8377,
                          help="bind port (default: 8377; 0 = pick free)")
-    p_serve.add_argument("--workers", type=_jobs_arg, default=1,
+    p_serve.add_argument("--workers", type=jobs_arg, default=1,
                          metavar="N",
                          help="worker-pool threads executing requests "
                               "('auto' or 0 = one per core, capped)")
@@ -1264,25 +1146,11 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit one optimization request to a running server",
     )
-    p_sub.add_argument("benchmark", nargs="?", default=None)
-    spec_flags(p_sub)
+    target(p_sub)
     p_sub.add_argument("--host", default="127.0.0.1",
                        help="server address (default: 127.0.0.1)")
     p_sub.add_argument("--port", type=int, default=8377,
                        help="server port (default: 8377)")
-    p_sub.add_argument("--platform", default="i7-5930k",
-                       help="i7-5930k | i7-6700 | arm-a15")
-    p_sub.add_argument("--fast", action="store_true",
-                       help="scaled-down problem size")
-    p_sub.add_argument("--no-nti", action="store_true",
-                       help="disable non-temporal stores")
-    p_sub.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N",
-                       help="accepted for compatibility and ignored "
-                            "(the search is serial)")
-    p_sub.add_argument("--deadline-ms", type=float, default=None,
-                       metavar="MS", dest="deadline_ms",
-                       help="server-side budget; expired requests fail "
-                            "with HTTP 504")
     p_sub.add_argument("--retries", type=int, default=3,
                        help="re-submissions after a shed (429/503) "
                             "response")
@@ -1301,7 +1169,7 @@ def main(argv=None) -> int:
         "optimize": cmd_optimize,
         "compare": cmd_compare,
         "codegen": cmd_codegen,
-        "sweep": cmd_sweep,
+        "sweep": run_sweep,
         "trace": cmd_trace,
         "serve": cmd_serve,
         "submit": cmd_submit,
@@ -1312,8 +1180,8 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         with contextlib.ExitStack() as stack:
-            # `sweep` forwards --trace to the experiments CLI, which owns
-            # its own tracer; everything else traces in-process here.
+            # `sweep` is the experiments CLI, which owns its own tracer;
+            # everything else traces in-process here.
             trace_path = getattr(args, "trace", None)
             if args.command != "sweep" and trace_path:
                 try:

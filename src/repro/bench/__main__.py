@@ -24,7 +24,8 @@ import json
 import sys
 
 from repro.arch import platform_by_name
-from repro.bench.perf import check_regression, run_bench, write_payload
+from repro.bench.perf import check_regression, run_bench
+from repro.util import write_json
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,7 +93,7 @@ def main(argv=None) -> int:
     )
 
     if args.out:
-        write_payload(payload, args.out)
+        write_json(payload, args.out)
         print(f"  wrote {args.out}")
 
     if args.check:

@@ -34,7 +34,6 @@ run; the JSON therefore separates ``*_ms`` (informational) from the
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 import time
@@ -290,9 +289,3 @@ def check_regression(
                 f"(baseline {base:.2f}x - {tolerance:.0%} tolerance)"
             )
     return failures
-
-
-def write_payload(payload: Dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")

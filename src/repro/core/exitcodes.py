@@ -9,6 +9,8 @@ docs/API.md, "Exit codes"):
 code    name                meaning
 ======  ==================  ==============================================
 0       EXIT_OK             success
+1       —                   invalid input found after parsing
+                            (``SystemExit(message)``; no constant)
 2       EXIT_USAGE          bad arguments (argparse's own convention)
 3       EXIT_FALLBACK       completed, but degraded (lenient fallback ran)
 4       EXIT_HARD           hard failure (ReproError: bad spec, no result)

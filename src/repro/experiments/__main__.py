@@ -2,9 +2,10 @@
 
 Usage::
 
-    python -m repro.experiments [--fast] [--jobs N] [--fresh]
+    python -m repro.experiments [--fast] [--jobs N|auto] [--fresh]
                                 [--timeout-s S] [--journal PATH]
-                                [--no-sweep] [--trace PATH]
+                                [--schedule-cache PATH] [--trace PATH]
+    python -m repro sweep ...   # the same flags, the same run
 
 ``--fast`` (or ``REPRO_FAST=1``) uses the scaled-down problem sizes for
 a smoke run; the default regenerates everything at the paper's sizes,
@@ -27,47 +28,39 @@ bitwise-identical to an uninterrupted one.
 any in-process optimizer/simulator activity); inspect it with
 ``python -m repro trace PATH`` and schema-check it with ``--validate``.
 
-Exit codes: 0 = complete, 2 = usage error, 5 = completed with
-quarantined cells (rendered as ``—``).
+Exit codes: 0 = complete, 1 = invalid options (``--jobs -1``), 2 =
+usage error, 5 = completed with quarantined cells (rendered as ``—``).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import os
 import sys
 import time
 
-from repro.core.exitcodes import EXIT_OK
 from repro.obs import NULL_TRACER, JsonlTracer, activate_tracer
 from repro.experiments import ExperimentConfig
-from repro.experiments import (  # noqa: F401  (imported for registry order)
-    corpus,
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    mef,
-    platforms,
-    table4,
-    table5,
-    table6,
-)
+from repro.util import jobs_arg, resolve_workers
 
+#: (label, regenerator module in :mod:`repro.experiments`, takes a
+#: config) in render order.  The modules are imported when the run needs
+#: them, so ``python -m repro`` can register these flags without them.
 ORDER = [
-    ("Table 3", platforms, False),
-    ("Table 5", table5, True),
-    ("Fig. 4", fig4, True),
-    ("Fig. 6", fig6, True),
-    ("Fig. 5", fig5, True),
-    ("Fig. 7", fig7, True),
-    ("Table 6", table6, True),
-    ("Table 4", table4, True),
-    ("Corpus", corpus, True),
+    ("Table 3", "platforms", False),
+    ("Table 5", "table5", True),
+    ("Fig. 4", "fig4", True),
+    ("Fig. 6", "fig6", True),
+    ("Fig. 5", "fig5", True),
+    ("Fig. 7", "fig7", True),
+    ("Table 6", "table6", True),
+    ("Table 4", "table4", True),
+    ("Corpus", "corpus", True),
     # After Corpus: the mef regenerator appends its marked section to the
     # CORPUS.md the corpus regenerator just rewrote.
-    ("Multistride", mef, True),
+    ("Multistride", "mef", True),
 ]
 
 #: Regenerators whose measurements flow through the recording-aware
@@ -77,21 +70,19 @@ ORDER = [
 #: simulator runs, cheap relative to the autotuner searches — and the
 #: corpus win/loss and mef three-strategy tables measure inline for the
 #: same reason.
-SWEPT_MODULES = (table5, fig4, fig6, fig5, fig7, table4)
+SWEPT_MODULES = ("table5", "fig4", "fig6", "fig5", "fig7", "table4")
 
 #: Journal location when neither --journal nor REPRO_SWEEP_JOURNAL is set.
 DEFAULT_JOURNAL = ".repro-sweep.jsonl"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments",
-        description="Regenerate every table and figure of the paper",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the flags; ``python -m repro sweep`` registers the same."""
     parser.add_argument("--fast", action="store_true",
                         help="scaled-down problem sizes (smoke run)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="measure up to N cells in parallel workers")
+    parser.add_argument("--jobs", type=jobs_arg, default=1, metavar="N",
+                        help="measure up to N cells in parallel workers "
+                             "('auto' or 0 = one per core, capped)")
     parser.add_argument("--fresh", action="store_true",
                         help="discard the journal and re-measure everything")
     parser.add_argument("--timeout-s", type=float, default=None, metavar="S",
@@ -100,23 +91,32 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"sweep journal path (default: "
                              f"$REPRO_SWEEP_JOURNAL or {DEFAULT_JOURNAL})")
     parser.add_argument("--schedule-cache", default=None, metavar="PATH",
-                        dest="schedule_cache",
                         help="persistent cross-run schedule cache (JSONL); "
                              "workers consult it before searching and "
                              "append what they find")
-    parser.add_argument("--no-sweep", action="store_true",
-                        help="legacy in-process mode: no isolation, no "
-                             "journal, no resume")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="write a repro-trace-v1 JSONL event log")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments",
+        description="Regenerate every table and figure of the paper",
+    )
+    add_arguments(parser)
     return parser
+
+
+def _regenerator(name: str):
+    return importlib.import_module(f"repro.experiments.{name}")
 
 
 def _render_all(config: ExperimentConfig) -> None:
     """Run every regenerator; tables to stdout, timings to stderr."""
-    for label, module, takes_config in ORDER:
+    for label, name, takes_config in ORDER:
         print(f"--- {label} " + "-" * (60 - len(label)))
         start = time.perf_counter()
+        module = _regenerator(name)
         if takes_config:
             module.run(config=config)
         else:
@@ -126,12 +126,12 @@ def _render_all(config: ExperimentConfig) -> None:
         print()
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(
-        argv if argv is not None else sys.argv[1:]
-    )
-    if args.jobs < 1:
-        build_parser().error(f"--jobs must be >= 1, got {args.jobs}")
+def run(args) -> int:
+    """Sweep every cell, then render every table from the journal."""
+    try:
+        jobs = resolve_workers(args.jobs, name="jobs")
+    except ValueError as exc:
+        raise SystemExit(f"invalid options: {exc}") from None
     if args.fast:
         os.environ["REPRO_FAST"] = "1"
     config = ExperimentConfig()
@@ -148,15 +148,10 @@ def main(argv=None) -> int:
                     f"cannot write {args.trace!r}: {exc.strerror or exc}"
                 )
             stack.enter_context(tracer)
-            # Ambient for the in-process work (planning, rendering, any
-            # --no-sweep measurement); the runner gets it explicitly
-            # because its worker threads do not inherit context vars.
+            # Ambient for the in-process work (planning, rendering); the
+            # runner gets it explicitly because its worker threads do not
+            # inherit context vars.
             stack.enter_context(activate_tracer(tracer))
-
-        if args.no_sweep:
-            with tracer.span("render"):
-                _render_all(config)
-            return EXIT_OK
 
         from repro.sweep import Journal, SweepRunner, plan_cells
 
@@ -170,10 +165,11 @@ def main(argv=None) -> int:
             journal.clear()
 
         with tracer.span("plan"):
-            cells = plan_cells(SWEPT_MODULES, config=config)
+            swept = [_regenerator(name) for name in SWEPT_MODULES]
+            cells = plan_cells(swept, config=config)
         runner = SweepRunner(
             journal,
-            jobs=args.jobs,
+            jobs=jobs,
             timeout_s=args.timeout_s,
             progress=sys.stderr,
             tracer=tracer,
@@ -188,6 +184,10 @@ def main(argv=None) -> int:
         with tracer.span("render"):
             _render_all(config)
         return report.exit_code()
+
+
+def main(argv=None) -> int:
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -12,18 +12,25 @@ loop — and tears it all down on exit::
 The supervisor is exposed (``fleet.supervisor``) so failover tests can
 reach its fault hooks (``kill_worker``, per-shard ``worker_env``) while
 talking to the router like any client would.
+
+``self_hosted_fleet(N)`` is the throwaway fleet behind ``repro loadgen
+--fleet N`` and ``repro tune --fleet N``: its shard caches live in a
+temporary directory that goes away with it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import os
+import tempfile
 import threading
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.fleet.router import FleetRouter
 from repro.fleet.supervisor import FleetSupervisor
 
-__all__ = ["FleetThread"]
+__all__ = ["FleetThread", "self_hosted_fleet"]
 
 
 class FleetThread:
@@ -92,3 +99,20 @@ class FleetThread:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
+
+
+@contextlib.contextmanager
+def self_hosted_fleet(workers: int) -> Iterator[FleetThread]:
+    """Boot an N-worker fleet on fresh caches; tear both down on exit.
+
+    The shard caches — and so the server-side tune journal, which lives
+    next to them — persist for the fleet's lifetime, so a second tune
+    POST to the same fleet resumes from the first.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        with FleetThread(
+            workers=workers,
+            cache_path=os.path.join(tmp, "cache.jsonl"),
+            queue_limit=32,
+        ) as fleet:
+            yield fleet

@@ -27,61 +27,73 @@ import difflib
 import json
 import sys
 
+from repro.core.exitcodes import EXIT_OK, EXIT_USAGE
 from repro.frontend.corpus import CORPUS, corpus_manifest
 from repro.frontend.lowering import lower_spec
-from repro.util import ValidationError
+from repro.util import ValidationError, canonical_json
 
-EXIT_OK = 0
 EXIT_DRIFT = 1
-EXIT_USAGE = 2
 
 
-def _dims(value: str):
+def kv_arg(value: str, *, flag: str, cast, what: str):
+    """Parse ``name=value,name=value`` flag payloads (``--dims`` etc.)."""
     out = {}
     for item in value.split(","):
         name, sep, raw = item.partition("=")
-        if not sep:
+        name = name.strip()
+        if not sep or not name:
             raise argparse.ArgumentTypeError(
-                f"--dims wants NAME=EXT[,NAME=EXT...], got {item!r}"
+                f"{flag} wants NAME=VALUE[,NAME=VALUE...], got {item!r}"
             )
         try:
-            out[name.strip()] = int(raw)
+            out[name] = cast(raw.strip())
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"--dims: {name.strip()}={raw!r} is not an integer"
+                f"{flag}: {name}={raw.strip()!r} is not {what}"
             ) from None
     return out
 
 
-def _kv(value: str, flag: str):
-    out = {}
-    for item in value.split(","):
-        name, sep, raw = item.partition("=")
-        if not sep:
-            raise argparse.ArgumentTypeError(
-                f"{flag} wants NAME=VALUE[,NAME=VALUE...], got {item!r}"
-            )
-        out[name.strip()] = raw.strip()
-    return out
+def dims_arg(value: str):
+    return kv_arg(value, flag="--dims", cast=int, what="an integer")
+
+
+def dtypes_arg(value: str):
+    return kv_arg(value, flag="--dtypes", cast=str, what="a dtype name")
+
+
+def param_arg(value: str):
+    pairs = kv_arg(value, flag="--param", cast=float, what="a number")
+    return list(pairs.items())
+
+
+def add_spec_args(parser) -> None:
+    """The ``--dims``/``--dtypes``/``--param`` flags a spec lowers with.
+
+    ``lower`` here and the ``repro`` CLI's ``--spec`` targets share them;
+    repeated ``--param`` flags collect into one ``args.params`` list of
+    ``(name, value)`` pairs.
+    """
+    parser.add_argument("--dims", type=dims_arg, default=None,
+                        metavar="N=EXT,...",
+                        help="loop extents, e.g. i=512,j=512,k=512")
+    parser.add_argument("--dtypes", type=dtypes_arg, default=None,
+                        metavar="T=DT,...",
+                        help="per-tensor dtypes (default float32), "
+                             "e.g. C=float64")
+    parser.add_argument("--param", action="extend", type=param_arg,
+                        default=None, dest="params", metavar="NAME=VALUE",
+                        help="scalar constant (repeatable), e.g. "
+                             "--param a=0.5")
 
 
 def cmd_lower(args) -> int:
-    params = None
-    if args.params:
-        params = {}
-        for group in args.params:
-            for name, raw in _kv(group, "--param").items():
-                try:
-                    params[name] = float(raw)
-                except ValueError:
-                    print(
-                        f"error: --param {name}={raw!r} is not a number",
-                        file=sys.stderr,
-                    )
-                    return EXIT_USAGE
     try:
         lowered = lower_spec(
-            args.spec, args.dims or {}, dtypes=args.dtypes, params=params
+            args.spec,
+            args.dims or {},
+            dtypes=args.dtypes,
+            params=dict(args.params) if args.params else None,
         )
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -124,11 +136,6 @@ def _filter_family(manifest: dict, family):
     }
 
 
-def _render_manifest(family=None) -> str:
-    manifest = _filter_family(corpus_manifest(), family)
-    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-
-
 def cmd_manifest(args) -> int:
     families = {kernel.family for kernel in CORPUS}
     if args.family is not None and args.family not in families:
@@ -138,7 +145,8 @@ def cmd_manifest(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    rendered = _render_manifest(args.family)
+    manifest = _filter_family(corpus_manifest(), args.family)
+    rendered = canonical_json(manifest)
     if args.check is None:
         sys.stdout.write(rendered)
         return EXIT_OK
@@ -162,14 +170,7 @@ def cmd_manifest(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
-        golden = (
-            json.dumps(
-                _filter_family(golden_doc, args.family),
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        golden = canonical_json(_filter_family(golden_doc, args.family))
     if golden == rendered:
         scope = f"family {args.family!r}" if args.family else "manifest"
         count = len(json.loads(rendered)["kernels"])
@@ -200,15 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lower = sub.add_parser("lower", help="lower one spec, print stages")
     p_lower.add_argument("spec", help="e.g. 'C[i,j] += A[i,k] * B[k,j]'")
-    p_lower.add_argument("--dims", type=_dims, default=None,
-                         metavar="N=EXT,...",
-                         help="loop extents, e.g. i=512,j=512,k=512")
-    p_lower.add_argument("--dtypes", type=lambda v: _kv(v, "--dtypes"),
-                         default=None, metavar="T=DT,...",
-                         help="per-tensor dtypes (default float32)")
-    p_lower.add_argument("--param", action="append", default=None,
-                         dest="params", metavar="NAME=VALUE",
-                         help="scalar constant (repeatable)")
+    add_spec_args(p_lower)
     p_lower.add_argument("-v", "--verbose", action="store_true",
                          help="also print definitions and bounds")
 

@@ -73,7 +73,6 @@ __all__ = [
     "check_serve_regression",
     "percentiles_from_histogram",
     "run_loadgen",
-    "write_payload",
 ]
 
 
@@ -369,9 +368,3 @@ def check_serve_regression(
                 f"tolerance) — repeat requests are re-searching"
             )
     return failures
-
-
-def write_payload(payload: Dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")

@@ -23,7 +23,8 @@ from repro.util.numbers import (
     tile_candidates,
     clamp,
 )
-from repro.util.workers import resolve_workers
+from repro.util.jsonfile import canonical_json, write_json
+from repro.util.workers import jobs_arg, resolve_workers
 
 __all__ = [
     "ReproError",
@@ -43,5 +44,8 @@ __all__ = [
     "pow2_range",
     "tile_candidates",
     "clamp",
+    "canonical_json",
+    "write_json",
+    "jobs_arg",
     "resolve_workers",
 ]

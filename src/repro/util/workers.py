@@ -1,6 +1,7 @@
 """Worker-count normalization shared by every process- or thread-level
 pool knob (``OptimizeServer(workers=)``, ``repro sweep --jobs``) and by
-the validation of the no-op ``jobs`` field on the serve wire and CLI."""
+the validation of the no-op ``jobs`` field on the serve wire and CLI,
+plus the argparse type every such flag parses with."""
 
 from __future__ import annotations
 
@@ -28,3 +29,22 @@ def resolve_workers(value, *, name: str = "workers") -> int:
         if value > 0:
             return value
     return max(1, min(MAX_AUTO_WORKERS, os.cpu_count() or 1))
+
+
+def jobs_arg(value: str):
+    """argparse type for ``--jobs``/``--workers``: an integer or ``auto``.
+
+    Only the spelling is checked here; the range is left to
+    :func:`resolve_workers`, so ``--jobs -1`` parses and then fails as
+    one ``invalid options:`` line.
+    """
+    if value == "auto":
+        return "auto"
+    try:
+        return int(value)
+    except ValueError:
+        import argparse  # only the CLIs pay for it; `import repro` does not
+
+        raise argparse.ArgumentTypeError(
+            f"must be an integer or 'auto', got {value!r}"
+        ) from None

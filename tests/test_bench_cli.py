@@ -12,8 +12,8 @@ from repro.bench.perf import (
     GATED_RATIOS,
     check_regression,
     run_bench,
-    write_payload,
 )
+from repro.util import write_json
 
 
 def _payload(**overrides):
@@ -118,7 +118,7 @@ class TestCli:
         self, fake_bench, tmp_path
     ):
         baseline = tmp_path / "baseline.json"
-        write_payload(fake_bench, str(baseline))
+        write_json(fake_bench, str(baseline))
         assert (
             bench_cli.main(["--fast", "--check", "--baseline", str(baseline)])
             == 0
@@ -128,7 +128,7 @@ class TestCli:
         better = copy.deepcopy(fake_bench)
         better["end_to_end"]["speedup_warm"] = 500.0
         baseline = tmp_path / "baseline.json"
-        write_payload(better, str(baseline))
+        write_json(better, str(baseline))
         assert (
             bench_cli.main(["--fast", "--check", "--baseline", str(baseline)])
             == 1
