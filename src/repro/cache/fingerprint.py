@@ -16,25 +16,24 @@ is unchanged, so cache keys are built from three independent hashes:
   change the chosen schedule (``use_nti``, ``use_emu``, ``order_step``,
   ``exhaustive``...).
 
-All hashes are SHA-256 over canonical (sorted-key, tight-separator)
-JSON, matching the checksum discipline of :mod:`repro.sweep.journal`.
+All hashes are SHA-256 over :func:`repro.util.jsonl.compact_json`, the
+encoding under every journal and cache record checksum.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Dict, List
 
 from repro.ir.expr import Access, Expr
 from repro.ir.func import Func
+from repro.util.jsonl import compact_json
 
 __all__ = ["func_fingerprint", "options_fingerprint", "optimize_options"]
 
 
 def _sha256(payload) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(compact_json(payload).encode("utf-8")).hexdigest()
 
 
 def _buffers_read(expr: Expr, out: Dict[str, Dict]) -> None:

@@ -11,13 +11,10 @@ of once per run.  Every line is one record::
      "options": {...}, "schedule": {...}, "meta": {...},
      "sha256": "<hex>"}
 
-The durability/corruption discipline is :mod:`repro.sweep.journal`'s:
-appends are flushed and fsync'd per record, per-record SHA-256 checksums
-catch truncated or bit-flipped lines, and :meth:`ScheduleCache.load`
-skips damaged lines with a diagnostic — a torn append costs one entry,
-never the cache.  The last record per key wins, so re-caching a key
-simply appends a superseding line; :meth:`ScheduleCache.compact` drops
-superseded lines via an atomic rewrite.
+The store is a view over :class:`repro.util.jsonl.RecordLog`, the log
+the sweep journal also uses, so a torn append costs one entry, never the
+cache.  Re-caching a key appends a superseding line, and
+:meth:`ScheduleCache.compact` drops superseded lines.
 
 Corruption is *counted and healed*, never silently absorbed: every
 skipped line bumps ``stats.corrupt_lines_skipped`` (surfaced through the
@@ -41,18 +38,10 @@ returning a corrupt schedule.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import tempfile
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-try:  # advisory inter-process locking; unix-only, gracefully absent
-    import fcntl
-except ImportError:  # pragma: no cover - non-posix platforms
-    fcntl = None
+from typing import Dict, List, Optional, Sequence
 
 from repro.arch import ArchSpec
 from repro.cache.fingerprint import func_fingerprint, options_fingerprint
@@ -60,6 +49,7 @@ from repro.ir.func import Func
 from repro.ir.schedule import Schedule
 from repro.ir.serialize import schedule_from_dict, schedule_to_dict
 from repro.util import ScheduleError
+from repro.util.jsonl import RecordLog, checksum, compact_json
 
 #: Schema tag; bump when the record layout changes incompatibly.
 CACHE_FORMAT = "repro-schedule-cache-v1"
@@ -74,41 +64,14 @@ __all__ = [
 ]
 
 
-def _canonical(payload: Dict) -> str:
-    """Deterministic JSON used both on the wire and under the checksum."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _checksum(payload: Dict) -> str:
-    body = {k: v for k, v in payload.items() if k != "sha256"}
-    return hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()
-
-
-@contextmanager
-def _advisory_lock(path: str, *, exclusive: bool):
-    """Advisory inter-process lock on the sidecar ``<path>.lock`` file.
-
-    Appenders take it *shared* (any number may write concurrently —
-    O_APPEND keeps their records whole), while :meth:`ScheduleCache.compact`
-    takes it *exclusive* so its read-everything-then-replace cannot race a
-    concurrent append and silently drop the appended record.  The lock
-    lives on a sidecar rather than the data file because compaction
-    replaces the data file's inode, which would detach any lock held on
-    it.  Without :mod:`fcntl` (non-posix) this degrades to a no-op —
-    same-process callers are still serialized by the instance lock.
-    """
-    if fcntl is None:
-        yield
-        return
-    fd = os.open(path + ".lock", os.O_CREAT | os.O_RDWR, 0o644)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
-        yield
-    finally:
-        try:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-        finally:
-            os.close(fd)
+def _key_of(payload: Dict) -> str:
+    """A record's key; a record needs a string key and a schedule object."""
+    key = payload.get("key")
+    if not isinstance(key, str) or not isinstance(
+        payload.get("schedule"), dict
+    ):
+        raise ValueError
+    return key
 
 
 def cache_key(func_fp: str, arch_fp: str, options: Dict) -> str:
@@ -167,25 +130,20 @@ class ScheduleCache:
     The backing file is read lazily on first access and kept as an
     in-memory ``key -> record`` map; :meth:`put` appends to the file and
     updates the map, so interleaved get/put always see the caller's own
-    writes.  Cross-process appends are line-atomic — one ``O_APPEND``
-    ``os.write`` per record, which the kernel serializes — and readers
-    tolerate any torn line, so several processes (sweep workers, serve
-    workers) may share one cache file.  :meth:`compact` additionally
-    takes an exclusive advisory lock (``<path>.lock``) against the
-    shared lock appends hold, so rewrites never drop concurrent appends.
+    writes.  Cross-process appends are line-atomic and readers tolerate
+    any torn line, so several processes (sweep workers, serve workers)
+    may share one cache file; :meth:`compact` holds the log's exclusive
+    ``<path>.lock`` so rewrites never drop concurrent appends.
     """
 
     def __init__(self, path: str, *, tracer=None) -> None:
         self.path = str(path)
         self.stats = CacheStats()
+        self._log = RecordLog(self.path, CACHE_FORMAT, _key_of)
         self._lock = threading.Lock()
         self._records: Optional[Dict[str, Dict]] = None
         #: Human-readable notes about skipped lines from the last load.
         self.load_diagnostics: List[str] = []
-        #: Raw damaged lines from the last load, kept verbatim so
-        #: :meth:`compact` can quarantine them before the rewrite
-        #: destroys the evidence.
-        self._corrupt_raw: List[str] = []
         if tracer is None:
             from repro.obs import NULL_TRACER
 
@@ -200,60 +158,15 @@ class ScheduleCache:
 
     # -- reading -------------------------------------------------------
 
-    def load(self, *, count_corrupt: bool = True) -> Dict[str, Dict]:
+    def load(self) -> Dict[str, Dict]:
         """Parse the backing file; last valid record per key wins.
 
-        Damaged lines are skipped (and kept verbatim for
-        :meth:`compact`'s quarantine); each skip bumps
-        ``stats.corrupt_lines_skipped`` unless ``count_corrupt`` is
-        false — :meth:`compact`'s internal re-read passes false so one
-        corrupt line is never counted twice by the heal cycle.
+        Damaged lines are skipped with a note in :attr:`load_diagnostics`
+        and each bumps ``stats.corrupt_lines_skipped``.
         """
-        self.load_diagnostics = []
-        self._corrupt_raw = []
-        records: Dict[str, Dict] = {}
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except FileNotFoundError:
-            return records
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            note = self._ingest(line, lineno, records)
-            if note is not None:
-                self.load_diagnostics.append(note)
-                self._corrupt_raw.append(line)
-                if count_corrupt:
-                    self.stats.corrupt_lines_skipped += 1
+        records, self.load_diagnostics = self._log.load()
+        self.stats.corrupt_lines_skipped += len(self.load_diagnostics)
         return records
-
-    def _ingest(
-        self, line: str, lineno: int, records: Dict[str, Dict]
-    ) -> Optional[str]:
-        """Parse one line into ``records``; return a diagnostic on skip."""
-        where = f"{self.path}:{lineno}"
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return f"{where}: skipping unparsable line ({exc.msg})"
-        if not isinstance(payload, dict):
-            return f"{where}: skipping non-object line"
-        if payload.get("format") != CACHE_FORMAT:
-            return (
-                f"{where}: skipping record with format="
-                f"{payload.get('format')!r} (expected {CACHE_FORMAT!r})"
-            )
-        if payload.get("sha256") != _checksum(payload):
-            return f"{where}: skipping record with bad checksum (truncated?)"
-        key = payload.get("key")
-        if not isinstance(key, str) or not isinstance(
-            payload.get("schedule"), dict
-        ):
-            return f"{where}: skipping malformed record"
-        records[key] = payload
-        return None
 
     def _loaded(self) -> Dict[str, Dict]:
         if self._records is None:
@@ -304,7 +217,7 @@ class ScheduleCache:
         schedule: Schedule,
         meta: Optional[Dict] = None,
     ) -> str:
-        """Durably store one schedule (flush + fsync); returns the key."""
+        """Durably append one schedule; returns the key."""
         func_fp = func_fingerprint(func)
         arch_fp = arch.fingerprint()
         key = cache_key(func_fp, arch_fp, options)
@@ -317,100 +230,36 @@ class ScheduleCache:
             "schedule": schedule_to_dict(schedule),
             "meta": dict(meta or {}),
         }
-        payload["sha256"] = _checksum(payload)
-        line = _canonical(payload) + "\n"
+        payload["sha256"] = checksum(payload)
         with self._lock:
-            directory = os.path.dirname(os.path.abspath(self.path))
-            os.makedirs(directory, exist_ok=True)
-            # One O_APPEND os.write per record: the kernel serializes the
-            # seek-to-end+write, so concurrent writers (sweep workers,
-            # serve workers, several processes on one cache file) can
-            # never interleave bytes within a line — the checksum then
-            # only has torn tails from crashes to catch, not shuffles.
-            with _advisory_lock(self.path, exclusive=False):
-                fd = os.open(
-                    self.path,
-                    os.O_WRONLY | os.O_APPEND | os.O_CREAT,
-                    0o644,
-                )
-                try:
-                    os.write(fd, line.encode("utf-8"))
-                    os.fsync(fd)
-                finally:
-                    os.close(fd)
+            self._log.append(payload)
             self._loaded()[key] = payload
             self.stats.stores += 1
         return key
 
     def compact(self) -> int:
-        """Drop superseded/corrupt lines via an atomic rewrite (temp file
-        + fsync + rename, as in :meth:`repro.sweep.Journal.rewrite`);
+        """Drop superseded/corrupt lines via the log's atomic rewrite;
         returns the surviving record count.
 
-        Corrupt lines are not simply dropped: their raw bytes are
-        appended to the ``<path>.quarantine`` sidecar first (fsync'd,
-        counted in ``stats.quarantined_lines``) and one structured
-        ``cache.corrupt`` trace event is emitted per compact that found
-        any — so a flipped bit leaves an audit trail instead of
-        vanishing in the rewrite.
-
-        Holds the *exclusive* advisory lock for the whole
-        read-then-replace, so records appended by other processes midway
-        cannot be lost to the rewrite — appenders (shared lock) simply
-        wait it out.
+        Damaged lines, quarantined by the log, count in
+        ``stats.quarantined_lines`` (not again in
+        ``corrupt_lines_skipped``: :meth:`heal`'s load did that) and
+        raise one ``cache.corrupt`` trace event per compact.
         """
         with self._lock:
-            with _advisory_lock(self.path, exclusive=True):
-                # Re-read under the lock (other processes may have
-                # appended); the re-read must not double-count lines the
-                # first load already reported.
-                self._records = None
-                records = self.load(count_corrupt=False)
-                self._records = records
-                if self._corrupt_raw:
-                    self._quarantine(self._corrupt_raw)
-                directory = os.path.dirname(os.path.abspath(self.path)) or "."
-                fd, tmp_path = tempfile.mkstemp(
-                    prefix=".schedule-cache-", suffix=".tmp", dir=directory
+            self._records, self.load_diagnostics = self._log.compact()
+            damaged = len(self.load_diagnostics)
+            if damaged:
+                self.stats.quarantined_lines += damaged
+                from repro.obs.events import EVENT_CACHE_CORRUPT
+
+                self.tracer.event(
+                    EVENT_CACHE_CORRUPT,
+                    path=self.path,
+                    lines=damaged,
+                    quarantine=self.path + ".quarantine",
                 )
-                try:
-                    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                        for payload in records.values():
-                            handle.write(_canonical(payload) + "\n")
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                    os.replace(tmp_path, self.path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp_path)
-                    except OSError:
-                        pass
-                    raise
-                return len(records)
-
-    def _quarantine(self, lines: List[str]) -> None:
-        """Preserve damaged raw lines in the sidecar; called from
-        :meth:`compact` with both locks held."""
-        quarantine_path = self.path + ".quarantine"
-        fd = os.open(
-            quarantine_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
-        )
-        try:
-            os.write(
-                fd, ("\n".join(lines) + "\n").encode("utf-8", "replace")
-            )
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        self.stats.quarantined_lines += len(lines)
-        from repro.obs.events import EVENT_CACHE_CORRUPT
-
-        self.tracer.event(
-            EVENT_CACHE_CORRUPT,
-            path=self.path,
-            lines=len(lines),
-            quarantine=quarantine_path,
-        )
+            return len(self._records)
 
     def heal(self) -> int:
         """Detect, quarantine, and repair corrupt lines; returns how many.
@@ -423,7 +272,7 @@ class ScheduleCache:
         """
         with self._lock:
             self._records = self.load()
-            corrupt = len(self._corrupt_raw)
+            corrupt = len(self.load_diagnostics)
         if corrupt:
             self.compact()
         return corrupt
@@ -432,11 +281,7 @@ class ScheduleCache:
         """Remove the backing file (and lock sidecar); forget the map."""
         with self._lock:
             self._records = None
-            for path in (self.path, self.path + ".lock"):
-                try:
-                    os.unlink(path)
-                except FileNotFoundError:
-                    pass
+            self._log.clear()
 
 
 def check_shard_caches(base_path: str, shards: Sequence[int]) -> Dict:
@@ -470,10 +315,10 @@ def check_shard_caches(base_path: str, shards: Sequence[int]) -> Dict:
         per_shard[str(shard)] = {
             "path": path,
             "entries": len(records),
-            "corrupt_lines": len(store._corrupt_raw),
+            "corrupt_lines": store.stats.corrupt_lines_skipped,
         }
         for key, payload in records.items():
-            schedules_by_key.setdefault(key, {})[str(shard)] = _canonical(
+            schedules_by_key.setdefault(key, {})[str(shard)] = compact_json(
                 payload.get("schedule", {})
             )
     shared = {

@@ -65,10 +65,12 @@ from repro.util.errors import ServeError, ServeOverloaded
 __all__ = ["ChaosResult", "run_scenario"]
 
 #: Garbage appended to each shard store by the corrupt-cache action:
-#: one line of non-JSON noise and one checksum-mismatched record.
+#: one line of non-JSON noise, one checksum-mismatched record and one
+#: line that is not UTF-8.
 _CORRUPT_LINES = (
     b"@@@ chaos: not json at all @@@\n"
     b'{"k": "chaos-bad-checksum", "v": {"schedule": []}, "sum": "feedface"}\n'
+    b"\xff\xfe chaos: not UTF-8 \xc0\n"
 )
 
 

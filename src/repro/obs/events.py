@@ -21,8 +21,9 @@ journal's (:data:`repro.sweep.journal.JOURNAL_FORMAT`): bump
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.util.jsonl import read_lines
 
 #: Schema tag; bump when the record layout changes incompatibly.
 TRACE_FORMAT = "repro-trace-v1"
@@ -205,25 +206,16 @@ def validate_trace(events: Sequence[Dict]) -> List[str]:
 def read_trace(path: str) -> Tuple[List[Dict], List[str]]:
     """Load a JSONL trace file.
 
-    Returns ``(events, problems)`` — unparsable lines become problems,
-    never exceptions, mirroring the sweep journal's corruption
-    tolerance.  A missing file is a single problem entry.
+    Returns ``(events, problems)`` — lines that are not UTF-8 or not
+    JSON become problems, never exceptions.  A missing file is a single
+    problem entry.
     """
-    events: List[Dict] = []
-    problems: List[str] = []
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
+        lines = read_lines(path)
     except OSError as exc:
-        return events, [f"{path}: cannot read ({exc.strerror or exc})"]
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"{path}:{lineno}: unparsable line ({exc.msg})")
-            continue
-        events.append(payload)
+        return [], [f"{path}: cannot read ({exc.strerror or exc})"]
+    events = [line.value for line in lines if line.damage is None]
+    problems = [
+        f"{line.where}: {line.damage}" for line in lines if line.damage
+    ]
     return events, problems

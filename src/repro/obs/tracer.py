@@ -34,13 +34,13 @@ explicit constructor argument instead.  All tracers are thread-safe.
 from __future__ import annotations
 
 import contextlib
-import json
 import threading
 import time
 from contextvars import ContextVar
 from typing import Dict, Iterator, List, Optional, TextIO
 
 from repro.obs.events import TRACE_FORMAT
+from repro.util.jsonl import compact_json
 
 __all__ = [
     "Tracer",
@@ -234,9 +234,7 @@ class JsonlTracer(Tracer):
     def _write(self, payload: Dict) -> None:
         if self._handle is None:
             return
-        self._handle.write(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        )
+        self._handle.write(compact_json(payload) + "\n")
         self._handle.flush()
 
     def close(self) -> None:

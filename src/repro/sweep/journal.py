@@ -6,17 +6,10 @@ Every completed (or quarantined) cell becomes one JSON line::
      "cell": {...}, "ms": 12.34, "attempts": 1, "trail": [...],
      "schedules": [...], "sha256": "<hex>"}
 
-Durability and corruption tolerance:
-
-* **Appends** are flushed and ``fsync``'d per record, so a completed
-  cell survives a SIGKILL of the sweep driver an instant later.
-* **Rewrites** (compaction, pruning) go through a temp file in the same
-  directory, ``fsync``, then an atomic ``os.replace`` — a crash mid
-  rewrite leaves either the old or the new journal, never a torn one.
-* **Per-record checksums** (SHA-256 over the canonical record JSON)
-  catch truncated or bit-flipped lines: :meth:`Journal.load` skips such
-  lines with a diagnostic instead of aborting, so one torn append —
-  e.g. from the SIGKILL above — costs one cell, not the whole sweep.
+The journal is a typed view over :class:`repro.util.jsonl.RecordLog`,
+the log the schedule cache also uses: a completed cell survives a
+SIGKILL of the sweep driver an instant later, and the torn append such a
+kill may leave costs one cell, not the whole sweep.
 
 The record ``status`` is ``"ok"`` for a measured cell or
 ``"quarantined"`` for one that exhausted its retries; the last record
@@ -26,15 +19,11 @@ appends the fresh ``"ok"`` record.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import tempfile
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.sweep.cell import SweepCell
+from repro.util.jsonl import RecordLog, checksum
 
 #: Schema tag; bump when the record layout changes incompatibly.
 JOURNAL_FORMAT = "repro-sweep-v1"
@@ -43,16 +32,6 @@ STATUS_OK = "ok"
 STATUS_QUARANTINED = "quarantined"
 
 _STATUSES = (STATUS_OK, STATUS_QUARANTINED)
-
-
-def _canonical(payload: Dict) -> str:
-    """Deterministic JSON used both on the wire and under the checksum."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _checksum(payload: Dict) -> str:
-    body = {k: v for k, v in payload.items() if k != "sha256"}
-    return hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -91,7 +70,7 @@ class JournalRecord:
             "trail": list(self.trail),
             "schedules": self.schedules,
         }
-        payload["sha256"] = _checksum(payload)
+        payload["sha256"] = checksum(payload)
         return payload
 
     @classmethod
@@ -112,60 +91,21 @@ class Journal:
 
     def __init__(self, path: str) -> None:
         self.path = str(path)
-        self._lock = threading.Lock()
+        self._log = RecordLog(
+            self.path,
+            JOURNAL_FORMAT,
+            lambda payload: JournalRecord.from_dict(payload).key,
+        )
         #: Human-readable notes about skipped lines from the last load.
         self.load_diagnostics: List[str] = []
 
-    # -- writing -------------------------------------------------------
-
     def append(self, record: JournalRecord) -> None:
-        """Durably append one record (flush + fsync before returning)."""
-        line = _canonical(record.to_dict()) + "\n"
-        with self._lock:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line)
-                handle.flush()
-                os.fsync(handle.fileno())
-
-    def rewrite(self, records: List[JournalRecord]) -> None:
-        """Atomically replace the journal (temp file + fsync + rename)."""
-        directory = os.path.dirname(os.path.abspath(self.path)) or "."
-        with self._lock:
-            fd, tmp_path = tempfile.mkstemp(
-                prefix=".sweep-journal-", suffix=".tmp", dir=directory
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    for record in records:
-                        handle.write(_canonical(record.to_dict()) + "\n")
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp_path, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-                raise
-            # Make the rename itself durable.
-            try:
-                dir_fd = os.open(directory, os.O_RDONLY)
-            except OSError:
-                return  # platform without directory fsync; best effort
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
+        """Durably append one record."""
+        self._log.append(record.to_dict())
 
     def clear(self) -> None:
-        """Remove the journal file (``--fresh``)."""
-        with self._lock:
-            try:
-                os.unlink(self.path)
-            except FileNotFoundError:
-                pass
-
-    # -- reading -------------------------------------------------------
+        """Delete the journal file and its lock sidecar (``--fresh``)."""
+        self._log.clear()
 
     def load(self) -> Dict[str, JournalRecord]:
         """Parse the journal; last valid record per key wins.
@@ -174,49 +114,18 @@ class Journal:
         :attr:`load_diagnostics` — a damaged journal degrades to fewer
         resumable cells, it never aborts the sweep.
         """
-        self.load_diagnostics = []
-        records: Dict[str, JournalRecord] = {}
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except FileNotFoundError:
-            return records
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            note = self._ingest(line, lineno, records)
-            if note is not None:
-                self.load_diagnostics.append(note)
-        return records
-
-    def _ingest(
-        self, line: str, lineno: int, records: Dict[str, JournalRecord]
-    ) -> Optional[str]:
-        """Parse one line into ``records``; return a diagnostic on skip."""
-        where = f"{self.path}:{lineno}"
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return f"{where}: skipping unparsable line ({exc.msg})"
-        if not isinstance(payload, dict):
-            return f"{where}: skipping non-object line"
-        if payload.get("format") != JOURNAL_FORMAT:
-            return (
-                f"{where}: skipping record with format="
-                f"{payload.get('format')!r} (expected {JOURNAL_FORMAT!r})"
-            )
-        if payload.get("sha256") != _checksum(payload):
-            return f"{where}: skipping record with bad checksum (truncated?)"
-        try:
-            record = JournalRecord.from_dict(payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            return f"{where}: skipping malformed record ({exc})"
-        records[record.key] = record
-        return None
+        records, self.load_diagnostics = self._log.load()
+        return _typed(records)
 
     def compact(self) -> Dict[str, JournalRecord]:
-        """Drop superseded/corrupt lines by atomically rewriting the file."""
-        records = self.load()
-        self.rewrite(list(records.values()))
-        return records
+        """Quarantine damaged lines and drop superseded ones by
+        atomically rewriting the file."""
+        records, self.load_diagnostics = self._log.compact()
+        return _typed(records)
+
+
+def _typed(records: Dict[str, Dict]) -> Dict[str, JournalRecord]:
+    return {
+        key: JournalRecord.from_dict(payload)
+        for key, payload in records.items()
+    }

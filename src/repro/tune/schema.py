@@ -35,6 +35,7 @@ import json
 from typing import Dict, List, Optional, Sequence
 
 from repro.options import CACHE_KEYS
+from repro.util.jsonl import compact_json
 
 TUNE_FORMAT = "repro-tune-v1"
 TUNE_REPORT_FORMAT = "repro-tune-report-v1"
@@ -87,7 +88,7 @@ def tune_id(payload: Dict) -> str:
         "grid": payload.get("grid") or [{}],
         "fast": bool(payload.get("fast", False)),
     }
-    blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
+    blob = compact_json(identity)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 

@@ -14,7 +14,7 @@ import json
 import os
 
 from repro.cache import ScheduleCache, check_shard_caches, shard_cache_path
-from repro.cache.store import _checksum
+from repro.util.jsonl import checksum as _checksum
 from repro.core import optimize
 from repro.obs import CollectingTracer
 from repro.obs.events import EVENT_CACHE_CORRUPT
@@ -99,6 +99,19 @@ class TestQuarantineAndHeal:
         assert healer.heal() == 2
         assert os.path.exists(cache.path + ".quarantine")
         # Healed store still serves its good entry.
+        func, _, _ = make_matmul(64)
+        assert healer.get(func, arch, options) is not None
+
+    def test_heal_quarantines_a_non_utf8_line(self, tmp_path, arch):
+        cache, options = _seed_store(tmp_path / "c.jsonl", arch)
+        raw = b"\xff\xfe not UTF-8 \xc0\n"
+        with open(cache.path, "ab") as handle:
+            handle.write(raw)
+        healer = ScheduleCache(cache.path)
+        assert healer.heal() == 1
+        assert healer.stats.quarantined_lines == 1
+        with open(cache.path + ".quarantine", "rb") as handle:
+            assert handle.read() == raw
         func, _, _ = make_matmul(64)
         assert healer.get(func, arch, options) is not None
 

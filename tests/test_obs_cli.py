@@ -85,6 +85,18 @@ class TestTraceCommand:
         err = capsys.readouterr().err
         assert "invalid:" in err and "schema violation" in err
 
+    def test_validate_reports_non_utf8_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(
+            json.dumps({
+                "format": "repro-trace-v1", "seq": 0, "kind": "event",
+                "name": "classify", "attrs": {},
+            }).encode() + b"\n\xff\xfe not UTF-8\n"
+        )
+        assert main(["trace", str(path), "--validate"]) == 4
+        err = capsys.readouterr().err
+        assert f"invalid: {path}:2: non-UTF-8 line" in err
+
     def test_missing_file(self, capsys):
         assert main(["trace", "/nonexistent/trace.jsonl"]) == 4
         assert "no readable trace records" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from repro.cache import (
     optimize_options,
     options_fingerprint,
 )
-from repro.cache.store import _checksum
+from repro.util.jsonl import checksum as _checksum
 from repro.core import optimize
 from repro.ir.serialize import schedule_to_dict
 from repro.robust import (

@@ -122,6 +122,11 @@ class TestAppendLoad:
         assert journal.load() == {}
         assert any("format" in d for d in journal.load_diagnostics)
 
+    def test_append_creates_missing_directory(self, tmp_path):
+        journal = Journal(str(tmp_path / "newdir" / "sweep.jsonl"))
+        journal.append(JournalRecord(cell=cell(), status=STATUS_OK, ms=1.0))
+        assert journal.load()[cell().key()].ms == 1.0
+
     def test_blank_lines_ignored(self, journal):
         journal.append(JournalRecord(cell=cell(), status=STATUS_OK, ms=1.0))
         with open(journal.path, "a") as handle:
@@ -147,7 +152,7 @@ class TestRewrite:
 
     def test_rewrite_is_atomic_no_temp_left_behind(self, journal, tmp_path):
         journal.append(JournalRecord(cell=cell(), status=STATUS_OK, ms=1.0))
-        journal.rewrite(list(journal.load().values()))
+        journal.compact()
         leftovers = [
             p for p in os.listdir(tmp_path) if p.endswith(".tmp")
         ]
