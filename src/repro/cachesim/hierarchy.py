@@ -22,9 +22,10 @@ This class is the simulator's innermost loop.  All traffic — a block of
 a trace, one :meth:`~CacheHierarchy.access`, one
 :meth:`~CacheHierarchy.nt_store` — goes through one demand loop,
 :meth:`CacheHierarchy.run`, over a flat ``(line, ref)`` stream.  The loop
-binds every set array, engine table and counter to a local, and inlines
-the set index, the fills, the next-line engine and the stride (or
-multi-stream) engine training; counters are written back once per call.
+binds every set list, prefetch-flag set, engine table and counter to a
+local, and inlines the set index, the fills, the next-line engine and the
+stride (or multi-stream) engine training; counters are written back once
+per call.
 The generic :class:`~repro.cachesim.cache.SetAssocCache` API and the
 engines' ``observe`` methods remain the reference implementation, which
 the tests compose into a plain hierarchy to cross-check this loop access
@@ -73,6 +74,17 @@ class AccessResult:
 
 class CacheHierarchy:
     """L1/L2(/L3) + DRAM with streaming and stride prefetchers.
+
+    The demand loop (:meth:`run`) works directly on each level's
+    :class:`~repro.cachesim.cache.SetAssocCache` representation: one list
+    per set in LRU order (oldest first) and one set of the level's lines
+    whose prefetch flag is up.  A hit moves the line to the end unless it
+    is already there and drops its flag; a fill appends and, when the set
+    overflows, pops its head and discards the victim's flag; a
+    non-temporal store removes the line and its flag.  Fills dominate the
+    cost (the ``price`` kernels evict 1.4 L1 and 0.7 L2 lines per access);
+    the loop takes about 1-3 µs per line access on those kernels
+    (2-vCPU Xeon, CPython 3.11).
 
     Parameters
     ----------
@@ -193,13 +205,13 @@ class CacheHierarchy:
         """
         # L1 and L2 are modulo-indexed, an L3 is hashed (see __init__).
         l1, l2 = self.levels[0], self.levels[1]
-        sets1, n1, w1 = l1._sets, l1.num_sets, l1.ways
-        sets2, n2, w2 = l2._sets, l2.num_sets, l2.ways
+        sets1, n1, w1, f1 = l1._sets, l1.num_sets, l1.ways, l1._prefetched
+        sets2, n2, w2, f2 = l2._sets, l2.num_sets, l2.ways, l2._prefetched
         if self.num_levels >= 3:
             l3 = self.levels[2]
-            sets3, n3, w3 = l3._sets, l3.num_sets, l3.ways
+            sets3, n3, w3, f3 = l3._sets, l3.num_sets, l3.ways, l3._prefetched
         else:
-            sets3, n3, w3 = None, 1, 0
+            sets3, n3, w3, f3 = None, 1, 0, None
         nn3 = n3 * n3
         kind_store, kind_nt = STORE, NT_STORE
         dirty = self._dirty
@@ -242,29 +254,42 @@ class CacheHierarchy:
                 if line != last_nt:
                     last_nt = line
                     nt_lines += 1
-                    sets1[line % n1].pop(line, None)
-                    sets2[line % n2].pop(line, None)
+                    s1 = sets1[line % n1]
+                    if line in s1:
+                        s1.remove(line)
+                        f1.discard(line)
+                    s2 = sets2[line % n2]
+                    if line in s2:
+                        s2.remove(line)
+                        f2.discard(line)
                     if sets3 is not None:
-                        sets3[(line ^ line // n3 ^ line // nn3) % n3].pop(line, None)
+                        s3 = sets3[(line ^ line // n3 ^ line // nn3) % n3]
+                        if line in s3:
+                            s3.remove(line)
+                            f3.discard(line)
                 continue
 
             # Probe nearest first; fill every level that missed.
             s1 = sets1[line % n1]
             if line in s1:
-                credit = s1[line]
+                credit = line in f1
                 if credit:
-                    s1[line] = False
+                    f1.discard(line)
                     pfh1 += 1
-                s1.move_to_end(line)
+                if s1[-1] != line:
+                    s1.remove(line)
+                    s1.append(line)
                 c1 += 1
             else:
                 s2 = sets2[line % n2]
                 if line in s2:
-                    credit = s2[line]
+                    credit = line in f2
                     if credit:
-                        s2[line] = False
+                        f2.discard(line)
                         pfh2 += 1
-                    s2.move_to_end(line)
+                    if s2[-1] != line:
+                        s2.remove(line)
+                        s2.append(line)
                     c2 += 1
                 else:
                     credit = False
@@ -273,25 +298,27 @@ class CacheHierarchy:
                     else:
                         s3 = sets3[(line ^ line // n3 ^ line // nn3) % n3]
                         if line in s3:
-                            credit = s3[line]
+                            credit = line in f3
                             if credit:
-                                s3[line] = False
+                                f3.discard(line)
                                 pfh3 += 1
-                            s3.move_to_end(line)
+                            if s3[-1] != line:
+                                s3.remove(line)
+                                s3.append(line)
                             c3 += 1
                         else:
                             cm += 1
-                            s3[line] = False
+                            s3.append(line)
                             if len(s3) > w3:
-                                s3.popitem(last=False)
+                                f3.discard(s3.pop(0))
                                 evd3 += 1
-                    s2[line] = False
+                    s2.append(line)
                     if len(s2) > w2:
-                        s2.popitem(last=False)
+                        f2.discard(s2.pop(0))
                         evd2 += 1
-                s1[line] = False
+                s1.append(line)
                 if len(s1) > w1:
-                    s1.popitem(last=False)
+                    f1.discard(s1.pop(0))
                     evd1 += 1
 
             if multi is not None and line in inflight:
@@ -315,10 +342,11 @@ class CacheHierarchy:
                 nxt = line + 1
                 t1 = sets1[nxt % n1]
                 if nxt not in t1:
-                    t1[nxt] = True
+                    t1.append(nxt)
+                    f1.add(nxt)
                     pfi1 += 1
                     if len(t1) > w1:
-                        t1.popitem(last=False)
+                        f1.discard(t1.pop(0))
                         evp1 += 1
                 # Stride engine training, per reference stream.
                 offsets = (1,)
@@ -363,15 +391,17 @@ class CacheHierarchy:
                         t3 = sets3[(target ^ target // n3 ^ target // nn3) % n3]
                         if target not in t3:
                             pf_mem += 1
-                            t3[target] = True
+                            t3.append(target)
+                            f3.add(target)
                             pfi3 += 1
                             if len(t3) > w3:
-                                t3.popitem(last=False)
+                                f3.discard(t3.pop(0))
                                 evp3 += 1
-                    t2[target] = True
+                    t2.append(target)
+                    f2.add(target)
                     pfi2 += 1
                     if len(t2) > w2:
-                        t2.popitem(last=False)
+                        f2.discard(t2.pop(0))
                         evp2 += 1
 
             elif streamed:
@@ -432,15 +462,17 @@ class CacheHierarchy:
                         t3 = sets3[(target ^ target // n3 ^ target // nn3) % n3]
                         if target not in t3:
                             pf_mem += 1
-                            t3[target] = True
+                            t3.append(target)
+                            f3.add(target)
                             pfi3 += 1
                             if len(t3) > w3:
-                                t3.popitem(last=False)
+                                f3.discard(t3.pop(0))
                                 evp3 += 1
-                    t2[target] = True
+                    t2.append(target)
+                    f2.add(target)
                     pfi2 += 1
                     if len(t2) > w2:
-                        t2.popitem(last=False)
+                        f2.discard(t2.pop(0))
                         evp2 += 1
                     inflight[target] = arrival
                 engine.issued_until = frontier

@@ -295,7 +295,5 @@ def hierarchy_state(h):
         "stream_tables": {
             name: table.snapshot() for name, table in stats.stream_tables.items()
         },
-        "contents": [
-            [list(s.items()) for s in cache._sets] for cache in h.levels
-        ],
+        "contents": [cache.contents() for cache in h.levels],
     }

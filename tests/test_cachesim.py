@@ -61,6 +61,41 @@ class TestSetAssocCache:
         c.lookup(0)
         assert c.stats.prefetch_hits == 0
 
+    def test_evicted_prefetch_refilled_on_demand_gets_no_credit(self):
+        c = SetAssocCache("L", 1, 1)
+        c.fill(0, prefetched=True)
+        assert c.fill(1) == 0          # evicts the flagged line
+        assert c.fill(0) == 1          # demand refill
+        assert c.lookup(0)
+        assert c.stats.prefetch_hits == 0
+
+    def test_invalidated_prefetch_refilled_on_demand_gets_no_credit(self):
+        c = SetAssocCache("L", 4, 2)
+        c.fill(0, prefetched=True)
+        assert c.invalidate(0)
+        c.fill(0)
+        assert c.lookup(0)
+        assert c.stats.prefetch_hits == 0
+
+    def test_flush_clears_prefetch_flags(self):
+        c = SetAssocCache("L", 4, 2)
+        c.fill(0, prefetched=True)
+        c.fill(5, prefetched=True)
+        c.flush()
+        c.fill(0)
+        c.fill(5)
+        assert c.lookup(0) and c.lookup(5)
+        assert c.stats.prefetch_hits == 0
+
+    def test_contents_in_lru_order_with_flags(self):
+        c = SetAssocCache("L", 2, 4)
+        c.fill(0)
+        c.fill(2, prefetched=True)
+        c.fill(4)
+        c.fill(1, prefetched=True)
+        c.lookup(0)
+        assert c.contents() == [[(2, True), (4, False), (0, False)], [(1, True)]]
+
     def test_invalidate(self):
         c = SetAssocCache("L", 4, 2)
         c.fill(0)
@@ -80,13 +115,26 @@ class TestSetAssocCache:
         with pytest.raises(ValueError):
             SetAssocCache("L", 0, 2)
 
-    @given(st.lists(st.integers(0, 63), min_size=1, max_size=200))
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["demand", "prefetch", "invalidate"]),
+                      st.integers(0, 63)),
+            min_size=1,
+            max_size=200,
+        )
+    )
     @settings(max_examples=50)
-    def test_occupancy_never_exceeds_capacity(self, lines):
+    def test_occupancy_never_exceeds_capacity(self, ops):
         c = SetAssocCache("L", 4, 2)
-        for line in lines:
-            if not c.lookup(line):
+        for op, line in ops:
+            if op == "invalidate":
+                c.invalidate(line)
+            elif op == "prefetch":
+                c.fill(line, prefetched=True)
+            elif not c.lookup(line):
                 c.fill(line)
+            # A prefetch flag is only ever up on a resident line.
+            assert c._prefetched <= {x for s in c._sets for x in s}
         assert c.occupancy() <= 4 * 2
         for s in c._sets:
             assert len(s) <= 2

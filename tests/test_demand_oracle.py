@@ -8,10 +8,18 @@ prefetch engines into one loop.  These tests drive it side by side with
 public methods — and require the same level for every access and the
 same counters, stream-table statistics and cache contents throughout.
 Both prefetcher models are covered, on random traces and on corpus
-kernels' real traces.
+kernels' real traces.  Since both sides share ``SetAssocCache``'s set
+representation, the end state of every corpus replay is also pinned to a
+digest recorded from the ``OrderedDict`` sets the simulator used before
+(``tests/data/demand_state_digests.json``), so a drift in LRU order or
+prefetch flags common to both sides still fails.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -158,23 +166,65 @@ CORPUS_SAMPLE = (
 )
 
 
-@pytest.mark.parametrize("config", ["i7", "i7-multi", "a15-tiny-multi"])
-@pytest.mark.parametrize("kernel", CORPUS_SAMPLE)
-def test_corpus_traces_match(kernel, config):
-    """Every nest of a kernel, in order, on one shared hierarchy, with
-    plain and with non-temporal stores."""
-    fast, ref = make_pair(config)
+def corpus_nests(kernel, line_size):
+    """Every nest of a kernel, in order, with plain and with non-temporal
+    stores, each with its trace generator on one shared layout."""
     layout = MemoryLayout()
-    n_levels = fast.num_levels + 2
     for func in corpus_kernel(kernel).lower(fast=True).funcs:
         nontemporal = Schedule(func)
         nontemporal.store_nontemporal()
         for nest in lower(func) + lower(func, nontemporal):
-            gen = TraceGenerator(nest, layout, fast.line_size, line_budget=3000)
-            got, want = [0] * n_levels, [0] * n_levels
-            for block in gen.blocks():
-                lines, refs = block.lines.tolist(), block.refs.tolist()
-                fast.run(lines, refs, gen.ref_kinds, got)
-                replay_reference(ref, lines, refs, gen.ref_kinds, want)
-            assert got == want, nest.name
-            assert hierarchy_state(fast) == hierarchy_state(ref), nest.name
+            yield nest, TraceGenerator(nest, layout, line_size, line_budget=3000)
+
+
+@pytest.mark.parametrize("config", ["i7", "i7-multi", "a15-tiny-multi"])
+@pytest.mark.parametrize("kernel", CORPUS_SAMPLE)
+def test_corpus_traces_match(kernel, config):
+    """Every nest of a kernel, in order, on one shared hierarchy."""
+    fast, ref = make_pair(config)
+    n_levels = fast.num_levels + 2
+    for nest, gen in corpus_nests(kernel, fast.line_size):
+        got, want = [0] * n_levels, [0] * n_levels
+        for block in gen.blocks():
+            lines, refs = block.lines.tolist(), block.refs.tolist()
+            fast.run(lines, refs, gen.ref_kinds, got)
+            replay_reference(ref, lines, refs, gen.ref_kinds, want)
+        assert got == want, nest.name
+        assert hierarchy_state(fast) == hierarchy_state(ref), nest.name
+
+
+#: Digests of the state after each (config, kernel) replay below.
+STATE_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "demand_state_digests.json")
+    .read_text()
+)["digests"]
+
+
+def state_digest(h):
+    """sha256 of every counter and the full LRU-ordered, flagged contents."""
+    blob = json.dumps(hierarchy_state(h), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_state_digests_cover_every_config_and_kernel():
+    assert sorted(STATE_DIGESTS) == sorted(
+        f"{config}/{kernel}" for config in CONFIGS for kernel in CORPUS_SAMPLE
+    )
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("kernel", CORPUS_SAMPLE)
+def test_corpus_end_state_matches_golden(kernel, config):
+    """Both sides end each kernel's replay in the recorded state."""
+    fast, ref = make_pair(config)
+    n_levels = fast.num_levels + 2
+    got, want = [0] * n_levels, [0] * n_levels
+    for _nest, gen in corpus_nests(kernel, fast.line_size):
+        for block in gen.blocks():
+            lines, refs = block.lines.tolist(), block.refs.tolist()
+            fast.run(lines, refs, gen.ref_kinds, got)
+            replay_reference(ref, lines, refs, gen.ref_kinds, want)
+    assert got == want
+    golden = STATE_DIGESTS[f"{config}/{kernel}"]
+    assert state_digest(fast) == golden
+    assert state_digest(ref) == golden
