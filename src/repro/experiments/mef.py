@@ -8,7 +8,9 @@ classifier (:func:`repro.multistride.decide_strategy`) to price the
 feasible ``multistride``/``combined`` challengers on the dedicated
 pricing machine.  The published table therefore *is* the classifier's
 argmin — same candidates, same machine, same margins — not a parallel
-re-derivation that could drift.
+re-derivation that could drift.  The classifier does not simulate an
+unopposed incumbent, so for those stages the regenerator prices the
+``tile`` schedule itself, on the same machine, to fill its column.
 
 Everything is deterministic (the pricing machine has a fixed line
 budget, the stream model has no randomness), so two runs of ::
@@ -90,6 +92,11 @@ def run(
         for stage in case.funcs:
             tile = optimize(stage, arch).schedule
             decision = decide_strategy(stage, arch, tile, machine=machine)
+            # The classifier does not simulate an unopposed incumbent; the
+            # table still publishes its cost, priced on the same machine.
+            costs = dict(decision.costs) or {
+                STRATEGY_TILE: machine.time_funcs([(stage, tile)])
+            }
             label = (
                 kernel.name
                 if len(case.funcs) == 1
@@ -101,7 +108,7 @@ def run(
                 "strategy": decision.strategy,
                 "streams": decision.streams,
                 "loop": decision.loop,
-                "costs": dict(decision.costs),
+                "costs": costs,
             }
 
     strategies: Dict[str, Dict] = {

@@ -18,9 +18,11 @@ candidates on a simulated machine with the multi-stream detector enabled:
 Decision rule: the incumbent ``tile`` strategy wins unless a challenger is
 more than :data:`TIE_MARGIN` cheaper (schedule churn needs to pay for
 itself), and ``combined`` must *strictly* beat ``multistride`` (given equal
-cost, the simpler rewrite wins).  Pricing runs on a dedicated
-:class:`~repro.sim.machine.Machine` with a reduced, fixed line budget so a
-decision costs three short simulations and is bit-reproducible.
+cost, the simpler rewrite wins).  The classifier prices the candidates
+only when a challenger exists; an unopposed incumbent is not simulated.
+Pricing runs on a dedicated :class:`~repro.sim.machine.Machine` with a
+reduced, fixed line budget, so a contested decision costs one short
+simulation per candidate and is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from repro.multistride.search import (
 from repro.obs.events import EVENT_MULTISTRIDE
 from repro.sim.machine import Machine
 
-#: Line budget of the pricing simulations.  Small enough that a decision
-#: is three sub-second simulations, large enough to cover several pages
+#: Line budget of the pricing simulations.  Small enough that each priced
+#: candidate is a sub-second simulation, large enough to cover several pages
 #: per stream (the regime where late-vs-on-time prefetches diverge).
 PRICING_LINE_BUDGET = 40_000
 
@@ -61,7 +63,9 @@ class MultistrideDecision:
     """Outcome of the classifier for one kernel.
 
     ``costs`` maps every *priced* strategy to its modeled milliseconds;
-    strategies with no feasible candidate are absent.  ``schedule`` is the
+    strategies with no feasible candidate are absent.  The candidates are
+    priced only when a challenger exists: an unopposed incumbent is not
+    simulated, so its ``costs`` is empty.  ``schedule`` is the
     winning schedule — the caller's own object when ``tile`` wins, a fresh
     clone otherwise.
     """
@@ -74,6 +78,8 @@ class MultistrideDecision:
     plan: Optional[MultistridePlan] = field(default=None, repr=False)
 
     def describe(self) -> str:
+        if not self.costs:
+            return f"{self.strategy} (unopposed)"
         priced = ", ".join(
             f"{name} {self.costs[name]:.4f} ms"
             for name in (STRATEGY_TILE, STRATEGY_MULTISTRIDE, STRATEGY_COMBINED)
@@ -124,12 +130,13 @@ def decide_strategy(
 
     ``schedule`` is the main optimizer's output (the ``tile`` incumbent);
     it is never mutated.  ``multistride`` is ``"auto"`` to search stream
-    counts or an ``int >= 2`` to fix one.  A custom ``machine`` overrides
+    counts or an ``int >= 2`` to fix one.  The candidates are priced only
+    when a challenger exists; an unopposed incumbent is not simulated and
+    the decision's ``costs`` is empty.  A custom ``machine`` overrides
     the default pricing machine (it should have a stream model, otherwise
     every candidate prices identically and the incumbent always wins).
     """
     params = params or StreamModelParams()
-    machine = machine or pricing_machine(arch, params=params)
     streams: StreamRequest = (
         multistride if isinstance(multistride, int) else "auto"
     )
@@ -161,28 +168,34 @@ def decide_strategy(
             candidates[STRATEGY_COMBINED] = combined
             plans[STRATEGY_COMBINED] = combined_plan
 
-    costs = {
-        name: machine.time_funcs([(func, cand)])
-        for name, cand in candidates.items()
-    }
-
+    # Only a contest needs pricing: with no challenger the incumbent wins
+    # as is, and simulating it would only fill in a cost nobody compares.
+    costs: Dict[str, float] = {}
     choice = STRATEGY_TILE
-    threshold = costs[STRATEGY_TILE] * (1.0 - TIE_MARGIN)
-    challengers = [
-        (costs[name], rank, name)
-        for rank, name in enumerate((STRATEGY_MULTISTRIDE, STRATEGY_COMBINED))
-        if name in costs and costs[name] < threshold
-    ]
-    if challengers:
-        # min() on (cost, rank): combined wins only by strictly beating
-        # multistride — the rank breaks exact ties toward the simpler one.
-        choice = min(challengers)[2]
+    if len(candidates) > 1:
+        machine = machine or pricing_machine(arch, params=params)
+        costs = {
+            name: machine.time_funcs([(func, cand)])
+            for name, cand in candidates.items()
+        }
+        threshold = costs[STRATEGY_TILE] * (1.0 - TIE_MARGIN)
+        challengers = [
+            (costs[name], rank, name)
+            for rank, name in enumerate(
+                (STRATEGY_MULTISTRIDE, STRATEGY_COMBINED)
+            )
+            if name in costs and costs[name] < threshold
+        ]
+        if challengers:
+            # min() on (cost, rank): combined wins only by strictly beating
+            # multistride — the rank breaks exact ties toward the simpler one.
+            choice = min(challengers)[2]
 
     plan = plans.get(choice)
     decision = MultistrideDecision(
         strategy=choice,
         schedule=candidates[choice],
-        costs=MappingProxyType(dict(costs)),
+        costs=MappingProxyType(costs),
         streams=plan.streams if plan else None,
         loop=plan.loop if plan else None,
         plan=plan,

@@ -153,7 +153,7 @@ class TestClassifier:
         assert decision.strategy == STRATEGY_TILE
         assert decision.schedule is tile          # the caller's object
         assert decision.streams is None
-        assert set(decision.costs) == {STRATEGY_TILE}
+        assert dict(decision.costs) == {}         # unopposed: not priced
 
     def test_costs_mapping_is_read_only(self, arch):
         func, _, _ = make_matmul(48)
@@ -174,12 +174,25 @@ class TestClassifier:
         )
         assert decision.schedule is not tile
         assert decision.schedule.stream_loops()
+        assert decision.describe() == (
+            "multistride (k_vo x2) [tile 5.7682 ms, multistride 1.9568 ms]"
+        )
         names = [name for name, _ in tracer.events]
         assert EVENT_MULTISTRIDE in names
         attrs = dict(tracer.events[names.index(EVENT_MULTISTRIDE)][1])
         assert attrs["strategy"] == STRATEGY_MULTISTRIDE
         assert attrs["func"] == func.name
         assert "cost_tile" in attrs
+
+    def test_unopposed_decision_reads_as_such(self, arch):
+        func, _, _ = make_matmul(48)
+        tile = optimize(func, arch).schedule
+        tracer = _CapturingTracer()
+        decision = decide_strategy(func, arch, tile, tracer=tracer)
+        assert decision.describe() == "tile (unopposed)"
+        (attrs,) = [a for n, a in tracer.events if n == EVENT_MULTISTRIDE]
+        assert attrs["strategy"] == STRATEGY_TILE
+        assert not [key for key in attrs if key.startswith("cost_")]
 
     def test_optimize_hook_routes_through_the_classifier(self, arch):
         func = _mef_func("mef-mxv")
@@ -189,3 +202,49 @@ class TestClassifier:
         assert on.multistride is not None
         assert on.schedule is on.multistride.schedule
         assert on.multistride.strategy == STRATEGY_MULTISTRIDE
+
+
+class TestSimulationCount:
+    """The classifier simulates only contested decisions, one run per
+    candidate; an unopposed incumbent wins without a simulation."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        import repro.sim.machine as machine_mod
+
+        calls = []
+        real = machine_mod.run_nests
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(machine_mod, "run_nests", counting)
+        return calls
+
+    def test_unopposed_incumbent_is_not_simulated(self, arch, runs):
+        func, _, _ = make_matmul(48)
+        tile = optimize(func, arch).schedule
+        decision = decide_strategy(func, arch, tile)
+        assert decision.strategy == STRATEGY_TILE
+        assert len(runs) == 0
+
+    def test_optimize_auto_on_an_unopposed_kernel_runs_no_simulation(
+        self, arch, runs
+    ):
+        func, _, _ = make_matmul(48)
+        result = optimize(func, arch, multistride="auto")
+        assert result.multistride.strategy == STRATEGY_TILE
+        assert len(runs) == 0
+
+    def test_contested_decision_prices_each_candidate_once(self, arch, runs):
+        func = _mef_func("mef-mxv")
+        tile = optimize(func, arch).schedule
+        decision = decide_strategy(func, arch, tile)
+        assert len(runs) == len(decision.costs) == 2
+        # Bit-equal to the costs recorded before unopposed decisions
+        # stopped being priced: contested pricing is unchanged.
+        assert dict(decision.costs) == {
+            STRATEGY_TILE: 5.768189460777814,
+            STRATEGY_MULTISTRIDE: 1.9567779164549022,
+        }
