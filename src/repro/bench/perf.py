@@ -19,8 +19,16 @@ Two families of numbers:
     the reference path, and the source of the reference schedules;
   - ``cold`` — caches start empty, emu memoization on: what a first run
     on a fresh machine pays;
-  - ``warm`` — emu memo hot and every schedule served by a
-    :class:`repro.cache.ScheduleCache`: what every later run pays.
+  - ``warm`` — every schedule served by a
+    :class:`repro.cache.ScheduleCache`, so no search runs: what every
+    later run pays.
+
+  One run times ``ROUNDS`` rounds, each one serial, one warm and one
+  cold pass back to back.  It reports each scenario's median pass and
+  each speedup as the median of the rounds' ratios.  A warm pass takes
+  under a millisecond, and the speed of a shared machine can change
+  between two passes timed seconds apart by more than the gate's
+  tolerance; a ratio of adjacent passes shares the machine's state.
 
   The scenarios must produce **bit-identical schedules**; the harness
   verifies this and records it, and the CI gate fails on regressions of
@@ -35,6 +43,7 @@ run; the JSON therefore separates ``*_ms`` (informational) from the
 from __future__ import annotations
 
 import os
+import statistics
 import tempfile
 import time
 from typing import Callable, Dict, List, Optional, Tuple
@@ -63,6 +72,9 @@ _SPATIAL_NAMES = ("tpm", "tp")
 #: The fast (CI) subset: one benchmark per search family plus a
 #: contiguous one, small problem sizes.
 _FAST_NAMES = ("matmul", "syrk", "tpm", "copy")
+
+#: Timed rounds of the end-to-end scenarios per run.
+ROUNDS = 5
 
 
 def _now_ms() -> float:
@@ -185,33 +197,48 @@ def run_bench(
 
     phases = _phase_timings(cases, arch, fast)
 
-    # --- end-to-end scenarios (fresh caches per scenario) -------------
-    previous = configure_emu_cache(False)
-    clear_emu_cache()
+    # --- end-to-end scenarios (fresh emu memo per cold pass) ----------
+    serial, cold, warm = [], [], []
+    previous = configure_emu_cache(True)
     try:
-        serial_ms, serial_schedules = _optimize_suite(
-            cases, arch, cache=None
-        )
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = ScheduleCache(os.path.join(tmp, "schedules.jsonl"))
+            # One pass fills the schedule cache the warm passes read.
+            _optimize_suite(cases, arch, cache=cache)
+            for _ in range(ROUNDS):
+                configure_emu_cache(False)
+                clear_emu_cache()
+                serial.append(_optimize_suite(cases, arch, cache=None))
+                # A warm pass is what a second run of the same sweep pays.
+                configure_emu_cache(True)
+                warm.append(_optimize_suite(cases, arch, cache=cache))
+                if len(warm) == 1:
+                    warm_cache_stats = cache.stats.to_dict()
+                clear_emu_cache()
+                cold.append(_optimize_suite(cases, arch, cache=None))
+        # The last cold pass's memo counters (every cold pass's are equal).
+        emu_stats = emu_cache_stats()
     finally:
         configure_emu_cache(previous)
+        clear_emu_cache()
 
-    configure_emu_cache(True)
-    clear_emu_cache()
-    cold_ms, cold_schedules = _optimize_suite(cases, arch, cache=None)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = ScheduleCache(os.path.join(tmp, "schedules.jsonl"))
-        # Populate: one pass fills the schedule cache and the emu memo...
-        _optimize_suite(cases, arch, cache=cache)
-        # ...and the warm pass is what a second run of the same sweep pays.
-        warm_ms, warm_schedules = _optimize_suite(
-            cases, arch, cache=cache
+    serial_ms, cold_ms, warm_ms = (
+        statistics.median(ms for ms, _ in passes)
+        for passes in (serial, cold, warm)
+    )
+    # Each speedup is the median of its rounds' ratios: a ratio of two
+    # passes timed moments apart.
+    speedup_cold, speedup_warm = (
+        statistics.median(
+            s / max(ms, 1e-9) for (s, _), (ms, _) in zip(serial, passes)
         )
-        warm_cache_stats = cache.stats.to_dict()
-    emu_stats = emu_cache_stats()
-    clear_emu_cache()
-
-    identical = serial_schedules == cold_schedules == warm_schedules
+        for passes in (cold, warm)
+    )
+    serial_schedules = serial[0][1]
+    identical = all(
+        schedules == serial_schedules
+        for _, schedules in serial + cold + warm
+    )
     payload = {
         "format": BENCH_FORMAT,
         "mode": "fast" if fast else "full",
@@ -223,8 +250,8 @@ def run_bench(
             "serial_uncached_ms": round(serial_ms, 3),
             "cold_ms": round(cold_ms, 3),
             "warm_ms": round(warm_ms, 3),
-            "speedup_cold": round(serial_ms / max(cold_ms, 1e-9), 3),
-            "speedup_warm": round(serial_ms / max(warm_ms, 1e-9), 3),
+            "speedup_cold": round(speedup_cold, 3),
+            "speedup_warm": round(speedup_warm, 3),
             "schedules_identical": identical,
         },
         "emu_cache": {

@@ -23,21 +23,26 @@ reuse loops, and the parallel loop outermost.
 The search enumerates *placements* ``(L, d2, d3, M)`` — outermost intra,
 second/third innermost intra, innermost inter — rather than raw
 permutations, because the Step-1 cost depends only on those positions.
-Each placement's tile grid (``d2 x d3 x rest`` tiles for one column tile)
-is priced in one array pass: the :mod:`repro.core.costs` helpers accept
-int64 tile arrays and compute every element exactly as a scalar call
-would, the constraint masks are checked in the scalar order, and the
-first strictly cheapest candidate in visit order wins.  Traced runs
-replay one ``candidate.pruned`` event per rejected candidate from the
-masks.  This keeps the optimizer in paper-reported runtime territory
+The Algorithm-1 caps of every column tile are computed first; then the
+search makes one pass per placement, covering every column tile: the
+``d2 x d3 x rest`` tile grids of all column tiles are concatenated into
+int64 arrays and priced in one call.  The :mod:`repro.core.costs`
+helpers compute every element exactly as a scalar call would, the
+constraint masks are checked in the scalar order, and the passes are
+merged in the candidate-at-a-time visit order (column tile outer,
+placement inner), so the first strictly cheapest candidate in that order
+wins.  Traced runs replay the same order's telemetry — each column
+tile's ``emu`` events, its ``search.bound`` caps and one
+``candidate.pruned`` event per rejected candidate — from the masks.
+This keeps the optimizer in paper-reported runtime territory
 (milliseconds for 3-D nests and for the 5-D convolution layer).
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -67,7 +72,7 @@ from repro.obs.events import (
     REASON_VECTOR_TILE,
 )
 from repro.obs.stats import CandidateCounter, CandidateStats
-from repro.obs.tracer import current_tracer
+from repro.obs.tracer import CollectingTracer, activate_tracer, current_tracer
 from repro.util import DeadlineExceeded, ceil_div, checkpoint, tile_candidates
 
 
@@ -138,6 +143,11 @@ def optimize_temporal(
     Algorithm-1 lattice caps, and a ``temporal.search`` /
     ``temporal.order`` span pair.  The returned ``stats`` are identical
     with or without a recording tracer.
+
+    The tile search makes one pass per placement, covering every column
+    tile, and probes the cooperative deadline before each pass and once
+    after the last; one pass is one call of the ``cost`` fault seam
+    (``total_cost``), made only when some candidate of the pass is valid.
     """
     info = info or analyze_func(func)
     patterns = extract_patterns(info)
@@ -169,8 +179,6 @@ def optimize_temporal(
     tracer = tracer if tracer is not None else current_tracer()
     traced = tracer.enabled
     counter = CandidateCounter("temporal", tracer)
-
-    best: Optional[Tuple[float, Dict[str, int], str, str, float, float]] = None
 
     c_cands = _divisor_biased(
         tile_candidates(bounds[c], bounds[c], quantum=lc, exhaustive=exhaustive),
@@ -223,29 +231,105 @@ def optimize_temporal(
 
     # Placement choices: d2/d3 = 2nd/3rd innermost intra positions,
     # L = outermost intra (reuse loop), M = innermost inter (reuse loop).
-    emu_excluded: Set[Tuple[str, int]] = set()
-    with tracer.span("temporal.search", func=func.name):
-        for t_c in c_cands:
-            if use_emu:
-                max_d2 = emu_l1(
-                    arch,
-                    row_width_elems=t_c,
-                    row_stride_elems=bounds[c],
-                    max_rows=max(bounds[v] for v in others) if others else 1,
-                    dts=dts,
-                )
-                max_d3 = emu_l2(
-                    arch,
-                    row_width_elems=t_c,
-                    row_stride_elems=bounds[c],
-                    max_rows=max(bounds[v] for v in others) if others else 1,
-                    dts=dts,
-                )
-            else:
-                # Ablation: capacity-only bounds, no interference emulation.
-                max_d2 = max(1, l1_capacity // max(1, t_c))
-                max_d3 = max(1, l2_capacity // max(1, t_c))
+    lattice: Dict[Tuple[str, int], List[int]] = {}
+
+    def tile_lattice(var: str, cap: int) -> List[int]:
+        """``var``'s tile candidates under ``cap``, built once per search."""
+        key = (var, cap)
+        if key not in lattice:
+            lattice[key] = _divisor_biased(
+                tile_candidates(bounds[var], cap, exhaustive=exhaustive),
+                bounds[var],
+            )
+        return lattice[key]
+
+    def probe() -> None:
+        # Cooperative deadline probe: Algorithm 2's search stays
+        # interruptible once per placement pass.
+        try:
+            checkpoint("temporal tile search")
+        except DeadlineExceeded:
             if traced:
+                tracer.event(
+                    EVENT_CANDIDATE_PRUNED,
+                    phase="temporal",
+                    reason=REASON_DEADLINE,
+                )
+            raise
+
+    with tracer.span("temporal.search", func=func.name):
+        # The Algorithm-1 caps of every column tile come first.  Traced,
+        # each tile's emu telemetry goes to a side log that the replay
+        # below forwards at the tile's candidate-at-a-time position.
+        max_rows = max((bounds[v] for v in others), default=1)
+        collect = traced and current_tracer().enabled
+        caps: List[Tuple[int, int]] = []
+        emu_logs: List[Optional[CollectingTracer]] = []
+        for t_c in c_cands:
+            log = CollectingTracer() if collect else None
+            with activate_tracer(log) if log is not None else contextlib.nullcontext():
+                if use_emu:
+                    max_d2 = emu_l1(
+                        arch,
+                        row_width_elems=t_c,
+                        row_stride_elems=bounds[c],
+                        max_rows=max_rows,
+                        dts=dts,
+                    )
+                    max_d3 = emu_l2(
+                        arch,
+                        row_width_elems=t_c,
+                        row_stride_elems=bounds[c],
+                        max_rows=max_rows,
+                        dts=dts,
+                    )
+                else:
+                    # Ablation: capacity-only bounds, no interference
+                    # emulation.
+                    max_d2 = max(1, l1_capacity // max(1, t_c))
+                    max_d3 = max(1, l2_capacity // max(1, t_c))
+            caps.append((max_d2, max_d3))
+            emu_logs.append(log)
+
+        passes: List[_PlacementPass] = []
+        for d2, d3 in _placement_pairs(others):
+            probe()
+            passes.append(
+                _price_placement(
+                    arch,
+                    patterns,
+                    bounds,
+                    c,
+                    c_cands,
+                    d2,
+                    d3,
+                    [
+                        [
+                            tile_lattice(v, cap)
+                            for v, cap in ((d2, max_d2), (d3, max_d3))
+                            if v
+                        ]
+                        for max_d2, max_d3 in caps
+                    ],
+                    [v for v in others if v not in (d2, d3)],
+                    non_column,
+                    l1_capacity,
+                    l2_capacity,
+                    threads,
+                    dts,
+                )
+            )
+        probe()
+
+        # Merge in the candidate-at-a-time visit order — column tile
+        # outer, placement inner — keeping the first strict minimum.
+        # Traced, the same walk replays that order's telemetry.
+        best: Optional[Tuple[float, _PlacementPass, int]] = None
+        emu_excluded: Set[Tuple[str, int]] = set()
+        for b, t_c in enumerate(c_cands):
+            max_d2, max_d3 = caps[b]
+            if traced:
+                _forward(emu_logs[b], current_tracer())
                 tracer.event(
                     EVENT_SEARCH_BOUND,
                     phase="temporal",
@@ -262,22 +346,18 @@ def optimize_temporal(
                     bound=max_d3,
                     source="emu_l2" if use_emu else "capacity",
                 )
-            for d2, d3 in _placement_pairs(others):
-                rest = [v for v in others if v not in (d2, d3)]
+            for placement in passes:
                 if traced:
                     # Trace-only visibility into the lattice caps: tiles
                     # the Algorithm-1 bound keeps out of the candidate set
                     # (never evaluated, hence never in ``stats``).
-                    for var, cap in ((d2, max_d2), (d3, max_d3)):
+                    for var, cap in (
+                        (placement.d2, max_d2),
+                        (placement.d3, max_d3),
+                    ):
                         if not var or cap >= bounds[var]:
                             continue
-                        full = _divisor_biased(
-                            tile_candidates(
-                                bounds[var], bounds[var], exhaustive=exhaustive
-                            ),
-                            bounds[var],
-                        )
-                        for t in full:
+                        for t in tile_lattice(var, bounds[var]):
                             if t <= cap or (var, t) in emu_excluded:
                                 continue
                             emu_excluded.add((var, t))
@@ -293,45 +373,14 @@ def optimize_temporal(
                                 tile=t,
                                 bound=cap,
                             )
-                grid = {
-                    v: _divisor_biased(
-                        tile_candidates(bounds[v], cap, exhaustive=exhaustive),
-                        bounds[v],
-                    )
-                    for v, cap in ((d2, max_d2), (d3, max_d3))
-                    if v
-                }
-                grid.update((v, _middle_candidates(bounds[v])) for v in rest)
-                # Cooperative deadline probe: Algorithm 2's search stays
-                # interruptible once per placement block.
-                try:
-                    checkpoint("temporal tile search")
-                except DeadlineExceeded:
-                    if traced:
-                        tracer.event(
-                            EVENT_CANDIDATE_PRUNED,
-                            phase="temporal",
-                            reason=REASON_DEADLINE,
-                        )
-                    raise
-                best = _search_block(
-                    arch,
-                    patterns,
-                    bounds,
-                    c,
-                    t_c,
-                    d2,
-                    d3,
-                    grid,
-                    non_column,
-                    l1_capacity,
-                    l2_capacity,
-                    threads,
-                    dts,
-                    counter,
-                    traced,
-                    best,
-                )
+                    placement.replay(counter, c, t_c, b)
+                won = placement.winners.get(b)
+                if won is not None and (best is None or won[0] < best[0]):
+                    best = (won[0], placement, won[1])
+        if not traced:
+            counter.considered(sum(p.size for p in passes))
+            for reason, n in _pruned_in_visit_order(passes):
+                counter.pruned(reason, n)
 
     if best is None:
         # No candidate satisfied the fit/parallel constraints; fall back to
@@ -350,7 +399,8 @@ def optimize_temporal(
             ws_l2=0.0,
         )
 
-    cost, tiles, reuse_l, reuse_m, ws1, ws2 = best
+    cost, placement, i = best
+    tiles = placement.tiles_at(i)
 
     with tracer.span("temporal.order", func=func.name):
         inter_order, intra_order, corder = _order_step(
@@ -359,8 +409,8 @@ def optimize_temporal(
             all_vars,
             column,
             c,
-            reuse_l,
-            reuse_m,
+            placement.reuse_l,
+            c,
             search=order_step,
         )
     parallel_var = inter_order[0] if inter_order else None
@@ -372,8 +422,8 @@ def optimize_temporal(
         cost=cost,
         order_cost_value=corder,
         stats=counter.stats,
-        ws_l1=ws1,
-        ws_l2=ws2,
+        ws_l1=float(placement.ws1[i]),
+        ws_l2=float(placement.ws2[i]),
     )
 
 
@@ -393,33 +443,95 @@ def _placement_pairs(others: Sequence[str]) -> List[Tuple[Optional[str], Optiona
 _REASONS = (None, REASON_PARALLELISM, REASON_VECTOR_TILE, REASON_CAPACITY)
 
 
-def _search_block(
+@dataclass
+class _PlacementPass:
+    """One ``(d2, d3)`` placement priced for every column tile at once.
+
+    The flat candidate arrays hold one block per column tile, in
+    ``c_cands`` order; block ``b`` spans ``offsets[b]:offsets[b + 1]``
+    and lists the product of the ``grid`` variables' candidates for that
+    column tile in C order, the candidate-at-a-time visit order.
+    """
+
+    d2: Optional[str]
+    d3: Optional[str]
+    reuse_l: str
+    grid: List[str]
+    offsets: np.ndarray
+    tiles: Dict[str, np.ndarray]
+    #: Per candidate: 0 valid, else an index into ``_REASONS``.
+    codes: np.ndarray
+    ws1: np.ndarray
+    ws2: np.ndarray
+    #: Block -> (cost, flat index) of its first cheapest valid candidate.
+    winners: Dict[int, Tuple[float, int]]
+
+    @property
+    def size(self) -> int:
+        return int(self.offsets[-1])
+
+    def tiles_at(self, i: int) -> Dict[str, int]:
+        return {v: int(tiles[i]) for v, tiles in self.tiles.items()}
+
+    def replay(self, counter: CandidateCounter, c: str, t_c: int, b: int) -> None:
+        """Record block ``b`` candidate by candidate: one traced
+        ``candidate.pruned`` event per rejection, in visit order."""
+        lo, hi = int(self.offsets[b]), int(self.offsets[b + 1])
+        counter.considered(hi - lo)
+        codes = self.codes[lo:hi]
+        rejected = np.flatnonzero(codes)
+        columns = [self.tiles[v][lo:hi][rejected].tolist() for v in self.grid]
+        for code, *tiles in zip(codes[rejected].tolist(), *columns):
+            counter.pruned(
+                _REASONS[code], tiles={c: t_c, **dict(zip(self.grid, tiles))}
+            )
+
+
+def _flat_grid(
+    grids: List[List[List[int]]],
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Concatenate the C-order products of several tile grids.
+
+    ``grids[b][j]`` lists variable ``j``'s candidates in block ``b``.
+    Returns the block offsets (``len(grids) + 1`` of them) and one int64
+    array per variable over the concatenation.
+    """
+    shapes = [tuple(len(cands) for cands in grid) for grid in grids]
+    offsets = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+    columns = np.empty((len(shapes[0]), offsets[-1]), dtype=np.int64)
+    for grid, shape, lo, hi in zip(
+        grids, shapes, offsets.tolist(), offsets[1:].tolist()
+    ):
+        for j, cands in enumerate(grid):
+            axis = [1] * len(shape)
+            axis[j] = -1
+            columns[j, lo:hi].reshape(shape)[...] = np.reshape(cands, axis)
+    return offsets, list(columns)
+
+
+def _price_placement(
     arch: ArchSpec,
     patterns: Sequence[RefPattern],
     bounds: Dict[str, int],
     c: str,
-    t_c: int,
+    c_cands: Sequence[int],
     d2: Optional[str],
     d3: Optional[str],
-    grid: Dict[str, List[int]],
+    capped: List[List[List[int]]],
+    rest: Sequence[str],
     non_column: Sequence[str],
     l1_capacity: int,
     l2_capacity: int,
     threads: int,
     dts: int,
-    counter: CandidateCounter,
-    traced: bool,
-    best: Optional[Tuple[float, Dict[str, int], str, str, float, float]],
-) -> Optional[Tuple[float, Dict[str, int], str, str, float, float]]:
-    """Check constraints and price one placement's whole tile grid.
+) -> _PlacementPass:
+    """Check constraints and price one placement's tile grids, one per
+    column tile, in a single array pass.
 
-    ``grid`` maps ``d2``, ``d3`` and the ``rest`` variables, in that
-    order, to their tile candidates; their product in C order is the
-    candidate-at-a-time visit order.  Each candidate is checked in the
-    order parallelism (Eq. 13), vector tile, capacity (Eqs. 1/6) and
-    priced with Eq. 11; the running ``best`` — ``(cost, tiles, L, M,
-    wsL1, wsL2)`` — is replaced only by a strictly cheaper candidate, the
-    first one in visit order.
+    ``capped[b]`` holds the emu-capped ``d2``/``d3`` candidates of column
+    tile ``c_cands[b]``; the ``rest`` variables take their coarse
+    choices.  Each candidate is checked in the order parallelism
+    (Eq. 13), vector tile, capacity (Eqs. 1/6) and priced with Eq. 11.
     """
     # The cost is evaluated against the *structural* tiled nest of the
     # paper's derivation, independent of degenerate tile values (a tile of
@@ -428,20 +540,17 @@ def _search_block(
     # reuse anchored at the outermost intra loop, L2 reuse at the column
     # variable's (innermost) inter-tile loop, exactly as in Listing 1.
     chain = [v for v in (d3, d2) if v]
-    rest = [v for v in grid if v not in chain]
-    reuse_l = chain[0] if chain else c
-    intra_order = chain[:1] + rest + chain[1:] + [c]
-    reuse_m = c
+    grid = [v for v in (d2, d3) if v] + list(rest)
+    intra_order = chain[:1] + list(rest) + chain[1:] + [c]
     inter_order = [v for v in intra_order if v != c] + [c]
 
-    # One int64 array per grid variable, flattened in C order.
-    shape = [len(cands) for cands in grid.values()]
-    size = math.prod(shape)
-    tiles: Dict[str, Tile] = {c: t_c}
-    if grid:
-        index = np.unravel_index(np.arange(size), shape)
-        for (v, cands), ix in zip(grid.items(), index):
-            tiles[v] = np.array(cands, dtype=np.int64)[ix]
+    middles = [_middle_candidates(bounds[v]) for v in rest]
+    offsets, columns = _flat_grid([lists + middles for lists in capped])
+    size = int(offsets[-1])
+    tiles: Dict[str, Tile] = {
+        c: np.repeat(np.array(c_cands, dtype=np.int64), np.diff(offsets)),
+        **dict(zip(grid, columns)),
+    }
 
     # The parallel loop: a non-column inter-tile loop subject to Eq. 13
     # (more than one tile iteration, and at least one per hardware thread).
@@ -450,50 +559,74 @@ def _search_block(
         parallel |= _ceil_div(bounds[v], tiles[v]) >= max(2, threads)
     # A schedule also needs at least one non-trivial intra loop besides the
     # vector loop to anchor L1 reuse, unless the nest is two-deep.
-    vector = t_c >= 2
+    vector = tiles[c] >= 2
     lc = arch.lc(dts)
     ws1 = working_set_l1(patterns, tiles, intra_order, lc)
     ws2 = working_set_l2(patterns, tiles, intra_order, lc)
     fits = (ws1 <= l1_capacity) & (ws2 <= l2_capacity)
-    codes = np.where(~parallel, 1, np.where(not vector, 2, np.where(fits, 0, 3)))
+    codes = np.where(~parallel, 1, np.where(~vector, 2, np.where(fits, 0, 3)))
 
-    counter.considered(size)
-    codes_list = codes.tolist()
-    if traced:
-        # Replay one event per rejected candidate, in visit order.
-        for code, combo in zip(codes_list, itertools.product(*grid.values())):
-            if code:
-                counter.pruned(
-                    _REASONS[code], tiles={c: t_c, **dict(zip(grid, combo))}
-                )
-    else:
-        # Counter keeps first-seen order, so reasons are recorded in the
-        # order the candidate-at-a-time search first met them.
-        for code, n in Counter(codes_list).items():
-            if code:
-                counter.pruned(_REASONS[code], n)
-
+    winners: Dict[int, Tuple[float, int]] = {}
     valid = np.flatnonzero(codes == 0)
-    if not valid.size:
-        return best
-    # ``total_cost`` is the fault seam: a poisoned scalar broadcasts, and
-    # ``argmin`` picks the first NaN if there is one.
-    cost = np.broadcast_to(
-        total_cost(arch, patterns, tiles, bounds, intra_order, inter_order, dts),
-        size,
-    )[valid]
-    k = int(np.argmin(cost))
-    if best is not None and not cost[k] < best[0]:
-        return best
-    i = int(valid[k])
-    return (
-        float(cost[k]),
-        {c: t_c, **{v: int(tiles[v][i]) for v in grid}},
-        reuse_l,
-        reuse_m,
-        float(np.broadcast_to(ws1, size)[i]),
-        float(np.broadcast_to(ws2, size)[i]),
+    if valid.size:
+        # ``total_cost`` is the fault seam: a poisoned scalar broadcasts.
+        cost = np.broadcast_to(
+            total_cost(arch, patterns, tiles, bounds, intra_order, inter_order, dts),
+            size,
+        )[valid]
+        # Each block's winner is what ``argmin`` over it would pick: the
+        # first NaN if there is one, else the first minimum.
+        block = np.searchsorted(offsets, valid, side="right") - 1
+        order = np.lexsort((cost, ~np.isnan(cost), block))
+        first = order[np.flatnonzero(np.diff(block[order], prepend=-1))]
+        winners = {
+            int(block[k]): (float(cost[k]), int(valid[k])) for k in first.tolist()
+        }
+    return _PlacementPass(
+        d2=d2,
+        d3=d3,
+        reuse_l=chain[0] if chain else c,
+        grid=grid,
+        offsets=offsets,
+        tiles=tiles,
+        codes=codes,
+        ws1=np.broadcast_to(ws1, size),
+        ws2=np.broadcast_to(ws2, size),
+        winners=winners,
     )
+
+
+def _pruned_in_visit_order(
+    passes: Sequence[_PlacementPass],
+) -> List[Tuple[str, int]]:
+    """Each rejection reason's total, ordered by where the
+    candidate-at-a-time search (column tile outer, placement inner) first
+    met it — the key order of ``CandidateStats.pruned``."""
+    first: Dict[int, Tuple[int, int, int]] = {}
+    totals: Dict[int, int] = {}
+    for p, placement in enumerate(passes):
+        codes = placement.codes
+        counts = np.bincount(codes, minlength=len(_REASONS)).tolist()
+        for code in range(1, len(_REASONS)):
+            if not counts[code]:
+                continue
+            i = int(np.argmax(codes == code))
+            b = int(np.searchsorted(placement.offsets, i, side="right")) - 1
+            seen = (b, p, i - int(placement.offsets[b]))
+            if code not in first or seen < first[code]:
+                first[code] = seen
+            totals[code] = totals.get(code, 0) + counts[code]
+    return [(_REASONS[code], totals[code]) for code in sorted(first, key=first.get)]
+
+
+def _forward(log: Optional[CollectingTracer], tracer) -> None:
+    """Re-emit a side log's events and counter totals on ``tracer``."""
+    if log is None:
+        return
+    for name, n in log.counters().items():
+        tracer.count(name, n)
+    for payload in log.events:
+        tracer.event(payload["name"], **payload["attrs"])
 
 
 def _order_step(

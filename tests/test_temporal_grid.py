@@ -23,6 +23,7 @@ Regenerate deliberately, from a tree whose search you trust::
 import json
 import os
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,7 +40,8 @@ from repro.core.costs import (
     working_set_l1,
     working_set_l2,
 )
-from repro.core.temporal import optimize_temporal
+from repro.core import temporal
+from repro.core.temporal import _price_placement, optimize_temporal
 from repro.frontend.corpus import CORPUS
 from repro.ir import Buffer, Func, RVar, Var, float32
 from repro.obs import NULL_TRACER, CandidateCounter, CollectingTracer
@@ -276,3 +278,137 @@ class TestBulkCounting:
             "temporal.candidates": 4,
             "temporal.pruned.parallelism": 2,
         }
+
+
+def _conv3x3():
+    # Six loops, five of them besides the column: 20 placements.
+    (kernel,) = [k for k in CORPUS if k.name == "conv3x3"]
+    return kernel.case(fast=True).funcs[0]
+
+
+class TestOnePassPerPlacement:
+    """Every column tile of a placement is priced in the same pass."""
+
+    def _count(self, func):
+        calls, passes = [], []
+
+        def cost(*args):
+            calls.append(args)
+            return total_cost(*args)
+
+        def price(*args):
+            passes.append(_price_placement(*args))
+            return passes[-1]
+
+        with mock.patch.object(temporal, "total_cost", cost), mock.patch.object(
+            temporal, "_price_placement", price
+        ):
+            optimize_temporal(func, intel_i7_5930k())
+        return len(calls), passes
+
+    @pytest.mark.parametrize(
+        "make_func, placements, blocks",
+        [(lambda: make_matmul(64)[0], 2, 12), (_conv3x3, 20, 60)],
+        ids=["matmul64", "conv3x3"],
+    )
+    def test_one_cost_call_per_placement_with_a_valid_candidate(
+        self, make_func, placements, blocks
+    ):
+        # ``blocks`` (column tile, placement) pairs: a search that priced
+        # one block per call made 12 calls for matmul64 and 60 for
+        # conv3x3, one per block.
+        calls, passes = self._count(make_func())
+        assert len(passes) == placements
+        assert sum(len(p.offsets) - 1 for p in passes) == blocks
+        assert calls == sum(1 for p in passes if p.winners)
+        assert calls == placements
+
+
+@st.composite
+def _placement_cases(draw):
+    """A random placement over ``_VARS`` (column ``i``) and capped
+    ``d2``/``d3`` lattices for several column tiles."""
+    patterns = [
+        RefPattern(
+            name=f"A{n}",
+            dim_vars=tuple(
+                draw(st.lists(st.sampled_from(_VARS + (None,)), min_size=1, max_size=3))
+            ),
+        )
+        for n in range(draw(st.integers(1, 4)))
+    ]
+    c, others = _VARS[0], list(_VARS[1:])
+    d2, d3 = draw(st.permutations(others))[:2]
+    bounds = {v: draw(st.integers(1, 512)) for v in _VARS}
+    # A column tile of one fails the vector-tile check.
+    c_cands = draw(
+        st.lists(
+            st.sampled_from([1, 2, 3, 8, 16, 48, 128]),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        )
+    )
+    capped = [
+        [
+            sorted(
+                draw(
+                    st.lists(
+                        st.integers(1, bounds[v]), min_size=1, max_size=4, unique=True
+                    )
+                )
+            )
+            for v in (d2, d3)
+        ]
+        for _ in c_cands
+    ]
+    non_column = draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+    sizing = (
+        draw(st.integers(16, 8192)),
+        draw(st.integers(64, 65536)),
+        draw(st.sampled_from([1, 4, 12])),
+    )
+    rest = [v for v in others if v not in (d2, d3)]
+    return patterns, bounds, c, c_cands, d2, d3, capped, rest, non_column, sizing
+
+
+class TestColumnTilesInOnePass:
+    """Pricing several column tiles in one pass equals one pass each."""
+
+    def _priced(self, arch, case, c_cands, capped):
+        patterns, bounds, c, _, d2, d3, _, rest, non_column, sizing = case
+        costs = []
+
+        def cost(*args):
+            costs.append(total_cost(*args))
+            return costs[-1]
+
+        with mock.patch.object(temporal, "total_cost", cost):
+            placement = _price_placement(
+                arch, patterns, bounds, c, c_cands, d2, d3, capped, rest,
+                non_column, *sizing, 4,
+            )
+        return placement, [np.broadcast_to(out, placement.size) for out in costs]
+
+    @given(
+        case=_placement_cases(),
+        arch=st.sampled_from([intel_i7_5930k(), arm_cortex_a15()]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_joint_pass_matches_pass_per_column_tile(self, case, arch):
+        c_cands, capped = case[3], case[6]
+        whole, whole_cost = self._priced(arch, case, c_cands, capped)
+        for b, t_c in enumerate(c_cands):
+            one, one_cost = self._priced(arch, case, [t_c], capped[b : b + 1])
+            lo, hi = int(whole.offsets[b]), int(whole.offsets[b + 1])
+            assert whole.codes[lo:hi].tolist() == one.codes.tolist()
+            assert whole.ws1[lo:hi].tobytes() == one.ws1.tobytes()
+            assert whole.ws2[lo:hi].tobytes() == one.ws2.tobytes()
+            for v, tiles in one.tiles.items():
+                assert whole.tiles[v][lo:hi].tolist() == tiles.tolist()
+            if one_cost:
+                assert whole_cost[0][lo:hi].tobytes() == one_cost[0].tobytes()
+                cost, i = one.winners[0]
+                assert whole.winners[b] == (cost, i + lo)
+            else:
+                assert b not in whole.winners
