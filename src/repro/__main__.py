@@ -37,9 +37,9 @@ Robustness posture (see ``docs/API.md``, *Failure modes*):
 
 Serving: ``python -m repro serve --port 8377 --schedule-cache cache.jsonl``
 starts the long-running optimization service (:mod:`repro.serve` —
-request coalescing, micro-batching, admission control, ``/metrics``),
-and ``python -m repro submit matmul --port 8377`` submits one request to
-it and prints the result.
+request coalescing, admission control, ``/metrics``), and
+``python -m repro submit matmul --port 8377`` submits one request to it
+and prints the result.
 
 Fleet: ``python -m repro fleet --workers 4`` boots a consistent-hash
 router in front of N serve worker processes (health-gated failover,
@@ -317,8 +317,6 @@ def cmd_serve(args) -> int:
             port=args.port,
             workers=args.workers,
             queue_limit=args.queue_limit,
-            batch_window_ms=args.batch_window_ms,
-            batch_max=args.batch_max,
             cache_path=args.schedule_cache,
             tracer=current_tracer(),
             retry_after_s=args.retry_after_s,
@@ -591,9 +589,8 @@ def cmd_chaos(args) -> int:
 
 def cmd_loadgen(args) -> int:
     """Drive a seeded open-loop load; write/gate BENCH_serve.json."""
-    import json as _json
-
     from repro.loadgen import check_serve_regression, run_loadgen
+    from repro.util.gate import check_baseline
 
     loadgen_kwargs = dict(
         requests=args.requests,
@@ -651,23 +648,13 @@ def cmd_loadgen(args) -> int:
         write_json(payload, args.out)
         print(f"  wrote {args.out}")
     if args.check:
-        try:
-            with open(args.baseline, "r", encoding="utf-8") as handle:
-                baseline = _json.load(handle)
-        except (OSError, _json.JSONDecodeError) as exc:
-            print(
-                f"loadgen --check: cannot read baseline: {exc}",
-                file=sys.stderr,
-            )
-            return EXIT_HARD
-        failures = check_serve_regression(
-            payload, baseline, tolerance=args.tolerance
+        return check_baseline(
+            "loadgen",
+            payload,
+            args.baseline,
+            check_serve_regression,
+            args.tolerance,
         )
-        if failures:
-            for failure in failures:
-                print(f"loadgen --check FAIL: {failure}", file=sys.stderr)
-            return EXIT_HARD
-        print(f"  check vs {args.baseline}: OK (±{args.tolerance:.0%})")
     return EXIT_OK
 
 
@@ -968,12 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="queue_limit", metavar="N",
                          help="admitted-job bound; beyond it requests are "
                               "shed with 429 + Retry-After")
-    p_serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                         dest="batch_window_ms", metavar="MS",
-                         help="micro-batch dispatch window (0 disables)")
-    p_serve.add_argument("--batch-max", type=int, default=8,
-                         dest="batch_max", metavar="N",
-                         help="max jobs dispatched per batch window")
     p_serve.add_argument("--retry-after-s", type=float, default=1.0,
                          dest="retry_after_s", metavar="S",
                          help="backoff hint on shed responses")

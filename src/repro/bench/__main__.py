@@ -20,12 +20,11 @@ properties, the ratios are code properties.
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 
 from repro.arch import platform_by_name
 from repro.bench.perf import check_regression, run_bench
 from repro.util import write_json
+from repro.util.gate import check_baseline
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,20 +96,9 @@ def main(argv=None) -> int:
         print(f"  wrote {args.out}")
 
     if args.check:
-        try:
-            with open(args.baseline, "r", encoding="utf-8") as handle:
-                baseline = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"bench --check: cannot read baseline: {exc}", file=sys.stderr)
-            return 1
-        failures = check_regression(
-            payload, baseline, tolerance=args.tolerance
+        return check_baseline(
+            "bench", payload, args.baseline, check_regression, args.tolerance
         )
-        if failures:
-            for failure in failures:
-                print(f"bench --check FAIL: {failure}", file=sys.stderr)
-            return 1
-        print(f"  check vs {args.baseline}: OK (±{args.tolerance:.0%})")
     return 0
 
 

@@ -61,6 +61,7 @@ from repro.core.emu import (
 )
 from repro.core.optimizer import optimize
 from repro.ir.serialize import schedule_to_dict
+from repro.util.gate import floor_failures, like_with_like
 
 #: Schema tag of BENCH_search.json; bump on incompatible layout change.
 BENCH_FORMAT = "repro-bench-search-v2"
@@ -283,18 +284,8 @@ def check_regression(
     ratios (within ``tolerance``, one-sided) and schedule identity.
     Absolute milliseconds are informational.
     """
-    failures: List[str] = []
-    if current.get("format") != baseline.get("format"):
-        failures.append(
-            f"format mismatch: current={current.get('format')!r} "
-            f"baseline={baseline.get('format')!r} (regenerate the baseline)"
-        )
-        return failures
-    if current.get("mode") != baseline.get("mode"):
-        failures.append(
-            f"mode mismatch: current={current.get('mode')!r} "
-            f"baseline={baseline.get('mode')!r} (compare like with like)"
-        )
+    failures = like_with_like(current, baseline, ("mode",), "mode mismatch")
+    if failures:
         return failures
     cur_e2e = current.get("end_to_end", {})
     base_e2e = baseline.get("end_to_end", {})
@@ -304,15 +295,12 @@ def check_regression(
             "scenarios — determinism regression"
         )
     for key in GATED_RATIOS:
-        cur = cur_e2e.get(key)
-        base = base_e2e.get(key)
-        if cur is None or base is None:
-            failures.append(f"missing ratio {key!r} in current or baseline")
-            continue
-        floor = base * (1.0 - tolerance)
-        if cur < floor:
-            failures.append(
-                f"{key} regressed: {cur:.2f}x < {floor:.2f}x "
-                f"(baseline {base:.2f}x - {tolerance:.0%} tolerance)"
-            )
+        failures += floor_failures(
+            key,
+            cur_e2e.get(key),
+            base_e2e.get(key),
+            tolerance,
+            unit="x",
+            missing=f"ratio {key!r}",
+        )
     return failures

@@ -1,15 +1,16 @@
 """The fleet's front door: a consistent-hash proxy over serve workers.
 
-One asyncio HTTP/1.1 server (the exact wire discipline of
-:mod:`repro.serve.http` — ``Connection: close``, JSON bodies) that owns
-no optimizer state at all.  Every ``POST /v1/optimize`` is identified
-*router-side* with the same :func:`repro.serve.identify.identify_request`
-the workers use — so the routing key IS the coalescing/cache key — and
-forwarded to the key's home shard on the :class:`repro.fleet.HashRing`.
-That one invariant is the whole point: identical requests always land on
-the same worker, whose in-process :class:`repro.serve.CoalesceTable` and
-persistent per-shard :class:`repro.cache.ScheduleCache` are therefore
-warm by construction.
+One asyncio HTTP/1.1 server on the worker's own
+:class:`repro.serve.service.HttpService` core (``Connection: close``,
+JSON bodies) that owns no optimizer state at all.  Every
+``POST /v1/optimize`` is identified *router-side* with the same
+:func:`repro.serve.identify.identify_request` the workers use — so the
+routing key IS the coalescing/cache key — and forwarded to the key's
+home shard on the :class:`repro.fleet.HashRing`.  That one invariant is
+the whole point: identical requests always land on the same worker,
+whose in-process :class:`repro.serve.CoalesceTable` and persistent
+per-shard :class:`repro.cache.ScheduleCache` are therefore warm by
+construction.
 
 Failover is health-gated and deterministic: when the home shard is not
 routable (the supervisor's probe gate says down/draining/quarantined, or
@@ -45,12 +46,9 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import os
-import signal
-import sys
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.cache import check_shard_caches
 from repro.fleet.breaker import CircuitBreaker
@@ -61,28 +59,29 @@ from repro.obs import NULL_TRACER
 from repro.obs.events import EVENT_FLEET_FAILOVER
 from repro.serve.http import (
     DEADLINE_HEADER,
-    HttpViolation,
-    IO_TIMEOUT_S,
     forward,
-    read_request,
     write_chunk,
     write_chunked_end,
     write_chunked_head,
-    write_response,
 )
-from repro.serve.identify import identify_request
+from repro.serve.identify import REQUEST_ERRORS, identify_request, rejection
+from repro.serve.service import (
+    HttpService,
+    Reply,
+    Request,
+    retry_after_header,
+)
 from repro.sweep import Journal
 from repro.tune import TUNE_FORMAT, TuneRunner, plan_tune_cells, tune_id
 from repro.serve.schema import (
     REASON_DEADLINE_EXPIRED,
-    REASON_INVALID_SPEC,
     SERVED_BY_FAILOVER,
     ServeRequest,
     error_payload,
     parse_request,
     render_for,
 )
-from repro.util import ServeError, ValidationError
+from repro.util import ServeError
 from repro.util.deadline import Deadline
 
 __all__ = ["FLEET_FORMAT", "FleetRouter"]
@@ -92,7 +91,7 @@ __all__ = ["FLEET_FORMAT", "FleetRouter"]
 FLEET_FORMAT = "repro-fleet-v1"
 
 
-class FleetRouter:
+class FleetRouter(HttpService):
     """One router process in front of a :class:`FleetSupervisor`.
 
     The router and supervisor share one
@@ -100,6 +99,8 @@ class FleetRouter:
     single pane for both halves: routing counters from here, restart and
     quarantine counters from the probe loop.
     """
+
+    PROG = "repro fleet"
 
     def __init__(
         self,
@@ -116,17 +117,23 @@ class FleetRouter:
         tune_dir: Optional[str] = None,
         tune_jobs: int = 2,
     ) -> None:
-        if retry_after_s <= 0:
-            raise ValueError(
-                f"retry_after_s must be positive, got {retry_after_s}"
-            )
+        super().__init__(
+            {
+                "/healthz": ("GET", self._get_healthz),
+                "/metrics": ("GET", self._get_metrics),
+                "/fleet/status": ("GET", self._get_status),
+                "/fleet/restart": ("POST", self._handle_restart),
+                "/v1/optimize": ("POST", self._handle_optimize),
+                "/v1/tune": ("POST", self._handle_tune),
+            },
+            host=host,
+            port=port,
+            retry_after_s=retry_after_s,
+        )
         self.supervisor = supervisor
-        self.host = host
-        self.port = int(port)
         self.metrics: FleetMetrics = supervisor.metrics
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.forward_timeout_s = float(forward_timeout_s)
-        self.retry_after_s = float(retry_after_s)
         self.tune_dir = tune_dir
         self.tune_jobs = int(tune_jobs)
         if self.tune_jobs < 1:
@@ -140,157 +147,27 @@ class FleetRouter:
             metrics=self.metrics,
             tracer=self.tracer,
         )
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._draining = False
-        self._drained: Optional[asyncio.Event] = None
-        self._open_conns = 0
 
     # -- lifecycle -----------------------------------------------------
 
-    async def start(self) -> int:
-        """Bind the listener; returns the bound port."""
-        self._loop = asyncio.get_running_loop()
-        self._drained = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self.port
-
-    async def drain(self) -> None:
-        """Stop accepting, let every open connection finish its answer."""
-        if self._draining:
-            await self._drained.wait()
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        while self._open_conns:
-            await asyncio.sleep(0.02)
-        self._drained.set()
-
-    def run(self) -> int:
-        """Blocking entry point for the CLI: route until SIGTERM/SIGINT.
-
-        Assumes the supervisor's workers are already started; stops them
-        after the router's own drain, so admitted work finishes on both
-        tiers.  Startup errors (the port is taken) propagate as
-        :class:`OSError` for the CLI to render.
-        """
-
-        async def _main() -> None:
-            await self.start()
-            loop = asyncio.get_running_loop()
-
-            def _begin_drain() -> None:
-                asyncio.ensure_future(self.drain())
-
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, _begin_drain)
-                except (NotImplementedError, RuntimeError):
-                    pass
-            workers = ", ".join(
-                f"shard{w['shard']}:{w['port']}"
-                for w in self.supervisor.states()
-            )
-            print(
-                f"repro fleet: routing on http://{self.host}:{self.port} "
-                f"({workers})",
-                file=sys.stderr,
-                flush=True,
-            )
-            await self._drained.wait()
-
-        asyncio.run(_main())
+    def _shutdown(self) -> None:
+        # run() assumes the workers are already started and stops them
+        # only after the router's own drain, so admitted work finishes
+        # on both tiers.
         self.supervisor.stop()
-        print("repro fleet: drained, bye", file=sys.stderr, flush=True)
-        from repro.core.exitcodes import EXIT_OK
 
-        return EXIT_OK
-
-    # -- HTTP plumbing (same shape as the worker's) --------------------
-
-    async def _handle_conn(self, reader, writer) -> None:
-        self._open_conns += 1
-        try:
-            try:
-                method, path, _headers, body = await asyncio.wait_for(
-                    read_request(reader), timeout=IO_TIMEOUT_S
-                )
-            except HttpViolation as exc:
-                await write_response(
-                    writer, exc.status, error_payload(exc.status, str(exc))
-                )
-                return
-            except (
-                asyncio.TimeoutError,
-                asyncio.IncompleteReadError,
-                ConnectionError,
-                ValueError,
-            ):
-                return
-            if path == "/v1/tune":
-                # The one streaming route: records go out as they settle,
-                # so it cannot fit _route's (status, payload) shape.
-                if method != "POST":
-                    await write_response(
-                        writer, 405, error_payload(405, "tune is POST-only")
-                    )
-                else:
-                    await self._handle_tune(writer, body)
-                return
-            status, payload, extra = await self._route(method, path, body)
-            await write_response(writer, status, payload, extra)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._open_conns -= 1
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _route(
-        self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Dict, Optional[Dict[str, str]]]:
-        if path == "/healthz":
-            if method != "GET":
-                return 405, error_payload(405, "healthz is GET-only"), None
-            return self._healthz()
-        if path == "/metrics":
-            if method != "GET":
-                return 405, error_payload(405, "metrics is GET-only"), None
-            return 200, self.metrics_snapshot(), None
-        if path == "/fleet/status":
-            if method != "GET":
-                return 405, error_payload(405, "status is GET-only"), None
-            # The cache consistency check reads shard files — disk work,
-            # so keep it off the event loop.
-            return (
-                200,
-                await self._loop.run_in_executor(None, self.status_snapshot),
-                None,
-            )
-        if path == "/fleet/restart":
-            if method != "POST":
-                return 405, error_payload(405, "restart is POST-only"), None
-            return await self._handle_restart()
-        if path == "/v1/optimize":
-            if method != "POST":
-                return 405, error_payload(405, "optimize is POST-only"), None
-            return await self._handle_optimize(body)
-        return 404, error_payload(404, f"unknown path {path!r}"), None
-
-    def _retry_header(self) -> Dict[str, str]:
-        return {"Retry-After": str(max(1, math.ceil(self.retry_after_s)))}
+    def banner(self) -> str:
+        workers = ", ".join(
+            f"shard{w['shard']}:{w['port']}" for w in self.supervisor.states()
+        )
+        return (
+            f"{self.PROG}: routing on http://{self.host}:{self.port} "
+            f"({workers})"
+        )
 
     # -- operability documents -----------------------------------------
 
-    def _healthz(self) -> Tuple[int, Dict, Optional[Dict[str, str]]]:
+    async def _get_healthz(self, _request: Request) -> Reply:
         states = self.supervisor.states()
         up = sum(1 for w in states if w["state"] == "up")
         if self._draining:
@@ -323,6 +200,9 @@ class FleetRouter:
         """The live ``repro-fleet-metrics-v1`` document."""
         return self.metrics.snapshot(workers=self._workers_with_breaker())
 
+    async def _get_metrics(self, _request: Request) -> Reply:
+        return 200, self.metrics_snapshot(), None
+
     def status_snapshot(self, *, check_caches: bool = True) -> Dict:
         """The ``/fleet/status`` document: shards, states, topology.
 
@@ -348,9 +228,16 @@ class FleetRouter:
             )
         return payload
 
-    async def _handle_restart(
-        self,
-    ) -> Tuple[int, Dict, Optional[Dict[str, str]]]:
+    async def _get_status(self, _request: Request) -> Reply:
+        # The cache consistency check reads shard files — disk work, so
+        # keep it off the event loop.
+        return (
+            200,
+            await self._loop.run_in_executor(None, self.status_snapshot),
+            None,
+        )
+
+    async def _handle_restart(self, _request: Request) -> Reply:
         try:
             rolled = await self._loop.run_in_executor(
                 None, self.supervisor.rolling_restart
@@ -361,9 +248,8 @@ class FleetRouter:
 
     # -- the proxy leg -------------------------------------------------
 
-    async def _handle_optimize(
-        self, body: bytes
-    ) -> Tuple[int, Dict, Optional[Dict[str, str]]]:
+    async def _handle_optimize(self, http: Request) -> Reply:
+        body = http.body
         arrived = time.perf_counter()
         self.metrics.bump("requests_total")
         if self._draining:
@@ -386,24 +272,11 @@ class FleetRouter:
             _case, _arch, key = await self._loop.run_in_executor(
                 None, identify_request, request
             )
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            self.metrics.bump("responses_error")
-            return 400, error_payload(400, f"request is not JSON: {exc}"), None
-        except ServeError as exc:
-            self.metrics.bump("responses_error")
-            return 400, render_for(request, error_payload(400, str(exc))), None
-        except ValidationError as exc:
+        except REQUEST_ERRORS as exc:
             # A spec that does not lower is the caller's bug: reject at
             # the router before any shard burns a forward leg on it.
             self.metrics.bump("responses_error")
-            return (
-                400,
-                render_for(
-                    request,
-                    error_payload(400, str(exc), reason=REASON_INVALID_SPEC),
-                ),
-                None,
-            )
+            return rejection(request, exc)
 
         # The end-to-end budget is charged ONCE, here at admission: every
         # forward leg (failover successors included) sees only what is
@@ -428,7 +301,7 @@ class FleetRouter:
 
     def _deadline_expired_payload(
         self, request: ServeRequest, home: int
-    ) -> Tuple[int, Dict, Optional[Dict[str, str]]]:
+    ) -> Reply:
         """The router-side 504: budget died between forward legs.
 
         Attribution (benchmark/platform/home shard) is preserved so a
@@ -455,7 +328,7 @@ class FleetRouter:
         *,
         request: ServeRequest,
         deadline: Optional[Deadline] = None,
-    ) -> Tuple[int, Dict, Optional[Dict[str, str]]]:
+    ) -> Reply:
         """Walk the ring order until a shard answers; attribute failover.
 
         A shard is tried when the health gate says it is routable AND
@@ -525,11 +398,7 @@ class FleetRouter:
                 return 200, payload, None
             extra = None
             if status in (429, 503) and "retry_after_s" in payload:
-                extra = {
-                    "Retry-After": str(
-                        max(1, math.ceil(payload["retry_after_s"]))
-                    )
-                }
+                extra = retry_after_header(payload["retry_after_s"])
             return status, payload, extra
         self.metrics.bump("no_shard")
         return (
@@ -562,7 +431,7 @@ class FleetRouter:
             base = os.getcwd()
         return os.path.join(base, f"tune-{job_id}.jsonl")
 
-    async def _handle_tune(self, writer, body: bytes) -> None:
+    async def _handle_tune(self, http: Request) -> Optional[Reply]:
         """``POST /v1/tune``: plan, fan out, stream settled cells.
 
         The job itself runs on an executor thread (it drives blocking
@@ -571,11 +440,11 @@ class FleetRouter:
         onto the loop via ``call_soon_threadsafe`` and go out as NDJSON
         chunks the moment they land, with the final
         ``repro-tune-report-v1`` document as the stream's last record.
+        Errors found before the stream opens are ordinary JSON replies.
         """
         self.metrics.bump("tune_requests")
         if self._draining:
-            await write_response(
-                writer,
+            return (
                 503,
                 error_payload(
                     503,
@@ -584,14 +453,10 @@ class FleetRouter:
                 ),
                 self._retry_header(),
             )
-            return
         try:
-            payload = json.loads(body.decode("utf-8"))
+            payload = json.loads(http.body.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            await write_response(
-                writer, 400, error_payload(400, f"request is not JSON: {exc}")
-            )
-            return
+            return 400, error_payload(400, f"request is not JSON: {exc}"), None
         try:
             # Planning lowers corpus specs to fingerprint cells — CPU
             # work, so keep it off the event loop.
@@ -599,8 +464,8 @@ class FleetRouter:
                 None, plan_tune_cells, payload
             )
         except (KeyError, ValueError) as exc:
-            await write_response(writer, 400, error_payload(400, str(exc)))
-            return
+            return 400, error_payload(400, str(exc)), None
+        writer = http.writer
         job_id = tune_id(payload)
         journal = Journal(self._tune_journal_path(job_id))
         loop = self._loop
@@ -648,3 +513,4 @@ class FleetRouter:
                 {"format": TUNE_FORMAT, "kind": "error", "error": str(exc)},
             )
         await write_chunked_end(writer)
+        return None

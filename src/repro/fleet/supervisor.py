@@ -139,7 +139,7 @@ class FleetSupervisor:
         caching).
     queue_limit / serve_args:
         Per-worker admission bound, plus any extra ``repro serve``
-        argv tail (e.g. ``["--batch-window-ms", "0"]``).
+        argv tail (e.g. ``["--retry-after-s", "2"]``).
     probe_interval_s / probe_timeout_s / down_after:
         The health gate: probe cadence, per-probe socket timeout, and
         how many consecutive failures mark a shard down.

@@ -50,6 +50,7 @@ from repro.serve.schema import (
     SERVED_BY_CACHE,
     SERVED_BY_COALESCED,
 )
+from repro.util.gate import floor_failures, like_with_like
 
 #: Schema tag of BENCH_serve.json; bump on incompatible layout change.
 BENCH_SERVE_FORMAT = "repro-bench-serve-v1"
@@ -309,7 +310,7 @@ def run_loadgen(
 
 
 # ---------------------------------------------------------------------
-# Regression gate (mirrors repro.bench.perf.check_regression)
+# Regression gate (shares repro.util.gate with repro.bench.perf)
 # ---------------------------------------------------------------------
 
 #: What the CI bench-serve gate protects.  Latency percentiles and wall
@@ -327,19 +328,12 @@ def check_serve_regression(
     warm-duplicate fraction within one-sided ``tolerance`` of the
     baseline's.
     """
-    failures: List[str] = []
-    if current.get("format") != baseline.get("format"):
-        failures.append(
-            f"format mismatch: current={current.get('format')!r} "
-            f"baseline={baseline.get('format')!r} (regenerate the baseline)"
-        )
-        return failures
-    for key in ("seed", "requests", "hot_fraction"):
-        if current.get(key) != baseline.get(key):
-            failures.append(
-                f"workload mismatch on {key!r}: current={current.get(key)!r} "
-                f"baseline={baseline.get(key)!r} (compare like with like)"
-            )
+    failures = like_with_like(
+        current,
+        baseline,
+        ("seed", "requests", "hot_fraction"),
+        "workload mismatch on {key!r}",
+    )
     if failures:
         return failures
     errors = current.get("errors", -1)
@@ -353,18 +347,11 @@ def check_serve_regression(
             "responses for one identity are not bit-identical across "
             "shards/coalescing — determinism regression"
         )
-    cur = current.get("duplicates", {}).get("warm_duplicate_fraction")
-    base = baseline.get("duplicates", {}).get("warm_duplicate_fraction")
-    if cur is None or base is None:
-        failures.append(
-            "missing warm_duplicate_fraction in current or baseline"
-        )
-    else:
-        floor = base * (1.0 - tolerance)
-        if cur < floor:
-            failures.append(
-                f"warm_duplicate_fraction regressed: {cur:.2f} < "
-                f"{floor:.2f} (baseline {base:.2f} - {tolerance:.0%} "
-                f"tolerance) — repeat requests are re-searching"
-            )
+    failures += floor_failures(
+        "warm_duplicate_fraction",
+        current.get("duplicates", {}).get("warm_duplicate_fraction"),
+        baseline.get("duplicates", {}).get("warm_duplicate_fraction"),
+        tolerance,
+        consequence=" — repeat requests are re-searching",
+    )
     return failures

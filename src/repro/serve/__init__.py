@@ -1,9 +1,9 @@
-"""repro.serve — the batched, cache-backed optimization service.
+"""repro.serve — the coalescing, cache-backed optimization service.
 
 The long-running counterpart of :func:`repro.api.optimize`: a pure-stdlib
 asyncio HTTP/JSON server that accepts versioned ``repro-serve-v1``
 requests, coalesces identical in-flight work onto one computation,
-micro-batches admissions into a bounded worker pool, consults the
+dispatches admissions into a bounded worker pool, consults the
 persistent :class:`repro.cache.ScheduleCache` before any search, sheds
 load deterministically when its admission queue fills, and drains
 gracefully on SIGTERM.  ``/metrics`` exposes a validated
@@ -13,13 +13,17 @@ through the standard :class:`repro.obs.Tracer` protocol.
 Layout:
 
 * :mod:`repro.serve.schema` — the wire formats and their validators;
+* :mod:`repro.serve.service` — :class:`~repro.serve.service.HttpService`,
+  the HTTP core (listener, route table, drain, CLI loop) the worker and
+  the fleet router share;
 * :mod:`repro.serve.server` — :class:`OptimizeServer` (admission,
-  coalescing, batching, workers, drain);
+  coalescing, dispatch, workers, drain);
 * :mod:`repro.serve.coalesce` — the in-flight job table;
 * :mod:`repro.serve.metrics` — counters + the latency histogram;
 * :mod:`repro.serve.client` — the blocking :class:`ServeClient`;
 * :mod:`repro.serve.testing` — the in-process :class:`ServerThread`
-  harness used by the test suite and CI's serve-smoke job.
+  harness (and the :class:`~repro.serve.testing.LoopThread` under it)
+  used by the test suite and CI's serve-smoke job.
 
 CLI: ``python -m repro serve`` / ``python -m repro submit``.
 """

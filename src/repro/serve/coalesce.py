@@ -5,8 +5,8 @@ options)`` identity (the :func:`repro.serve.schema.coalesce_key`),
 whatever number of HTTP requests are waiting on it.  The
 :class:`CoalesceTable` maps key → live job from admission until the
 result is delivered, so the window in which a duplicate can piggyback
-covers the *whole* lifetime of the computation: queued, batched, and
-executing.  This is the request-collapsing discipline of CDN caches
+covers the *whole* lifetime of the computation: queued, dispatched
+and executing.  This is the request-collapsing discipline of CDN caches
 ("request coalescing") applied to optimizer searches, and it is what
 turns a thundering herd of identical requests into exactly one walk of
 the Algorithm 2/3 lattices.

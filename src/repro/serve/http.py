@@ -1,8 +1,11 @@
 """Minimal HTTP/1.1 plumbing shared by the serve and fleet layers.
 
-One wire discipline, three consumers: :class:`repro.serve.OptimizeServer`
-(a worker), :class:`repro.fleet.FleetRouter` (the front router proxying
-to workers), and :class:`repro.serve.ServeClient` (the blocking client).
+One wire discipline, three consumers: the
+:class:`repro.serve.service.HttpService` core that both
+:class:`repro.serve.OptimizeServer` (a worker) and
+:class:`repro.fleet.FleetRouter` (the front router proxying to workers)
+serve on, the router's proxy leg (:func:`forward`), and
+:class:`repro.serve.ServeClient` (the blocking client).
 Every exchange is one request per connection (``Connection: close``),
 JSON bodies only, tight size ceilings — the protocol is an
 implementation detail of this repo, not a general web server.

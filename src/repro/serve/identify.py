@@ -14,22 +14,52 @@ Spec targets (repro-serve-v1.1) are lowered here with
 Funcs — a spec-submission and a benchmark/ir-submission of the same
 kernel therefore produce the same key, coalesce onto one in-flight
 computation, hit the same cache entries, and route to the same shard.
-A malformed spec raises :class:`~repro.util.ValidationError`, which the
-server maps to HTTP 400 with ``reason="invalid_spec"`` (never a 500).
+A malformed spec raises :class:`~repro.util.ValidationError`, which
+:func:`rejection` maps to HTTP 400 with ``reason="invalid_spec"`` (never
+a 500) for the worker and the router alike.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import json
+from typing import Dict, Optional, Tuple
 
 from repro.arch import platform_by_name
 from repro.bench import make_benchmark, size_for
 from repro.cache.fingerprint import func_fingerprint
 from repro.frontend.corpus import spec_case
-from repro.serve.schema import ServeRequest, coalesce_key
-from repro.util import ServeError
+from repro.serve.schema import (
+    REASON_INVALID_SPEC,
+    ServeRequest,
+    coalesce_key,
+    error_payload,
+    render_for,
+)
+from repro.util import ServeError, ValidationError
 
-__all__ = ["identify_request"]
+__all__ = ["REQUEST_ERRORS", "identify_request", "rejection"]
+
+#: What parsing and identifying a request body raise for a caller's bug.
+REQUEST_ERRORS = (
+    json.JSONDecodeError,
+    UnicodeDecodeError,
+    ServeError,
+    ValidationError,
+)
+
+
+def rejection(
+    request: Optional[ServeRequest], exc: Exception
+) -> Tuple[int, Dict, None]:
+    """The 400 answer for one of :data:`REQUEST_ERRORS`.
+
+    ``request`` is the parsed request, or ``None`` if parsing failed.
+    """
+    if isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError)):
+        return 400, error_payload(400, f"request is not JSON: {exc}"), None
+    reason = REASON_INVALID_SPEC if isinstance(exc, ValidationError) else None
+    payload = error_payload(400, str(exc), reason=reason)
+    return 400, render_for(request, payload), None
 
 
 def identify_request(request: ServeRequest) -> Tuple[object, object, str]:

@@ -3,7 +3,7 @@
 Architecture (one event loop, one bounded queue, one worker pool)::
 
     HTTP conn ──► admission ──► CoalesceTable ──► asyncio.Queue ──► dispatcher
-                   (400/429/503)   (share in-flight)  (bounded)       (micro-batch)
+                   (400/429/503)   (share in-flight)  (bounded)       (per free slot)
                                                                         │
     HTTP conn ◄── response  ◄── job future  ◄── worker pool  ◄──────────┘
                                                (threads)
@@ -12,10 +12,9 @@ Architecture (one event loop, one bounded queue, one worker pool)::
   either coalesced onto an in-flight job, enqueued, or *shed*: when the
   bounded queue is full (or the server is draining) the response is an
   immediate 429/503 with ``Retry-After``, never an unbounded queue.
-* **Micro-batching** — the dispatcher drains the queue in bounded
-  windows (``batch_window_ms`` / ``batch_max``) before handing jobs to
-  the pool, widening the coalescing window under bursts at a bounded
-  latency cost.
+* **Dispatch** — the dispatcher hands the pool one queued job as soon
+  as a worker slot frees; coalescing needs no wait, since a job shares
+  itself from admission to completion.
 * **Warm paths** — each pipeline stage consults the persistent
   :class:`repro.cache.ScheduleCache` before any search; a fully-cached
   request never touches Algorithms 2/3.
@@ -34,17 +33,15 @@ Architecture (one event loop, one bounded queue, one worker pool)::
   slow/crashed workers.
 
 The HTTP surface is deliberately minimal — ``Connection: close``, JSON
-bodies, three routes — because the protocol is an implementation detail
-of :mod:`repro.serve.client`; nothing here depends on ``http.server``.
+bodies, three routes on the shared :class:`repro.serve.service.HttpService`
+core — because the protocol is an implementation detail of
+:mod:`repro.serve.client`; nothing here depends on ``http.server``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import math
-import signal
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
@@ -68,14 +65,8 @@ from repro.robust.faults import (
     FaultSpec,
 )
 from repro.serve.coalesce import CoalesceTable, Job
-from repro.serve.http import (
-    DEADLINE_HEADER,
-    HttpViolation,
-    IO_TIMEOUT_S,
-    read_request,
-    write_response,
-)
-from repro.serve.identify import identify_request
+from repro.serve.http import DEADLINE_HEADER
+from repro.serve.identify import REQUEST_ERRORS, identify_request, rejection
 from repro.serve.metrics import ServeMetrics
 from repro.options import OptimizeOptions
 from repro.serve.schema import (
@@ -90,11 +81,11 @@ from repro.serve.schema import (
     render_for,
     result_payload,
 )
+from repro.serve.service import HttpService, Reply, Request
 from repro.util import (
     Deadline,
     DeadlineExceeded,
     ReproError,
-    ServeError,
     ValidationError,
     resolve_workers,
 )
@@ -102,7 +93,7 @@ from repro.util import (
 __all__ = ["OptimizeServer"]
 
 
-class OptimizeServer:
+class OptimizeServer(HttpService):
     """One long-lived optimization service instance.
 
     Parameters
@@ -116,8 +107,6 @@ class OptimizeServer:
     queue_limit:
         Bound on admitted-but-undispatched jobs; beyond it requests are
         shed with 429 + ``Retry-After``.
-    batch_window_ms / batch_max:
-        Micro-batch dispatch window (0 disables batching).
     cache_path:
         Persistent :class:`repro.cache.ScheduleCache` consulted before
         every search and taught after each one.
@@ -132,6 +121,8 @@ class OptimizeServer:
         The backoff hint attached to shed responses.
     """
 
+    PROG = "repro serve"
+
     def __init__(
         self,
         *,
@@ -139,32 +130,25 @@ class OptimizeServer:
         port: int = 0,
         workers=1,
         queue_limit: int = 16,
-        batch_window_ms: float = 2.0,
-        batch_max: int = 8,
         cache_path: Optional[str] = None,
         tracer=None,
         fault_plan: Optional[FaultPlan] = None,
         retry_after_s: float = 1.0,
     ) -> None:
-        self.host = host
-        self.port = int(port)
         self.workers = resolve_workers(workers)
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
-        if batch_window_ms < 0:
-            raise ValueError(
-                f"batch_window_ms must be >= 0, got {batch_window_ms}"
-            )
-        if batch_max < 1:
-            raise ValueError(f"batch_max must be >= 1, got {batch_max}")
-        if retry_after_s <= 0:
-            raise ValueError(
-                f"retry_after_s must be positive, got {retry_after_s}"
-            )
+        super().__init__(
+            {
+                "/healthz": ("GET", self._get_healthz),
+                "/metrics": ("GET", self._get_metrics),
+                "/v1/optimize": ("POST", self._handle_optimize),
+            },
+            host=host,
+            port=port,
+            retry_after_s=retry_after_s,
+        )
         self.queue_limit = int(queue_limit)
-        self.batch_window_ms = float(batch_window_ms)
-        self.batch_max = int(batch_max)
-        self.retry_after_s = float(retry_after_s)
         self.metrics = ServeMetrics()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.cache = (
@@ -183,66 +167,54 @@ class OptimizeServer:
         self._slots: Optional[asyncio.Semaphore] = None
         self._queue: Optional[asyncio.Queue] = None
         self._pool: Optional[ThreadPoolExecutor] = None
-        self._server: Optional[asyncio.AbstractServer] = None
         self._dispatcher: Optional[asyncio.Task] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._draining = False
-        self._drained: Optional[asyncio.Event] = None
         self._admitted = 0
         self._in_flight = 0
-        self._open_conns = 0
 
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> int:
-        """Bind the listener and start the dispatcher; returns the port."""
-        self._loop = asyncio.get_running_loop()
+        """Heal the cache, start the pool and dispatcher; returns the port."""
         if self.cache is not None:
             # Self-heal before serving: corrupt lines (torn appends from
             # a SIGKILLed predecessor, disk bit-flips) are counted,
             # quarantined to the sidecar, and compacted away — so this
             # instance starts from a store that is clean by construction.
-            await self._loop.run_in_executor(None, self.cache.heal)
+            await asyncio.get_running_loop().run_in_executor(
+                None, self.cache.heal
+            )
         self._queue = asyncio.Queue(maxsize=self.queue_limit)
         self._slots = asyncio.Semaphore(self.workers)
-        self._drained = asyncio.Event()
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve"
         )
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        port = await super().start()
         self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
-        return self.port
+        return port
 
     async def drain(self) -> None:
         """Stop accepting, finish everything admitted, release the pool.
 
-        Idempotent; concurrent callers all return once the first drain
-        completes.  The guarantee: every job admitted before the drain
-        started produces a response, and every open connection gets to
-        write it.
+        Every job admitted before the drain started produces a response,
+        and every open connection gets to write it.
         """
-        if self._draining:
-            await self._drained.wait()
-            return
-        self._draining = True
-        self.tracer.event(
-            EVENT_SERVE_DRAIN,
-            queued=self._queue.qsize() if self._queue else 0,
-            in_flight=self._in_flight,
-        )
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        while (
+        if not self._draining:
+            self.tracer.event(
+                EVENT_SERVE_DRAIN,
+                queued=self._queue.qsize() if self._queue else 0,
+                in_flight=self._in_flight,
+            )
+        await super().drain()
+
+    def _busy(self) -> bool:
+        return bool(
             (self._queue is not None and not self._queue.empty())
             or len(self._table)
             or self._in_flight
-            or self._open_conns
-        ):
-            await asyncio.sleep(0.02)
+            or super()._busy()
+        )
+
+    async def _release(self) -> None:
         if self._dispatcher is not None:
             self._dispatcher.cancel()
             try:
@@ -251,77 +223,14 @@ class OptimizeServer:
                 pass
         if self._pool is not None:
             self._pool.shutdown(wait=True)
-        self._drained.set()
 
-    def run(self) -> int:
-        """Blocking entry point for the CLI: serve until SIGTERM/SIGINT.
+    def banner(self) -> str:
+        return (
+            f"{self.PROG}: listening on http://{self.host}:{self.port} "
+            f"(workers={self.workers}, queue_limit={self.queue_limit})"
+        )
 
-        Returns 0 after a clean drain.  Startup errors (e.g. the port is
-        taken) propagate as :class:`OSError` for the CLI to render.
-        """
-
-        async def _main() -> None:
-            await self.start()
-            loop = asyncio.get_running_loop()
-
-            def _begin_drain() -> None:
-                asyncio.ensure_future(self.drain())
-
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, _begin_drain)
-                except (NotImplementedError, RuntimeError):
-                    pass  # non-unix event loops: ctrl-C still KeyboardInterrupts
-            print(
-                f"repro serve: listening on http://{self.host}:{self.port} "
-                f"(workers={self.workers}, queue_limit={self.queue_limit})",
-                file=sys.stderr,
-                flush=True,
-            )
-            await self._drained.wait()
-
-        asyncio.run(_main())
-        print("repro serve: drained, bye", file=sys.stderr, flush=True)
-        from repro.core.exitcodes import EXIT_OK
-
-        return EXIT_OK
-
-    # -- HTTP plumbing -------------------------------------------------
-
-    async def _handle_conn(self, reader, writer) -> None:
-        self._open_conns += 1
-        try:
-            try:
-                method, path, headers, body = await asyncio.wait_for(
-                    read_request(reader), timeout=IO_TIMEOUT_S
-                )
-            except HttpViolation as exc:
-                await write_response(
-                    writer, exc.status, error_payload(exc.status, str(exc))
-                )
-                return
-            except (
-                asyncio.TimeoutError,
-                asyncio.IncompleteReadError,
-                ConnectionError,
-                ValueError,
-            ):
-                return  # torn or silent connection: nothing to answer
-            status, payload, extra = await self._route(
-                method, path, headers, body
-            )
-            await write_response(writer, status, payload, extra)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._open_conns -= 1
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    # -- routing -------------------------------------------------------
+    # -- routes --------------------------------------------------------
 
     def healthz_snapshot(self) -> Dict:
         """The live enriched ``/healthz`` body (``repro-serve-v1``)."""
@@ -333,30 +242,16 @@ class OptimizeServer:
             admitted=self._admitted,
         )
 
-    async def _route(
-        self, method: str, path: str, headers: Dict[str, str], body: bytes
-    ) -> Tuple[int, Dict, Optional[Dict[str, str]]]:
-        if path == "/healthz":
-            if method != "GET":
-                return 405, error_payload(405, "healthz is GET-only"), None
-            # The body is the router's health-gating input, so it is
-            # always the full snapshot; a draining worker still answers
-            # 503 so bare liveness probes keep their old meaning.
-            if self._draining:
-                return 503, self.healthz_snapshot(), self._retry_header()
-            return 200, self.healthz_snapshot(), None
-        if path == "/metrics":
-            if method != "GET":
-                return 405, error_payload(405, "metrics is GET-only"), None
-            return 200, self.metrics_snapshot(), None
-        if path == "/v1/optimize":
-            if method != "POST":
-                return 405, error_payload(405, "optimize is POST-only"), None
-            return await self._handle_optimize(body, headers)
-        return 404, error_payload(404, f"unknown path {path!r}"), None
+    async def _get_healthz(self, _request: Request) -> Reply:
+        # The body is the router's health-gating input, so it is always
+        # the full snapshot; a draining worker still answers 503 so bare
+        # liveness probes keep their old meaning.
+        if self._draining:
+            return 503, self.healthz_snapshot(), self._retry_header()
+        return 200, self.healthz_snapshot(), None
 
-    def _retry_header(self) -> Dict[str, str]:
-        return {"Retry-After": str(max(1, math.ceil(self.retry_after_s)))}
+    async def _get_metrics(self, _request: Request) -> Reply:
+        return 200, self.metrics_snapshot(), None
 
     def metrics_snapshot(self) -> Dict:
         """The live ``repro-serve-metrics-v1`` document."""
@@ -377,9 +272,7 @@ class OptimizeServer:
 
     # -- admission -----------------------------------------------------
 
-    async def _handle_optimize(
-        self, body: bytes, headers: Optional[Dict[str, str]] = None
-    ) -> Tuple[int, Dict, Optional[Dict[str, str]]]:
+    async def _handle_optimize(self, http: Request) -> Reply:
         arrived = time.perf_counter()
         self.metrics.bump("requests_total")
         if self._draining:
@@ -396,25 +289,12 @@ class OptimizeServer:
             )
         request = None
         try:
-            request = parse_request(json.loads(body.decode("utf-8")))
+            request = parse_request(json.loads(http.body.decode("utf-8")))
             case, arch, key = identify_request(request)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            return 400, error_payload(400, f"request is not JSON: {exc}"), None
-        except ServeError as exc:
-            return 400, render_for(request, error_payload(400, str(exc))), None
-        except ValidationError as exc:
+        except REQUEST_ERRORS as exc:
             # A spec that does not lower is the caller's bug, not ours:
             # 400 with the machine-readable invalid_spec tag, never 500.
-            return (
-                400,
-                render_for(
-                    request,
-                    error_payload(
-                        400, str(exc), reason=REASON_INVALID_SPEC
-                    ),
-                ),
-                None,
-            )
+            return rejection(request, exc)
 
         # The fleet router charges the end-to-end budget once at its own
         # admission and forwards only the *remainder* here; when the
@@ -423,7 +303,7 @@ class OptimizeServer:
         # before it can queue — searching for a caller whose budget is
         # gone wastes a worker and can only produce a late answer.
         budget_ms = request.deadline_ms
-        raw_budget = (headers or {}).get(DEADLINE_HEADER)
+        raw_budget = http.headers.get(DEADLINE_HEADER)
         if raw_budget is not None:
             try:
                 budget_ms = float(raw_budget)
@@ -536,30 +416,15 @@ class OptimizeServer:
     # -- dispatch ------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             job = await self._queue.get()
-            batch = [job]
-            if self.batch_window_ms > 0 and self.batch_max > 1:
-                window_ends = loop.time() + self.batch_window_ms / 1000.0
-                while len(batch) < self.batch_max:
-                    timeout = window_ends - loop.time()
-                    if timeout <= 0:
-                        break
-                    try:
-                        batch.append(
-                            await asyncio.wait_for(self._queue.get(), timeout)
-                        )
-                    except asyncio.TimeoutError:
-                        break
-            for item in batch:
-                # Gate on a free worker slot so the bounded queue stays
-                # the real backpressure boundary: without this the
-                # dispatcher would swallow the queue into an unbounded
-                # set of waiting futures and shedding would never fire.
-                await self._slots.acquire()
-                self._in_flight += 1
-                asyncio.ensure_future(self._run_job(item))
+            # Gate on a free worker slot so the bounded queue stays the
+            # real backpressure boundary: without this the dispatcher
+            # would swallow the queue into an unbounded set of waiting
+            # futures and shedding would never fire.
+            await self._slots.acquire()
+            self._in_flight += 1
+            asyncio.ensure_future(self._run_job(job))
 
     async def _run_job(self, job: Job) -> None:
         try:

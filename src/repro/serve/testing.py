@@ -1,18 +1,20 @@
-"""In-process server harness for tests and the CI smoke job.
+"""In-process service harness for tests and the CI smoke jobs.
 
-``ServerThread`` runs one :class:`repro.serve.OptimizeServer` on a
+``LoopThread`` runs any :class:`repro.serve.service.HttpService` on a
 daemon thread with its own event loop, hands back the bound port once
-the listener is up, and drains it from the calling thread on exit —
-i.e. exactly what a test (or a short-lived smoke script) needs to treat
-the server as a context-managed fixture::
+the listener is up, and drains it from the calling thread on exit.
+``ServerThread`` is that harness around one
+:class:`repro.serve.OptimizeServer` — exactly what a test (or a
+short-lived smoke script) needs to treat the server as a
+context-managed fixture::
 
     with ServerThread(queue_limit=4, cache_path=tmp / "cache.jsonl") as srv:
         client = ServeClient(port=srv.port)
         result = client.optimize("matmul", "i7-5930k", fast=True)
 
 Startup failures (a taken port, a bad argument) propagate to the
-caller's thread from :meth:`start` instead of dying silently on the
-daemon thread.
+caller's thread from :meth:`LoopThread.start` instead of dying silently
+on the daemon thread.
 """
 
 from __future__ import annotations
@@ -22,15 +24,16 @@ import threading
 from typing import Optional
 
 from repro.serve.server import OptimizeServer
+from repro.serve.service import HttpService
 
-__all__ = ["ServerThread"]
+__all__ = ["LoopThread", "ServerThread"]
 
 
-class ServerThread:
-    """One server on one daemon thread; context-managed lifecycle."""
+class LoopThread:
+    """One service on one daemon thread; context-managed lifecycle."""
 
-    def __init__(self, **server_kwargs) -> None:
-        self.server = OptimizeServer(**server_kwargs)
+    def __init__(self, service: HttpService) -> None:
+        self.service = service
         self.port: Optional[int] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -39,12 +42,15 @@ class ServerThread:
 
     def start(self, timeout_s: float = 10.0) -> int:
         """Start the loop thread; block until the listener is bound."""
+        name = self.service.PROG.replace(" ", "-")
         self._thread = threading.Thread(
-            target=self._run, name="repro-serve-loop", daemon=True
+            target=self._run, name=f"{name}-loop", daemon=True
         )
         self._thread.start()
         if not self._ready.wait(timeout_s):
-            raise RuntimeError("server failed to start within the timeout")
+            raise RuntimeError(
+                f"{self.service.PROG} failed to start within the timeout"
+            )
         if self._startup_error is not None:
             raise self._startup_error
         return self.port
@@ -54,7 +60,7 @@ class ServerThread:
         asyncio.set_event_loop(loop)
         self._loop = loop
         try:
-            self.port = loop.run_until_complete(self.server.start())
+            self.port = loop.run_until_complete(self.service.start())
         except BaseException as exc:  # surfaced from start()
             self._startup_error = exc
             self._ready.set()
@@ -73,15 +79,23 @@ class ServerThread:
         if not self._thread.is_alive():
             return
         future = asyncio.run_coroutine_threadsafe(
-            self.server.drain(), self._loop
+            self.service.drain(), self._loop
         )
         future.result(timeout=timeout_s)
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=timeout_s)
 
-    def __enter__(self) -> "ServerThread":
+    def __enter__(self) -> "LoopThread":
         self.start()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.drain()
+
+
+class ServerThread(LoopThread):
+    """One :class:`OptimizeServer` on its own loop thread."""
+
+    def __init__(self, **server_kwargs) -> None:
+        self.server = OptimizeServer(**server_kwargs)
+        super().__init__(self.server)

@@ -40,8 +40,7 @@ PINNED = {
     "trace": {"path", "--validate"},
     "serve": {
         "--host", "--port", "--workers", "--queue-limit",
-        "--batch-window-ms", "--batch-max", "--retry-after-s",
-        "--schedule-cache", "--trace",
+        "--retry-after-s", "--schedule-cache", "--trace",
     },
     "fleet": {
         "action", "--host", "--port", "--workers", "--queue-limit",

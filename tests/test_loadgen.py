@@ -10,6 +10,7 @@ import copy
 
 import pytest
 
+from repro.__main__ import main
 from repro.loadgen import (
     BENCH_SERVE_FORMAT,
     _build_plan,
@@ -141,3 +142,23 @@ class TestRunLoadgen:
         assert sum(payload["served_by"].values()) == 6
         # A clean run gates against itself.
         assert check_serve_regression(payload, payload) == []
+
+    @pytest.mark.slow
+    def test_cli_check_exits_1_on_a_failed_gate(self, tmp_path, capsys):
+        baseline = str(tmp_path / "baseline.json")
+        with ServerThread(
+            cache_path=str(tmp_path / "cache.jsonl"), queue_limit=16
+        ) as srv:
+            argv = [
+                "loadgen", "--port", str(srv.port), "--requests", "3",
+                "--rate-rps", "20", "--hot-fraction", "1.0",
+            ]
+            assert main([*argv, "--seed", "1", "--out", baseline]) == 0
+            checked = [*argv, "--check", "--baseline", baseline]
+            assert main([*checked, "--seed", "1"]) == 0
+            assert main([*checked, "--seed", "2"]) == 1
+            missing = str(tmp_path / "missing.json")
+            assert main([*argv, "--check", "--baseline", missing]) == 1
+        err = capsys.readouterr().err
+        assert "loadgen --check FAIL: workload mismatch on 'seed'" in err
+        assert "loadgen --check: cannot read baseline" in err

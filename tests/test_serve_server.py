@@ -192,7 +192,6 @@ class TestAdmissionControl:
             tmp_path,
             workers=1,
             queue_limit=1,
-            batch_window_ms=0.0,
             fault_plan=slow_job(1, seconds=2.0),
             retry_after_s=0.5,
         ) as srv:
@@ -224,7 +223,6 @@ class TestAdmissionControl:
             tmp_path,
             workers=1,
             queue_limit=1,
-            batch_window_ms=0.0,
             fault_plan=slow_job(1, seconds=1.0),
             retry_after_s=0.2,
         ) as srv:
