@@ -88,6 +88,7 @@ from repro.core.exitcodes import (
     EXIT_UNAVAILABLE,
     EXIT_USAGE,
 )
+from repro.options import OptimizeOptions
 from repro.robust import FallbackPolicy, safe_optimize
 from repro.sim import Machine
 from repro.util import (
@@ -179,16 +180,12 @@ def _check_jobs(args) -> None:
         raise SystemExit(f"invalid options: {exc}") from None
 
 
-def _policy(args, *, allow_nti: bool = True) -> FallbackPolicy:
+def _policy(args) -> FallbackPolicy:
     _check_jobs(args)
     try:
         if args.lenient:
-            return FallbackPolicy.lenient(
-                deadline_ms=args.deadline_ms, allow_nti=allow_nti
-            )
-        return FallbackPolicy.strict_policy(
-            deadline_ms=args.deadline_ms, allow_nti=allow_nti
-        )
+            return FallbackPolicy.lenient(deadline_ms=args.deadline_ms)
+        return FallbackPolicy.strict_policy(deadline_ms=args.deadline_ms)
     except ValueError as exc:
         # e.g. --deadline-ms -5: a flag typo must not print a traceback.
         raise SystemExit(f"invalid options: {exc}") from None
@@ -204,7 +201,8 @@ def cmd_list(_args) -> int:
 def cmd_optimize(args) -> int:
     arch = _resolve_platform(args.platform)
     case = _resolve_case(args)
-    policy = _policy(args, allow_nti=not args.no_nti)
+    policy = _policy(args)
+    options = OptimizeOptions(use_nti=not args.no_nti)
     cache = None
     if args.schedule_cache:
         from repro.cache import ScheduleCache
@@ -212,7 +210,7 @@ def cmd_optimize(args) -> int:
         cache = ScheduleCache(args.schedule_cache)
     fell_back = False
     for stage in case.pipeline:
-        safe = safe_optimize(stage, arch, policy, cache=cache)
+        safe = safe_optimize(stage, arch, policy, options=options, cache=cache)
         fell_back = fell_back or safe.fell_back
         if safe.result is not None:
             print(safe.result.describe())
@@ -240,23 +238,24 @@ def cmd_compare(args) -> int:
     def fresh():
         return _resolve_case(args)
 
-    def proposed_schedules(funcs, allow_nti):
+    def proposed_schedules(funcs, use_nti):
         nonlocal fell_back
-        policy = _policy(args, allow_nti=allow_nti)
+        policy = _policy(args)
+        options = OptimizeOptions(use_nti=use_nti)
         out = {}
         for f in funcs:
-            safe = safe_optimize(f, arch, policy)
+            safe = safe_optimize(f, arch, policy, options=options)
             fell_back = fell_back or safe.fell_back
             out[f] = safe.schedule
         return out
 
     case = fresh()
     times["proposed"] = machine.time_pipeline(
-        case.pipeline, proposed_schedules(case.funcs, allow_nti=False)
+        case.pipeline, proposed_schedules(case.funcs, use_nti=False)
     )
     case = fresh()
     times["proposed+NTI"] = machine.time_pipeline(
-        case.pipeline, proposed_schedules(case.funcs, allow_nti=True)
+        case.pipeline, proposed_schedules(case.funcs, use_nti=True)
     )
     case = fresh()
     times["auto-scheduler"] = machine.time_pipeline(
@@ -658,9 +657,30 @@ def cmd_loadgen(args) -> int:
     return EXIT_OK
 
 
+def _vary_grid(names) -> list:
+    """The tune grid of ``repro tune --vary NAME...``: every combination
+    of each named switch's two values over the defaults."""
+    grid = [{}]
+    for name in names:
+        if any(name in overlay for overlay in grid):
+            continue  # --vary use_nti --vary use_nti
+        # Boolean switches sweep {off, on}; multistride sweeps the
+        # disabled default against the three-way classifier.
+        values = ("off", "auto") if name == "multistride" else (False, True)
+        try:
+            OptimizeOptions.from_dict({name: values[0]})
+        except ValueError as exc:
+            raise SystemExit(f"--vary {name!r}: {exc}") from None
+        grid = [
+            dict(overlay, **{name: value})
+            for overlay in grid
+            for value in values
+        ]
+    return grid
+
+
 def cmd_tune(args) -> int:
     """Fleet-scale autotuning: plan a grid, fan it out, stream results."""
-    from repro.options import CACHE_KEYS
     from repro.tune import (
         TUNE_REPORT_FORMAT,
         build_tune_request,
@@ -671,29 +691,12 @@ def cmd_tune(args) -> int:
     if args.kernels:
         kernels = [k.strip() for k in args.kernels.split(",") if k.strip()]
     families = args.families or None
-    grid = [{}]
-    for name in args.vary or []:
-        if name not in CACHE_KEYS and name != "multistride":
-            raise SystemExit(
-                f"--vary {name!r}: not an option switch; known: "
-                f"{', '.join(CACHE_KEYS)}, multistride"
-            )
-        if any(name in overlay for overlay in grid):
-            continue  # --vary use_nti --vary use_nti
-        # Boolean switches sweep {off, on}; multistride sweeps the
-        # disabled default against the three-way classifier.
-        values = ("off", "auto") if name == "multistride" else (False, True)
-        grid = [
-            dict(overlay, **{name: value})
-            for overlay in grid
-            for value in values
-        ]
     try:
         request = build_tune_request(
             kernels=kernels,
             families=families,
             platforms=args.platforms or ["i7-5930k"],
-            grid=grid,
+            grid=_vary_grid(args.vary or []),
             fast=args.fast,
             deadline_ms=args.deadline_ms,
         )
@@ -840,11 +843,12 @@ def cmd_tune(args) -> int:
 def cmd_codegen(args) -> int:
     arch = _resolve_platform(args.platform)
     case = _resolve_case(args)
-    policy = _policy(args, allow_nti=not args.no_nti)
+    policy = _policy(args)
+    options = OptimizeOptions(use_nti=not args.no_nti)
     fell_back = False
     nests = []
     for stage in case.pipeline:
-        safe = safe_optimize(stage, arch, policy)
+        safe = safe_optimize(stage, arch, policy, options=options)
         fell_back = fell_back or safe.fell_back
         nests.extend(lower(stage, safe.schedule))
     source = codegen(nests, function_name=case.name.replace("-", "_"))

@@ -24,8 +24,9 @@ fallback policy, the persistent schedule cache, a tracer — with one
 * ``"temporal"`` / ``"spatial"`` — run exactly Algorithm 2 / Algorithm
   3 (search results only; no Schedule is materialized);
 * ``"safe"`` — the graceful-degradation chain
-  (:func:`repro.robust.safe_optimize`), with the fallback policy taken
-  from ``policy`` or synthesized from the request's own switches.
+  (:func:`repro.robust.safe_optimize`), run with the request's
+  ``options`` and the fallback policy taken from ``policy`` (default:
+  a lenient policy bounded by ``deadline_ms``).
 
 :class:`OptimizeResult` is likewise frozen: which fields are populated
 depends on the mode (``schedule`` for single-Func modes, ``schedules``
@@ -115,8 +116,9 @@ class OptimizeRequest:
         unbounded).  In safe mode this becomes the policy's
         ``total_deadline_ms`` unless an explicit ``policy`` is given.
     policy:
-        Safe-mode fallback policy.  When ``None``, one is synthesized
-        from this request's switches.
+        Safe-mode fallback policy (how to degrade; the switches stay in
+        ``options``).  When ``None``, the default lenient policy with
+        ``total_deadline_ms=deadline_ms``.
     cache_path:
         Path of a persistent :class:`repro.cache.ScheduleCache`; when
         set, ``auto`` and ``safe`` runs consult it before searching and
@@ -250,7 +252,7 @@ class OptimizeResult:
     #: The multi-striding classifier's verdict
     #: (:class:`repro.multistride.MultistrideDecision`); populated only
     #: when the request enabled the ``multistride`` option in ``auto``
-    #: mode (safe mode's fallback ladder never multistrides).
+    #: mode, or in ``safe`` mode when the ``proposed`` rung won.
     multistride: Optional[object] = None
 
     @property
@@ -296,22 +298,7 @@ def _schedule_cache(request: OptimizeRequest):
 def _safe_policy(request: OptimizeRequest) -> FallbackPolicy:
     if request.policy is not None:
         return request.policy
-    opts = request.options
-    return FallbackPolicy(
-        total_deadline_ms=request.deadline_ms,
-        allow_nti=opts.use_nti,
-        parallelize=opts.parallelize,
-        vectorize=opts.vectorize,
-        exhaustive=opts.exhaustive,
-        use_emu=opts.use_emu,
-        order_step=opts.order_step,
-    )
-
-
-def _flow_switches(options: OptimizeOptions) -> dict:
-    """Every option field, spelled as the :func:`repro.core.optimize`
-    (and ``optimize_pipeline``) keyword of the same name."""
-    return {f.name: getattr(options, f.name) for f in fields(options)}
+    return FallbackPolicy(total_deadline_ms=request.deadline_ms)
 
 
 def _from_core(
@@ -342,6 +329,7 @@ def _from_safe(request: OptimizeRequest, safe: SafeResult) -> OptimizeResult:
         fell_back=safe.fell_back,
         diagnostics=safe.diagnostics,
         elapsed_seconds=safe.elapsed_ms / 1000.0,
+        multistride=inner.multistride if inner else None,
     )
 
 
@@ -354,6 +342,7 @@ def optimize(request: OptimizeRequest) -> OptimizeResult:
     """
     if request.mode == MODE_SAFE:
         policy = _safe_policy(request)
+        options = request.options
         cache = _schedule_cache(request)
         if request.pipeline is not None:
             # Per-stage safe optimization; cache consulted per stage.
@@ -362,7 +351,9 @@ def optimize(request: OptimizeRequest) -> OptimizeResult:
             diagnostics = Diagnostics()
             elapsed = 0.0
             for stage in request.pipeline:
-                safe = safe_optimize(stage, request.arch, policy, cache=cache)
+                safe = safe_optimize(
+                    stage, request.arch, policy, options=options, cache=cache
+                )
                 schedules[stage] = safe.schedule
                 fell_back = fell_back or safe.fell_back
                 for record in safe.diagnostics:
@@ -376,7 +367,9 @@ def optimize(request: OptimizeRequest) -> OptimizeResult:
                 diagnostics=diagnostics,
                 elapsed_seconds=elapsed / 1000.0,
             )
-        safe = safe_optimize(request.func, request.arch, policy, cache=cache)
+        safe = safe_optimize(
+            request.func, request.arch, policy, options=options, cache=cache
+        )
         return _from_safe(request, safe)
 
     if request.mode == MODE_TEMPORAL:
@@ -413,7 +406,7 @@ def optimize(request: OptimizeRequest) -> OptimizeResult:
             request.pipeline,
             request.arch,
             deadline=_deadline(request),
-            **_flow_switches(request.options),
+            **request.options.flow_kwargs(),
         )
         return OptimizeResult(
             request=request,
@@ -435,7 +428,7 @@ def optimize(request: OptimizeRequest) -> OptimizeResult:
         request.func,
         request.arch,
         deadline=_deadline(request),
-        **_flow_switches(request.options),
+        **request.options.flow_kwargs(),
     )
     if cache is not None:
         cache.put(

@@ -50,7 +50,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.arch import ArchSpec, intel_i7_5930k
 from repro.bench.suite import benchmark_names, make_benchmark, size_for
-from repro.cache import ScheduleCache, optimize_options
+from repro.cache import ScheduleCache
 from repro.core.classify import classify
 from repro.core.emu import (
     EmuParams,
@@ -61,6 +61,7 @@ from repro.core.emu import (
 )
 from repro.core.optimizer import optimize
 from repro.ir.serialize import schedule_to_dict
+from repro.options import OptimizeOptions
 from repro.util.gate import floor_failures, like_with_like
 
 #: Schema tag of BENCH_search.json; bump on incompatible layout change.
@@ -171,7 +172,7 @@ def _optimize_suite(
     Returns (elapsed_ms, serialized schedules in stage order) so the
     caller can verify cross-scenario schedule identity.
     """
-    options = optimize_options()
+    options = OptimizeOptions().cache_dict()
     schedules: List[Dict] = []
     start = _now_ms()
     for _, case in cases:

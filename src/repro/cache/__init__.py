@@ -6,20 +6,17 @@ across processes and runs.  This package provides:
 
 * :class:`ScheduleCache` — the JSONL store (journal-style durability,
   per-record checksums, replay-validated hits);
-* :func:`func_fingerprint` / :func:`options_fingerprint` /
-  :func:`optimize_options` — the content hashes behind the cache key
-  (the architecture half is :meth:`repro.arch.ArchSpec.fingerprint`).
+* :func:`func_fingerprint` / :func:`options_fingerprint` — the content
+  hashes behind the cache key (the options half hashes
+  :meth:`repro.options.OptimizeOptions.cache_dict`, the architecture
+  half is :meth:`repro.arch.ArchSpec.fingerprint`).
 
 Consumers: :func:`repro.robust.safe_optimize` (``cache=`` keyword), the
 sweep runner (``schedule_cache=`` / ``--schedule-cache``), and the
 :mod:`repro.bench` harness's warm-path measurements.
 """
 
-from repro.cache.fingerprint import (
-    func_fingerprint,
-    optimize_options,
-    options_fingerprint,
-)
+from repro.cache.fingerprint import func_fingerprint, options_fingerprint
 from repro.cache.store import (
     CACHE_FORMAT,
     CacheStats,
@@ -36,7 +33,17 @@ __all__ = [
     "cache_key",
     "check_shard_caches",
     "func_fingerprint",
-    "optimize_options",
     "options_fingerprint",
     "shard_cache_path",
 ]
+
+
+def optimize_options(**switches):
+    """Deprecated spelling of ``OptimizeOptions(**switches).cache_dict()``.
+
+    Not exported; it stays importable only because the benchmark's
+    serving harness (``perfbench/serveload.py``) still calls it.
+    """
+    from repro.options import OptimizeOptions
+
+    return OptimizeOptions(**switches).cache_dict()

@@ -13,8 +13,8 @@ is unchanged, so cache keys are built from three independent hashes:
   change (cache geometry, prefetcher degree, core/thread counts...)
   invalidates cached schedules for that platform.
 * :func:`options_fingerprint` — the optimizer configuration that can
-  change the chosen schedule (``use_nti``, ``use_emu``, ``order_step``,
-  ``exhaustive``...).
+  change the chosen schedule
+  (:meth:`repro.options.OptimizeOptions.cache_dict`).
 
 All hashes are SHA-256 over :func:`repro.util.jsonl.compact_json`, the
 encoding under every journal and cache record checksum.
@@ -29,7 +29,7 @@ from repro.ir.expr import Access, Expr
 from repro.ir.func import Func
 from repro.util.jsonl import compact_json
 
-__all__ = ["func_fingerprint", "options_fingerprint", "optimize_options"]
+__all__ = ["func_fingerprint", "options_fingerprint"]
 
 
 def _sha256(payload) -> str:
@@ -89,38 +89,6 @@ def func_fingerprint(func: Func) -> str:
             "buffers": buffers,
         }
     )
-
-
-def optimize_options(
-    *,
-    use_nti: bool = True,
-    parallelize: bool = True,
-    vectorize: bool = True,
-    exhaustive: bool = False,
-    use_emu: bool = True,
-    order_step: bool = True,
-    multistride="off",
-) -> Dict[str, object]:
-    """The canonical options dict for one :func:`repro.core.optimize`
-    configuration — exactly the switches that can change the chosen
-    schedule, nothing that cannot (tracers, deadlines).
-
-    Delegates to :class:`repro.options.OptimizeOptions`, the single
-    source of truth for the option surface; the explicit keyword-only
-    signature is kept so anything *outside* the cache identity
-    (``tracer=...``) is rejected right here with a ``TypeError``.
-    """
-    from repro.options import OptimizeOptions
-
-    return OptimizeOptions(
-        use_nti=use_nti,
-        parallelize=parallelize,
-        vectorize=vectorize,
-        exhaustive=exhaustive,
-        use_emu=use_emu,
-        order_step=order_step,
-        multistride=multistride,
-    ).cache_dict()
 
 
 def options_fingerprint(options: Dict) -> str:

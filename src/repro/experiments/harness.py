@@ -127,22 +127,16 @@ def schedules_for(
     out: Dict[Func, Schedule] = {}
     for stage in case.pipeline:
         if technique in ("proposed", "proposed_nti"):
-            from repro.options import CACHE_KEYS, OptimizeOptions
+            from repro.options import OptimizeOptions
 
-            if options is None:
-                opts = OptimizeOptions(
-                    use_nti=technique == "proposed_nti"
-                )
-            else:
-                opts = options
+            opts = options or OptimizeOptions(
+                use_nti=technique == "proposed_nti"
+            )
             schedule = None
             if cache is not None:
                 schedule = cache.get(stage, arch, opts.cache_dict())
             if schedule is None:
-                switches = {
-                    key: bool(getattr(opts, key)) for key in CACHE_KEYS
-                }
-                schedule = optimize(stage, arch, **switches).schedule
+                schedule = optimize(stage, arch, **opts.flow_kwargs()).schedule
                 if cache is not None:
                     cache.put(
                         stage,

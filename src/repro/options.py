@@ -10,26 +10,32 @@ arguments on :class:`repro.api.OptimizeRequest`:
   serve-layer coalescing keys fingerprint;
 * ``multistride`` — the multi-striding strategy (``"off"`` | ``"auto"`` |
   stream count ``>= 2``); schedule-changing and therefore
-  fingerprint-bearing, but included in :meth:`cache_dict` **only when
-  enabled**, so every pre-multistride fingerprint stays byte-identical;
+  fingerprint-bearing, but included in :meth:`~OptimizeOptions.cache_dict`
+  **only when enabled**, so every pre-multistride fingerprint stays
+  byte-identical;
 * ``tracer`` — observability; deliberately **excluded** from
-  :meth:`cache_dict` (tracing is bit-for-bit neutral by contract, see
-  :mod:`repro.obs`).
+  :meth:`~OptimizeOptions.cache_dict` (tracing is bit-for-bit neutral by
+  contract, see :mod:`repro.obs`).
 
-:func:`repro.cache.fingerprint.optimize_options` delegates here, which
-makes this class the single source of truth for option fingerprints:
-the cache key, the serve coalesce key, and the fleet shard key all
-derive from :meth:`cache_dict` of the same value object.
+This module is the single source of truth for the set:
+
+* :meth:`OptimizeOptions.from_dict` is the one parser of option dicts —
+  the serve wire, the tune grid and records, sweep journal cells and
+  ``repro tune --vary`` all read their switches through it;
+* :meth:`OptimizeOptions.cache_dict` is the options half of every cache,
+  coalescing, shard and tune key;
+* :meth:`OptimizeOptions.flow_kwargs` spells the set as the keywords of
+  :func:`repro.core.optimize`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Union
+from typing import Dict, Mapping, Union
 
-__all__ = ["OptimizeOptions"]
+__all__ = ["CACHE_KEYS", "OPTION_KEYS", "OptimizeOptions"]
 
-#: The switches that can change the chosen schedule — the fingerprint set.
+#: The boolean switches that can change the chosen schedule.
 CACHE_KEYS = (
     "use_nti",
     "parallelize",
@@ -39,6 +45,16 @@ CACHE_KEYS = (
     "order_step",
 )
 
+#: Every key an option dict may carry: the switches plus ``multistride``.
+OPTION_KEYS = CACHE_KEYS + ("multistride",)
+
+
+def _is_multistride(value) -> bool:
+    """The ``multistride`` value rule: ``"off"``, ``"auto"`` or an int >= 2."""
+    return not isinstance(value, bool) and (
+        value in ("off", "auto") or (isinstance(value, int) and value >= 2)
+    )
+
 
 @dataclass(frozen=True)
 class OptimizeOptions:
@@ -47,7 +63,8 @@ class OptimizeOptions:
     Attributes
     ----------
     use_nti / parallelize / vectorize / exhaustive / use_emu / order_step:
-        The uniform switch set of the stage optimizers (paper ablations).
+        The uniform switch set of the stage optimizers (paper ablations);
+        each must be a ``bool``.
     multistride:
         ``"off"`` | ``"auto"`` | stream count ``>= 2``.
     tracer:
@@ -65,14 +82,38 @@ class OptimizeOptions:
     tracer: object = None
 
     def __post_init__(self) -> None:
-        ms = self.multistride
-        if isinstance(ms, bool) or not (
-            ms in ("off", "auto") or (isinstance(ms, int) and ms >= 2)
-        ):
+        for key in CACHE_KEYS:
+            value = getattr(self, key)
+            if not isinstance(value, bool):
+                raise ValueError(
+                    f"option {key!r} must be a boolean, got {value!r}"
+                )
+        if not _is_multistride(self.multistride):
             raise ValueError(
                 f"multistride must be 'off', 'auto' or an int >= 2, "
-                f"got {ms!r}"
+                f"got {self.multistride!r}"
             )
+
+    @classmethod
+    def from_dict(cls, raw: Mapping[str, object]) -> "OptimizeOptions":
+        """Parse an option dict (wire, journal or grid overlay).
+
+        Accepts exactly the :data:`OPTION_KEYS`; missing keys take their
+        defaults.  Raises :class:`ValueError` with the serve wire's 400
+        text on an unknown key, a non-bool switch, or a ``multistride``
+        outside ``"off"`` | ``"auto"`` | int ``>= 2``.
+        """
+        unknown = sorted(set(raw) - set(OPTION_KEYS))
+        if unknown:
+            raise ValueError(
+                f"unknown option(s) {unknown}; known: {list(OPTION_KEYS)}"
+            )
+        if "multistride" in raw and not _is_multistride(raw["multistride"]):
+            raise ValueError(
+                f"option 'multistride' must be 'off', 'auto' or an "
+                f"integer >= 2, got {raw['multistride']!r}"
+            )
+        return cls(**raw)
 
     def cache_dict(self) -> Dict[str, object]:
         """The canonical options dict — exactly the switches that can
@@ -83,12 +124,15 @@ class OptimizeOptions:
         ``multistride`` joins the dict **only when enabled**: the default
         ``"off"`` is omitted so every pre-multistride fingerprint, cache
         entry, coalescing key and tune_id stays byte-identical."""
-        d: Dict[str, object] = {
-            key: bool(getattr(self, key)) for key in CACHE_KEYS
-        }
+        d: Dict[str, object] = {key: getattr(self, key) for key in CACHE_KEYS}
         if self.multistride != "off":
             d["multistride"] = self.multistride
         return d
+
+    def flow_kwargs(self) -> Dict[str, object]:
+        """Every field, spelled as the :func:`repro.core.optimize` (and
+        ``optimize_pipeline``) keyword of the same name."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def fingerprint(self) -> str:
         """SHA-256 of :meth:`cache_dict` (canonical JSON)."""
@@ -104,6 +148,6 @@ class OptimizeOptions:
             raise TypeError(
                 f"unknown option(s) {unknown}; known: {sorted(known)}"
             )
-        merged = {f.name: getattr(self, f.name) for f in fields(self)}
+        merged = self.flow_kwargs()
         merged.update(overrides)
         return OptimizeOptions(**merged)

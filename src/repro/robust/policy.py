@@ -10,14 +10,15 @@ to "cannot fail":
 4. ``untransformed`` — the definition's own loop nest, untransformed and
    run without a deadline so it always completes.
 
-A :class:`FallbackPolicy` selects a suffix-closed subset of that chain,
-sets per-rung and total deadlines, and carries the knobs forwarded to the
-underlying optimizers.
+A :class:`FallbackPolicy` selects a suffix-closed subset of that chain
+and sets per-rung and total deadlines: it says only how to degrade.  The
+optimizer switches travel beside it as one
+:class:`repro.options.OptimizeOptions`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 RUNG_PROPOSED = "proposed"
@@ -72,12 +73,6 @@ class FallbackPolicy:
     require_finite_cost:
         Reject a ``proposed`` result whose search cost is NaN/infinite
         (poisoned or degenerate analytical model) and descend.
-    allow_nti / parallelize / vectorize / exhaustive:
-        Forwarded to :func:`repro.core.optimize`.
-    use_emu / order_step:
-        The proposed flow's ablation switches, forwarded verbatim (both
-        default to the paper's full method).  They are part of the
-        schedule-cache key — ablated and full schedules never mix.
     """
 
     rungs: Tuple[str, ...] = FALLBACK_CHAIN
@@ -87,12 +82,6 @@ class FallbackPolicy:
     validate_inputs: bool = True
     validate_schedules: bool = True
     require_finite_cost: bool = True
-    allow_nti: bool = True
-    parallelize: bool = True
-    vectorize: bool = True
-    exhaustive: bool = False
-    use_emu: bool = True
-    order_step: bool = True
 
     def __post_init__(self) -> None:
         if not self.rungs:

@@ -30,6 +30,7 @@ from repro.ir.schedule import Schedule
 from repro.ir.validate import validate_func, validate_schedule
 from repro.obs.events import EVENT_RUNG
 from repro.obs.tracer import current_tracer
+from repro.options import OptimizeOptions
 from repro.robust.diagnostics import Diagnostics
 from repro.robust.policy import (
     RUNG_AUTOSCHEDULER,
@@ -117,21 +118,15 @@ class SafeResult:
 
 
 def _rung_builders(
-    func: Func, arch: ArchSpec, policy: FallbackPolicy
+    func: Func,
+    arch: ArchSpec,
+    policy: FallbackPolicy,
+    options: OptimizeOptions,
 ) -> Dict[str, Callable[[], Tuple[Schedule, Optional[OptimizationResult]]]]:
-    """One zero-argument builder per rung, sharing func/arch/policy."""
+    """One zero-argument builder per rung, sharing the call's inputs."""
 
     def proposed() -> Tuple[Schedule, Optional[OptimizationResult]]:
-        result = optimize(
-            func,
-            arch,
-            use_nti=policy.allow_nti,
-            parallelize=policy.parallelize,
-            vectorize=policy.vectorize,
-            exhaustive=policy.exhaustive,
-            use_emu=policy.use_emu,
-            order_step=policy.order_step,
-        )
+        result = optimize(func, arch, **options.flow_kwargs())
         if policy.require_finite_cost:
             _check_finite_cost(result)
         return result.schedule, result
@@ -146,8 +141,8 @@ def _rung_builders(
         schedule = untransformed_schedule(
             func,
             arch,
-            parallelize=policy.parallelize,
-            vectorize=policy.vectorize,
+            parallelize=options.parallelize,
+            vectorize=options.vectorize,
             nontemporal=False,
         )
         return schedule, None
@@ -180,14 +175,21 @@ def safe_optimize(
     arch: ArchSpec,
     policy: Optional[FallbackPolicy] = None,
     *,
+    options: Optional[OptimizeOptions] = None,
     cache=None,
 ) -> SafeResult:
     """Optimize ``func`` with fallbacks, deadlines and diagnostics.
 
+    ``policy`` says how to degrade; ``options`` (default
+    :class:`~repro.options.OptimizeOptions`) are the optimizer switches:
+    the ``proposed`` rung runs :func:`repro.core.optimize` with all of
+    them, ``multistride`` included, and the ``untransformed`` rung
+    honours ``parallelize``/``vectorize``.
+
     ``cache`` is an optional :class:`repro.cache.ScheduleCache`: it is
     consulted before the fallback chain — a replayable entry keyed by
-    this exact (Func, arch, policy options) short-circuits the whole
-    chain with ``rung="cache"`` — and a successful ``proposed`` rung
+    this exact (Func, arch, ``options.cache_dict()``) short-circuits the
+    whole chain with ``rung="cache"`` — and a successful ``proposed`` rung
     stores its schedule back, so the next run with the same inputs skips
     the search entirely.  Entries that fail replay or validation degrade
     to misses; degraded (fallback) schedules are never cached.
@@ -211,6 +213,7 @@ def safe_optimize(
         every rung including ``untransformed`` re-raises.
     """
     policy = policy or FallbackPolicy()
+    options = options or OptimizeOptions()
     diagnostics = Diagnostics()
     attempts: List[RungAttempt] = []
     started = time.perf_counter()
@@ -220,7 +223,7 @@ def safe_optimize(
         # untransformed rung cannot schedule unbounded/empty loops.
         validate_func(func)
 
-    cache_options = _policy_cache_options(policy)
+    cache_options = options.cache_dict()
     if cache is not None and RUNG_PROPOSED in policy.rungs:
         hit = _consult_cache(cache, func, arch, cache_options, policy)
         if hit is not None:
@@ -253,7 +256,7 @@ def safe_optimize(
         if policy.total_deadline_ms is not None
         else None
     )
-    builders = _rung_builders(func, arch, policy)
+    builders = _rung_builders(func, arch, policy, options)
     last_error: Optional[BaseException] = None
 
     for index, rung in enumerate(policy.rungs):
@@ -344,22 +347,6 @@ def safe_optimize(
     raise last_error
 
 
-def _policy_cache_options(policy: FallbackPolicy) -> Dict:
-    """The schedule-cache options key for a policy's proposed rung.
-
-    Imported lazily-shaped (a plain dict) so the robust layer does not
-    depend on :mod:`repro.cache` unless a cache is actually passed.
-    """
-    return {
-        "use_nti": policy.allow_nti,
-        "parallelize": policy.parallelize,
-        "vectorize": policy.vectorize,
-        "exhaustive": policy.exhaustive,
-        "use_emu": policy.use_emu,
-        "order_step": policy.order_step,
-    }
-
-
 def _consult_cache(
     cache, func: Func, arch: ArchSpec, options: Dict, policy: FallbackPolicy
 ) -> Optional[Schedule]:
@@ -401,6 +388,8 @@ def safe_optimize_pipeline(
     pipeline: Pipeline,
     arch: ArchSpec,
     policy: Optional[FallbackPolicy] = None,
+    *,
+    options: Optional[OptimizeOptions] = None,
 ) -> Dict[Func, SafeResult]:
     """Run :func:`safe_optimize` on every stage of a pipeline.
 
@@ -410,5 +399,6 @@ def safe_optimize_pipeline(
     an outer :class:`~repro.util.Deadline` for a whole-pipeline budget.
     """
     return {
-        stage: safe_optimize(stage, arch, policy) for stage in pipeline
+        stage: safe_optimize(stage, arch, policy, options=options)
+        for stage in pipeline
     }

@@ -5,7 +5,7 @@ Everything the optimization service speaks is versioned JSON.  One
 request names a benchmark (the service builds the Funcs server-side from
 :mod:`repro.bench`, so the wire never carries executable code), the
 platform, and exactly the optimizer options that are part of the
-schedule-cache key (:func:`repro.cache.optimize_options`)::
+schedule-cache key (:meth:`repro.options.OptimizeOptions.cache_dict`)::
 
     {"format": "repro-serve-v1", "benchmark": "matmul", "fast": true,
      "platform": "i7-5930k", "options": {"use_nti": true, ...},
@@ -61,7 +61,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.cache.fingerprint import optimize_options, options_fingerprint
+from repro.cache.fingerprint import options_fingerprint
+from repro.options import OPTION_KEYS, OptimizeOptions
 from repro.util import ServeError, resolve_workers
 
 #: Request/response schema tag; bump on any incompatible layout change.
@@ -105,14 +106,6 @@ REASON_DEADLINE_EXHAUSTED = "deadline_exhausted"
 #: missing dims...) — :class:`~repro.util.ValidationError` territory,
 #: never a 500 from the worker.
 REASON_INVALID_SPEC = "invalid_spec"
-
-#: Option switches a request may set: the six boolean schedule-cache
-#: switches plus the optional ``multistride`` strategy (``"off"`` |
-#: ``"auto"`` | stream count >= 2).  ``multistride`` is *optional* on
-#: the wire — the default ``"off"`` normalizes out of the canonical
-#: options dict, so default request bodies (and their coalescing keys)
-#: are byte-identical to pre-multistride servers'.
-OPTION_KEYS = tuple(optimize_options()) + ("multistride",)
 
 #: Counter names every metrics snapshot must carry (all >= 0 integers).
 METRIC_COUNTERS = (
@@ -162,9 +155,10 @@ __all__ = [
 class ServeRequest:
     """One parsed, validated optimization request.
 
-    ``options`` is always the complete canonical dict (request-supplied
-    switches merged over :func:`repro.cache.optimize_options` defaults),
-    so fingerprints computed from it match the persistent cache's.
+    ``options`` is always the complete canonical dict
+    (:meth:`repro.options.OptimizeOptions.cache_dict` of the request's
+    switches), so fingerprints computed from it match the persistent
+    cache's.
 
     The target is either a ``benchmark`` name (both formats) or, for
     ``repro-serve-v1.1``, a kernel ``spec`` string with its ``dims``
@@ -176,7 +170,9 @@ class ServeRequest:
     benchmark: Optional[str] = None
     platform: str = ""
     fast: bool = False
-    options: Dict[str, bool] = field(default_factory=optimize_options)
+    options: Dict[str, bool] = field(
+        default_factory=lambda: OptimizeOptions().cache_dict()
+    )
     deadline_ms: Optional[float] = None
     format: str = SERVE_FORMAT
     spec: Optional[str] = None
@@ -243,7 +239,9 @@ def build_request(
 
     ``options`` accepts exactly the :data:`OPTION_KEYS` switches
     (``use_nti=False`` and friends); anything else is rejected here,
-    before a round-trip to the server can bounce it.
+    before a round-trip to the server can bounce it.  Values are
+    checked by the :class:`~repro.options.OptimizeOptions` constructor,
+    whose wording a bad ``multistride`` keeps on this client path.
 
     A ``benchmark`` target produces a ``repro-serve-v1`` body —
     byte-identical to what pre-v1.1 clients sent; a ``spec`` target
@@ -256,7 +254,7 @@ def build_request(
             f"unknown option(s) {unknown}; known: {list(OPTION_KEYS)}"
         )
     try:
-        canonical = optimize_options(**options)
+        canonical = OptimizeOptions(**options).cache_dict()
     except ValueError as exc:
         raise ServeError(str(exc)) from None
     if (benchmark is None) == (spec is None):
@@ -397,26 +395,10 @@ def parse_request(payload) -> ServeRequest:
         raise ServeError(
             f"request field 'options' must be an object, got {raw_options!r}"
         )
-    unknown = sorted(set(raw_options) - set(OPTION_KEYS))
-    if unknown:
-        raise ServeError(
-            f"unknown option(s) {unknown}; known: {list(OPTION_KEYS)}"
-        )
-    for key, value in raw_options.items():
-        if key == "multistride":
-            if isinstance(value, bool) or not (
-                value in ("off", "auto")
-                or (isinstance(value, int) and value >= 2)
-            ):
-                raise ServeError(
-                    f"option 'multistride' must be 'off', 'auto' or an "
-                    f"integer >= 2, got {value!r}"
-                )
-            continue
-        if not isinstance(value, bool):
-            raise ServeError(
-                f"option {key!r} must be a boolean, got {value!r}"
-            )
+    try:
+        options = OptimizeOptions.from_dict(raw_options).cache_dict()
+    except ValueError as exc:
+        raise ServeError(str(exc)) from None
     try:
         # Validated for wire compatibility, then ignored (a no-op).
         resolve_workers(payload.get("jobs", 1), name="jobs")
@@ -437,7 +419,7 @@ def parse_request(payload) -> ServeRequest:
         benchmark=benchmark,
         platform=platform,
         fast=fast,
-        options=optimize_options(**raw_options),
+        options=options,
         deadline_ms=deadline_ms,
         format=fmt,
         spec=spec,

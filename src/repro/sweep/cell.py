@@ -181,9 +181,7 @@ class SweepCell:
                 )
             ),
             options=(
-                None
-                if options is None
-                else OptimizeOptions(**{k: bool(v) for k, v in options.items()})
+                None if options is None else OptimizeOptions.from_dict(options)
             ),
         )
 

@@ -53,7 +53,7 @@ def plan_tune_cells(payload: Dict) -> List[SweepCell]:
                     line_budget=0,
                     fast=fast,
                     kind=KIND_TUNE,
-                    options=OptimizeOptions().replace(**overlay),
+                    options=OptimizeOptions.from_dict(overlay),
                 )
                 key = cell.key()
                 if key not in seen:

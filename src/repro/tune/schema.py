@@ -34,7 +34,7 @@ import hashlib
 import json
 from typing import Dict, List, Optional, Sequence
 
-from repro.options import CACHE_KEYS
+from repro.options import CACHE_KEYS, OptimizeOptions
 from repro.util.jsonl import compact_json
 
 TUNE_FORMAT = "repro-tune-v1"
@@ -135,28 +135,10 @@ def validate_tune_request(payload: Dict) -> List[str]:
             if not isinstance(overlay, dict):
                 problems.append(f"grid[{index}] must be an object")
                 continue
-            unknown = sorted(set(overlay) - set(CACHE_KEYS) - {"multistride"})
-            if unknown:
-                problems.append(
-                    f"grid[{index}] has unknown option(s) {unknown}; "
-                    f"known: {list(CACHE_KEYS) + ['multistride']}"
-                )
-            bad = sorted(
-                k for k, v in overlay.items()
-                if k in CACHE_KEYS and not isinstance(v, bool)
-            )
-            if bad:
-                problems.append(f"grid[{index}]: option(s) {bad} must be booleans")
-            if "multistride" in overlay:
-                ms = overlay["multistride"]
-                if isinstance(ms, bool) or not (
-                    ms in ("off", "auto")
-                    or (isinstance(ms, int) and ms >= 2)
-                ):
-                    problems.append(
-                        f"grid[{index}]: 'multistride' must be 'off', "
-                        f"'auto' or an integer >= 2, got {ms!r}"
-                    )
+            try:
+                OptimizeOptions.from_dict(overlay)
+            except ValueError as exc:
+                problems.append(f"grid[{index}]: {exc}")
     if not isinstance(payload.get("fast", False), bool):
         problems.append("'fast' must be a boolean")
     deadline = payload.get("deadline_ms")
@@ -224,13 +206,16 @@ def validate_tune_record(payload: Dict) -> List[str]:
         if not isinstance(payload.get(name), str) or not payload.get(name):
             problems.append(f"'{name}' must be a non-empty string")
     options = payload.get("options")
-    if not isinstance(options, dict) or sorted(
-        set(options) - {"multistride"}
-    ) != sorted(CACHE_KEYS):
+    if not isinstance(options, dict) or set(CACHE_KEYS) - set(options):
         problems.append(
             f"'options' must carry exactly the switch set {list(CACHE_KEYS)}"
             f" (plus an optional 'multistride')"
         )
+    else:
+        try:
+            OptimizeOptions.from_dict(options)
+        except ValueError as exc:
+            problems.append(f"'options': {exc}")
     ms = payload.get("ms")
     if status in (CELL_OK, CELL_RESUMED):
         if not isinstance(ms, (int, float)) or isinstance(ms, bool) or ms <= 0:

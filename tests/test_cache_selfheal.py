@@ -26,10 +26,10 @@ GARBAGE = "@@@ not json @@@"
 
 def _seed_store(path, arch, *, funcs=(make_matmul,)):
     """A store with one good entry per func; returns (cache, options)."""
-    from repro.cache import optimize_options
+    from repro.options import OptimizeOptions
 
     cache = ScheduleCache(str(path))
-    options = optimize_options()
+    options = OptimizeOptions().cache_dict()
     for make in funcs:
         func, _, _ = make(64)
         cache.put(func, arch, options, optimize(func, arch).schedule)

@@ -7,8 +7,9 @@ import stat
 
 import pytest
 
-from repro.cache import CACHE_FORMAT, ScheduleCache, optimize_options
+from repro.cache import CACHE_FORMAT, ScheduleCache
 from repro.ir.schedule import Schedule
+from repro.options import OptimizeOptions
 from repro.sweep import (
     JOURNAL_FORMAT,
     Journal,
@@ -89,7 +90,11 @@ class TestFormatPins:
         cache = ScheduleCache(str(tmp_path / "c.jsonl"))
         func = make_copy(16)[0]
         cache.put(
-            func, arch, optimize_options(), Schedule(func), meta={"ms": 0.5}
+            func,
+            arch,
+            OptimizeOptions().cache_dict(),
+            Schedule(func),
+            meta={"ms": 0.5},
         )
         with open(cache.path, "rb") as handle:
             assert handle.read() == CACHE_LINE

@@ -9,9 +9,9 @@ from repro.cache import (
     ScheduleCache,
     cache_key,
     func_fingerprint,
-    optimize_options,
     options_fingerprint,
 )
+from repro.options import OptimizeOptions
 from repro.util.jsonl import checksum as _checksum
 from repro.core import optimize
 from repro.ir.serialize import schedule_to_dict
@@ -23,6 +23,9 @@ from repro.robust import (
 )
 
 from tests.helpers import make_matmul, make_transpose_mask
+
+#: The cache-key options half of a default-configured run.
+DEFAULT_OPTIONS = OptimizeOptions().cache_dict()
 
 
 @pytest.fixture
@@ -50,12 +53,12 @@ class TestFingerprints:
     def test_options_exclude_jobs(self):
         # jobs never changed what the search returns (and was removed
         # in 2.0), so it must stay out of the cache key space.
-        assert "jobs" not in optimize_options()
+        assert "jobs" not in DEFAULT_OPTIONS
         with pytest.raises(TypeError):
-            optimize_options(jobs=4)
+            OptimizeOptions(jobs=4)
 
     def test_options_fingerprint_is_order_insensitive(self):
-        options = optimize_options()
+        options = DEFAULT_OPTIONS
         reordered = dict(reversed(list(options.items())))
         assert options_fingerprint(options) == options_fingerprint(reordered)
 
@@ -63,12 +66,12 @@ class TestFingerprints:
 class TestRoundTrip:
     def test_cold_get_is_a_miss(self, cache, arch):
         func, _, _ = make_matmul(64)
-        assert cache.get(func, arch, optimize_options()) is None
+        assert cache.get(func, arch, DEFAULT_OPTIONS) is None
         assert cache.stats.misses == 1
 
     def test_put_then_get_same_instance(self, cache, arch):
         func, _, _ = make_matmul(64)
-        options = optimize_options()
+        options = DEFAULT_OPTIONS
         schedule = optimize(func, arch).schedule
         cache.put(func, arch, options, schedule)
         hit = cache.get(func, arch, options)
@@ -80,7 +83,7 @@ class TestRoundTrip:
     def test_warm_get_across_instances(self, cache, arch):
         """A fresh process (new instance, same file) must see the entry."""
         func, _, _ = make_matmul(64)
-        options = optimize_options()
+        options = DEFAULT_OPTIONS
         schedule = optimize(func, arch).schedule
         cache.put(func, arch, options, schedule)
 
@@ -93,18 +96,19 @@ class TestRoundTrip:
     def test_options_partition_the_key_space(self, cache, arch):
         func, _, _ = make_matmul(64)
         schedule = optimize(func, arch).schedule
-        cache.put(func, arch, optimize_options(), schedule)
-        assert cache.get(func, arch, optimize_options(use_nti=False)) is None
+        cache.put(func, arch, DEFAULT_OPTIONS, schedule)
+        no_nti = OptimizeOptions(use_nti=False).cache_dict()
+        assert cache.get(func, arch, no_nti) is None
 
     def test_arch_partitions_the_key_space(self, cache, arch, arch_6700):
         func, _, _ = make_matmul(64)
         schedule = optimize(func, arch).schedule
-        cache.put(func, arch, optimize_options(), schedule)
-        assert cache.get(func, arch_6700, optimize_options()) is None
+        cache.put(func, arch, DEFAULT_OPTIONS, schedule)
+        assert cache.get(func, arch_6700, DEFAULT_OPTIONS) is None
 
     def test_last_write_wins_and_compact_drops_superseded(self, cache, arch):
         func, _, _ = make_matmul(64)
-        options = optimize_options()
+        options = DEFAULT_OPTIONS
         schedule = optimize(func, arch).schedule
         cache.put(func, arch, options, schedule, meta={"gen": 1})
         cache.put(func, arch, options, schedule, meta={"gen": 2})
@@ -121,7 +125,7 @@ class TestCorruption:
     def _populate(self, cache, arch):
         func, _, _ = make_matmul(64)
         schedule = optimize(func, arch).schedule
-        cache.put(func, arch, optimize_options(), schedule)
+        cache.put(func, arch, DEFAULT_OPTIONS, schedule)
         return schedule
 
     def test_garbage_line_is_skipped_with_diagnostic(self, cache, arch):
@@ -129,7 +133,7 @@ class TestCorruption:
         with open(cache.path, "a") as handle:
             handle.write("{not json\n")
         reopened = ScheduleCache(cache.path)
-        hit = reopened.get(make_matmul(64)[0], arch, optimize_options())
+        hit = reopened.get(make_matmul(64)[0], arch, DEFAULT_OPTIONS)
         assert hit is not None
         assert schedule_to_dict(hit) == schedule_to_dict(schedule)
         assert any("unparsable" in note for note in reopened.load_diagnostics)
@@ -142,7 +146,7 @@ class TestCorruption:
         with open(cache.path, "w") as handle:
             handle.write(json.dumps(record) + "\n")
         reopened = ScheduleCache(cache.path)
-        assert reopened.get(make_matmul(64)[0], arch, optimize_options()) is None
+        assert reopened.get(make_matmul(64)[0], arch, DEFAULT_OPTIONS) is None
         assert any("checksum" in note for note in reopened.load_diagnostics)
 
     def test_truncated_tail_costs_one_entry(self, cache, arch):
@@ -153,7 +157,7 @@ class TestCorruption:
             handle.write(intact + intact[: len(intact) // 2])
         reopened = ScheduleCache(cache.path)
         assert (
-            reopened.get(make_matmul(64)[0], arch, optimize_options())
+            reopened.get(make_matmul(64)[0], arch, DEFAULT_OPTIONS)
             is not None
         )
 
@@ -173,14 +177,14 @@ class TestCorruption:
         with open(cache.path, "w") as handle:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
         reopened = ScheduleCache(cache.path)
-        assert reopened.get(make_matmul(64)[0], arch, optimize_options()) is None
+        assert reopened.get(make_matmul(64)[0], arch, DEFAULT_OPTIONS) is None
         assert reopened.stats.replay_failures == 1
         assert reopened.stats.misses == 1
 
     def test_missing_file_is_empty_cache(self, tmp_path, arch):
         cache = ScheduleCache(str(tmp_path / "absent.jsonl"))
         assert len(cache) == 0
-        assert cache.get(make_matmul(64)[0], arch, optimize_options()) is None
+        assert cache.get(make_matmul(64)[0], arch, DEFAULT_OPTIONS) is None
 
 
 class TestSafeOptimizeIntegration:
@@ -208,7 +212,8 @@ class TestSafeOptimizeIntegration:
         other = safe_optimize(
             make_matmul(64)[0],
             arch,
-            FallbackPolicy.lenient(allow_nti=False),
+            FallbackPolicy.lenient(),
+            options=OptimizeOptions(use_nti=False),
             cache=cache,
         )
         assert other.rung == RUNG_PROPOSED
@@ -216,12 +221,12 @@ class TestSafeOptimizeIntegration:
     def test_record_format_tag(self, cache, arch):
         func, _, _ = make_matmul(64)
         key = cache.put(
-            func, arch, optimize_options(), optimize(func, arch).schedule
+            func, arch, DEFAULT_OPTIONS, optimize(func, arch).schedule
         )
         with open(cache.path) as handle:
             record = json.loads(handle.readline())
         assert record["format"] == CACHE_FORMAT
         assert record["key"] == key
         assert key == cache_key(
-            func_fingerprint(func), arch.fingerprint(), optimize_options()
+            func_fingerprint(func), arch.fingerprint(), DEFAULT_OPTIONS
         )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache import optimize_options
+from repro.options import OptimizeOptions
 from repro.serve import (
     METRICS_FORMAT,
     METRIC_COUNTERS,
@@ -32,7 +32,7 @@ class TestRequestRoundTrip:
         # A request with no options parses to the full defaults dict, so
         # fingerprints computed from it match the persistent cache's.
         parsed = parse_request(build_request("gemm", "i7-6700"))
-        assert parsed.options == optimize_options()
+        assert parsed.options == OptimizeOptions().cache_dict()
 
     def test_build_rejects_unknown_option(self):
         # jobs left the client surface in 2.0 (the wire keeps a no-op).
@@ -44,7 +44,8 @@ class TestRequestRoundTrip:
         # The wire surface is the six boolean cache-key switches plus the
         # optional multistride strategy (whose "off" default normalizes
         # out of the canonical dict, keeping old bodies byte-identical).
-        assert set(OPTION_KEYS) == set(optimize_options()) | {"multistride"}
+        defaults = OptimizeOptions().cache_dict()
+        assert set(OPTION_KEYS) == set(defaults) | {"multistride"}
 
 
 class TestParseRejections:
@@ -99,17 +100,17 @@ class TestParseRejections:
 class TestCoalesceKey:
     def test_jobs_and_deadline_do_not_split_the_key(self):
         # The key covers only what determines the schedules.
-        options = optimize_options()
+        options = OptimizeOptions().cache_dict()
         key = coalesce_key(["fp1", "fp2"], "arch", options)
         assert key == coalesce_key(["fp1", "fp2"], "arch", dict(options))
 
     def test_each_component_matters(self):
-        options = optimize_options()
+        options = OptimizeOptions().cache_dict()
         base = coalesce_key(["fp1"], "arch", options)
         assert base != coalesce_key(["fp2"], "arch", options)
         assert base != coalesce_key(["fp1"], "other-arch", options)
         assert base != coalesce_key(
-            ["fp1"], "arch", optimize_options(use_nti=False)
+            ["fp1"], "arch", OptimizeOptions(use_nti=False).cache_dict()
         )
         assert base != coalesce_key(["fp1", "fp1"], "arch", options)
 

@@ -89,7 +89,7 @@ class TestRequest:
     def test_grid_rejects_unknown_and_non_bool_options(self):
         with pytest.raises(ValueError, match="unknown option"):
             build_tune_request(kernels=["matmul"], grid=[{"turbo": True}])
-        with pytest.raises(ValueError, match="must be boolean"):
+        with pytest.raises(ValueError, match="must be a boolean"):
             build_tune_request(kernels=["matmul"], grid=[{"use_nti": 1}])
 
     def test_validator_catches_extra_field_and_bad_deadline(self):
