@@ -19,7 +19,7 @@ code 5 when cells were quarantined).
 
 Observability: ``--trace PATH`` on ``optimize`` / ``compare`` /
 ``codegen`` / ``sweep`` streams a schema-versioned JSONL event log
-(``repro-trace-v1``, see :mod:`repro.obs`) of the whole run — candidate
+(``repro-trace-v2``, see :mod:`repro.obs`) of the whole run — candidate
 pruned/considered telemetry, emu bounds, simulator counters, sweep cell
 lifecycle.  ``python -m repro trace PATH`` renders the per-phase summary,
 and ``trace PATH --validate`` schema-checks the log (exit 4 on any
@@ -900,7 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         target(p)
         p.add_argument("--trace", default=None, metavar="PATH",
-                       help="write a repro-trace-v1 JSONL event log")
+                       help="write a repro-trace-v2 JSONL event log")
         mode = p.add_mutually_exclusive_group()
         mode.add_argument("--strict", action="store_true",
                           help="fail hard on any optimizer error (default)")
@@ -967,7 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="persistent schedule cache (JSONL) consulted "
                               "before every search")
     p_serve.add_argument("--trace", default=None, metavar="PATH",
-                         help="write a repro-trace-v1 JSONL event log "
+                         help="write a repro-trace-v2 JSONL event log "
                               "(serve.* lifecycle events)")
 
     p_fleet = sub.add_parser(
@@ -1000,7 +1000,7 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="retry_after_s", metavar="S",
                          help="backoff hint when no shard can serve")
     p_fleet.add_argument("--trace", default=None, metavar="PATH",
-                         help="write a repro-trace-v1 JSONL event log "
+                         help="write a repro-trace-v2 JSONL event log "
                               "(fleet.* lifecycle events)")
 
     p_chaos = sub.add_parser(

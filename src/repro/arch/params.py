@@ -87,10 +87,6 @@ class CacheSpec:
         """Number of sets (``size / (ways * line_size)``)."""
         return self.size // (self.ways * self.line_size)
 
-    def lines_per_way(self) -> int:
-        """Alias of :attr:`num_sets`; lines that fit in one way."""
-        return self.num_sets
-
     def elements_per_line(self, dts: int) -> int:
         """Number of ``dts``-byte elements in one cache line (paper's ``lc``)."""
         if dts <= 0:

@@ -46,14 +46,6 @@ class TileModelResult:
     stats: CandidateStats
 
 
-def _capacity_bound(arch: ArchSpec, level: int, dts: int) -> int:
-    """Conflict-free row bound from capacity/associativity alone (TSS's
-    interference reasoning, sans prefetch padding): one way's worth of
-    rows of the array column, i.e. ``capacity / ways`` elements."""
-    spec = arch.cache_level(level)
-    return max(1, spec.size // (spec.ways * dts))
-
-
 def tss_tiles(
     func: Func,
     arch: ArchSpec,
@@ -77,55 +69,55 @@ def tss_tiles(
     a3 = arch.access_cost(3)
 
     best: Optional[Tuple[float, Dict[str, int]]] = None
-    counter = CandidateCounter("tss")
     c_cands = tile_candidates(bounds[c], bounds[c], quantum=lc, exhaustive=exhaustive)
     c_cands = [t for t in c_cands if t >= 2]
-    for t_c in c_cands:
-        for d2, d3 in _pairs(others):
-            d2_cands = (
-                tile_candidates(bounds[d2], l1_capacity // max(1, t_c), exhaustive=exhaustive)
-                if d2
-                else [None]
-            )
-            d3_cands = (
-                tile_candidates(bounds[d3], l2_capacity // max(1, t_c), exhaustive=exhaustive)
-                if d3
-                else [None]
-            )
-            rest = [v for v in others if v not in (d2, d3)]
-            for t2 in d2_cands:
-                for t3 in d3_cands:
-                    tiles = {c: t_c}
-                    if d2:
-                        tiles[d2] = t2
-                    if d3:
-                        tiles[d3] = t3
-                    for v in rest:
-                        tiles[v] = 1
-                    counter.considered()
-                    chain = [v for v in (d3, d2) if v]
-                    intra = (
-                        ([chain[0]] if chain else []) + rest + chain[1:] + [c]
-                    )
-                    inter = [v for v in intra if v != c] + [c]
-                    ws1 = working_set_l1(patterns, tiles, intra)
-                    ws2 = working_set_l2(patterns, tiles, intra)
-                    if ws1 > l1_capacity or ws2 > l2_capacity:
-                        counter.pruned(REASON_CAPACITY)
-                        continue
-                    cost = a2 * level1_misses(
-                        patterns, tiles, bounds, intra, lc, prefetch_aware=False
-                    ) + a3 * level2_misses(
-                        patterns,
-                        tiles,
-                        bounds,
-                        intra,
-                        inter,
-                        lc,
-                        prefetch_aware=False,
-                    )
-                    if best is None or cost < best[0]:
-                        best = (cost, dict(tiles))
+    with CandidateCounter("tss") as counter:
+        for t_c in c_cands:
+            for d2, d3 in _pairs(others):
+                d2_cands = (
+                    tile_candidates(bounds[d2], l1_capacity // max(1, t_c), exhaustive=exhaustive)
+                    if d2
+                    else [None]
+                )
+                d3_cands = (
+                    tile_candidates(bounds[d3], l2_capacity // max(1, t_c), exhaustive=exhaustive)
+                    if d3
+                    else [None]
+                )
+                rest = [v for v in others if v not in (d2, d3)]
+                for t2 in d2_cands:
+                    for t3 in d3_cands:
+                        tiles = {c: t_c}
+                        if d2:
+                            tiles[d2] = t2
+                        if d3:
+                            tiles[d3] = t3
+                        for v in rest:
+                            tiles[v] = 1
+                        counter.considered()
+                        chain = [v for v in (d3, d2) if v]
+                        intra = (
+                            ([chain[0]] if chain else []) + rest + chain[1:] + [c]
+                        )
+                        inter = [v for v in intra if v != c] + [c]
+                        ws1 = working_set_l1(patterns, tiles, intra)
+                        ws2 = working_set_l2(patterns, tiles, intra)
+                        if ws1 > l1_capacity or ws2 > l2_capacity:
+                            counter.pruned(REASON_CAPACITY)
+                            continue
+                        cost = a2 * level1_misses(
+                            patterns, tiles, bounds, intra, lc, prefetch_aware=False
+                        ) + a3 * level2_misses(
+                            patterns,
+                            tiles,
+                            bounds,
+                            intra,
+                            inter,
+                            lc,
+                            prefetch_aware=False,
+                        )
+                        if best is None or cost < best[0]:
+                            best = (cost, dict(tiles))
     if best is None:
         best = (float("inf"), {v: bounds[v] for v in all_vars})
     return TileModelResult(tiles=best[1], cost=best[0], stats=counter.stats)

@@ -73,61 +73,61 @@ def tts_tiles(
     amem = arch.access_cost(4)
 
     best: Optional[Tuple[float, Dict[str, int]]] = None
-    counter = CandidateCounter("tts")
     c_cands = tile_candidates(bounds[c], bounds[c], quantum=lc, exhaustive=exhaustive)
     c_cands = [t for t in c_cands if t >= 2]
-    for t_c in c_cands:
-        for d2, d3 in _pairs(others):
-            d2_cands = (
-                tile_candidates(
-                    bounds[d2], l2_capacity // max(1, t_c), exhaustive=exhaustive
-                )
-                if d2
-                else [None]
-            )
-            d3_cands = (
-                tile_candidates(
-                    bounds[d3], l3_capacity // max(1, t_c), exhaustive=exhaustive
-                )
-                if d3
-                else [None]
-            )
-            rest = [v for v in others if v not in (d2, d3)]
-            for t2 in d2_cands:
-                for t3 in d3_cands:
-                    tiles = {c: t_c}
-                    if d2:
-                        tiles[d2] = t2
-                    if d3:
-                        tiles[d3] = t3
-                    for v in rest:
-                        tiles[v] = 1
-                    counter.considered()
-                    chain = [v for v in (d3, d2) if v]
-                    intra = (
-                        ([chain[0]] if chain else []) + rest + chain[1:] + [c]
+    with CandidateCounter("tts") as counter:
+        for t_c in c_cands:
+            for d2, d3 in _pairs(others):
+                d2_cands = (
+                    tile_candidates(
+                        bounds[d2], l2_capacity // max(1, t_c), exhaustive=exhaustive
                     )
-                    inter = [v for v in intra if v != c] + [c]
-                    # Reuse one level out: the "L1" working set must fit
-                    # L2, the tile footprint must fit the L3 share.
-                    ws_inner = working_set_l1(patterns, tiles, intra)
-                    ws_tile = working_set_l2(patterns, tiles, intra)
-                    if ws_inner > l2_capacity or ws_tile > l3_capacity:
-                        counter.pruned(REASON_CAPACITY)
-                        continue
-                    cost = a3 * level1_misses(
-                        patterns, tiles, bounds, intra, lc, prefetch_aware=False
-                    ) + amem * level2_misses(
-                        patterns,
-                        tiles,
-                        bounds,
-                        intra,
-                        inter,
-                        lc,
-                        prefetch_aware=False,
+                    if d2
+                    else [None]
+                )
+                d3_cands = (
+                    tile_candidates(
+                        bounds[d3], l3_capacity // max(1, t_c), exhaustive=exhaustive
                     )
-                    if best is None or cost < best[0]:
-                        best = (cost, dict(tiles))
+                    if d3
+                    else [None]
+                )
+                rest = [v for v in others if v not in (d2, d3)]
+                for t2 in d2_cands:
+                    for t3 in d3_cands:
+                        tiles = {c: t_c}
+                        if d2:
+                            tiles[d2] = t2
+                        if d3:
+                            tiles[d3] = t3
+                        for v in rest:
+                            tiles[v] = 1
+                        counter.considered()
+                        chain = [v for v in (d3, d2) if v]
+                        intra = (
+                            ([chain[0]] if chain else []) + rest + chain[1:] + [c]
+                        )
+                        inter = [v for v in intra if v != c] + [c]
+                        # Reuse one level out: the "L1" working set must fit
+                        # L2, the tile footprint must fit the L3 share.
+                        ws_inner = working_set_l1(patterns, tiles, intra)
+                        ws_tile = working_set_l2(patterns, tiles, intra)
+                        if ws_inner > l2_capacity or ws_tile > l3_capacity:
+                            counter.pruned(REASON_CAPACITY)
+                            continue
+                        cost = a3 * level1_misses(
+                            patterns, tiles, bounds, intra, lc, prefetch_aware=False
+                        ) + amem * level2_misses(
+                            patterns,
+                            tiles,
+                            bounds,
+                            intra,
+                            inter,
+                            lc,
+                            prefetch_aware=False,
+                        )
+                        if best is None or cost < best[0]:
+                            best = (cost, dict(tiles))
     if best is None:
         best = (float("inf"), {v: bounds[v] for v in all_vars})
     return TileModelResult(tiles=best[1], cost=best[0], stats=counter.stats)

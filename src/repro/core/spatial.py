@@ -32,16 +32,13 @@ from repro.core.emu import emu_l2
 from repro.ir.analysis import StatementInfo, analyze_func
 from repro.ir.func import Func
 from repro.obs.events import (
-    EVENT_CANDIDATE_PRUNED,
     EVENT_SEARCH_BOUND,
     REASON_CAPACITY,
-    REASON_DEADLINE,
-    REASON_EMU_BOUND,
     REASON_PARALLELISM,
 )
 from repro.obs.stats import CandidateCounter, CandidateStats
 from repro.obs.tracer import current_tracer
-from repro.util import DeadlineExceeded, ceil_div, checkpoint, tile_candidates
+from repro.util import ceil_div, tile_candidates
 
 
 @dataclass
@@ -94,10 +91,11 @@ def optimize_spatial(
     keyword surface uniform with :func:`repro.core.optimize_temporal`
     but is a documented no-op — Algorithm 3 has no Step-2 ordering
     search (the tile shape fixes the order).  ``tracer`` (default: the
-    ambient :func:`repro.obs.current_tracer`) receives
-    ``candidate.pruned`` / ``search.bound`` events and a
-    ``spatial.search`` span; the returned ``stats`` are identical with
-    or without a recording tracer.
+    ambient :func:`repro.obs.current_tracer`) receives one
+    ``search.bound`` event per tile width, one ``candidate.pruned``
+    event per reason (with its count) and a ``spatial.search`` span;
+    the returned ``stats`` are identical with or without a recording
+    tracer.
     """
     del order_step  # uniform keyword surface; no ordering step here
     info = info or analyze_func(func)
@@ -140,8 +138,7 @@ def optimize_spatial(
     counter = CandidateCounter("spatial", tracer)
 
     best: Optional[Tuple[float, int, int, float, float]] = None
-    emu_excluded = set()
-    with tracer.span("spatial.search", func=func.name):
+    with tracer.span("spatial.search", func=func.name), counter:
         for t_w in width_cands:
             if use_emu:
                 max_h = emu_l2(
@@ -163,49 +160,20 @@ def optimize_spatial(
                     bound=max_h,
                     source="emu_l2" if use_emu else "capacity",
                 )
-                # Trace-only: heights the bound keeps out of the lattice
-                # (never evaluated, hence never in ``stats``).
-                if max_h < bounds[row]:
-                    for t in tile_candidates(
-                        bounds[row], bounds[row], exhaustive=exhaustive
-                    ):
-                        if t <= max_h or (row, t) in emu_excluded:
-                            continue
-                        emu_excluded.add((row, t))
-                        tracer.event(
-                            EVENT_CANDIDATE_PRUNED,
-                            phase="spatial",
-                            reason=(
-                                REASON_EMU_BOUND if use_emu else REASON_CAPACITY
-                            ),
-                            var=row,
-                            tile=t,
-                            bound=max_h,
-                        )
             height_cands = tile_candidates(
                 bounds[row], max_h, exhaustive=exhaustive
             )
             for t_h in height_cands:
-                # Cooperative deadline probe: Algorithm 3's search must stay
-                # interruptible per candidate.
-                try:
-                    checkpoint("spatial tile search")
-                except DeadlineExceeded:
-                    if traced:
-                        tracer.event(
-                            EVENT_CANDIDATE_PRUNED,
-                            phase="spatial",
-                            reason=REASON_DEADLINE,
-                        )
-                    raise
+                # Algorithm 3's search stays interruptible per candidate.
+                counter.checkpoint("spatial tile search")
                 counter.considered()
                 ws1, ws2 = spatial_working_sets(n_arrays, t_w, t_h, lc)
                 if ws1 > l1_capacity or ws2 > l2_capacity:
-                    counter.pruned(REASON_CAPACITY, t_w=t_w, t_h=t_h)
+                    counter.pruned(REASON_CAPACITY)
                     continue
                 if ceil_div(bounds[row], t_h) < threads:
                     # Eq. 13 on the parallelized row loop
-                    counter.pruned(REASON_PARALLELISM, t_w=t_w, t_h=t_h)
+                    counter.pruned(REASON_PARALLELISM)
                     continue
                 # Sum of per-array partial costs; the (contiguous) output
                 # only adds a tile-independent constant, so including it is

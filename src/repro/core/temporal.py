@@ -31,16 +31,17 @@ helpers compute every element exactly as a scalar call would, the
 constraint masks are checked in the scalar order, and the passes are
 merged in the candidate-at-a-time visit order (column tile outer,
 placement inner), so the first strictly cheapest candidate in that order
-wins.  Traced runs replay the same order's telemetry — each column
-tile's ``emu`` events, its ``search.bound`` caps and one
-``candidate.pruned`` event per rejected candidate — from the masks.
-This keeps the optimizer in paper-reported runtime territory
-(milliseconds for 3-D nests and for the 5-D convolution layer).
+wins.  Traced and untraced runs share that one path: each column
+tile's ``emu`` events and ``search.bound`` caps are recorded as the caps
+are computed, and the rejections are counted per reason from the masks
+(one ``candidate.pruned`` event per reason, with its count, when the
+search ends).  This keeps the optimizer in paper-reported runtime
+territory (milliseconds for 3-D nests and for the 5-D convolution
+layer), traced or not.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -63,17 +64,14 @@ from repro.core.emu import emu_l1, emu_l2
 from repro.ir.analysis import StatementInfo, analyze_func
 from repro.ir.func import Func
 from repro.obs.events import (
-    EVENT_CANDIDATE_PRUNED,
     EVENT_SEARCH_BOUND,
     REASON_CAPACITY,
-    REASON_DEADLINE,
-    REASON_EMU_BOUND,
     REASON_PARALLELISM,
     REASON_VECTOR_TILE,
 )
 from repro.obs.stats import CandidateCounter, CandidateStats
-from repro.obs.tracer import CollectingTracer, activate_tracer, current_tracer
-from repro.util import DeadlineExceeded, ceil_div, checkpoint, tile_candidates
+from repro.obs.tracer import current_tracer
+from repro.util import ceil_div, checkpoint, tile_candidates
 
 
 @dataclass
@@ -138,8 +136,9 @@ def optimize_temporal(
     paper's full method.
 
     ``tracer`` (default: the ambient :func:`repro.obs.current_tracer`)
-    receives structured search telemetry — ``candidate.pruned`` events
-    with machine-readable reasons, ``search.bound`` events for the
+    receives structured search telemetry — one ``candidate.pruned``
+    event per machine-readable reason, with its count, ``search.bound``
+    events for the
     Algorithm-1 lattice caps, and a ``temporal.search`` /
     ``temporal.order`` span pair.  The returned ``stats`` are identical
     with or without a recording tracer.
@@ -205,9 +204,8 @@ def optimize_temporal(
             strided_cap = min(strided_cap, max(lc, cap))
     if strided_cap < bounds[c]:
         if traced:
-            # Trace-only: tiles the emulation keeps out of the lattice.
-            # These never reach constraint checking, so they are *not*
-            # part of ``stats`` — the counts stay identical untraced.
+            # Tiles above the cap never enter the lattice, so they are
+            # not part of ``stats``; the trace records the cap itself.
             tracer.event(
                 EVENT_SEARCH_BOUND,
                 phase="temporal",
@@ -215,16 +213,6 @@ def optimize_temporal(
                 bound=strided_cap,
                 source="emu_l1",
             )
-            for t in c_cands:
-                if t > strided_cap:
-                    tracer.event(
-                        EVENT_CANDIDATE_PRUNED,
-                        phase="temporal",
-                        reason=REASON_EMU_BOUND,
-                        var=c,
-                        tile=t,
-                        bound=strided_cap,
-                    )
         c_cands = [t for t in c_cands if t <= strided_cap] or [
             min(strided_cap, bounds[c])
         ]
@@ -243,57 +231,50 @@ def optimize_temporal(
             )
         return lattice[key]
 
-    def probe() -> None:
-        # Cooperative deadline probe: Algorithm 2's search stays
-        # interruptible once per placement pass.
-        try:
-            checkpoint("temporal tile search")
-        except DeadlineExceeded:
-            if traced:
-                tracer.event(
-                    EVENT_CANDIDATE_PRUNED,
-                    phase="temporal",
-                    reason=REASON_DEADLINE,
-                )
-            raise
-
-    with tracer.span("temporal.search", func=func.name):
-        # The Algorithm-1 caps of every column tile come first.  Traced,
-        # each tile's emu telemetry goes to a side log that the replay
-        # below forwards at the tile's candidate-at-a-time position.
+    with tracer.span("temporal.search", func=func.name), counter:
+        # The Algorithm-1 caps of every column tile come first.
         max_rows = max((bounds[v] for v in others), default=1)
-        collect = traced and current_tracer().enabled
         caps: List[Tuple[int, int]] = []
-        emu_logs: List[Optional[CollectingTracer]] = []
         for t_c in c_cands:
-            log = CollectingTracer() if collect else None
-            with activate_tracer(log) if log is not None else contextlib.nullcontext():
-                if use_emu:
-                    max_d2 = emu_l1(
-                        arch,
-                        row_width_elems=t_c,
-                        row_stride_elems=bounds[c],
-                        max_rows=max_rows,
-                        dts=dts,
-                    )
-                    max_d3 = emu_l2(
-                        arch,
-                        row_width_elems=t_c,
-                        row_stride_elems=bounds[c],
-                        max_rows=max_rows,
-                        dts=dts,
-                    )
-                else:
-                    # Ablation: capacity-only bounds, no interference
-                    # emulation.
-                    max_d2 = max(1, l1_capacity // max(1, t_c))
-                    max_d3 = max(1, l2_capacity // max(1, t_c))
+            if use_emu:
+                max_d2 = emu_l1(
+                    arch,
+                    row_width_elems=t_c,
+                    row_stride_elems=bounds[c],
+                    max_rows=max_rows,
+                    dts=dts,
+                )
+                max_d3 = emu_l2(
+                    arch,
+                    row_width_elems=t_c,
+                    row_stride_elems=bounds[c],
+                    max_rows=max_rows,
+                    dts=dts,
+                )
+            else:
+                # Ablation: capacity-only bounds, no interference emulation.
+                max_d2 = max(1, l1_capacity // max(1, t_c))
+                max_d3 = max(1, l2_capacity // max(1, t_c))
             caps.append((max_d2, max_d3))
-            emu_logs.append(log)
+            if traced:
+                for position, bound, source in (
+                    ("d2", max_d2, "emu_l1"),
+                    ("d3", max_d3, "emu_l2"),
+                ):
+                    tracer.event(
+                        EVENT_SEARCH_BOUND,
+                        phase="temporal",
+                        position=position,
+                        t_c=t_c,
+                        bound=bound,
+                        source=source if use_emu else "capacity",
+                    )
 
+        # Cooperative deadline probes: before each placement pass and
+        # once after the last.
         passes: List[_PlacementPass] = []
         for d2, d3 in _placement_pairs(others):
-            probe()
+            counter.checkpoint("temporal tile search")
             passes.append(
                 _price_placement(
                     arch,
@@ -319,68 +300,19 @@ def optimize_temporal(
                     dts,
                 )
             )
-        probe()
+        counter.checkpoint("temporal tile search")
 
         # Merge in the candidate-at-a-time visit order — column tile
         # outer, placement inner — keeping the first strict minimum.
-        # Traced, the same walk replays that order's telemetry.
         best: Optional[Tuple[float, _PlacementPass, int]] = None
-        emu_excluded: Set[Tuple[str, int]] = set()
-        for b, t_c in enumerate(c_cands):
-            max_d2, max_d3 = caps[b]
-            if traced:
-                _forward(emu_logs[b], current_tracer())
-                tracer.event(
-                    EVENT_SEARCH_BOUND,
-                    phase="temporal",
-                    position="d2",
-                    t_c=t_c,
-                    bound=max_d2,
-                    source="emu_l1" if use_emu else "capacity",
-                )
-                tracer.event(
-                    EVENT_SEARCH_BOUND,
-                    phase="temporal",
-                    position="d3",
-                    t_c=t_c,
-                    bound=max_d3,
-                    source="emu_l2" if use_emu else "capacity",
-                )
+        for b in range(len(c_cands)):
             for placement in passes:
-                if traced:
-                    # Trace-only visibility into the lattice caps: tiles
-                    # the Algorithm-1 bound keeps out of the candidate set
-                    # (never evaluated, hence never in ``stats``).
-                    for var, cap in (
-                        (placement.d2, max_d2),
-                        (placement.d3, max_d3),
-                    ):
-                        if not var or cap >= bounds[var]:
-                            continue
-                        for t in tile_lattice(var, bounds[var]):
-                            if t <= cap or (var, t) in emu_excluded:
-                                continue
-                            emu_excluded.add((var, t))
-                            tracer.event(
-                                EVENT_CANDIDATE_PRUNED,
-                                phase="temporal",
-                                reason=(
-                                    REASON_EMU_BOUND
-                                    if use_emu
-                                    else REASON_CAPACITY
-                                ),
-                                var=var,
-                                tile=t,
-                                bound=cap,
-                            )
-                    placement.replay(counter, c, t_c, b)
                 won = placement.winners.get(b)
                 if won is not None and (best is None or won[0] < best[0]):
                     best = (won[0], placement, won[1])
-        if not traced:
-            counter.considered(sum(p.size for p in passes))
-            for reason, n in _pruned_in_visit_order(passes):
-                counter.pruned(reason, n)
+        counter.considered(sum(p.size for p in passes))
+        for reason, n in _pruned_in_visit_order(passes):
+            counter.pruned(reason, n)
 
     if best is None:
         # No candidate satisfied the fit/parallel constraints; fall back to
@@ -449,14 +381,12 @@ class _PlacementPass:
 
     The flat candidate arrays hold one block per column tile, in
     ``c_cands`` order; block ``b`` spans ``offsets[b]:offsets[b + 1]``
-    and lists the product of the ``grid`` variables' candidates for that
-    column tile in C order, the candidate-at-a-time visit order.
+    and lists the product of the grid variables' candidates (``d2``,
+    ``d3``, then the rest) for that column tile in C order, the
+    candidate-at-a-time visit order.
     """
 
-    d2: Optional[str]
-    d3: Optional[str]
     reuse_l: str
-    grid: List[str]
     offsets: np.ndarray
     tiles: Dict[str, np.ndarray]
     #: Per candidate: 0 valid, else an index into ``_REASONS``.
@@ -472,19 +402,6 @@ class _PlacementPass:
 
     def tiles_at(self, i: int) -> Dict[str, int]:
         return {v: int(tiles[i]) for v, tiles in self.tiles.items()}
-
-    def replay(self, counter: CandidateCounter, c: str, t_c: int, b: int) -> None:
-        """Record block ``b`` candidate by candidate: one traced
-        ``candidate.pruned`` event per rejection, in visit order."""
-        lo, hi = int(self.offsets[b]), int(self.offsets[b + 1])
-        counter.considered(hi - lo)
-        codes = self.codes[lo:hi]
-        rejected = np.flatnonzero(codes)
-        columns = [self.tiles[v][lo:hi][rejected].tolist() for v in self.grid]
-        for code, *tiles in zip(codes[rejected].tolist(), *columns):
-            counter.pruned(
-                _REASONS[code], tiles={c: t_c, **dict(zip(self.grid, tiles))}
-            )
 
 
 def _flat_grid(
@@ -583,10 +500,7 @@ def _price_placement(
             int(block[k]): (float(cost[k]), int(valid[k])) for k in first.tolist()
         }
     return _PlacementPass(
-        d2=d2,
-        d3=d3,
         reuse_l=chain[0] if chain else c,
-        grid=grid,
         offsets=offsets,
         tiles=tiles,
         codes=codes,
@@ -617,16 +531,6 @@ def _pruned_in_visit_order(
                 first[code] = seen
             totals[code] = totals.get(code, 0) + counts[code]
     return [(_REASONS[code], totals[code]) for code in sorted(first, key=first.get)]
-
-
-def _forward(log: Optional[CollectingTracer], tracer) -> None:
-    """Re-emit a side log's events and counter totals on ``tracer``."""
-    if log is None:
-        return
-    for name, n in log.counters().items():
-        tracer.count(name, n)
-    for payload in log.events:
-        tracer.event(payload["name"], **payload["attrs"])
 
 
 def _order_step(

@@ -23,7 +23,7 @@ Sweep progress and timing go to **stderr**; stdout carries only the
 tables and figures, so an interrupted-then-resumed run produces output
 bitwise-identical to an uninterrupted one.
 
-``--trace PATH`` records a ``repro-trace-v1`` JSONL event log of the run
+``--trace PATH`` records a ``repro-trace-v2`` JSONL event log of the run
 (sweep-cell lifecycle from the runner, plus planning/render spans and
 any in-process optimizer/simulator activity); inspect it with
 ``python -m repro trace PATH`` and schema-check it with ``--validate``.
@@ -95,7 +95,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                              "workers consult it before searching and "
                              "append what they find")
     parser.add_argument("--trace", default=None, metavar="PATH",
-                        help="write a repro-trace-v1 JSONL event log")
+                        help="write a repro-trace-v2 JSONL event log")
 
 
 def build_parser() -> argparse.ArgumentParser:

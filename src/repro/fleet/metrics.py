@@ -17,11 +17,10 @@ latency distributions are directly comparable — which is exactly what
 
 from __future__ import annotations
 
-import threading
-import time
 from typing import Dict, List
 
-from repro.serve.metrics import LatencyHistogram
+from repro.serve.metrics import CounterRegistry
+from repro.serve.schema import counter_problems
 
 __all__ = [
     "FLEET_METRICS_FORMAT",
@@ -53,42 +52,13 @@ FLEET_METRIC_COUNTERS = (
 )
 
 
-class FleetMetrics:
-    """The router/supervisor counter registry; thread-safe.
-
-    Mirrors :class:`repro.serve.ServeMetrics`: a fixed counter registry
-    (bumping an unknown name is a loud programming error, so the
-    documented schema cannot drift) plus the shared latency histogram.
-    """
+class FleetMetrics(CounterRegistry):
+    """The router/supervisor registry, named by
+    :data:`FLEET_METRIC_COUNTERS`: the same fixed counter registry and
+    latency histogram as :class:`repro.serve.ServeMetrics`."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counters: Dict[str, int] = {
-            name: 0 for name in FLEET_METRIC_COUNTERS
-        }
-        self._latency = LatencyHistogram()
-        self._started_at = time.perf_counter()
-
-    def bump(self, name: str, n: int = 1) -> None:
-        with self._lock:
-            if name not in self._counters:
-                raise KeyError(
-                    f"unknown fleet counter {name!r}; known: "
-                    f"{sorted(self._counters)}"
-                )
-            self._counters[name] += n
-
-    def get(self, name: str) -> int:
-        with self._lock:
-            return self._counters[name]
-
-    def observe_latency(self, ms: float) -> None:
-        with self._lock:
-            self._latency.observe(ms)
-
-    def counters(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counters)
+        super().__init__(FLEET_METRIC_COUNTERS, "fleet")
 
     def snapshot(self, *, workers: List[Dict]) -> Dict:
         """The full ``repro-fleet-metrics-v1`` document for ``/metrics``.
@@ -96,13 +66,10 @@ class FleetMetrics:
         ``workers`` is the supervisor's per-shard state listing (shard,
         port, state, restarts, consecutive failures...).
         """
-        with self._lock:
-            counters = dict(self._counters)
-            latency = self._latency.snapshot()
-            uptime_ms = (time.perf_counter() - self._started_at) * 1000.0
+        uptime_ms, counters, latency = self._read()
         return {
             "format": FLEET_METRICS_FORMAT,
-            "uptime_ms": round(uptime_ms, 3),
+            "uptime_ms": uptime_ms,
             "counters": counters,
             "latency_ms": latency,
             "workers": [dict(w) for w in workers],
@@ -127,21 +94,9 @@ def validate_fleet_metrics(snapshot) -> List[str]:
     uptime = snapshot.get("uptime_ms")
     if isinstance(uptime, bool) or not isinstance(uptime, (int, float)) or uptime < 0:
         problems.append(f"uptime_ms must be a number >= 0, got {uptime!r}")
-    counters = snapshot.get("counters")
-    if not isinstance(counters, dict):
-        problems.append(f"counters must be an object, got {counters!r}")
-    else:
-        for name in FLEET_METRIC_COUNTERS:
-            value = counters.get(name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, int)
-                or value < 0
-            ):
-                problems.append(
-                    f"counters.{name} must be a non-negative integer, "
-                    f"got {value!r}"
-                )
+    problems += counter_problems(
+        snapshot.get("counters"), FLEET_METRIC_COUNTERS
+    )
     workers = snapshot.get("workers")
     if not isinstance(workers, list):
         problems.append(f"workers must be a list, got {workers!r}")

@@ -1,10 +1,10 @@
-"""Trace-event vocabulary and the ``repro-trace-v1`` schema validator.
+"""Trace-event vocabulary and the ``repro-trace-v2`` schema validator.
 
 Every record a tracer writes is one JSON object::
 
-    {"format": "repro-trace-v1", "seq": 17, "ts_ms": 4.211,
+    {"format": "repro-trace-v2", "seq": 17, "ts_ms": 4.211,
      "kind": "event", "name": "candidate.pruned",
-     "attrs": {"phase": "temporal", "reason": "capacity", ...}}
+     "attrs": {"phase": "temporal", "reason": "capacity", "count": 312}}
 
 ``kind`` is one of ``event`` | ``span_begin`` | ``span_end`` |
 ``counters``; ``span_end`` records additionally carry ``elapsed_ms``
@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.util.jsonl import read_lines
 
 #: Schema tag; bump when the record layout changes incompatibly.
-TRACE_FORMAT = "repro-trace-v1"
+TRACE_FORMAT = "repro-trace-v2"
 
 # -- record kinds ------------------------------------------------------
 
@@ -41,7 +41,9 @@ KINDS = (KIND_EVENT, KIND_SPAN_BEGIN, KIND_SPAN_END, KIND_COUNTERS)
 
 #: Fig. 1 stage 1: the classifier's verdict for one Func.
 EVENT_CLASSIFY = "classify"
-#: One candidate rejected by the Algorithm 2/3 search, with a reason.
+#: How many candidates one Algorithm 2/3 or baseline search rejected
+#: for one reason (``count``); emitted once per reason when the search
+#: ends, and once with ``count: 1`` when the deadline expires.
 EVENT_CANDIDATE_PRUNED = "candidate.pruned"
 #: Algorithm 1 (or its capacity-only ablation) capping a tile dimension.
 EVENT_SEARCH_BOUND = "search.bound"
@@ -107,9 +109,6 @@ EVENT_TUNE_REPORT = "tune.report"
 
 # -- machine-readable pruning reasons ----------------------------------
 
-#: Tile excluded because Algorithm 1's interference emulation bounds the
-#: candidate lattice below the problem size.
-REASON_EMU_BOUND = "emu_bound"
 #: Working set exceeds the L1 or (halved) L2 capacity (Eqs. 1/6, 18/19).
 REASON_CAPACITY = "capacity"
 #: Eq. 13: no inter-tile loop offers one iteration per hardware thread.
@@ -120,7 +119,6 @@ REASON_VECTOR_TILE = "vector_tile"
 REASON_DEADLINE = "deadline"
 
 PRUNE_REASONS = (
-    REASON_EMU_BOUND,
     REASON_CAPACITY,
     REASON_PARALLELISM,
     REASON_VECTOR_TILE,
@@ -133,7 +131,7 @@ _REQUIRED_KEYS = ("format", "seq", "kind", "name", "attrs")
 
 
 def validate_event(payload, *, prev_seq: Optional[int] = None) -> Optional[str]:
-    """Check one record against the ``repro-trace-v1`` schema.
+    """Check one record against the ``repro-trace-v2`` schema.
 
     Returns ``None`` for a valid record, else a human-readable problem
     description.  ``prev_seq`` (the previous record's sequence number)
@@ -185,6 +183,11 @@ def validate_event(payload, *, prev_seq: Optional[int] = None) -> Optional[str]:
             )
         if not isinstance(attrs.get("phase"), str):
             return "candidate.pruned needs a string 'phase' attribute"
+        count = attrs.get("count")
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+            return (
+                f"candidate.pruned needs an integer 'count' >= 1, got {count!r}"
+            )
     return None
 
 

@@ -8,19 +8,21 @@ the one replacement: every search result carries one, and Table 5's
 deterministic runtime model reads ``stats.considered`` — the exact same
 count, byte for byte.
 
-The companion :class:`CandidateCounter` bundles the stats object with a
-tracer so a search makes a single call per candidate — or per block of
-candidates, for Algorithm 2's array-priced tile grid; with the
-:data:`~repro.obs.tracer.NULL_TRACER` installed that call is an integer
-increment plus one attribute check.
+The companion :class:`CandidateCounter` is the one accounting path,
+the same traced and untraced: during the search ``considered(n)`` and
+``pruned(reason, n)`` are plain integer adds — per candidate, or per
+block of candidates for Algorithm 2's array-priced tile grid.  When the
+search's ``with`` block ends, a traced counter bumps the
+``<phase>.candidates`` and ``<phase>.pruned.<reason>`` tracer counters
+and emits one ``candidate.pruned`` event per reason carrying its
+``count``.
 
 Note the accounting contract: ``considered`` counts candidates the
 search *evaluated* (exactly the legacy integer), and ``pruned`` breaks
 down the evaluated-but-rejected subset by machine-readable reason.
-Candidates excluded *before* evaluation — tiles above an Algorithm-1
-``emu`` bound never enter the lattice — appear only in the trace (as
-``search.bound`` / ``candidate.pruned(reason="emu_bound")`` events), so
-the stats stay identical whether or not a tracer is attached.
+Tiles above an Algorithm-1 ``emu`` bound never enter the lattice; the
+trace records those caps as ``search.bound`` events, so the stats stay
+identical whether or not a tracer is attached.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from repro.obs.events import EVENT_CANDIDATE_PRUNED, REASON_DEADLINE
 from repro.obs.tracer import current_tracer
+from repro.util import DeadlineExceeded, checkpoint
 
 __all__ = ["CandidateStats", "CandidateCounter"]
 
@@ -66,42 +70,57 @@ class CandidateStats:
 
 
 class CandidateCounter:
-    """Per-search recorder: canonical stats plus optional trace output.
+    """Per-search recorder: canonical stats, reported once on exit.
 
-    One instance per search invocation; ``stats`` is handed to the
-    result dataclass when the search finishes.
+    One instance per search invocation, used as a context manager that
+    closes inside the search's span; ``stats`` is handed to the result
+    dataclass when the search finishes.
     """
 
-    __slots__ = ("stats", "_tracer", "_phase", "_traced")
+    __slots__ = ("stats", "_tracer", "_phase")
 
     def __init__(self, phase: str, tracer=None) -> None:
         self.stats = CandidateStats()
         self._tracer = tracer if tracer is not None else current_tracer()
         self._phase = phase
-        self._traced = self._tracer.enabled
+
+    def __enter__(self) -> "CandidateCounter":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        tracer = self._tracer
+        if not tracer.enabled:
+            return
+        phase, stats = self._phase, self.stats
+        if stats.considered:
+            tracer.count(f"{phase}.candidates", stats.considered)
+        for reason, n in stats.pruned.items():
+            tracer.count(f"{phase}.pruned.{reason}", n)
+            tracer.event(
+                EVENT_CANDIDATE_PRUNED, phase=phase, reason=reason, count=n
+            )
 
     def considered(self, n: int = 1) -> None:
         """``n`` candidates entered constraint checking / pricing."""
         self.stats.considered += n
-        if self._traced:
-            self._tracer.count(f"{self._phase}.candidates", n)
 
-    def pruned(self, reason: str, n: int = 1, **attrs) -> None:
-        """``n`` of the candidates just considered were rejected for
-        ``reason``.
-
-        Traced, each call also records one ``candidate.pruned`` event
-        carrying ``attrs``, so a search that prices candidates in bulk
-        replays one call per rejected candidate when tracing and passes
-        ``n`` only when not.
-        """
+    def pruned(self, reason: str, n: int = 1) -> None:
+        """``n`` of the candidates considered were rejected for
+        ``reason``."""
         pruned = self.stats.pruned
         pruned[reason] = pruned.get(reason, 0) + n
-        if self._traced:
-            self._tracer.count(f"{self._phase}.pruned.{reason}", n)
-            self._tracer.event(
-                "candidate.pruned",
-                phase=self._phase,
-                reason=reason,
-                **attrs,
-            )
+
+    def checkpoint(self, stage: str) -> None:
+        """Cooperative deadline probe; traced, an expiry is recorded as
+        one ``candidate.pruned`` event with reason ``deadline``."""
+        try:
+            checkpoint(stage)
+        except DeadlineExceeded:
+            if self._tracer.enabled:
+                self._tracer.event(
+                    EVENT_CANDIDATE_PRUNED,
+                    phase=self._phase,
+                    reason=REASON_DEADLINE,
+                    count=1,
+                )
+            raise

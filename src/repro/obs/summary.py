@@ -1,11 +1,11 @@
-"""Human summary renderer for ``repro-trace-v1`` event logs.
+"""Human summary renderer for ``repro-trace-v2`` event logs.
 
 ``render_summary`` turns the raw event stream into the report a
 performance engineer actually wants after a traced run: where the time
 went (spans), how hard each search worked (candidate counters and the
-pruned-by-reason breakdown), what the simulator saw per nest, and how
-the sweep's cells fared.  ``python -m repro trace out.jsonl`` is the CLI
-front end.
+pruned-by-reason breakdown, summed over the events' ``count``), what
+the simulator saw per nest, and how the sweep's cells fared.
+``python -m repro trace out.jsonl`` is the CLI front end.
 """
 
 from __future__ import annotations
@@ -79,10 +79,12 @@ def summarize(events) -> Dict:
         name = payload.get("name")
         attrs = payload.get("attrs") or {}
         if name == EVENT_CANDIDATE_PRUNED:
-            phase = str(attrs.get("phase", "?"))
-            reason = str(attrs.get("reason", "?"))
-            per_phase = pruned.setdefault(phase, {})
-            per_phase[reason] = per_phase.get(reason, 0) + 1
+            count = attrs.get("count")
+            if isinstance(count, int):
+                phase = str(attrs.get("phase", "?"))
+                reason = str(attrs.get("reason", "?"))
+                per_phase = pruned.setdefault(phase, {})
+                per_phase[reason] = per_phase.get(reason, 0) + count
         elif name == EVENT_SEARCH_BOUND:
             bounds.append(attrs)
         elif name == EVENT_SIM_NEST:

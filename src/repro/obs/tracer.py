@@ -17,7 +17,7 @@ Implementations:
 * :class:`CollectingTracer` — keeps events in memory (tests, in-process
   summaries).
 * :class:`JsonlTracer` — streams each record as one JSON line to an
-  append-only log file (schema ``repro-trace-v1``, see
+  append-only log file (schema ``repro-trace-v2``, see
   :mod:`repro.obs.events`), flushed per record like the sweep journal so
   a crash loses at most the record in flight.
 

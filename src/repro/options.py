@@ -82,17 +82,17 @@ class OptimizeOptions:
     tracer: object = None
 
     def __post_init__(self) -> None:
+        if not _is_multistride(self.multistride):
+            raise ValueError(
+                f"option 'multistride' must be 'off', 'auto' or an "
+                f"integer >= 2, got {self.multistride!r}"
+            )
         for key in CACHE_KEYS:
             value = getattr(self, key)
             if not isinstance(value, bool):
                 raise ValueError(
                     f"option {key!r} must be a boolean, got {value!r}"
                 )
-        if not _is_multistride(self.multistride):
-            raise ValueError(
-                f"multistride must be 'off', 'auto' or an int >= 2, "
-                f"got {self.multistride!r}"
-            )
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, object]) -> "OptimizeOptions":
@@ -100,18 +100,14 @@ class OptimizeOptions:
 
         Accepts exactly the :data:`OPTION_KEYS`; missing keys take their
         defaults.  Raises :class:`ValueError` with the serve wire's 400
-        text on an unknown key, a non-bool switch, or a ``multistride``
-        outside ``"off"`` | ``"auto"`` | int ``>= 2``.
+        text on an unknown key, else with the constructor's text (a
+        ``multistride`` outside ``"off"`` | ``"auto"`` | int ``>= 2``,
+        then a non-bool switch).
         """
         unknown = sorted(set(raw) - set(OPTION_KEYS))
         if unknown:
             raise ValueError(
                 f"unknown option(s) {unknown}; known: {list(OPTION_KEYS)}"
-            )
-        if "multistride" in raw and not _is_multistride(raw["multistride"]):
-            raise ValueError(
-                f"option 'multistride' must be 'off', 'auto' or an "
-                f"integer >= 2, got {raw['multistride']!r}"
             )
         return cls(**raw)
 

@@ -124,9 +124,6 @@ class Diagnostics:
     def has_errors(self) -> bool:
         return any(r.severity == SEVERITY_ERROR for r in self.records)
 
-    def for_stage(self, stage: str) -> List[DiagnosticRecord]:
-        return [r for r in self.records if r.stage == stage]
-
     def summary(self) -> str:
         """Multi-line rendering of every record (empty string when clean)."""
         return "\n".join(r.describe() for r in self.records)

@@ -17,11 +17,16 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.serve.schema import METRICS_FORMAT, METRIC_COUNTERS
 
-__all__ = ["LATENCY_BOUNDS_MS", "LatencyHistogram", "ServeMetrics"]
+__all__ = [
+    "LATENCY_BOUNDS_MS",
+    "CounterRegistry",
+    "LatencyHistogram",
+    "ServeMetrics",
+]
 
 #: Upper bucket bounds in milliseconds; one implicit overflow bucket.
 LATENCY_BOUNDS_MS = (
@@ -76,18 +81,20 @@ class LatencyHistogram:
         }
 
 
-class ServeMetrics:
-    """The server's counter registry; thread-safe; snapshot on demand.
+class CounterRegistry:
+    """A fixed counter registry, a latency histogram and an uptime
+    clock behind one lock; thread-safe.
 
-    Counter names are fixed at :data:`repro.serve.schema.METRIC_COUNTERS`
-    — bumping an unknown name is a programming error, caught loudly, so
-    the documented snapshot schema cannot silently drift from what the
-    code records.
+    Counter names are fixed at construction — bumping an unknown name is
+    a programming error, caught loudly, so a documented snapshot schema
+    cannot silently drift from what the code records.  ``kind`` names
+    the registry in that error (``unknown serve counter ...``).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, names: Sequence[str], kind: str) -> None:
+        self._kind = kind
         self._lock = threading.Lock()
-        self._counters: Dict[str, int] = {name: 0 for name in METRIC_COUNTERS}
+        self._counters: Dict[str, int] = {name: 0 for name in names}
         self._latency = LatencyHistogram()
         self._started_at = time.perf_counter()
 
@@ -95,7 +102,7 @@ class ServeMetrics:
         with self._lock:
             if name not in self._counters:
                 raise KeyError(
-                    f"unknown serve counter {name!r}; known: "
+                    f"unknown {self._kind} counter {name!r}; known: "
                     f"{sorted(self._counters)}"
                 )
             self._counters[name] += n
@@ -112,6 +119,23 @@ class ServeMetrics:
         with self._lock:
             return dict(self._counters)
 
+    def _read(self) -> Tuple[float, Dict[str, int], Dict]:
+        """Uptime (ms), counters and latency histogram, read together."""
+        with self._lock:
+            return (
+                round((time.perf_counter() - self._started_at) * 1000.0, 3),
+                dict(self._counters),
+                self._latency.snapshot(),
+            )
+
+
+class ServeMetrics(CounterRegistry):
+    """The server's registry, named by
+    :data:`repro.serve.schema.METRIC_COUNTERS`; snapshot on demand."""
+
+    def __init__(self) -> None:
+        super().__init__(METRIC_COUNTERS, "serve")
+
     def snapshot(
         self,
         *,
@@ -123,13 +147,10 @@ class ServeMetrics:
         tracer_counters: Optional[Dict] = None,
     ) -> Dict:
         """The full ``repro-serve-metrics-v1`` document for ``/metrics``."""
-        with self._lock:
-            counters = dict(self._counters)
-            latency = self._latency.snapshot()
-            uptime_ms = (time.perf_counter() - self._started_at) * 1000.0
+        uptime_ms, counters, latency = self._read()
         snapshot = {
             "format": METRICS_FORMAT,
-            "uptime_ms": round(uptime_ms, 3),
+            "uptime_ms": uptime_ms,
             "queue": {"depth": int(queue_depth), "limit": int(queue_limit)},
             "in_flight": int(in_flight),
             "draining": bool(draining),

@@ -238,23 +238,18 @@ def build_request(
     """Client-side sugar: a wire-ready request dict with defaults filled.
 
     ``options`` accepts exactly the :data:`OPTION_KEYS` switches
-    (``use_nti=False`` and friends); anything else is rejected here,
-    before a round-trip to the server can bounce it.  Values are
-    checked by the :class:`~repro.options.OptimizeOptions` constructor,
-    whose wording a bad ``multistride`` keeps on this client path.
+    (``use_nti=False`` and friends), parsed by
+    :meth:`~repro.options.OptimizeOptions.from_dict`; anything else is
+    rejected here, with the server's 400 text, before a round-trip to
+    the server can bounce it.
 
     A ``benchmark`` target produces a ``repro-serve-v1`` body —
     byte-identical to what pre-v1.1 clients sent; a ``spec`` target
     (with ``dims``, optional ``dtypes``/``params``) produces a
     ``repro-serve-v1.1`` body.  Exactly one of the two is required.
     """
-    unknown = sorted(set(options) - set(OPTION_KEYS))
-    if unknown:
-        raise ServeError(
-            f"unknown option(s) {unknown}; known: {list(OPTION_KEYS)}"
-        )
     try:
-        canonical = OptimizeOptions(**options).cache_dict()
+        canonical = OptimizeOptions.from_dict(options).cache_dict()
     except ValueError as exc:
         raise ServeError(str(exc)) from None
     if (benchmark is None) == (spec is None):
@@ -610,6 +605,23 @@ def render_for(request: Optional[ServeRequest], payload: Dict) -> Dict:
 # -- metrics snapshot contract -----------------------------------------
 
 
+def counter_problems(counters, names: Sequence[str]) -> List[str]:
+    """Check a ``/metrics`` ``counters`` block: an object holding a
+    non-negative integer under each of ``names``.  Shared by the serve
+    and fleet snapshot validators."""
+    if not isinstance(counters, dict):
+        return [f"counters must be an object, got {counters!r}"]
+    problems: List[str] = []
+    for name in names:
+        value = counters.get(name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            problems.append(
+                f"counters.{name} must be a non-negative integer, "
+                f"got {value!r}"
+            )
+    return problems
+
+
 def validate_metrics(snapshot) -> List[str]:
     """Check one ``/metrics`` snapshot against the documented schema.
 
@@ -650,21 +662,7 @@ def validate_metrics(snapshot) -> List[str]:
             note = _nonneg_number(f"queue.{key}", queue.get(key))
             if note:
                 problems.append(note)
-    counters = snapshot.get("counters")
-    if not isinstance(counters, dict):
-        problems.append(f"counters must be an object, got {counters!r}")
-    else:
-        for name in METRIC_COUNTERS:
-            value = counters.get(name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, int)
-                or value < 0
-            ):
-                problems.append(
-                    f"counters.{name} must be a non-negative integer, "
-                    f"got {value!r}"
-                )
+    problems += counter_problems(snapshot.get("counters"), METRIC_COUNTERS)
     latency = snapshot.get("latency_ms")
     if not isinstance(latency, dict):
         problems.append(f"latency_ms must be an object, got {latency!r}")

@@ -90,9 +90,6 @@ class MemoryLayout:
             raise KeyError(f"buffer {buffer.name!r} was never registered")
         return self._bases[key]
 
-    def total_bytes(self) -> int:
-        return self._next
-
     def describe(self) -> str:
         rows = [
             f"  {self._names[k]} @ {base:#x}"

@@ -3,7 +3,7 @@
 import json
 
 from repro.__main__ import main
-from repro.obs import PRUNE_REASONS, read_trace, validate_trace
+from repro.obs import PRUNE_REASONS, TRACE_FORMAT, read_trace, validate_trace
 
 
 class TestTraceFlag:
@@ -76,7 +76,7 @@ class TestTraceCommand:
         path = tmp_path / "bad.jsonl"
         path.write_text(
             json.dumps({
-                "format": "repro-trace-v1", "seq": 0, "kind": "event",
+                "format": TRACE_FORMAT, "seq": 0, "kind": "event",
                 "name": "candidate.pruned",
                 "attrs": {"reason": "vibes", "phase": "temporal"},
             }) + "\nnot json\n"
@@ -85,11 +85,27 @@ class TestTraceCommand:
         err = capsys.readouterr().err
         assert "invalid:" in err and "schema violation" in err
 
+    def test_validate_rejects_v1_trace(self, tmp_path, capsys):
+        path = tmp_path / "v1.jsonl"
+        path.write_text(
+            json.dumps({
+                "format": "repro-trace-v1", "seq": 0, "kind": "event",
+                "name": "candidate.pruned",
+                "attrs": {"reason": "capacity", "phase": "temporal"},
+            }) + "\n"
+        )
+        assert main(["trace", str(path), "--validate"]) == 4
+        err = capsys.readouterr().err
+        assert (
+            "invalid: record 0: format is 'repro-trace-v1' "
+            "(expected 'repro-trace-v2')"
+        ) in err
+
     def test_validate_reports_non_utf8_line(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_bytes(
             json.dumps({
-                "format": "repro-trace-v1", "seq": 0, "kind": "event",
+                "format": TRACE_FORMAT, "seq": 0, "kind": "event",
                 "name": "classify", "attrs": {},
             }).encode() + b"\n\xff\xfe not UTF-8\n"
         )

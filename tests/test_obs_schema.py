@@ -1,4 +1,4 @@
-"""Golden-file and validator tests for the ``repro-trace-v1`` schema.
+"""Golden-file and validator tests for the ``repro-trace-v2`` schema.
 
 The golden file pins the *machine-readable contract*: the exact event
 stream (minus wall-clock fields) a traced ``optimize(matmul-32)`` run
@@ -103,10 +103,17 @@ class TestGoldenTrace:
         for payload in pruned:
             assert payload["attrs"]["reason"] in PRUNE_REASONS
             assert isinstance(payload["attrs"]["phase"], str)
-        # the emu-driven lattice exclusion appears with its own reason
-        assert any(
-            e["attrs"]["reason"] == "emu_bound" for e in pruned
-        )
+            assert payload["attrs"]["count"] >= 1
+        # the emu-driven lattice caps appear as search.bound events
+        bounds = [
+            e["attrs"] for e in tracer.events
+            if e["kind"] == "event" and e["name"] == "search.bound"
+        ]
+        assert bounds
+        for attrs in bounds:
+            assert isinstance(attrs["bound"], int) and attrs["bound"] >= 1
+            assert attrs["source"] in ("emu_l1", "emu_l2")
+        assert any(a["bound"] < 256 for a in bounds)
 
 
 class TestValidateEvent:
@@ -135,6 +142,7 @@ class TestValidateEvent:
 
     def test_rejects_wrong_format(self):
         assert "format" in validate_event(self._ok(format="repro-trace-v0"))
+        assert "format" in validate_event(self._ok(format="repro-trace-v1"))
 
     def test_rejects_bad_seq(self):
         assert validate_event(self._ok(seq=-1)) is not None
@@ -181,9 +189,25 @@ class TestValidateEvent:
         assert "phase" in validate_event(missing_phase)
         good = self._ok(
             name="candidate.pruned",
-            attrs={"reason": "capacity", "phase": "temporal"},
+            attrs={"reason": "capacity", "phase": "temporal", "count": 3},
         )
         assert validate_event(good) is None
+
+    def test_pruned_event_needs_positive_integer_count(self):
+        for count in (None, 0, -2, 1.5, "3", True):
+            attrs = {"reason": "capacity", "phase": "temporal"}
+            if count is not None:
+                attrs["count"] = count
+            payload = self._ok(name="candidate.pruned", attrs=attrs)
+            assert "'count'" in validate_event(payload), count
+
+    def test_emu_bound_is_no_longer_a_prune_reason(self):
+        assert "emu_bound" not in PRUNE_REASONS
+        payload = self._ok(
+            name="candidate.pruned",
+            attrs={"reason": "emu_bound", "phase": "temporal", "count": 1},
+        )
+        assert "not machine-readable" in validate_event(payload)
 
 
 class TestReadTrace:

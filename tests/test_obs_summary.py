@@ -14,13 +14,17 @@ def _synthetic_events():
         with tracer.span("optimize", func="C"):
             tracer.count("temporal.candidates", 10)
             tracer.event(
-                "candidate.pruned", phase="temporal", reason="capacity"
+                "candidate.pruned", phase="temporal", reason="capacity",
+                count=1,
+            )
+            # two searches' reports of one reason add up
+            tracer.event(
+                "candidate.pruned", phase="temporal", reason="parallelism",
+                count=1,
             )
             tracer.event(
-                "candidate.pruned", phase="temporal", reason="parallelism"
-            )
-            tracer.event(
-                "candidate.pruned", phase="temporal", reason="parallelism"
+                "candidate.pruned", phase="temporal", reason="parallelism",
+                count=1,
             )
             tracer.event("search.bound", var="k", bound=16)
         tracer.event(

@@ -29,7 +29,7 @@ class TestCollectingTracer:
         tracer = CollectingTracer()
         tracer.event("thing.happened", value=3, label="x")
         (record,) = tracer.events
-        assert record["format"] == "repro-trace-v1"
+        assert record["format"] == "repro-trace-v2"
         assert record["kind"] == "event"
         assert record["name"] == "thing.happened"
         assert record["attrs"] == {"value": 3, "label": "x"}

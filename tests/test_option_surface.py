@@ -48,22 +48,31 @@ PARSE_TEXTS = [
         "option 'multistride' must be 'off', 'auto' or an integer >= 2, "
         "got 'on'",
     ),
+    # Two bad values: the multistride text wins, as it always has.
+    (
+        {"use_nti": "yes", "multistride": 1},
+        "option 'multistride' must be 'off', 'auto' or an integer >= 2, "
+        "got 1",
+    ),
 ]
 
-#: (bad options, build_request's client-side text)
+#: (bad options, build_request's client-side text: the server's 400 text)
 BUILD_TEXTS = [
     ({"turbo": True}, f"unknown option(s) ['turbo']; {KNOWN}"),
     (
         {"multistride": True},
-        "multistride must be 'off', 'auto' or an int >= 2, got True",
+        "option 'multistride' must be 'off', 'auto' or an integer >= 2, "
+        "got True",
     ),
     (
         {"multistride": 1},
-        "multistride must be 'off', 'auto' or an int >= 2, got 1",
+        "option 'multistride' must be 'off', 'auto' or an integer >= 2, "
+        "got 1",
     ),
     (
         {"multistride": "on"},
-        "multistride must be 'off', 'auto' or an int >= 2, got 'on'",
+        "option 'multistride' must be 'off', 'auto' or an integer >= 2, "
+        "got 'on'",
     ),
 ]
 

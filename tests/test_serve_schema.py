@@ -2,6 +2,11 @@
 
 import pytest
 
+from repro.fleet.metrics import (
+    FLEET_METRIC_COUNTERS,
+    FleetMetrics,
+    validate_fleet_metrics,
+)
 from repro.options import OptimizeOptions
 from repro.serve import (
     METRICS_FORMAT,
@@ -165,6 +170,44 @@ class TestServeMetrics:
     def test_validator_rejects_non_object(self):
         assert validate_metrics(None)
         assert validate_metrics([{"format": METRICS_FORMAT}])
+
+    def test_serve_and_fleet_registries_keep_their_texts_and_layouts(self):
+        for metrics, kind, names in (
+            (ServeMetrics(), "serve", METRIC_COUNTERS),
+            (FleetMetrics(), "fleet", FLEET_METRIC_COUNTERS),
+        ):
+            with pytest.raises(KeyError) as info:
+                metrics.bump("nope")
+            assert info.value.args[0] == (
+                f"unknown {kind} counter 'nope'; known: {sorted(names)}"
+            )
+            metrics.bump(names[0], 2)
+            assert metrics.get(names[0]) == 2
+            assert list(metrics.counters()) == list(names)
+        serve = ServeMetrics().snapshot(
+            queue_depth=0, queue_limit=8, in_flight=0, draining=False
+        )
+        fleet = FleetMetrics().snapshot(workers=[])
+        assert list(serve) == [
+            "format", "uptime_ms", "queue", "in_flight", "draining",
+            "counters", "latency_ms",
+        ]
+        assert list(fleet) == [
+            "format", "uptime_ms", "counters", "latency_ms", "workers",
+        ]
+        # One non-negative-counter check words both validators' problems.
+        serve["counters"]["shed"] = -1
+        fleet["counters"]["rolls"] = True
+        assert validate_metrics(serve) == [
+            "counters.shed must be a non-negative integer, got -1"
+        ]
+        assert validate_fleet_metrics(fleet) == [
+            "counters.rolls must be a non-negative integer, got True"
+        ]
+        serve["counters"] = fleet["counters"] = []
+        assert validate_metrics(serve) == validate_fleet_metrics(fleet) == [
+            "counters must be an object, got []"
+        ]
 
     def test_wire_format_tags(self):
         assert SERVE_FORMAT == "repro-serve-v1"

@@ -11,8 +11,9 @@ pass must reproduce them exactly:
   tiles (with their key order), loop orders, parallel loop, costs and
   working sets (as ``float.hex``), and the candidate stats;
 * ``data/trace_doitgen16_a15.jsonl`` — the traced event stream of a
-  kernel whose placements have a non-empty ``rest`` product, so the
-  replay order of ``candidate.pruned`` events over it is pinned.
+  kernel whose placements have a non-empty ``rest`` product: its
+  ``emu`` and ``search.bound`` order and one ``candidate.pruned`` count
+  per reason and search.
 
 Regenerate deliberately, from a tree whose search you trust::
 
@@ -104,24 +105,32 @@ _EDGE_SEARCHES = {
 }
 
 
-def _fast_results() -> dict:
-    out = {}
+def _fast_searches():
+    """``(key, search)`` for every recorded search; ``search(tracer)``
+    runs it with that tracer (``None`` for the ambient one)."""
     for platform, make_arch in _PLATFORMS.items():
         arch = make_arch()
         for name, (make_func, options) in _EDGE_SEARCHES.items():
-            result = optimize_temporal(make_func(), arch, **options)
-            out[f"{platform}/edge/{name}"] = _record(result)
+            yield f"{platform}/edge/{name}", (
+                lambda tracer, make_func=make_func, options=options, arch=arch:
+                optimize_temporal(make_func(), arch, tracer=tracer, **options)
+            )
         for kernel in BENCHMARKS + CORPUS:
             case = kernel.case(fast=True)
             for index, func in enumerate(case.funcs):
                 key = f"{platform}/{kernel.family}/{kernel.name}/{index}"
-                out[f"{key}:{func.name}"] = _record(optimize_temporal(func, arch))
-    return out
+                yield f"{key}:{func.name}", (
+                    lambda tracer, func=func, arch=arch:
+                    optimize_temporal(func, arch, tracer=tracer)
+                )
+
+
+def _fast_results() -> dict:
+    return {key: _record(search(None)) for key, search in _fast_searches()}
 
 
 def _traced_doitgen_lines():
-    """The event stream as JSON lines, keys in emission order (so the
-    ``tiles`` key order of every ``candidate.pruned`` event is pinned)."""
+    """The event stream as JSON lines, keys in emission order."""
     func = make_benchmark("doitgen", n=16).funcs[0]
     with CollectingTracer() as tracer:
         optimize(func, arm_cortex_a15(), tracer=tracer)
@@ -151,14 +160,46 @@ class TestRecordedSearch:
         if _REGEN:
             TRACE.write_text("".join(line + "\n" for line in lines))
         golden = TRACE.read_text().splitlines()
-        # The placements of doitgen's Sum stage leave one loop in ``rest``.
-        pruned = [
-            json.loads(line)["attrs"]
-            for line in golden
-            if '"candidate.pruned"' in line
-        ]
-        assert pruned and all(len(a["tiles"]) == 4 for a in pruned)
+        # The placements of doitgen's Sum stage leave one loop in ``rest``;
+        # each search reports its rejections once per reason.
+        searches = {}
+        for payload in map(json.loads, golden):
+            if payload["kind"] == "span_begin" and payload["name"].endswith(
+                ".search"
+            ):
+                reasons = searches.setdefault(payload["seq"], [])
+            elif payload["name"] == "candidate.pruned":
+                reasons.append(payload["attrs"]["reason"])
+        assert searches and any(searches.values())
+        for reasons in searches.values():
+            assert len(reasons) == len(set(reasons))
         assert lines == golden
+
+
+class TestOnePathOneAnswer:
+    """A traced search runs the untraced search's accounting path."""
+
+    def test_traced_sweep_matches_untraced_and_counts_per_reason(self):
+        for key, search in _fast_searches():
+            untraced = search(None)
+            with CollectingTracer() as tracer:
+                traced = search(tracer)
+            assert json.dumps(_record(traced)) == json.dumps(
+                _record(untraced)
+            ), key
+            stats = traced.stats
+            pruned = [
+                e["attrs"] for e in tracer.events
+                if e["name"] == "candidate.pruned"
+            ]
+            # One event per reason, in ``stats.pruned`` key order.
+            assert [(a["reason"], a["count"]) for a in pruned] == list(
+                stats.pruned.items()
+            ), key
+            counters = tracer.counters()
+            assert counters["temporal.candidates"] == stats.considered, key
+            for reason, n in stats.pruned.items():
+                assert counters[f"temporal.pruned.{reason}"] == n, key
 
 
 _VARS = ("i", "j", "k", "l")
@@ -254,7 +295,11 @@ class TestDeadlinePerBlock:
             with pytest.raises(DeadlineExceeded):
                 self._search(tracer)
         pruned = [e for e in tracer.events if e["name"] == "candidate.pruned"]
-        assert pruned[-1]["attrs"] == {"phase": "temporal", "reason": "deadline"}
+        assert pruned[-1]["attrs"] == {
+            "phase": "temporal",
+            "reason": "deadline",
+            "count": 1,
+        }
 
 
 class TestBulkCounting:
@@ -271,13 +316,20 @@ class TestBulkCounting:
 
     def test_traced_bulk_counts_reach_tracer_counters(self):
         with CollectingTracer() as tracer:
-            counter = CandidateCounter("temporal", tracer)
-            counter.considered(4)
-            counter.pruned("parallelism", 2)
+            with CandidateCounter("temporal", tracer) as counter:
+                counter.considered(4)
+                counter.pruned("parallelism", 2)
+                counter.pruned("parallelism", 1)
+                # Nothing reaches the tracer before the search ends.
+                assert tracer.counters() == {}
         assert tracer.counters() == {
             "temporal.candidates": 4,
-            "temporal.pruned.parallelism": 2,
+            "temporal.pruned.parallelism": 3,
         }
+        pruned = [e for e in tracer.events if e["name"] == "candidate.pruned"]
+        assert [e["attrs"] for e in pruned] == [
+            {"phase": "temporal", "reason": "parallelism", "count": 3}
+        ]
 
 
 def _conv3x3():
