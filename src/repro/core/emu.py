@@ -5,10 +5,10 @@ simultaneously — prefetched lines included — before some set overflows its
 (effective) associativity?*  The returned row count is the upper bound
 ``maxTi`` that Algorithms 2 and 3 impose on the next tile dimension.
 
-The implementation follows the paper's pseudocode as printed, with one
+**The emulated cache** follows the paper's pseudocode as printed, with one
 repair (the set-index modulo the pseudocode omits; see DESIGN.md):
 
-* the emulated cache is an occupancy counter array of size
+* the emulated cache is an occupancy counter per set, with
   ``Nsets = LiCS / (Liway * DTS)`` — note the *element*-granular set
   count, exactly the paper's initialization — indexed by **cache-line
   index modulo Nsets**.  This set space is ``lc`` times larger than the
@@ -17,21 +17,50 @@ repair (the set-index modulo the pseudocode omits; see DESIGN.md):
   reproduces the paper's reported tile magnitudes (e.g. ``Ti = 32`` for
   2048x2048 matmul), where a physically-exact set model would collapse
   every power-of-two stride to the associativity;
-* effective associativity is ``Liway`` divided by the hardware threads per
-  core (SMT co-residency), or by the core count for a shared L2 (the ARM
-  change described in Sec. 5.1) — both via
+* effective associativity ``ways`` is ``Liway`` divided by the hardware
+  threads per core (SMT co-residency), or by the core count for a shared
+  L2 (the ARM change described in Sec. 5.1) — both via
   :meth:`~repro.arch.ArchSpec.effective_ways`;
 * **L1 variant**: each row is padded by one extra line — the streaming
   prefetcher's next-line fetch (the paper's
   ``Ti-1 = ceil(max(Ti-1 + lc, 2*lc) / lc)``);
 * **L2 variant**: the set count is halved (headroom for the constant-stride
-  prefetcher's fills), and after each placed line the next ``L2pref`` lines
-  are probed while within the maximum prefetch distance ``L2maxpref`` —
-  a full probed set counts as interference, modelling prefetches evicting
-  useful data.
+  prefetcher's fills), and after each placed line the next
+  ``min(L2pref, L2maxpref)`` lines are probed — a full probed set counts
+  as interference, modelling prefetches evicting useful data.
 
-Rows are placed at a constant row stride (the array's leading-dimension
-extent), starting from ``addr``; the first full set stops the emulation.
+**Placement order.**  The pseudocode places rows one after another at a
+constant row stride of ``S`` lines, and each row's ``row_lines`` lines in
+address order.  Number the placements globally: position
+``n = r * row_lines + o`` holds line ``base + r * S + o``.  The walk stops
+at the first position that interferes, in one of two ways:
+
+* *placement*: the line's set already holds ``ways`` lines — its rank
+  among the earlier positions of the same set is at least ``ways``;
+* *probe* (L2 only): some probed set ``(line + p) % Nsets``,
+  ``1 <= p <= min(L2pref, L2maxpref)``, received its ``ways``-th line at
+  a position ``<= n``.
+
+The bound is that position's row, ``max(1, n // row_lines)``, or
+``max_rows`` when no position interferes.  Both conditions depend on the
+placement order alone, so this module evaluates them for whole blocks of
+positions with numpy instead of walking line by line:
+
+* row starts repeat every ``Q = Nsets / gcd(S, Nsets)`` rows, and one such
+  period puts at most ``ceil(row_lines / gcd(S, Nsets))`` lines into any
+  set.  That closed form settles most inputs that never interfere; exact
+  per-set counts (one cumulative sum over the sets) settle the rest;
+* the whole periods before any set can hold ``ways`` lines cannot
+  interfere and are skipped, and by row ``ways * Q`` the first set has
+  received ``ways + 1`` lines, so interference is certain by then;
+* the remaining positions are scanned in blocks of at most
+  :data:`BLOCK_ELEMENTS`.  A stable sort by set ranks each position
+  within its set; the per-set occupancy and the position at which each
+  set filled carry from block to block.
+
+The line-by-line walk of the pseudocode is kept as the test oracle
+(``reference_emu`` in ``tests/helpers.py``), and the two agree on every
+input.
 
 **Memoization.**  The Algorithm 2/3 searches re-invoke ``emu`` with
 identical ``(level, row_width, stride)`` inputs across the tile lattice
@@ -48,11 +77,14 @@ counters on the ambient tracer and via :func:`emu_cache_stats`.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
+
+import numpy as np
 
 from repro.arch import ArchSpec
 from repro.obs.events import EVENT_EMU
@@ -179,6 +211,16 @@ def emu(arch: ArchSpec, params: EmuParams) -> int:
     return max_ti
 
 
+#: Most positions one scan block covers, like ``sim/trace.py``'s
+#: ``BLOCK_ELEMENTS``: large enough to amortise numpy's per-call cost,
+#: small enough to keep memory flat.  Only the per-set arrays (``Nsets``
+#: long, like the pseudocode's occupancy array) are not blocked.
+BLOCK_ELEMENTS = 16_384
+
+#: ``filled`` entry of a set that has not yet received ``ways`` lines.
+_UNFILLED = np.iinfo(np.int64).max
+
+
 def _emu_uncached(arch: ArchSpec, params: EmuParams) -> int:
     """The Algorithm 1 occupancy emulation itself (no cache, no trace)."""
     spec = arch.cache_level(params.level)
@@ -191,47 +233,122 @@ def _emu_uncached(arch: ArchSpec, params: EmuParams) -> int:
         # Headroom for constant-stride prefetch fills: halve the sets.
         nsets = max(1, nsets // 2)
         row_lines = ceil_div(max(params.row_width_elems, lc), lc)
-        probe_degree = arch.l2_prefetches_per_access
-        max_pref_distance = arch.l2_max_prefetch_distance
+        # The stride engine runs up to ``L2pref`` lines ahead of the
+        # demand stream, never farther than the maximum prefetch distance.
+        probes = max(
+            0,
+            min(arch.l2_prefetches_per_access, arch.l2_max_prefetch_distance),
+        )
     else:
         # The L1 streaming prefetcher drags one extra line per row.
         row_lines = ceil_div(max(params.row_width_elems + lc, 2 * lc), lc)
-        probe_degree = 0
-        max_pref_distance = 0
+        probes = 0
 
-    occupancy = [0] * nsets
     row_stride_lines = max(1, ceil_div(params.row_stride_elems, lc))
     base_line = params.addr // lc if lc else params.addr
+    first = _first_interference(
+        nsets, ways, probes, base_line % nsets, row_stride_lines % nsets,
+        row_lines, params.max_rows,
+    )
+    if first is None:
+        return params.max_rows
+    return max(1, first // row_lines)
 
-    max_ti = 0
-    placed_lines = 0
-    while max_ti < params.max_rows:
-        start = base_line + max_ti * row_stride_lines
-        interference = False
-        for offset in range(row_lines):
-            line = start + offset
-            set_index = line % nsets
-            if occupancy[set_index] >= ways:
-                interference = True
-                break
-            occupancy[set_index] += 1
-            placed_lines += 1
-            # Stride-prefetch probes (L2 only): the engine runs up to
-            # ``probe_degree`` lines ahead of the demand stream (never
-            # farther than the maximum prefetch distance); a full target
-            # set means the prefetch would evict useful data.
-            if probe_degree:
-                for p in range(1, min(probe_degree, max_pref_distance) + 1):
-                    probe = (line + p) % nsets
-                    if occupancy[probe] >= ways:
-                        interference = True
-                        break
-                if interference:
-                    break
-        if interference:
-            break
-        max_ti += 1
-    return max(1, max_ti)
+
+def _first_interference(
+    nsets: int,
+    ways: int,
+    probes: int,
+    base: int,
+    stride: int,
+    row_lines: int,
+    max_rows: int,
+) -> Optional[int]:
+    """The first interfering placement position, or ``None`` if none of
+    the ``max_rows * row_lines`` positions interferes.
+
+    ``base`` and ``stride`` are the first line and the row stride in
+    lines, both reduced modulo ``nsets``.
+    """
+    # Row starts visit one residue class mod ``step``, each once per
+    # ``period`` rows, so one period puts at most ``per_period`` lines
+    # into any set; by row ``ways * period`` the first row's start set
+    # takes its ``ways + 1``-th line.
+    step = math.gcd(stride, nsets)
+    period = nsets // step
+    per_period = ceil_div(row_lines, step)
+    rows = min(max_rows, ways * period + 1)
+    if rows == max_rows:
+        most = ceil_div(rows, period) * per_period
+        if most >= ways:
+            most = int(_set_counts(
+                nsets, base, stride, step, period, row_lines, rows).max())
+        if most < ways or (most == ways and not probes):
+            return None
+    # No set can hold ``ways`` lines before period ``ceil(ways/per_period)``.
+    skip = (ceil_div(ways, per_period) - 1) * period
+    occupancy = _set_counts(nsets, base, stride, step, period, row_lines, skip)
+    filled = np.full(nsets, _UNFILLED, dtype=np.int64)
+    end = rows * row_lines
+    for start in range(skip * row_lines, end, BLOCK_ELEMENTS):
+        positions = np.arange(
+            start, min(end, start + BLOCK_ELEMENTS), dtype=np.int64)
+        row, offset = np.divmod(positions, row_lines)
+        sets = (base + row * stride % nsets + offset) % nsets
+        # ``order`` lists the block's positions set by set, each set's in
+        # placement order; ``runs`` is where each set's run begins.
+        order = np.argsort(sets, kind="stable")
+        counts = np.bincount(sets, minlength=nsets)
+        runs = np.cumsum(counts) - counts
+        room = ways - occupancy
+        hit = _UNFILLED
+        over = counts > room
+        if over.any():
+            hit = start + int(order[runs[over] + room[over]].min())
+        fills = (room > 0) & (counts >= room)
+        filled[fills] = start + order[runs[fills] + room[fills] - 1]
+        occupancy += counts
+        if probes:
+            soonest = filled[(sets + 1) % nsets]
+            for p in range(2, probes + 1):
+                np.minimum(soonest, filled[(sets + p) % nsets], out=soonest)
+            late = np.flatnonzero(soonest <= positions)
+            if late.size:
+                hit = min(hit, start + int(late[0]))
+        if hit != _UNFILLED:
+            return hit
+    return None
+
+
+def _set_counts(
+    nsets: int,
+    base: int,
+    stride: int,
+    step: int,
+    period: int,
+    row_lines: int,
+    rows: int,
+) -> np.ndarray:
+    """Lines each set receives from rows ``0 .. rows-1``."""
+    laps, rest = divmod(row_lines, nsets)
+    cycles, partial = divmod(rows, period)
+    starts = np.zeros(nsets, dtype=np.int64)  # rows starting at each set
+    starts[base % step::step] = cycles
+    if partial:
+        starts += np.bincount(
+            (base + np.arange(partial, dtype=np.int64) * stride) % nsets,
+            minlength=nsets,
+        )
+    # Beyond its full laps, a row starting at set ``a`` covers sets
+    # ``a .. a+rest-1`` (mod nsets): set ``s`` counts the starts in the
+    # window ``s-rest+1 .. s``, a running sum of starts entering minus
+    # starts leaving the window.
+    if rest:
+        leaving = np.concatenate((starts[-rest:], starts[:-rest]))
+        window = np.cumsum(starts - leaving) + starts[-rest:].sum()
+    else:
+        window = np.zeros(nsets, dtype=np.int64)
+    return window + laps * rows
 
 
 def _trace_emu(tracer, params: EmuParams, max_ti: int) -> None:

@@ -2,8 +2,9 @@
 
 ``render_summary`` turns the raw event stream into the report a
 performance engineer actually wants after a traced run: where the time
-went (spans), how hard each search worked (candidate counters and the
-pruned-by-reason breakdown, summed over the events' ``count``), what
+went (spans), how hard each search worked (candidate counters, the
+pruned-by-reason breakdown summed over the events' ``count``, and the
+Algorithm 1 caps that bound a tile dimension below its extent), what
 the simulator saw per nest, and how the sweep's cells fared.
 ``python -m repro trace out.jsonl`` is the CLI front end.
 """
@@ -19,8 +20,8 @@ from repro.obs.events import (
     EVENT_CELL_RESUMED,
     EVENT_CELL_RETRY,
     EVENT_CLASSIFY,
+    EVENT_EMU,
     EVENT_RUNG,
-    EVENT_SEARCH_BOUND,
     EVENT_SIM_NEST,
     KIND_COUNTERS,
     KIND_EVENT,
@@ -85,7 +86,8 @@ def summarize(events) -> Dict:
                 reason = str(attrs.get("reason", "?"))
                 per_phase = pruned.setdefault(phase, {})
                 per_phase[reason] = per_phase.get(reason, 0) + count
-        elif name == EVENT_SEARCH_BOUND:
+        elif name == EVENT_EMU and attrs.get("saturated") is False:
+            # A saturated cap (max_ti >= max_rows) bounds nothing.
             bounds.append(attrs)
         elif name == EVENT_SIM_NEST:
             nests.append(attrs)

@@ -1,8 +1,10 @@
-"""Factories for fresh test Funcs (Funcs are mutable; never share)."""
+"""Factories for fresh test Funcs (Funcs are mutable; never share), and
+the reference implementations the fast paths are checked against."""
 
 from __future__ import annotations
 
 from repro.ir import Buffer, Func, RVar, Var, float32, int32
+from repro.util import ceil_div
 
 
 def make_matmul(n: int = 64):
@@ -49,6 +51,59 @@ def make_stencil(n: int = 64):
     )
     out.set_bounds({x: n, y: n})
     return out, a
+
+
+# ---------------------------------------------------------------------------
+# Reference Algorithm 1 (test oracle for repro.core.emu)
+# ---------------------------------------------------------------------------
+
+
+def reference_emu(arch, params) -> int:
+    """Algorithm 1 walked line by line, as the paper prints it: the rows'
+    lines go into an occupancy array one at a time (L2: each followed by
+    its stride-prefetch probes) until a set or a probed set is full.
+    Same geometry as :func:`repro.core.emu.emu`; no memo, no trace."""
+    spec = arch.cache_level(params.level)
+    lc = arch.lc(params.dts)
+    ways = arch.effective_ways(params.level)
+    nsets = spec.size // (spec.ways * params.dts)
+
+    if params.level == 2:
+        nsets = max(1, nsets // 2)
+        row_lines = ceil_div(max(params.row_width_elems, lc), lc)
+        probe_degree = arch.l2_prefetches_per_access
+        max_pref_distance = arch.l2_max_prefetch_distance
+    else:
+        row_lines = ceil_div(max(params.row_width_elems + lc, 2 * lc), lc)
+        probe_degree = 0
+        max_pref_distance = 0
+
+    occupancy = [0] * nsets
+    row_stride_lines = max(1, ceil_div(params.row_stride_elems, lc))
+    base_line = params.addr // lc if lc else params.addr
+
+    max_ti = 0
+    while max_ti < params.max_rows:
+        start = base_line + max_ti * row_stride_lines
+        interference = False
+        for offset in range(row_lines):
+            line = start + offset
+            set_index = line % nsets
+            if occupancy[set_index] >= ways:
+                interference = True
+                break
+            occupancy[set_index] += 1
+            if probe_degree:
+                for p in range(1, min(probe_degree, max_pref_distance) + 1):
+                    if occupancy[(line + p) % nsets] >= ways:
+                        interference = True
+                        break
+                if interference:
+                    break
+        if interference:
+            break
+        max_ti += 1
+    return max(1, max_ti)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,36 @@ class TestTraceCommand:
         assert "candidates considered" in out
         assert "spans:" in out
 
+    def _summary_of(self, tmp_path, capsys, argv):
+        path = tmp_path / "out.jsonl"
+        assert main(argv + ["--trace", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["trace", str(path)]) == 0
+        events, _ = read_trace(str(path))
+        return capsys.readouterr().out, events
+
+    def test_saturated_caps_are_not_counted_as_bounds(
+        self, tmp_path, capsys
+    ):
+        # Every Algorithm 1 cap of the fast convlayer reaches its extent.
+        out, events = self._summary_of(
+            tmp_path, capsys, ["optimize", "convlayer", "--fast"]
+        )
+        emu = [e for e in events if e.get("name") == "emu"]
+        assert emu and all(e["attrs"]["saturated"] for e in emu)
+        assert "emu bounds applied" not in out
+
+    def test_bounds_count_the_unsaturated_caps(self, tmp_path, capsys):
+        out, events = self._summary_of(
+            tmp_path, capsys, ["optimize", "syrk"]
+        )
+        unsaturated = [
+            e for e in events
+            if e.get("name") == "emu" and not e["attrs"]["saturated"]
+        ]
+        assert len(unsaturated) == 11
+        assert "  emu bounds applied: 11 (tile lattice capped below " in out
+
     def test_validate_ok(self, tmp_path, capsys):
         path = self._write_trace(tmp_path)
         capsys.readouterr()

@@ -27,6 +27,15 @@ def _synthetic_events():
                 count=1,
             )
             tracer.event("search.bound", var="k", bound=16)
+            tracer.event(
+                "emu", level=1, row_width_elems=16, row_stride_elems=64,
+                max_rows=64, max_ti=16, saturated=False,
+            )
+            # a cap at or above the extent bounds nothing
+            tracer.event(
+                "emu", level=2, row_width_elems=16, row_stride_elems=64,
+                max_rows=8, max_ti=8, saturated=True,
+            )
         tracer.event(
             "sim.nest", nest="C", l1_hits=90, l2_hits=5, l3_hits=3,
             mem_lines=2, coverage=0.5,
