@@ -29,19 +29,24 @@ maximally tall tiles.
 
 The Eq. 1–11 helpers (``working_set_l1/l2``, ``level1/2_misses``,
 ``total_cost`` and the ``_footprint_*`` terms beneath them) take a
-``tiles`` mapping whose values are either Python ints or int64 arrays of
-one shape: Algorithm 2 prices a whole tile grid in one call, and the
-scalar callers (the TSS/TTS baselines, the tests) get Python numbers
-back as before.  Each grid element is computed with the scalar
-expression's own float64 operations in the same order — left-folded
-products and sums, ``max(1.0, x)`` as ``np.maximum`` — so an array call
-is bit-identical to one scalar call per element.
+``tiles`` mapping whose values are either Python ints or numeric arrays
+of one shape: Algorithm 2 prices a whole candidate array in one call,
+and the scalar callers (the TSS/TTS baselines, the tests) get Python
+numbers back as before.  The candidates of one array call may differ in
+their L1 reuse loop (``reuse``, Eqs. 1 and 4–5); the scalar callers'
+reuse loop is ``intra_order[0]``.  A caller that already has each
+loop's tile trip count ``ceil(B/T)`` passes it as ``trips``.  Each
+element is computed with the scalar expression's own float64 operations
+— left-folded products and sums, ``max(1.0, x)`` as ``np.maximum`` —
+where tile products are exact integers, so their grouping does not
+matter, and an array call is bit-identical to one scalar call per
+element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -102,8 +107,13 @@ def extract_patterns(info: StatementInfo) -> List[RefPattern]:
     return list(seen.values())
 
 
-#: A tile size, or an int64 array of them (one per grid candidate).
+#: A tile size, or an array of them (one per candidate).
 Tile = Union[int, np.ndarray]
+
+#: Which loop is the L1 reuse loop (Eq. 4): per variable, ``True`` or a
+#: bool array marking the candidates whose reuse loop it is.  Variables
+#: that are no candidate's reuse loop are left out.
+Reuse = Mapping[str, Union[bool, np.ndarray]]
 
 
 def _prod(values: Iterable[float]) -> float:
@@ -118,12 +128,29 @@ def _at_least_one(x):
     return np.maximum(1.0, x) if isinstance(x, np.ndarray) else max(1.0, x)
 
 
+def _select(mask, a, b):
+    """``a if mask else b``, elementwise when ``mask`` is an array."""
+    if isinstance(mask, np.ndarray):
+        return np.where(mask, a, b)
+    return a if mask else b
+
+
 def _ceil_div(a: Tile, b: Tile) -> Tile:
     """``ceil(a / b)``, elementwise when either side is a tile array
     (``ceil_div`` checks scalar operands)."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return -(-a // b)
     return ceil_div(a, b)
+
+
+def _trip(
+    v: str,
+    tiles: Dict[str, Tile],
+    bounds: Dict[str, int],
+    trips: Optional[Mapping[str, Tile]],
+) -> Tile:
+    """``ceil(bounds[v] / tiles[v])``, from ``trips`` when given."""
+    return _ceil_div(bounds[v], tiles[v]) if trips is None else trips[v]
 
 
 def _footprint_misses(
@@ -156,20 +183,36 @@ def _footprint_misses(
 
 
 def _footprint_elements(
-    pattern: RefPattern, varying: Set[str], tiles: Dict[str, Tile], lc: int
+    pattern: RefPattern,
+    varying: Set[str],
+    tiles: Dict[str, Tile],
+    lc: int,
+    reuse: Optional[Reuse] = None,
 ) -> float:
     """Cache footprint of one reference, in element-equivalents.
 
-    A strided walk (leading dimension not varying) occupies a full cache
-    line per element — the same charge the paper's Eq. 18 applies to the
-    transposed array (``lc * Tx``)."""
+    ``varying`` loops iterate, except each candidate's reuse loop in
+    ``reuse``.  A strided walk (leading dimension not varying) occupies a
+    full cache line per element — the same charge the paper's Eq. 18
+    applies to the transposed array (``lc * Tx``)."""
     active = [v for v in pattern.vars if v in varying]
     if not active:
         return 1.0
     elements = _prod(tiles[v] for v in active)
-    if pattern.leading_var in varying:
-        return elements
-    return elements * lc
+    leading = pattern.leading_var
+    out = elements if leading in varying else elements * lc
+    for v in active:
+        if not reuse or v not in reuse:
+            continue
+        # The footprint without ``v`` (an exact integer quotient).
+        if len(active) == 1:
+            without = 1.0
+        elif v == leading or leading not in varying:
+            without = elements / tiles[v] * lc
+        else:
+            without = elements / tiles[v]
+        out = _select(reuse[v], without, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +225,16 @@ def working_set_l1(
     tiles: Dict[str, Tile],
     intra_order: Sequence[str],
     lc: int = 1,
+    *,
+    reuse: Optional[Reuse] = None,
 ) -> float:
-    """Element-equivalents live across one iteration of the outermost
-    intra-tile loop (Eq. 1: ``Tj + Tk + Tj*Tk`` for matmul; strided
-    footprints charged a line per element as in Eq. 18)."""
-    inner = set(intra_order[1:])
-    return sum(_footprint_elements(p, inner, tiles, lc) for p in patterns)
+    """Element-equivalents live across one iteration of the reuse loop,
+    by default the outermost intra-tile loop (Eq. 1: ``Tj + Tk + Tj*Tk``
+    for matmul; strided footprints charged a line per element as in
+    Eq. 18)."""
+    loops = set(intra_order)
+    reuse = {intra_order[0]: True} if reuse is None else reuse
+    return sum(_footprint_elements(p, loops, tiles, lc, reuse) for p in patterns)
 
 
 def working_set_l2(
@@ -215,28 +262,40 @@ def level1_misses(
     lc: int,
     *,
     prefetch_aware: bool = True,
+    reuse: Optional[Reuse] = None,
+    trips: Optional[Mapping[str, Tile]] = None,
 ) -> float:
     """Estimated L1 misses for the whole nest (Eq. 5 generalized).
 
-    Reuse loop: the outermost intra-tile loop.  References independent of
-    it are loaded once per tile; the rest re-stream every iteration.
+    Reuse loop: by default the outermost intra-tile loop, else each
+    candidate's loop in ``reuse``.  References independent of it are
+    loaded once per tile; the rest re-stream every iteration.  ``trips``
+    supplies each loop's ``ceil(bounds[v] / tiles[v])`` when the caller
+    has it.
     """
-    reuse_var = intra_order[0]
-    inner = set(intra_order[1:])
+    loops = set(intra_order)
+    reuse = {intra_order[0]: True} if reuse is None else reuse
     per_tile = 0.0
     for p in patterns:
-        per_iter = _footprint_misses(
-            p, inner, tiles, lc, prefetch_aware=prefetch_aware
+        # A reference re-streams once per iteration of a reuse loop it
+        # walks (Eq. 4).  Unless that loop is its leading one, those
+        # ``T_L`` iterations restore the factor ``T_L`` that leaving the
+        # loop out of its footprint removed (integer products are exact),
+        # so the term is its footprint over every loop.  A leading reuse
+        # loop leaves a strided walk, paid once per line of ``T_L``.
+        misses = _footprint_misses(
+            p, loops, tiles, lc, prefetch_aware=prefetch_aware
         )
-        if reuse_var in p.vars:
-            if reuse_var == p.leading_var:
-                mult = _at_least_one(tiles[reuse_var] / lc)
-            else:
-                mult = tiles[reuse_var]
-        else:
-            mult = 1.0
-        per_tile += per_iter * mult
-    inter_iters = _prod(_ceil_div(bounds[v], tiles[v]) for v in intra_order)
+        leading = p.leading_var
+        if leading in reuse and leading in p.vars:
+            strided = _prod(tiles[v] for v in p.vars if v in loops and v != leading)
+            misses = _select(
+                reuse[leading],
+                strided * _at_least_one(tiles[leading] / lc),
+                misses,
+            )
+        per_tile += misses
+    inter_iters = _prod(_trip(v, tiles, bounds, trips) for v in intra_order)
     return per_tile * inter_iters
 
 
@@ -249,6 +308,7 @@ def level2_misses(
     lc: int,
     *,
     prefetch_aware: bool = True,
+    trips: Optional[Mapping[str, Tile]] = None,
 ) -> float:
     """Estimated L2 misses for the whole nest (Eq. 10 generalized).
 
@@ -258,14 +318,14 @@ def level2_misses(
     reuse_var = inter_order[-1]
     all_intra = set(intra_order)
     per_block = 0.0
-    reuse_trips = _ceil_div(bounds[reuse_var], tiles[reuse_var])
+    reuse_trips = _trip(reuse_var, tiles, bounds, trips)
     for p in patterns:
         per_iter = _footprint_misses(
             p, all_intra, tiles, lc, prefetch_aware=prefetch_aware
         )
         mult = reuse_trips if reuse_var in p.vars else 1.0
         per_block += per_iter * mult
-    outer_iters = _prod(_ceil_div(bounds[v], tiles[v]) for v in inter_order[:-1])
+    outer_iters = _prod(_trip(v, tiles, bounds, trips) for v in inter_order[:-1])
     return per_block * outer_iters
 
 
@@ -277,6 +337,9 @@ def total_cost(
     intra_order: Sequence[str],
     inter_order: Sequence[str],
     dts: int,
+    *,
+    reuse: Optional[Reuse] = None,
+    trips: Optional[Mapping[str, Tile]] = None,
 ) -> float:
     """Eq. 11: ``a2 * C_L1 + a3 * C_L2``.
 
@@ -285,8 +348,12 @@ def total_cost(
     those misses thanks to the stride prefetchers.
     """
     lc = arch.lc(dts)
-    c_l1 = level1_misses(patterns, tiles, bounds, intra_order, lc)
-    c_l2 = level2_misses(patterns, tiles, bounds, intra_order, inter_order, lc)
+    c_l1 = level1_misses(
+        patterns, tiles, bounds, intra_order, lc, reuse=reuse, trips=trips
+    )
+    c_l2 = level2_misses(
+        patterns, tiles, bounds, intra_order, inter_order, lc, trips=trips
+    )
     return arch.access_cost(2) * c_l1 + arch.access_cost(3) * c_l2
 
 

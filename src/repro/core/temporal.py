@@ -22,38 +22,40 @@ reuse loops, and the parallel loop outermost.
 
 The search enumerates *placements* ``(L, d2, d3, M)`` — outermost intra,
 second/third innermost intra, innermost inter — rather than raw
-permutations, because the Step-1 cost depends only on those positions.
-The Algorithm-1 caps of every column tile are computed first; then the
-search makes one pass per placement, covering every column tile: the
-``d2 x d3 x rest`` tile grids of all column tiles are concatenated into
-int64 arrays and priced in one call.  The :mod:`repro.core.costs`
-helpers compute every element exactly as a scalar call would, the
-constraint masks are checked in the scalar order, and the passes are
-merged in the candidate-at-a-time visit order (column tile outer,
-placement inner), so the first strictly cheapest candidate in that order
-wins.  Traced and untraced runs share that one path: each column
-tile's ``emu`` events and ``search.bound`` caps are recorded as the caps
-are computed, and the rejections are counted per reason from the masks
-(one ``candidate.pruned`` event per reason, with its count, when the
-search ends).  This keeps the optimizer in paper-reported runtime
-territory (milliseconds for 3-D nests and for the 5-D convolution
-layer), traced or not.
+permutations, because the Step-1 cost depends only on those positions,
+and only through the L1 reuse loop ``L``: the L2 terms (Eqs. 6, 10) and
+the parallelism check (Eq. 13) are the same for every placement.
+
+The Algorithm-1 caps of every column tile are computed first.  Then the
+whole search is one visit-ordered pass, in chunks: the candidates form
+one flat array in the candidate-at-a-time visit order — column tile
+outer, ``(d2, d3)`` placement inner, the C-order ``d2 x d3 x rest`` tile
+grid innermost — and are priced ``CHUNK_CANDIDATES`` at a time, each
+chunk in one :mod:`repro.core.costs` call with its candidates' reuse
+loops.  The helpers compute every element exactly as a scalar call
+would, the constraint masks are checked in the scalar order, and the
+first strictly cheapest candidate in visit order wins.  Each variable's
+tile choices and trip counts are stored once per lattice value and
+gathered per chunk.  Traced and untraced runs share that one path: each
+column tile's ``emu`` events and ``search.bound`` caps are recorded as
+the caps are computed, and the rejections are counted per reason from
+the masks (one ``candidate.pruned`` event per reason, with its count,
+when the search ends).  This keeps the optimizer in paper-reported
+runtime territory (milliseconds for 3-D nests and for the 5-D
+convolution layer), traced or not.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.arch import ArchSpec
 from repro.core.costs import (
     RefPattern,
-    Tile,
-    _ceil_div,
     extract_patterns,
     order_cost,
     total_cost,
@@ -143,10 +145,12 @@ def optimize_temporal(
     ``temporal.order`` span pair.  The returned ``stats`` are identical
     with or without a recording tracer.
 
-    The tile search makes one pass per placement, covering every column
-    tile, and probes the cooperative deadline before each pass and once
-    after the last; one pass is one call of the ``cost`` fault seam
-    (``total_cost``), made only when some candidate of the pass is valid.
+    The tile search makes one visit-ordered pass over every column tile
+    and placement, in chunks of at most ``CHUNK_CANDIDATES`` candidates,
+    and probes the cooperative deadline before each chunk and once after
+    the last; one chunk is one call of the ``cost`` fault seam
+    (``total_cost``), made only when some candidate of the chunk is
+    valid.
     """
     info = info or analyze_func(func)
     patterns = extract_patterns(info)
@@ -270,49 +274,35 @@ def optimize_temporal(
                         source=source if use_emu else "capacity",
                     )
 
-        # Cooperative deadline probes: before each placement pass and
-        # once after the last.
-        passes: List[_PlacementPass] = []
-        for d2, d3 in _placement_pairs(others):
-            counter.checkpoint("temporal tile search")
-            passes.append(
-                _price_placement(
-                    arch,
-                    patterns,
-                    bounds,
-                    c,
-                    c_cands,
-                    d2,
-                    d3,
-                    [
-                        [
-                            tile_lattice(v, cap)
-                            for v, cap in ((d2, max_d2), (d3, max_d3))
-                            if v
-                        ]
-                        for max_d2, max_d3 in caps
-                    ],
-                    [v for v in others if v not in (d2, d3)],
-                    non_column,
-                    l1_capacity,
-                    l2_capacity,
-                    threads,
-                    dts,
-                )
-            )
-        counter.checkpoint("temporal tile search")
-
-        # Merge in the candidate-at-a-time visit order — column tile
-        # outer, placement inner — keeping the first strict minimum.
-        best: Optional[Tuple[float, _PlacementPass, int]] = None
-        for b in range(len(c_cands)):
-            for placement in passes:
-                won = placement.winners.get(b)
-                if won is not None and (best is None or won[0] < best[0]):
-                    best = (won[0], placement, won[1])
-        counter.considered(sum(p.size for p in passes))
-        for reason, n in _pruned_in_visit_order(passes):
-            counter.pruned(reason, n)
+        # One candidate array per search, in the candidate-at-a-time visit
+        # order: column tile outer, placement inner, the tile grid inner.
+        middles = {v: _middle_candidates(bounds[v]) for v in others}
+        candidates = _Candidates.build(
+            c,
+            c_cands,
+            [
+                {
+                    v: (tile_lattice(v, max_d2), tile_lattice(v, max_d3), middles[v])
+                    for v in others
+                }
+                for max_d2, max_d3 in caps
+            ],
+            _placement_pairs(others),
+            bounds,
+        )
+        model = _Model(
+            arch=arch,
+            patterns=patterns,
+            bounds=bounds,
+            c=c,
+            loops=others + [c],
+            non_column=non_column,
+            l1_capacity=l1_capacity,
+            l2_capacity=l2_capacity,
+            threads=threads,
+            dts=dts,
+        )
+        best = _search(candidates, model, counter)
 
     if best is None:
         # No candidate satisfied the fit/parallel constraints; fall back to
@@ -331,8 +321,7 @@ def optimize_temporal(
             ws_l2=0.0,
         )
 
-    cost, placement, i = best
-    tiles = placement.tiles_at(i)
+    tiles, reuse_l = candidates.at(best.index)
 
     with tracer.span("temporal.order", func=func.name):
         inter_order, intra_order, corder = _order_step(
@@ -341,7 +330,7 @@ def optimize_temporal(
             all_vars,
             column,
             c,
-            placement.reuse_l,
+            reuse_l,
             c,
             search=order_step,
         )
@@ -351,186 +340,306 @@ def optimize_temporal(
         inter_order=inter_order,
         intra_order=intra_order,
         parallel_var=parallel_var,
-        cost=cost,
+        cost=best.cost,
         order_cost_value=corder,
         stats=counter.stats,
-        ws_l1=float(placement.ws1[i]),
-        ws_l2=float(placement.ws2[i]),
+        ws_l1=best.ws_l1,
+        ws_l2=best.ws_l2,
     )
 
 
-def _placement_pairs(others: Sequence[str]) -> List[Tuple[Optional[str], Optional[str]]]:
-    """(d2, d3) choices: ordered pairs of distinct non-column... distinct
-    variables for the emu-bounded second and third intra positions."""
+def _placement_pairs(
+    others: Sequence[str],
+) -> List[Tuple[Optional[str], Optional[str]]]:
+    """``(d2, d3)`` choices: ordered pairs of distinct variables for the
+    emu-bounded second- and third-innermost intra positions (``None``
+    where the nest has too few variables besides the column)."""
     if not others:
         return [(None, None)]
     if len(others) == 1:
         return [(others[0], None)]
-    return [
-        (a, b) for a, b in itertools.permutations(others, 2)
-    ]
+    return list(itertools.permutations(others, 2))
 
 
-#: Rejection reasons by grid code, in checking order (0: valid).
+#: Most candidates priced in one array pass; the tile search probes the
+#: deadline before each pass and once after the last.  Like
+#: ``repro.core.emu.BLOCK_ELEMENTS``, it bounds the pass's temporaries.
+CHUNK_CANDIDATES = 16_384
+
+#: Rejection reasons by code, in checking order (0: valid).
 _REASONS = (None, REASON_PARALLELISM, REASON_VECTOR_TILE, REASON_CAPACITY)
 
 
-@dataclass
-class _PlacementPass:
-    """One ``(d2, d3)`` placement priced for every column tile at once.
+def _expand(
+    base: np.ndarray, n: np.ndarray, inner: np.ndarray, size: np.ndarray
+) -> np.ndarray:
+    """Indices into the stored tiles, one row per variable, of whole
+    blocks: in block ``k``, variable ``j`` steps through the ``n[j, k]``
+    tiles stored from ``base[j, k]``, keeping each for ``inner[j, k]``
+    consecutive candidates, over the block's ``size[k]`` candidates."""
+    base, n, inner = base.ravel(), n.ravel(), inner.ravel()
+    outer = np.tile(size, len(n) // len(size)) // (n * inner)
+    # One sweep of a variable through its tiles is a copy.
+    copies = np.repeat(np.arange(len(n)), outer)
+    lengths = n[copies]
+    starts = np.cumsum(lengths) - lengths
+    sweep = np.arange(starts[-1] + lengths[-1]) + np.repeat(
+        base[copies] - starts, lengths
+    )
+    index = np.repeat(sweep, np.repeat(inner[copies], lengths))
+    return index.reshape(-1, int(size.sum()))
 
-    The flat candidate arrays hold one block per column tile, in
-    ``c_cands`` order; block ``b`` spans ``offsets[b]:offsets[b + 1]``
-    and lists the product of the grid variables' candidates (``d2``,
-    ``d3``, then the rest) for that column tile in C order, the
-    candidate-at-a-time visit order.
+
+@dataclass
+class _Candidates:
+    """A search's tile candidates, in the candidate-at-a-time visit
+    order: column tile outer, placement inner, tile grid innermost.
+
+    Block ``k`` — column tile ``k // P`` under placement ``k % P``, of
+    ``P = len(grids)`` — spans ``offsets[k]:offsets[k + 1]``: the C-order
+    product of the column tile and of the tile choices of its grid
+    variables, ``grids[k % P]``.  Every tile lattice is stored once, in
+    ``tiles``, with its trip counts ``ceil(B/T)``.  Nothing is stored per
+    candidate: in block ``k``, variable ``variables[j]`` steps through
+    the ``n[j, k]`` tiles stored from ``base[j, k]``, keeping each for
+    ``inner[j, k]`` consecutive candidates.
     """
 
-    reuse_l: str
+    grids: List[List[str]]
     offsets: np.ndarray
-    tiles: Dict[str, np.ndarray]
-    #: Per candidate: 0 valid, else an index into ``_REASONS``.
-    codes: np.ndarray
-    ws1: np.ndarray
-    ws2: np.ndarray
-    #: Block -> (cost, flat index) of its first cheapest valid candidate.
-    winners: Dict[int, Tuple[float, int]]
+    variables: List[str]
+    tiles: np.ndarray
+    trips: np.ndarray
+    base: np.ndarray
+    n: np.ndarray
+    inner: np.ndarray
+    #: The L1 reuse loops, and each block's, as an index into them.
+    loops: List[str]
+    reuse: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        c: str,
+        c_cands: Sequence[int],
+        lattices: Sequence[Dict[str, Tuple[List[int], ...]]],
+        placements: Sequence[Tuple[Optional[str], Optional[str]]],
+        bounds: Dict[str, int],
+    ) -> "_Candidates":
+        """The candidates of every column tile ``c_cands[b]`` and
+        placement ``(d2, d3)``.
+
+        ``lattices[b][v]`` holds the tile choices of every variable ``v``
+        besides ``c`` under column tile ``b``'s caps: as ``d2``, as
+        ``d3``, and elsewhere in the grid.
+        """
+        others = list(lattices[0])
+        tiles: List[int] = []
+        trips: List[int] = []
+        stored: Dict[Tuple[str, Tuple[int, ...]], int] = {}
+
+        def store(v: str, choices: Sequence[int]) -> Tuple[int, int]:
+            key = (v, tuple(choices))
+            if key not in stored:
+                stored[key] = len(tiles)
+                tiles.extend(choices)
+                trips.extend(ceil_div(bounds[v], t) for t in choices)
+            return stored[key], len(choices)
+
+        shape = (len(placements), len(others))
+        grids = [
+            [v for v in (d2, d3) if v] + [v for v in others if v not in (d2, d3)]
+            for d2, d3 in placements
+        ]
+        # Per placement and variable: which of its lattices the grid uses
+        # (0: d2, 1: d3, 2: middle) and its grid position.
+        kind = np.array(
+            [
+                [0 if v == d2 else 1 if v == d3 else 2 for v in others]
+                for d2, d3 in placements
+            ],
+            dtype=np.int64,
+        ).reshape(shape)
+        position = np.array(
+            [[grid.index(v) for v in others] for grid in grids], dtype=np.int64
+        ).reshape(shape)
+        # (base, n) per column tile, lattice kind and variable.
+        stores = np.array(
+            [
+                [[store(v, lattice[v][k]) for v in others] for k in range(3)]
+                for lattice in lattices
+            ],
+            dtype=np.int64,
+        ).reshape(len(c_cands), 3, len(others), 2)
+        base, n = np.moveaxis(stores[:, kind, np.arange(len(others))], -1, 0)
+        # A variable's run is the product of the grid positions inside it.
+        inside = position[:, None, :] > position[:, :, None]
+        inner = np.where(inside, n[:, :, None, :], 1).prod(axis=-1)
+        size = n.prod(axis=-1).ravel()
+        first, _ = store(c, c_cands)
+        column = np.repeat(np.arange(first, first + len(c_cands)), len(grids))
+        # The structural tiled nest of the paper's derivation puts d3
+        # outermost intra: the L1 reuse loop (Listing 1).
+        reuse = [d3 or d2 or c for d2, d3 in placements]
+        loops = list(dict.fromkeys(reuse))
+        return cls(
+            grids=grids,
+            offsets=np.cumsum(np.append(0, size)),
+            variables=[c] + others,
+            tiles=np.array(tiles, dtype=float),
+            trips=np.array(trips, dtype=float),
+            base=np.vstack([column, base.reshape(size.size, -1).T]),
+            n=np.vstack([np.ones_like(size), n.reshape(size.size, -1).T]),
+            inner=np.vstack([size, inner.reshape(size.size, -1).T]),
+            loops=loops,
+            reuse=np.tile([loops.index(r) for r in reuse], len(c_cands)),
+        )
 
     @property
     def size(self) -> int:
         return int(self.offsets[-1])
 
-    def tiles_at(self, i: int) -> Dict[str, int]:
-        return {v: int(tiles[i]) for v, tiles in self.tiles.items()}
+    def _index(self, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Candidates ``lo:hi``, rebuilt from the whole blocks they
+        overlap: each variable's indices into ``tiles`` (one row per
+        variable) and each candidate's reuse loop (into ``loops``)."""
+        k0 = int(np.searchsorted(self.offsets, lo, side="right")) - 1
+        k1 = int(np.searchsorted(self.offsets, hi, side="left"))
+        size = np.diff(self.offsets[k0 : k1 + 1])
+        keep = slice(lo - self.offsets[k0], hi - self.offsets[k0])
+        index = _expand(
+            self.base[:, k0:k1], self.n[:, k0:k1], self.inner[:, k0:k1], size
+        )
+        return index[:, keep], np.repeat(self.reuse[k0:k1], size)[keep]
+
+    def chunk(self, lo: int, hi: int):
+        """Candidates ``lo:hi``: tiles and tile trip counts per variable
+        (float64, gathered) and their reuse loops as bool masks."""
+        index, reuse = self._index(lo, hi)
+        return (
+            {v: self.tiles[row] for v, row in zip(self.variables, index)},
+            {v: self.trips[row] for v, row in zip(self.variables, index)},
+            {loop: reuse == k for k, loop in enumerate(self.loops)},
+        )
+
+    def at(self, i: int) -> Tuple[Dict[str, int], str]:
+        """Candidate ``i``'s tiles, in its block's variable order (the
+        column first), and its reuse loop."""
+        index, (reuse,) = self._index(i, i + 1)
+        tiles = dict(zip(self.variables, self.tiles[index[:, 0]]))
+        k = int(np.searchsorted(self.offsets, i, side="right")) - 1
+        order = self.variables[:1] + self.grids[k % len(self.grids)]
+        return {v: int(tiles[v]) for v in order}, self.loops[reuse]
 
 
-def _flat_grid(
-    grids: List[List[List[int]]],
-) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Concatenate the C-order products of several tile grids.
+@dataclass(frozen=True)
+class _Model:
+    """What Step 1 checks and prices a candidate against."""
 
-    ``grids[b][j]`` lists variable ``j``'s candidates in block ``b``.
-    Returns the block offsets (``len(grids) + 1`` of them) and one int64
-    array per variable over the concatenation.
+    arch: ArchSpec
+    patterns: Sequence[RefPattern]
+    bounds: Dict[str, int]
+    c: str
+    #: Every loop, the column last: the structural nest's tile loops
+    #: (intra) and, with the column as L2 reuse loop, its inter loops.
+    loops: List[str]
+    non_column: Sequence[str]
+    l1_capacity: int
+    l2_capacity: int
+    threads: int
+    dts: int
+
+    def price(self, tiles, trips, reuse):
+        """Check and price one chunk of candidates.
+
+        Returns per candidate the code (0 valid, else an index into
+        ``_REASONS``; checked in the order parallelism (Eq. 13), vector
+        tile, capacity (Eqs. 1/6)), the working sets, and the Eq. 11 cost
+        — ``None`` when no candidate is valid.
+        """
+        # The cost is evaluated against the *structural* tiled nest of the
+        # paper's derivation, independent of degenerate tile values (a tile
+        # of one simply has a trivial intra loop there): L1 reuse anchored
+        # at the placement's reuse loop, L2 reuse at the column variable's
+        # (innermost) inter-tile loop, exactly as in Listing 1.  Only the
+        # L1 terms (Eqs. 1, 4-5) depend on the placement.
+        size = len(tiles[self.c])
+        # The parallel loop: a non-column inter-tile loop subject to Eq. 13
+        # (more than one tile iteration, and at least one per hardware
+        # thread).
+        parallel = np.zeros(size, dtype=bool)
+        for v in self.non_column:
+            parallel |= trips[v] >= max(2, self.threads)
+        # A schedule also needs at least one non-trivial intra loop besides
+        # the vector loop to anchor L1 reuse, unless the nest is two-deep.
+        vector = tiles[self.c] >= 2
+        lc = self.arch.lc(self.dts)
+        ws1 = working_set_l1(self.patterns, tiles, self.loops, lc, reuse=reuse)
+        ws2 = working_set_l2(self.patterns, tiles, self.loops, lc)
+        fits = (ws1 <= self.l1_capacity) & (ws2 <= self.l2_capacity)
+        codes = np.where(~parallel, 1, np.where(~vector, 2, np.where(fits, 0, 3)))
+        cost = None
+        if not codes.all():
+            # ``total_cost`` is the fault seam: a poisoned scalar broadcasts.
+            cost = np.broadcast_to(
+                total_cost(
+                    self.arch,
+                    self.patterns,
+                    tiles,
+                    self.bounds,
+                    self.loops,
+                    self.loops,
+                    self.dts,
+                    reuse=reuse,
+                    trips=trips,
+                ),
+                size,
+            )
+        return codes, np.broadcast_to(ws1, size), np.broadcast_to(ws2, size), cost
+
+
+class _Best(NamedTuple):
+    """The winning candidate: its visit index, cost and working sets."""
+
+    index: int
+    cost: float
+    ws_l1: float
+    ws_l2: float
+
+
+def _search(
+    candidates: _Candidates, model: _Model, counter: CandidateCounter
+) -> Optional[_Best]:
+    """Price the candidates in chunks of at most ``CHUNK_CANDIDATES``,
+    probing the deadline before each chunk and once after the last.
+
+    Returns the first strictly cheapest valid candidate in visit order
+    (``argmin`` per chunk: the first NaN if there is one, else the first
+    minimum), and counts each rejection reason in the order the visit
+    first met it — the key order of ``CandidateStats.pruned``.
     """
-    shapes = [tuple(len(cands) for cands in grid) for grid in grids]
-    offsets = np.cumsum([0] + [math.prod(shape) for shape in shapes])
-    columns = np.empty((len(shapes[0]), offsets[-1]), dtype=np.int64)
-    for grid, shape, lo, hi in zip(
-        grids, shapes, offsets.tolist(), offsets[1:].tolist()
-    ):
-        for j, cands in enumerate(grid):
-            axis = [1] * len(shape)
-            axis[j] = -1
-            columns[j, lo:hi].reshape(shape)[...] = np.reshape(cands, axis)
-    return offsets, list(columns)
-
-
-def _price_placement(
-    arch: ArchSpec,
-    patterns: Sequence[RefPattern],
-    bounds: Dict[str, int],
-    c: str,
-    c_cands: Sequence[int],
-    d2: Optional[str],
-    d3: Optional[str],
-    capped: List[List[List[int]]],
-    rest: Sequence[str],
-    non_column: Sequence[str],
-    l1_capacity: int,
-    l2_capacity: int,
-    threads: int,
-    dts: int,
-) -> _PlacementPass:
-    """Check constraints and price one placement's tile grids, one per
-    column tile, in a single array pass.
-
-    ``capped[b]`` holds the emu-capped ``d2``/``d3`` candidates of column
-    tile ``c_cands[b]``; the ``rest`` variables take their coarse
-    choices.  Each candidate is checked in the order parallelism
-    (Eq. 13), vector tile, capacity (Eqs. 1/6) and priced with Eq. 11.
-    """
-    # The cost is evaluated against the *structural* tiled nest of the
-    # paper's derivation, independent of degenerate tile values (a tile of
-    # one simply has a trivial intra loop there): intra-tile order
-    # ``L=d3 > middles > d2 > c`` and inter-tile order ``... > cc`` — L1
-    # reuse anchored at the outermost intra loop, L2 reuse at the column
-    # variable's (innermost) inter-tile loop, exactly as in Listing 1.
-    chain = [v for v in (d3, d2) if v]
-    grid = [v for v in (d2, d3) if v] + list(rest)
-    intra_order = chain[:1] + list(rest) + chain[1:] + [c]
-    inter_order = [v for v in intra_order if v != c] + [c]
-
-    middles = [_middle_candidates(bounds[v]) for v in rest]
-    offsets, columns = _flat_grid([lists + middles for lists in capped])
-    size = int(offsets[-1])
-    tiles: Dict[str, Tile] = {
-        c: np.repeat(np.array(c_cands, dtype=np.int64), np.diff(offsets)),
-        **dict(zip(grid, columns)),
-    }
-
-    # The parallel loop: a non-column inter-tile loop subject to Eq. 13
-    # (more than one tile iteration, and at least one per hardware thread).
-    parallel = np.zeros(size, dtype=bool)
-    for v in non_column:
-        parallel |= _ceil_div(bounds[v], tiles[v]) >= max(2, threads)
-    # A schedule also needs at least one non-trivial intra loop besides the
-    # vector loop to anchor L1 reuse, unless the nest is two-deep.
-    vector = tiles[c] >= 2
-    lc = arch.lc(dts)
-    ws1 = working_set_l1(patterns, tiles, intra_order, lc)
-    ws2 = working_set_l2(patterns, tiles, intra_order, lc)
-    fits = (ws1 <= l1_capacity) & (ws2 <= l2_capacity)
-    codes = np.where(~parallel, 1, np.where(~vector, 2, np.where(fits, 0, 3)))
-
-    winners: Dict[int, Tuple[float, int]] = {}
-    valid = np.flatnonzero(codes == 0)
-    if valid.size:
-        # ``total_cost`` is the fault seam: a poisoned scalar broadcasts.
-        cost = np.broadcast_to(
-            total_cost(arch, patterns, tiles, bounds, intra_order, inter_order, dts),
-            size,
-        )[valid]
-        # Each block's winner is what ``argmin`` over it would pick: the
-        # first NaN if there is one, else the first minimum.
-        block = np.searchsorted(offsets, valid, side="right") - 1
-        order = np.lexsort((cost, ~np.isnan(cost), block))
-        first = order[np.flatnonzero(np.diff(block[order], prepend=-1))]
-        winners = {
-            int(block[k]): (float(cost[k]), int(valid[k])) for k in first.tolist()
-        }
-    return _PlacementPass(
-        reuse_l=chain[0] if chain else c,
-        offsets=offsets,
-        tiles=tiles,
-        codes=codes,
-        ws1=np.broadcast_to(ws1, size),
-        ws2=np.broadcast_to(ws2, size),
-        winners=winners,
-    )
-
-
-def _pruned_in_visit_order(
-    passes: Sequence[_PlacementPass],
-) -> List[Tuple[str, int]]:
-    """Each rejection reason's total, ordered by where the
-    candidate-at-a-time search (column tile outer, placement inner) first
-    met it — the key order of ``CandidateStats.pruned``."""
-    first: Dict[int, Tuple[int, int, int]] = {}
-    totals: Dict[int, int] = {}
-    for p, placement in enumerate(passes):
-        codes = placement.codes
-        counts = np.bincount(codes, minlength=len(_REASONS)).tolist()
+    best: Optional[_Best] = None
+    totals = np.zeros(len(_REASONS), dtype=np.int64)
+    first: Dict[int, int] = {}
+    for lo in range(0, candidates.size, CHUNK_CANDIDATES):
+        counter.checkpoint("temporal tile search")
+        hi = min(lo + CHUNK_CANDIDATES, candidates.size)
+        codes, ws1, ws2, cost = model.price(*candidates.chunk(lo, hi))
+        counts = np.bincount(codes, minlength=len(_REASONS))
+        totals += counts
         for code in range(1, len(_REASONS)):
-            if not counts[code]:
-                continue
-            i = int(np.argmax(codes == code))
-            b = int(np.searchsorted(placement.offsets, i, side="right")) - 1
-            seen = (b, p, i - int(placement.offsets[b]))
-            if code not in first or seen < first[code]:
-                first[code] = seen
-            totals[code] = totals.get(code, 0) + counts[code]
-    return [(_REASONS[code], totals[code]) for code in sorted(first, key=first.get)]
+            if counts[code] and code not in first:
+                first[code] = lo + int(np.argmax(codes == code))
+        if cost is not None:
+            valid = np.flatnonzero(codes == 0)
+            k = int(valid[np.argmin(cost[valid])])
+            if best is None or cost[k] < best.cost:
+                best = _Best(lo + k, float(cost[k]), float(ws1[k]), float(ws2[k]))
+    counter.checkpoint("temporal tile search")
+    counter.considered(candidates.size)
+    for code in sorted(first, key=first.get):
+        counter.pruned(_REASONS[code], int(totals[code]))
+    return best
 
 
 def _order_step(

@@ -11,7 +11,7 @@ site       what is wrapped                                      default exc
 classify   :func:`repro.core.classify.classify`                 ClassificationError
 emu        :func:`repro.core.emu.emu` (tile-bound emulation)    ReproError
 cost       :func:`repro.core.costs.total_cost` (one call per    ReproError
-           Algorithm-2 placement pass) /
+           priced chunk of Algorithm 2's search pass) /
            :func:`repro.core.costs.spatial_partial_cost`
 simulate   :func:`repro.sim.executor.run_nests`                 SimulationError
 schedule   :func:`repro.core.standard.build_schedule`           ScheduleError

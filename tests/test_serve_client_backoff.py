@@ -60,25 +60,45 @@ class TestBackoffSchedule:
             ServeClient(port=1, backoff_base_s=-1.0)
 
 
-def _fake_server(responses):
+def _fake_server(responses, *, hold_first=False):
     """A one-thread server answering each connection with the next canned
-    response; returns (port, thread, served_list)."""
+    response; returns (port, thread, served_list).
+
+    With ``hold_first`` the first connection is answered only after a
+    second one has been accepted (or after 5 s without one): a primary
+    that stays slow until its hedge has launched."""
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
     listener.listen(4)
     port = listener.getsockname()[1]
     served = []
 
+    def answer(conn, raw):
+        try:
+            chunk = conn.recv(65536)  # one small request: one read
+            served.append(chunk)
+            conn.sendall(raw)
+        finally:
+            conn.close()
+
     def run():
+        held = []
         for raw in responses:
-            conn, _ = listener.accept()
-            conn.settimeout(5.0)
             try:
-                chunk = conn.recv(65536)  # one small request: one read
-                served.append(chunk)
-                conn.sendall(raw)
-            finally:
-                conn.close()
+                conn, _ = listener.accept()
+            except socket.timeout:
+                break
+            conn.settimeout(5.0)
+            if hold_first and not served and not held:
+                held.append((conn, raw))
+                listener.settimeout(5.0)
+                continue
+            for waiting in held:
+                answer(*waiting)
+            held = []
+            answer(conn, raw)
+        for waiting in held:
+            answer(*waiting)
         listener.close()
 
     thread = threading.Thread(target=run, daemon=True)
@@ -226,7 +246,7 @@ class TestHedging:
         assert len(served) == 1  # no backup was launched
 
     def test_slow_primary_launches_exactly_one_backup(self):
-        port, thread, served = _fake_server([self.OK, self.OK])
+        port, thread, served = _fake_server([self.OK, self.OK], hold_first=True)
         client = ServeClient(port=port, retries=0)
         result = client.optimize(
             "matmul", "i7-5930k", fast=True, hedge_after_s=0.0
@@ -238,7 +258,9 @@ class TestHedging:
     def test_backup_absorbs_a_failing_leg(self):
         # One of the two legs gets a 500; whichever it is, the other's
         # answer wins and the caller never sees the failure.
-        port, thread, served = _fake_server([self.ERR, self.OK])
+        port, thread, served = _fake_server(
+            [self.ERR, self.OK], hold_first=True
+        )
         client = ServeClient(port=port, retries=0)
         result = client.optimize(
             "matmul", "i7-5930k", fast=True, hedge_after_s=0.0

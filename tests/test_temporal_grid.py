@@ -10,6 +10,10 @@ pass must reproduce them exactly:
   plus a few edge searches the corpus does not reach:
   tiles (with their key order), loop orders, parallel loop, costs and
   working sets (as ``float.hex``), and the candidate stats;
+* ``data/temporal_paper.json`` — the same record for every paper-size
+  ``BENCHMARKS`` stage on the same two platforms: the largest searches
+  (paper-size convlayer prices 322,848 candidates over 30 placements,
+  many chunks) and the largest trip-count products;
 * ``data/trace_doitgen16_a15.jsonl`` — the traced event stream of a
   kernel whose placements have a non-empty ``rest`` product: its
   ``emu`` and ``search.bound`` order and one ``candidate.pruned`` count
@@ -42,7 +46,7 @@ from repro.core.costs import (
     working_set_l2,
 )
 from repro.core import temporal
-from repro.core.temporal import _price_placement, optimize_temporal
+from repro.core.temporal import optimize_temporal
 from repro.frontend.corpus import CORPUS
 from repro.ir import Buffer, Func, RVar, Var, float32
 from repro.obs import NULL_TRACER, CandidateCounter, CollectingTracer
@@ -53,6 +57,7 @@ from tests.helpers import make_matmul
 
 DATA = pathlib.Path(__file__).parent / "data"
 FIXTURE = DATA / "temporal_fast.json"
+PAPER_FIXTURE = DATA / "temporal_paper.json"
 TRACE = DATA / "trace_doitgen16_a15.jsonl"
 
 _REGEN = bool(os.environ.get("REPRO_REGEN_GOLDEN"))
@@ -129,6 +134,29 @@ def _fast_results() -> dict:
     return {key: _record(search(None)) for key, search in _fast_searches()}
 
 
+def _paper_results() -> dict:
+    """Every paper-size ``BENCHMARKS`` stage's record on both platforms."""
+    out = {}
+    for platform, make_arch in _PLATFORMS.items():
+        arch = make_arch()
+        for kernel in BENCHMARKS:
+            for index, func in enumerate(kernel.case().funcs):
+                key = f"{platform}/{kernel.family}/{kernel.name}/{index}"
+                out[f"{key}:{func.name}"] = _record(optimize_temporal(func, arch))
+    return out
+
+
+def _check_records(got: dict, path: pathlib.Path) -> None:
+    if _REGEN:
+        path.write_text(json.dumps(got, indent=1) + "\n")
+    expected = json.loads(path.read_text())
+    assert got.keys() == expected.keys()
+    for key in expected:
+        # Serialized, so the key order of ``tiles`` and of the ``stats``
+        # pruned breakdown is compared too.
+        assert json.dumps(got[key]) == json.dumps(expected[key]), key
+
+
 def _traced_doitgen_lines():
     """The event stream as JSON lines, keys in emission order."""
     func = make_benchmark("doitgen", n=16).funcs[0]
@@ -145,15 +173,10 @@ def _traced_doitgen_lines():
 
 class TestRecordedSearch:
     def test_fast_stages_match_fixture(self):
-        got = _fast_results()
-        if _REGEN:
-            FIXTURE.write_text(json.dumps(got, indent=1) + "\n")
-        expected = json.loads(FIXTURE.read_text())
-        assert got.keys() == expected.keys()
-        for key in expected:
-            # Serialized, so the key order of ``tiles`` and of the
-            # ``stats`` pruned breakdown is compared too.
-            assert json.dumps(got[key]) == json.dumps(expected[key]), key
+        _check_records(_fast_results(), FIXTURE)
+
+    def test_paper_stages_match_fixture(self):
+        _check_records(_paper_results(), PAPER_FIXTURE)
 
     def test_nonempty_rest_trace_matches_golden(self):
         lines = _traced_doitgen_lines()
@@ -274,9 +297,56 @@ class TestArrayPricing:
                 assert type(scalar) in (int, float), name
                 assert float(grid[index]).hex() == float(scalar).hex(), name
 
+    @given(
+        case=_pricing_cases(),
+        heads=st.data(),
+        lc=st.sampled_from([1, 4, 16]),
+        arch=st.sampled_from([intel_i7_5930k(), arm_cortex_a15()]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_per_candidate_reuse_loops_match_scalar_calls(
+        self, case, heads, lc, arch
+    ):
+        # Each candidate has its own L1 reuse loop; its scalar call puts
+        # that loop outermost.  As in Algorithm 2, the array call gets
+        # float64 tiles and their trip counts.
+        patterns, intra, inter, bounds, tiles, size = case
+        head = heads.draw(
+            st.lists(st.sampled_from(intra), min_size=size, max_size=size)
+        )
+        reuse = {v: np.array([h == v for h in head]) for v in set(head)}
+        floats = {v: np.broadcast_to(t, size).astype(float) for v, t in tiles.items()}
+        trips = {v: np.ceil(bounds[v] / t) for v, t in floats.items()}
+        grid = {
+            "ws_l1": working_set_l1(patterns, floats, intra, lc, reuse=reuse),
+            "l1": level1_misses(
+                patterns, floats, bounds, intra, lc, reuse=reuse, trips=trips
+            ),
+            "cost": total_cost(
+                arch, patterns, floats, bounds, intra, inter, 4,
+                reuse=reuse, trips=trips,
+            ),
+        }
+        for index in range(size):
+            t = _element(tiles, index)
+            order = [head[index]] + [v for v in intra if v != head[index]]
+            scalar = {
+                "ws_l1": working_set_l1(patterns, t, order, lc),
+                "l1": level1_misses(patterns, t, bounds, order, lc),
+                "cost": total_cost(arch, patterns, t, bounds, order, inter, 4),
+            }
+            for name, value in scalar.items():
+                got = np.broadcast_to(grid[name], size)[index]
+                assert float(got).hex() == float(value).hex(), name
+
 
 class TestDeadlinePerBlock:
-    """The search probes the deadline once per placement block."""
+    """The search probes the deadline once per chunk of candidates."""
+
+    @pytest.fixture(autouse=True)
+    def _small_chunks(self, monkeypatch):
+        # matmul64's 588 candidates span three chunks.
+        monkeypatch.setattr(temporal, "CHUNK_CANDIDATES", 200)
 
     def _search(self, tracer=None):
         func, _, _ = make_matmul(64)
@@ -285,8 +355,8 @@ class TestDeadlinePerBlock:
                 optimize_temporal(func, intel_i7_5930k(), tracer=tracer)
 
     def test_exhausted_deadline_raises_at_next_block(self):
-        # The second priced block expires the budget; the probe before
-        # the next block raises, well before the order step.
+        # The second priced chunk expires the budget; the probe before
+        # the next chunk raises, well before the order step.
         with pytest.raises(DeadlineExceeded, match="temporal tile search"):
             self._search()
 
@@ -333,53 +403,92 @@ class TestBulkCounting:
 
 
 def _conv3x3():
-    # Six loops, five of them besides the column: 20 placements.
+    # Six loops, five of them besides the column: 20 placements; at the
+    # corpus measurement size, 34,830 candidates.
     (kernel,) = [k for k in CORPUS if k.name == "conv3x3"]
-    return kernel.case(fast=True).funcs[0]
+    return kernel.case().funcs[0]
 
 
-class TestOnePassPerPlacement:
-    """Every column tile of a placement is priced in the same pass."""
+def _recording_price(log):
+    """``_Model.price``, appending each chunk's ``(codes, ws1, ws2,
+    cost)`` to ``log``."""
+    price = temporal._Model.price
 
-    def _count(self, func):
-        calls, passes = [], []
+    def recorded(model, tiles, trips, reuse):
+        log.append(price(model, tiles, trips, reuse))
+        return log[-1]
 
-        def cost(*args):
-            calls.append(args)
-            return total_cost(*args)
+    return mock.patch.object(temporal._Model, "price", recorded)
 
-        def price(*args):
-            passes.append(_price_placement(*args))
-            return passes[-1]
 
-        with mock.patch.object(temporal, "total_cost", cost), mock.patch.object(
-            temporal, "_price_placement", price
-        ):
-            optimize_temporal(func, intel_i7_5930k())
-        return len(calls), passes
+class TestOneCostCallPerChunk:
+    """Every column tile and placement is priced in one visit-ordered
+    pass, one cost call per chunk."""
 
     @pytest.mark.parametrize(
-        "make_func, placements, blocks",
-        [(lambda: make_matmul(64)[0], 2, 12), (_conv3x3, 20, 60)],
+        "make_func, candidates, chunks",
+        [(lambda: make_matmul(64)[0], 588, 1), (_conv3x3, 34830, 3)],
         ids=["matmul64", "conv3x3"],
     )
-    def test_one_cost_call_per_placement_with_a_valid_candidate(
-        self, make_func, placements, blocks
+    def test_one_cost_call_per_chunk_with_a_valid_candidate(
+        self, make_func, candidates, chunks
     ):
-        # ``blocks`` (column tile, placement) pairs: a search that priced
-        # one block per call made 12 calls for matmul64 and 60 for
-        # conv3x3, one per block.
-        calls, passes = self._count(make_func())
-        assert len(passes) == placements
-        assert sum(len(p.offsets) - 1 for p in passes) == blocks
-        assert calls == sum(1 for p in passes if p.winners)
-        assert calls == placements
+        # Pricing one placement per call made 2 calls for matmul64 and
+        # 20 for conv3x3.
+        calls, priced = [], []
+
+        def cost(*args, **kwargs):
+            calls.append(args)
+            return total_cost(*args, **kwargs)
+
+        with mock.patch.object(temporal, "total_cost", cost), _recording_price(
+            priced
+        ):
+            optimize_temporal(make_func(), intel_i7_5930k())
+        assert len(priced) == chunks
+        assert sum(len(codes) for codes, *_ in priced) == candidates
+        assert len(calls) == sum(1 for *_, cost in priced if cost is not None)
+        assert len(calls) == chunks
+
+
+class TestDeadlineProbes:
+    def test_at_most_one_chunk_is_priced_between_probes(self):
+        # Deadline probes (None) and priced chunks (their sizes), in order.
+        events = []
+        probe, price = CandidateCounter.checkpoint, temporal._Model.price
+
+        def checkpoint(counter, stage):
+            events.append(None)
+            probe(counter, stage)
+
+        def priced(model, tiles, trips, reuse):
+            events.append(len(tiles[model.c]))
+            return price(model, tiles, trips, reuse)
+
+        with mock.patch.object(
+            CandidateCounter, "checkpoint", checkpoint
+        ), mock.patch.object(temporal._Model, "price", priced):
+            result = optimize_temporal(_conv3x3(), intel_i7_5930k())
+        assert events[0] is None and events[-1] is None
+        between, run = [], 0
+        for event in events[1:]:
+            if event is None:
+                between.append(run)
+                run = 0
+            else:
+                run += event
+        assert sum(between) == result.stats.considered == 34830
+        assert max(between) <= temporal.CHUNK_CANDIDATES
+
+
+_BLOCK_VARS = ("j", "k", "l")
 
 
 @st.composite
-def _placement_cases(draw):
-    """A random placement over ``_VARS`` (column ``i``) and capped
-    ``d2``/``d3`` lattices for several column tiles."""
+def _search_cases(draw):
+    """Random patterns over ``_VARS`` (column ``i``) and a search's tile
+    choices: column tiles, drawn ``d2``/``d3`` lattices per column tile,
+    every placement of ``j, k, l`` and their middle choices."""
     patterns = [
         RefPattern(
             name=f"A{n}",
@@ -389,78 +498,115 @@ def _placement_cases(draw):
         )
         for n in range(draw(st.integers(1, 4)))
     ]
-    c, others = _VARS[0], list(_VARS[1:])
-    d2, d3 = draw(st.permutations(others))[:2]
     bounds = {v: draw(st.integers(1, 512)) for v in _VARS}
     # A column tile of one fails the vector-tile check.
     c_cands = draw(
         st.lists(
             st.sampled_from([1, 2, 3, 8, 16, 48, 128]),
             min_size=1,
-            max_size=5,
+            max_size=4,
             unique=True,
         )
     )
-    capped = [
-        [
-            sorted(
-                draw(
-                    st.lists(
-                        st.integers(1, bounds[v]), min_size=1, max_size=4, unique=True
-                    )
-                )
+    lattice = st.lists(st.integers(1, 512), min_size=1, max_size=3, unique=True)
+    lattices = [
+        {
+            v: (
+                sorted(draw(lattice)),
+                sorted(draw(lattice)),
+                temporal._middle_candidates(bounds[v]),
             )
-            for v in (d2, d3)
-        ]
+            for v in _BLOCK_VARS
+        }
         for _ in c_cands
     ]
-    non_column = draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
-    sizing = (
-        draw(st.integers(16, 8192)),
-        draw(st.integers(64, 65536)),
-        draw(st.sampled_from([1, 4, 12])),
+    model = temporal._Model(
+        arch=draw(st.sampled_from([intel_i7_5930k(), arm_cortex_a15()])),
+        patterns=patterns,
+        bounds=bounds,
+        c="i",
+        loops=list(_BLOCK_VARS) + ["i"],
+        non_column=draw(
+            st.lists(st.sampled_from(_BLOCK_VARS), min_size=1, unique=True)
+        ),
+        l1_capacity=draw(st.integers(16, 8192)),
+        l2_capacity=draw(st.integers(64, 65536)),
+        threads=draw(st.sampled_from([1, 4, 12])),
+        dts=4,
     )
-    rest = [v for v in others if v not in (d2, d3)]
-    return patterns, bounds, c, c_cands, d2, d3, capped, rest, non_column, sizing
+    return c_cands, lattices, model
 
 
-class TestColumnTilesInOnePass:
-    """Pricing several column tiles in one pass equals one pass each."""
+def _pass(c_cands, lattices, placements, model, counter=None):
+    """One visit-ordered pass; returns the winner and every chunk's
+    ``(codes, ws1, ws2, cost)``."""
+    candidates = temporal._Candidates.build(
+        "i", c_cands, lattices, placements, model.bounds
+    )
+    priced = []
+    with _recording_price(priced):
+        best = temporal._search(
+            candidates, model, counter or CandidateCounter("temporal", NULL_TRACER)
+        )
+    return best, priced
 
-    def _priced(self, arch, case, c_cands, capped):
-        patterns, bounds, c, _, d2, d3, _, rest, non_column, sizing = case
-        costs = []
 
-        def cost(*args):
-            costs.append(total_cost(*args))
-            return costs[-1]
-
-        with mock.patch.object(temporal, "total_cost", cost):
-            placement = _price_placement(
-                arch, patterns, bounds, c, c_cands, d2, d3, capped, rest,
-                non_column, *sizing, 4,
-            )
-        return placement, [np.broadcast_to(out, placement.size) for out in costs]
+class TestChunkedVisitOrderPass:
+    """One chunked pass over a search equals pricing each (column tile,
+    placement) block alone."""
 
     @given(
-        case=_placement_cases(),
-        arch=st.sampled_from([intel_i7_5930k(), arm_cortex_a15()]),
+        case=_search_cases(),
+        # Chunks of one candidate, chunks that split blocks, one chunk.
+        chunk=st.one_of(
+            st.just(1), st.integers(2, 100), st.just(temporal.CHUNK_CANDIDATES)
+        ),
     )
     @settings(max_examples=100, deadline=None)
-    def test_joint_pass_matches_pass_per_column_tile(self, case, arch):
-        c_cands, capped = case[3], case[6]
-        whole, whole_cost = self._priced(arch, case, c_cands, capped)
-        for b, t_c in enumerate(c_cands):
-            one, one_cost = self._priced(arch, case, [t_c], capped[b : b + 1])
-            lo, hi = int(whole.offsets[b]), int(whole.offsets[b + 1])
-            assert whole.codes[lo:hi].tolist() == one.codes.tolist()
-            assert whole.ws1[lo:hi].tobytes() == one.ws1.tobytes()
-            assert whole.ws2[lo:hi].tobytes() == one.ws2.tobytes()
-            for v, tiles in one.tiles.items():
-                assert whole.tiles[v][lo:hi].tolist() == tiles.tolist()
-            if one_cost:
-                assert whole_cost[0][lo:hi].tobytes() == one_cost[0].tobytes()
-                cost, i = one.winners[0]
-                assert whole.winners[b] == (cost, i + lo)
-            else:
-                assert b not in whole.winners
+    def test_chunked_pass_matches_pricing_each_block_alone(self, case, chunk):
+        c_cands, lattices, model = case
+        placements = temporal._placement_pairs(list(_BLOCK_VARS))
+        counter = CandidateCounter("temporal", NULL_TRACER)
+        with mock.patch.object(temporal, "CHUNK_CANDIDATES", chunk):
+            best, priced = _pass(c_cands, lattices, placements, model, counter)
+        assert all(len(codes) <= chunk for codes, *_ in priced)
+        whole = [
+            np.concatenate([np.asarray(out[n]) for out in priced])
+            for n in range(3)
+        ]
+        # A chunk without a valid candidate makes no cost call.
+        whole.append(
+            np.concatenate(
+                [
+                    np.full(len(codes), np.nan) if cost is None else cost
+                    for codes, _, _, cost in priced
+                ]
+            )
+        )
+        expected, lo, totals, first = None, 0, {}, {}
+        for t_c, lattice in zip(c_cands, lattices):
+            for placement in placements:
+                one, ((codes, ws1, ws2, cost),) = _pass(
+                    [t_c], [lattice], [placement], model
+                )
+                hi = lo + len(codes)
+                assert whole[0][lo:hi].tolist() == codes.tolist()
+                assert whole[1][lo:hi].tobytes() == ws1.tobytes()
+                assert whole[2][lo:hi].tobytes() == ws2.tobytes()
+                if cost is not None:
+                    valid = codes == 0
+                    assert whole[3][lo:hi][valid].tobytes() == cost[valid].tobytes()
+                if one is not None and (
+                    expected is None or one.cost < expected.cost
+                ):
+                    expected = one._replace(index=one.index + lo)
+                for code in np.unique(codes[codes > 0]).tolist():
+                    first.setdefault(code, lo + int(np.argmax(codes == code)))
+                    totals[code] = totals.get(code, 0) + int((codes == code).sum())
+                lo = hi
+        assert lo == len(whole[0]) == counter.stats.considered
+        assert best == expected
+        assert list(counter.stats.pruned.items()) == [
+            (temporal._REASONS[code], totals[code])
+            for code in sorted(first, key=first.get)
+        ]
