@@ -1,27 +1,33 @@
 """A set-associative, LRU, line-granular cache model.
 
 Lines are identified by their *line address* (byte address divided by the
-line size — the trace generator already performs the division).  Each set
-is a plain list of line addresses in LRU order, oldest first: a hit moves
-the line to the end (``remove`` + ``append``, skipped when it is already
-most recent), a fill appends and an overflowing set drops its head
-(``pop(0)``).  The "brought in by prefetch" flags live beside the sets, in
-one per-level ``set`` holding the resident lines whose flag is still up;
-every eviction and invalidation discards the victim from it.
+line size — the trace generator already performs the division).  A level
+keeps two views of what it holds:
+
+* the **residency map**, one ``dict`` from every resident line to its
+  "brought in by prefetch" flag.  It answers every membership probe, and
+  a probe, its prefetch credit and clearing the flag are one ``get``
+  (``None`` on a miss) plus, on a credited hit, one store;
+* per set, a plain list of its lines in LRU order, oldest first, used
+  only for replacement order: a hit moves the line to the end
+  (``remove`` + ``append``, skipped when it is already most recent), a
+  fill appends and an overflowing set drops its head (``pop(0)``), which
+  is then ``del``-ed from the map.
 
 Sets are short (at most a few dozen ways), so a fill's ``append`` plus
 ``pop(0)`` costs about 50 ns in CPython 3.11, where the ``OrderedDict``
 insert plus ``popitem(last=False)`` it replaced cost about 180 ns; fills,
-not hits, dominate the simulator's cost.  The simulator's demand loop,
+not hits, dominate the simulator's cost.  Probing the map instead of
+scanning the set's list saves a linear search per probe, which the
+simulator makes several times per access (demand levels, next-line and
+stride targets).  The simulator's demand loop,
 :meth:`~repro.cachesim.hierarchy.CacheHierarchy.run`, inlines this
-representation; it takes about 1-3 µs per line access, prefetch engines
-included, on the perfbench ``price`` kernels (CPU time on a 2-vCPU Xeon,
-scaled to perfbench's nominal host speed).
+representation (see that module for its measured cost per access).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cachesim.stats import LevelStats
 
@@ -46,7 +52,7 @@ class SetAssocCache:
     """
 
     __slots__ = (
-        "name", "num_sets", "ways", "hashed_index", "_sets", "_prefetched",
+        "name", "num_sets", "ways", "hashed_index", "_sets", "_resident",
         "stats",
     )
 
@@ -61,8 +67,9 @@ class SetAssocCache:
         self.hashed_index = hashed_index
         # Per set, the resident lines in LRU order (oldest first).
         self._sets: List[List[int]] = [[] for _ in range(num_sets)]
-        # Resident lines brought in by a prefetch and not yet demanded.
-        self._prefetched: Set[int] = set()
+        # Every resident line -> whether a prefetch brought it in and no
+        # demand access has touched it since.
+        self._resident: Dict[int, bool] = {}
         self.stats = LevelStats(name)
 
     def set_index(self, line: int) -> int:
@@ -77,22 +84,23 @@ class SetAssocCache:
         """Demand lookup.  Returns True on hit (and updates LRU order and
         the prefetch-usefulness counter); records a miss otherwise, without
         allocating — call :meth:`fill` to bring the line in."""
+        flag = self._resident.get(line)
+        if flag is None:
+            self.stats.misses += 1
+            return False
+        if flag:
+            self.stats.prefetch_hits += 1
+            self._resident[line] = False
         s = self._sets[self.set_index(line)]
-        if line in s:
-            if line in self._prefetched:
-                self.stats.prefetch_hits += 1
-                self._prefetched.discard(line)
-            if s[-1] != line:
-                s.remove(line)
-                s.append(line)
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        return False
+        if s[-1] != line:
+            s.remove(line)
+            s.append(line)
+        self.stats.hits += 1
+        return True
 
     def contains(self, line: int) -> bool:
         """Presence check without touching LRU order or statistics."""
-        return line in self._sets[self.set_index(line)]
+        return line in self._resident
 
     def fill(self, line: int, *, prefetched: bool = False) -> Optional[int]:
         """Insert a line; returns the evicted line address, if any.
@@ -100,23 +108,24 @@ class SetAssocCache:
         ``prefetched`` marks the line as brought in by a prefetch engine so
         that a later demand hit is credited to the prefetcher.
         """
+        resident = self._resident
         s = self._sets[self.set_index(line)]
-        if line in s:
+        if line in resident:
             # Refill of a resident line: a demand fill clears the prefetch
             # flag; a prefetch fill never downgrades a demand-fetched line.
             if not prefetched:
-                self._prefetched.discard(line)
+                resident[line] = False
             if s[-1] != line:
                 s.remove(line)
                 s.append(line)
             return None
         s.append(line)
+        resident[line] = prefetched
         if prefetched:
-            self._prefetched.add(line)
             self.stats.prefetches_issued += 1
         if len(s) > self.ways:
             victim = s.pop(0)
-            self._prefetched.discard(victim)
+            del resident[victim]
             self.stats.evictions += 1
             if prefetched:
                 self.stats.prefetch_evictions += 1
@@ -125,28 +134,26 @@ class SetAssocCache:
 
     def invalidate(self, line: int) -> bool:
         """Drop a line if present (used by non-temporal stores)."""
-        s = self._sets[self.set_index(line)]
-        if line in s:
-            s.remove(line)
-            self._prefetched.discard(line)
-            return True
-        return False
+        if self._resident.pop(line, None) is None:
+            return False
+        self._sets[self.set_index(line)].remove(line)
+        return True
 
     def occupancy(self) -> int:
         """Total resident lines (for tests and diagnostics)."""
-        return sum(len(s) for s in self._sets)
+        return len(self._resident)
 
     def contents(self) -> List[List[Tuple[int, bool]]]:
         """Per set, its ``(line, prefetched)`` pairs in LRU order, oldest
         first (tests and diagnostics)."""
-        flagged = self._prefetched
-        return [[(line, line in flagged) for line in s] for s in self._sets]
+        resident = self._resident
+        return [[(line, resident[line]) for line in s] for s in self._sets]
 
     def flush(self) -> None:
         """Empty the cache, keeping statistics."""
         for s in self._sets:
             s.clear()
-        self._prefetched.clear()
+        self._resident.clear()
 
     def __repr__(self) -> str:
         return (

@@ -18,24 +18,41 @@ are applied by :mod:`repro.sim.machine` through capacity/associativity
 scaling, the same modelling device the paper itself uses
 (``Liway / Nthreads``).
 
-This class is the simulator's innermost loop.  All traffic — a block of
-a trace, one :meth:`~CacheHierarchy.access`, one
-:meth:`~CacheHierarchy.nt_store` — goes through one demand loop,
-:meth:`CacheHierarchy.run`, over a flat ``(line, ref)`` stream.  The loop
-binds every set list, prefetch-flag set, engine table and counter to a
-local, and inlines the set index, the fills, the next-line engine and the
-stride (or multi-stream) engine training; counters are written back once
-per call.
+This class is the simulator's innermost loop.  A block of a trace goes
+through :meth:`CacheHierarchy.run`, which splits the work in two:
+
+* what depends on the trace alone runs in numpy over the whole block:
+  the write-back set, write-combining of non-temporal stores and, under
+  the legacy prefetch model, the stride engine's training
+  (:meth:`~repro.cachesim.prefetch.StridePrefetcher.train`).  The paper's
+  stride engine trains per load on that load's addresses only, so every
+  decision it makes is known before any cache state is;
+* what depends on cache state runs in one Python demand loop
+  (:meth:`CacheHierarchy._demand`): the probes, fills and evictions of
+  every level, the next-line engine and the prefetch fills, each access
+  handed the offsets its trained stride prefetches.  The loop binds every
+  set list, residency map and counter to a local and inlines the set
+  index and the fills; counters are written back once per call.
+
+The multi-stream engine stays inside the loop: its engines are keyed by
+page and issue from a run-ahead frontier on a demand-access clock, a
+sequential recurrence over the LRU engine pool.  One
+:meth:`~CacheHierarchy.access` or :meth:`~CacheHierarchy.nt_store` skips
+numpy: it trains through
+:meth:`~repro.cachesim.prefetch.StridePrefetcher.observe` and runs the
+same loop on one line.
 The generic :class:`~repro.cachesim.cache.SetAssocCache` API and the
 engines' ``observe`` methods remain the reference implementation, which
-the tests compose into a plain hierarchy to cross-check this loop access
+the tests compose into a plain hierarchy to cross-check this path access
 by access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.arch import ArchSpec
 from repro.cachesim.cache import SetAssocCache
@@ -44,12 +61,15 @@ from repro.cachesim.prefetch import (
     StreamModelParams,
     StridePrefetcher,
     _Engine,
-    _Stream,
 )
 from repro.cachesim.stats import HierarchyStats
 
 #: Access kinds of a reference, as :meth:`CacheHierarchy.run` reads them.
 LOAD, STORE, NT_STORE = 0, 1, 2
+
+#: The prefetch plan of an untrained demand access: the next-line
+#: engine's line + 1 (see :meth:`CacheHierarchy.run`).
+_UNTRAINED: Tuple[int, ...] = (1,)
 
 
 def access_kind(is_store: bool, nontemporal: bool) -> int:
@@ -75,16 +95,19 @@ class AccessResult:
 class CacheHierarchy:
     """L1/L2(/L3) + DRAM with streaming and stride prefetchers.
 
-    The demand loop (:meth:`run`) works directly on each level's
-    :class:`~repro.cachesim.cache.SetAssocCache` representation: one list
-    per set in LRU order (oldest first) and one set of the level's lines
-    whose prefetch flag is up.  A hit moves the line to the end unless it
-    is already there and drops its flag; a fill appends and, when the set
-    overflows, pops its head and discards the victim's flag; a
-    non-temporal store removes the line and its flag.  Fills dominate the
-    cost (the ``price`` kernels evict 1.4 L1 and 0.7 L2 lines per access);
-    the loop takes about 1-3 µs per line access on those kernels
-    (2-vCPU Xeon, CPython 3.11).
+    The demand loop works directly on each level's
+    :class:`~repro.cachesim.cache.SetAssocCache` representation: the
+    residency map (every resident line -> its prefetch flag), which
+    answers each probe with one ``get``, and one list per set in LRU order
+    (oldest first).  A hit moves the line to the end unless it is already
+    there and clears its flag; a fill appends and, when the set overflows,
+    pops its head and deletes the victim from the map; a non-temporal
+    store removes the line from both.  Fills dominate the cost (the
+    ``price`` kernels evict 1.4 L1 and 0.7 L2 lines per access).  On the
+    perfbench ``price`` streams :meth:`run` takes about 1,350 ns per line
+    access, against about 1,700 ns when the loop trained the stride engine
+    inline and probed set lists (CPU time on a 2-vCPU Xeon VM, scaled to
+    perfbench's nominal host speed).
 
     Parameters
     ----------
@@ -144,9 +167,8 @@ class CacheHierarchy:
             degree=arch.l2_prefetches_per_access,
             max_distance=arch.l2_max_prefetch_distance,
         )
-        # Stride -> line offsets one trained access prefetches: the
-        # next-line engine's +1 first, then the stride engine's targets.
-        self._stride_offsets: Dict[int, Tuple[int, ...]] = {}
+        # Trained stride -> the demand access's prefetch plan.
+        self._plans: Dict[int, Tuple[int, ...]] = {}
         self.stream_model = stream_model
         self._multi: Optional[MultiStreamPrefetcher] = None
         # line -> simulated arrival time of its outstanding prefetch.
@@ -169,13 +191,23 @@ class CacheHierarchy:
         self, line: int, *, is_write: bool = False, ref_id: int = 0
     ) -> AccessResult:
         """One demand access to a cache line; returns where it hit."""
+        stats = self.stats
+        stats.total_accesses += 1
+        if is_write and line not in self._dirty:
+            self._dirty.add(line)
+            stats.writeback_lines += 1
+        plan = _UNTRAINED
+        if self.enable_prefetch and self._multi is None:
+            # One access: the reference engine trains faster than a numpy
+            # pass over a block of one.
+            targets = self.l2_stride.observe(ref_id, line)
+            if targets:
+                plan = (1, *(target - line for target in targets))
         level_hits = [0] * (self.num_levels + 2)
-        late = self.stats.late_prefetch_hits
-        credit = self.run(
-            (line,), (ref_id,), {ref_id: STORE if is_write else LOAD}, level_hits
-        )
+        late = stats.late_prefetch_hits
+        credit = self._demand((line,), (plan,), level_hits)
         return AccessResult(
-            level_hits.index(1), credit, self.stats.late_prefetch_hits != late
+            level_hits.index(1), credit, stats.late_prefetch_hits != late
         )
 
     def nt_store(self, line: int) -> None:
@@ -185,47 +217,109 @@ class CacheHierarchy:
         write-combining buffers and cost a single DRAM line transaction —
         the mechanism that makes ``movntps`` streams efficient.
         """
-        self.run((line,), (0,), (NT_STORE,), [0] * (self.num_levels + 2))
+        self.stats.total_accesses += 1
+        if line == self._last_nt_line:
+            return
+        self._last_nt_line = line
+        self.stats.nt_store_lines += 1
+        self._demand((line,), (None,), [0] * (self.num_levels + 2))
 
-    def run(
-        self,
-        lines: Sequence[int],
-        refs: Sequence[int],
-        kinds,
-        level_hits: List[int],
-    ) -> bool:
+    def run(self, lines, refs, kinds, level_hits: List[int]) -> bool:
         """Drive a flat access stream through the hierarchy, in order.
 
-        ``lines[i]`` is accessed through reference ``refs[i]``, whose kind
-        is ``kinds[refs[i]]`` (:data:`LOAD`, :data:`STORE` or
-        :data:`NT_STORE`).  The level that served each demand access
-        (1..num_levels, ``num_levels + 1`` for DRAM) is counted into
-        ``level_hits`` in place; non-temporal stores count nowhere there.
-        Returns whether the last demand access hit a prefetched line.
+        ``lines[i]`` is accessed through reference ``refs[i]`` (int64
+        arrays, or sequences of ints), whose kind is ``kinds[refs[i]]``
+        (:data:`LOAD`, :data:`STORE` or :data:`NT_STORE`; ``kinds`` is a
+        sequence indexed by reference id).  The level that
+        served each demand access (1..num_levels, ``num_levels + 1`` for
+        DRAM) is counted into ``level_hits`` in place; non-temporal stores
+        count nowhere there.  Returns whether the last demand access hit a
+        prefetched line.
+
+        What depends on the trace alone is done here in numpy, before the
+        demand loop: the write-back set, write-combining of non-temporal
+        stores, and the legacy stride engine's training.  The loop
+        (:meth:`_demand`) then gets one *plan* per access: ``None`` for a
+        non-temporal store that reaches memory, else the line offsets the
+        legacy engines prefetch into L2 after the demand access.
+        """
+        lines = np.asarray(lines, dtype=np.int64)
+        refs = np.asarray(refs, dtype=np.int64)
+        if lines.size == 0:
+            return False
+        stats = self.stats
+        stats.total_accesses += int(lines.size)
+        kind = np.asarray(kinds, dtype=np.int64)[refs]
+        stored = lines[kind == STORE]
+        if stored.size:
+            written = set(stored.tolist()) - self._dirty
+            self._dirty |= written
+            stats.writeback_lines += len(written)
+        nt = kind == NT_STORE
+        demand = ~nt
+        keep = demand
+        if nt.any():
+            # Consecutive non-temporal stores to one line coalesce: only
+            # the first of a run reaches memory (and the loop).
+            nt_lines = lines[nt]
+            reaches = np.ones(nt_lines.size, dtype=bool)
+            reaches[1:] = nt_lines[1:] != nt_lines[:-1]
+            if self._last_nt_line is not None:
+                reaches[0] = nt_lines[0] != self._last_nt_line
+            self._last_nt_line = int(nt_lines[-1])
+            stats.nt_store_lines += int(reaches.sum())
+            keep = demand.copy()
+            keep[np.flatnonzero(nt)[reaches]] = True
+        # One plan per access: code 0 is the non-temporal store, 1 the
+        # untrained demand access, 2 + k an access trained on strides[k].
+        codes = np.zeros(lines.size, dtype=np.int64)
+        plans = [None, _UNTRAINED]
+        if self.enable_prefetch and self._multi is None:
+            strides, codes[demand] = self.l2_stride.train(
+                refs[demand], lines[demand]
+            )
+            plans += [self._plan_for(step) for step in strides.tolist()]
+        codes[demand] += 1
+        by_code = np.empty(len(plans), dtype=object)
+        by_code[:] = plans
+        return self._demand(
+            lines[keep].tolist(), by_code[codes[keep]].tolist(), level_hits
+        )
+
+    def _plan_for(self, stride: int) -> Tuple[int, ...]:
+        """Line offsets prefetched into L2 after a demand access trained on
+        ``stride``: the next-line engine's +1 first, then the stride
+        engine's targets."""
+        plan = self._plans.get(stride)
+        if plan is None:
+            plan = self._plans[stride] = (
+                _UNTRAINED + self.l2_stride.offsets(stride)
+            )
+        return plan
+
+    def _demand(self, lines, plans, level_hits: List[int]) -> bool:
+        """The demand loop: every access's cache-state-dependent work.
+
+        ``plans[i]`` is ``None`` when ``lines[i]`` is a non-temporal store
+        (invalidate every level's copy), else the prefetch plan of a demand
+        access (see :meth:`run`).  Counts the serving levels into
+        ``level_hits``; returns the last demand access's prefetch credit.
         """
         # L1 and L2 are modulo-indexed, an L3 is hashed (see __init__).
         l1, l2 = self.levels[0], self.levels[1]
-        sets1, n1, w1, f1 = l1._sets, l1.num_sets, l1.ways, l1._prefetched
-        sets2, n2, w2, f2 = l2._sets, l2.num_sets, l2.ways, l2._prefetched
+        sets1, n1, w1, m1 = l1._sets, l1.num_sets, l1.ways, l1._resident
+        sets2, n2, w2, m2 = l2._sets, l2.num_sets, l2.ways, l2._resident
         if self.num_levels >= 3:
             l3 = self.levels[2]
-            sets3, n3, w3, f3 = l3._sets, l3.num_sets, l3.ways, l3._prefetched
+            sets3, n3, w3, m3 = l3._sets, l3.num_sets, l3.ways, l3._resident
         else:
-            sets3, n3, w3, f3 = None, 1, 0, None
+            sets3, n3, w3, m3 = None, 1, 0, None
         nn3 = n3 * n3
-        kind_store, kind_nt = STORE, NT_STORE
-        dirty = self._dirty
         inflight = self._inflight
-        last_nt = self._last_nt_line
 
         multi = self._multi
         legacy = self.enable_prefetch and multi is None
         streamed = self.enable_prefetch and multi is not None
-        stride = self.l2_stride
-        streams = stride._streams
-        max_streams = stride.max_streams
-        threshold = stride.train_threshold
-        offsets_of = self._stride_offsets
         if multi is not None:
             params = multi.params
             engines = multi._engines
@@ -243,82 +337,77 @@ class CacheHierarchy:
         pfi1 = pfi2 = pfi3 = 0          # lines prefetch fills inserted
         evd1 = evd2 = evd3 = 0          # evictions by demand fills
         evp1 = evp2 = evp3 = 0          # evictions by prefetch fills
-        pf_mem = writebacks = nt_lines = nt_accesses = late = on_time = 0
-        s_issued = s_trained = m_issued = m_trained = 0
+        pf_mem = late = on_time = m_issued = m_trained = 0
         credit = False
 
-        for line, ref in zip(lines, refs):
-            kind = kinds[ref]
-            if kind == kind_nt:
-                nt_accesses += 1
-                if line != last_nt:
-                    last_nt = line
-                    nt_lines += 1
-                    s1 = sets1[line % n1]
-                    if line in s1:
-                        s1.remove(line)
-                        f1.discard(line)
-                    s2 = sets2[line % n2]
-                    if line in s2:
-                        s2.remove(line)
-                        f2.discard(line)
-                    if sets3 is not None:
-                        s3 = sets3[(line ^ line // n3 ^ line // nn3) % n3]
-                        if line in s3:
-                            s3.remove(line)
-                            f3.discard(line)
+        for line, plan in zip(lines, plans):
+            if plan is None:
+                # Non-temporal store: drop every cached copy.
+                if m1.pop(line, None) is not None:
+                    sets1[line % n1].remove(line)
+                if m2.pop(line, None) is not None:
+                    sets2[line % n2].remove(line)
+                if m3 is not None and m3.pop(line, None) is not None:
+                    sets3[(line ^ line // n3 ^ line // nn3) % n3].remove(line)
                 continue
 
-            # Probe nearest first; fill every level that missed.
-            s1 = sets1[line % n1]
-            if line in s1:
-                credit = line in f1
+            # Probe nearest first; fill every level that missed.  A probe
+            # reads the line's prefetch flag (None: not resident).
+            credit = m1.get(line)
+            if credit is not None:
                 if credit:
-                    f1.discard(line)
+                    m1[line] = False
                     pfh1 += 1
+                s1 = sets1[line % n1]
                 if s1[-1] != line:
                     s1.remove(line)
                     s1.append(line)
                 c1 += 1
             else:
-                s2 = sets2[line % n2]
-                if line in s2:
-                    credit = line in f2
+                credit = m2.get(line)
+                if credit is not None:
                     if credit:
-                        f2.discard(line)
+                        m2[line] = False
                         pfh2 += 1
+                    s2 = sets2[line % n2]
                     if s2[-1] != line:
                         s2.remove(line)
                         s2.append(line)
                     c2 += 1
                 else:
-                    credit = False
-                    if sets3 is None:
+                    if m3 is None:
+                        credit = False
                         cm += 1
                     else:
                         s3 = sets3[(line ^ line // n3 ^ line // nn3) % n3]
-                        if line in s3:
-                            credit = line in f3
+                        credit = m3.get(line)
+                        if credit is not None:
                             if credit:
-                                f3.discard(line)
+                                m3[line] = False
                                 pfh3 += 1
                             if s3[-1] != line:
                                 s3.remove(line)
                                 s3.append(line)
                             c3 += 1
                         else:
+                            credit = False
                             cm += 1
                             s3.append(line)
+                            m3[line] = False
                             if len(s3) > w3:
-                                f3.discard(s3.pop(0))
+                                del m3[s3.pop(0)]
                                 evd3 += 1
+                    s2 = sets2[line % n2]
                     s2.append(line)
+                    m2[line] = False
                     if len(s2) > w2:
-                        f2.discard(s2.pop(0))
+                        del m2[s2.pop(0)]
                         evd2 += 1
+                s1 = sets1[line % n1]
                 s1.append(line)
+                m1[line] = False
                 if len(s1) > w1:
-                    f1.discard(s1.pop(0))
+                    del m1[s1.pop(0)]
                     evd1 += 1
 
             if multi is not None and line in inflight:
@@ -328,84 +417,48 @@ class CacheHierarchy:
                         late += 1
                     else:
                         on_time += 1
-            if kind == kind_store and line not in dirty:
-                # Write-allocate: the dirty line eventually goes back out,
-                # whether the allocation came from a demand miss or a
-                # prefetch.
-                dirty.add(line)
-                writebacks += 1
 
             if legacy:
                 # Next-line engines: the L1 engine pulls line + 1 into L1;
-                # it and the stride engine's targets are then brought into
-                # L2 (and L3) when L2 lacks them.
+                # it and the stride engine's targets (the plan) are then
+                # brought into L2 (and L3) when L2 lacks them.
                 nxt = line + 1
-                t1 = sets1[nxt % n1]
-                if nxt not in t1:
+                if nxt not in m1:
+                    t1 = sets1[nxt % n1]
                     t1.append(nxt)
-                    f1.add(nxt)
+                    m1[nxt] = True
                     pfi1 += 1
                     if len(t1) > w1:
-                        f1.discard(t1.pop(0))
+                        del m1[t1.pop(0)]
                         evp1 += 1
-                # Stride engine training, per reference stream.
-                offsets = (1,)
-                st = streams.get(ref)
-                if st is None:
-                    if len(streams) >= max_streams:
-                        streams.popitem(last=False)
-                        stride.stats.evictions += 1
-                    st = streams[ref] = _Stream()
-                    st.last_line = line
-                    stride.stats.allocations += 1
-                    occupancy = stride.stats.occupancy = len(streams)
-                    if occupancy > stride.stats.peak_occupancy:
-                        stride.stats.peak_occupancy = occupancy
-                else:
-                    streams.move_to_end(ref)
-                    step = line - st.last_line
-                    if step:
-                        st.last_line = line
-                        if step == st.stride:
-                            confidence = st.confidence = st.confidence + 1
-                        else:
-                            st.stride = step
-                            confidence = st.confidence = 1
-                        if confidence >= threshold:
-                            if confidence == threshold:
-                                s_trained += 1
-                            offsets = offsets_of.get(step)
-                            if offsets is None:
-                                offsets = self._offsets_for(step)
-                            s_issued += len(offsets) - 1
-                for offset in offsets:
+                for offset in plan:
                     target = line + offset
-                    if target < 0:
+                    if target < 0 or target in m2:
                         continue
-                    t2 = sets2[target % n2]
-                    if target in t2:
-                        continue
-                    if sets3 is None:
+                    if m3 is None:
                         pf_mem += 1
-                    else:
+                    elif target not in m3:
+                        pf_mem += 1
                         t3 = sets3[(target ^ target // n3 ^ target // nn3) % n3]
-                        if target not in t3:
-                            pf_mem += 1
-                            t3.append(target)
-                            f3.add(target)
-                            pfi3 += 1
-                            if len(t3) > w3:
-                                f3.discard(t3.pop(0))
-                                evp3 += 1
+                        t3.append(target)
+                        m3[target] = True
+                        pfi3 += 1
+                        if len(t3) > w3:
+                            del m3[t3.pop(0)]
+                            evp3 += 1
+                    t2 = sets2[target % n2]
                     t2.append(target)
-                    f2.add(target)
+                    m2[target] = True
                     pfi2 += 1
                     if len(t2) > w2:
-                        f2.discard(t2.pop(0))
+                        del m2[t2.pop(0)]
                         evp2 += 1
 
             elif streamed:
-                # Multi-stream detector: one engine per page, LRU pool.
+                # Multi-stream detector: one engine per page, LRU pool.  Its
+                # engines are keyed by page and issue relative to a run-ahead
+                # frontier on a demand-access clock, a sequential recurrence
+                # that stays in this loop.
                 clock += 1
                 page = line // page_lines
                 engine = engines.get(page)
@@ -451,50 +504,42 @@ class CacheHierarchy:
                         break
                     frontier = target
                     m_issued += 1
-                    if target < 0:
+                    if target < 0 or target in m2:
                         continue
-                    t2 = sets2[target % n2]
-                    if target in t2:
-                        continue
-                    if sets3 is None:
+                    if m3 is None:
                         pf_mem += 1
-                    else:
+                    elif target not in m3:
+                        pf_mem += 1
                         t3 = sets3[(target ^ target // n3 ^ target // nn3) % n3]
-                        if target not in t3:
-                            pf_mem += 1
-                            t3.append(target)
-                            f3.add(target)
-                            pfi3 += 1
-                            if len(t3) > w3:
-                                f3.discard(t3.pop(0))
-                                evp3 += 1
+                        t3.append(target)
+                        m3[target] = True
+                        pfi3 += 1
+                        if len(t3) > w3:
+                            del m3[t3.pop(0)]
+                            evp3 += 1
+                    t2 = sets2[target % n2]
                     t2.append(target)
-                    f2.add(target)
+                    m2[target] = True
                     pfi2 += 1
                     if len(t2) > w2:
-                        f2.discard(t2.pop(0))
+                        del m2[t2.pop(0)]
                         evp2 += 1
                     inflight[target] = arrival
                 engine.issued_until = frontier
 
         # Write the counters back.  served[k] is the count of level k + 1;
         # DRAM comes last.
-        served = (c1, c2, c3, cm) if sets3 is not None else (c1, c2, cm)
+        served = (c1, c2, c3, cm) if m3 is not None else (c1, c2, cm)
         for slot, count in enumerate(served, start=1):
             level_hits[slot] += count
-        demand = sum(served)
-        farther = demand
+        farther = sum(served)
         for level, count in zip(self.levels, served):
             farther -= count
             level.stats.hits += count
             level.stats.misses += farther
-        self._last_nt_line = last_nt
         stats = self.stats
-        stats.total_accesses += demand + nt_accesses
         stats.memory_lines += cm
         stats.prefetch_memory_lines += pf_mem
-        stats.nt_store_lines += nt_lines
-        stats.writeback_lines += writebacks
         stats.late_prefetch_hits += late
         for level, hits, issued, ev_demand, ev_prefetch in zip(
             self.levels,
@@ -507,8 +552,6 @@ class CacheHierarchy:
             level.stats.prefetches_issued += issued
             level.stats.evictions += ev_demand + ev_prefetch
             level.stats.prefetch_evictions += ev_prefetch
-        stride.stats.trained += s_trained
-        stride.stats.prefetches_issued += s_issued
         if multi is not None:
             multi._clock = clock
             multi.stats.trained += m_trained
@@ -516,20 +559,6 @@ class CacheHierarchy:
             multi.stats.late_hits += late
             multi.stats.on_time_hits += on_time
         return credit
-
-    def _offsets_for(self, step: int) -> Tuple[int, ...]:
-        """Line offsets a trained stride-``step`` access prefetches."""
-        stride = self.l2_stride
-        offsets = [1]
-        for d in range(1, stride.degree + 1):
-            offset = step * d
-            if abs(offset) > stride.max_distance and abs(step) > 1:
-                break
-            if abs(offset) > stride.max_distance * 4:
-                break
-            offsets.append(offset)
-        self._stride_offsets[step] = out = tuple(offsets)
-        return out
 
     # ------------------------------------------------------------------
 

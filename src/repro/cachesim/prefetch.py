@@ -39,6 +39,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 
 @dataclass
 class StreamTableStats:
@@ -125,7 +127,7 @@ class StridePrefetcher:
 
     __slots__ = (
         "degree", "max_distance", "max_streams", "_streams",
-        "train_threshold", "stats",
+        "train_threshold", "stats", "_offsets",
     )
 
     def __init__(
@@ -147,6 +149,8 @@ class StridePrefetcher:
         self.max_streams = max_streams
         self._streams: "OrderedDict[int, _Stream]" = OrderedDict()
         self.stats = StreamTableStats(capacity=max_streams)
+        # Stride -> the line offsets a trained access prefetches.
+        self._offsets: Dict[int, Tuple[int, ...]] = {}
 
     def _stream_for(self, ref_id: int) -> _Stream:
         stream = self._streams.get(ref_id)
@@ -194,6 +198,152 @@ class StridePrefetcher:
         self.stats.prefetches_issued += len(out)
         return out
 
+    def offsets(self, stride: int) -> Tuple[int, ...]:
+        """Line offsets (from the demand line) that an access trained on
+        ``stride`` prefetches: what :meth:`observe` returns, minus the
+        line."""
+        out = self._offsets.get(stride)
+        if out is None:
+            found = []
+            for d in range(1, self.degree + 1):
+                offset = stride * d
+                if abs(offset) > self.max_distance and abs(stride) > 1:
+                    break
+                if abs(offset) > self.max_distance * 4:
+                    break
+                found.append(offset)
+            out = self._offsets[stride] = tuple(found)
+        return out
+
+    def train(
+        self, refs: np.ndarray, lines: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`observe` every ``(refs[i], lines[i])`` in order, in numpy.
+
+        Returns ``(strides, codes)``: the distinct strides the block's
+        trained accesses prefetch along, ascending, and per access 0 where
+        :meth:`observe` would return no prefetch because its stream is new,
+        untrained or repeats its line, else ``k + 1`` for ``strides[k]``.
+        The table, its LRU order and every statistic end exactly as that
+        sequence of :meth:`observe` calls leaves them.
+
+        Training depends on the address stream alone, so it runs over a
+        whole block at once, one id's accesses after another.  The table
+        is LRU, so it always holds the ``max_streams`` most recently used
+        ids: an access finds its stream iff the id was used before and
+        fewer than ``max_streams`` other ids were used since.  A stream's
+        life runs from its allocation to its eviction; within it the
+        stride is the step between consecutive distinct lines and the
+        confidence is the length of the current run of equal strides.
+        """
+        n = int(refs.size)
+        if n == 0:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        cap = self.max_streams
+        streams = self._streams
+        # The table's entries act as accesses just before the block, in LRU
+        # order, that resume their stream's life: combined position ``k <
+        # held`` is entry ``k``, block access ``i`` is ``held + i``.
+        held = len(streams)
+        carried = list(streams.values())
+        keys = np.concatenate((np.fromiter(streams, np.int64, held), refs))
+        # Walk the accesses id by id, each id's in time order.
+        order = np.argsort(keys, kind="stable")
+        walked = keys[order]
+        new_id = np.ones(order.size, dtype=bool)
+        new_id[1:] = walked[1:] != walked[:-1]
+        n_ids = int(new_id.sum())
+        # ``found[w]``: the walk's access w finds its id's stream, which
+        # the previous access of the walk touched last.
+        found = ~new_id
+        if n_ids > cap:
+            found &= _ids_used_since(order, found) < cap
+        walk_lines = np.concatenate((
+            np.fromiter((st.last_line for st in carried), np.int64, held),
+            lines,
+        ))[order]
+        step = np.zeros(order.size, dtype=np.int64)
+        step[1:] = walk_lines[1:] - walk_lines[:-1]
+        step[~found] = 0
+        # Every access that misses starts a life, the table's entries
+        # starting theirs with the stride and confidence they carry.
+        life = np.cumsum(~found) - 1
+        starts = np.flatnonzero(~found)
+        life_stride = np.zeros(starts.size, dtype=np.int64)
+        life_conf = np.zeros(starts.size, dtype=np.int64)
+        entry = order[starts]
+        resumed = entry < held
+        life_stride[resumed] = [carried[k].stride for k in entry[resumed]]
+        life_conf[resumed] = [carried[k].confidence for k in entry[resumed]]
+        # Confidence along the non-zero steps: the run of equal strides
+        # within one life, continuing the carried run when it matches.
+        moving = np.flatnonzero(step)
+        codes = np.zeros(order.size, dtype=np.int64)
+        strides = np.zeros(0, dtype=np.int64)
+        if moving.size:
+            s = step[moving]
+            lv = life[moving]
+            first_of_life = np.ones(s.size, dtype=bool)
+            first_of_life[1:] = lv[1:] != lv[:-1]
+            breaks = first_of_life.copy()
+            breaks[1:] |= s[1:] != s[:-1]
+            index = np.arange(s.size)
+            run_start = np.maximum.accumulate(np.where(breaks, index, 0))
+            carry = np.where(
+                first_of_life & (s == life_stride[lv]), life_conf[lv], 0
+            )
+            conf = index - run_start + 1 + carry[run_start]
+            trained = conf >= self.train_threshold
+            self.stats.trained += int((conf == self.train_threshold).sum())
+            strides, which, counts = np.unique(
+                s[trained], return_inverse=True, return_counts=True
+            )
+            codes[moving[trained]] = which + 1
+            self.stats.prefetches_issued += sum(
+                len(self.offsets(stride)) * count
+                for stride, count in zip(strides.tolist(), counts.tolist())
+            )
+            # Each life ends on its last non-zero step's stride/confidence.
+            ends = np.flatnonzero(np.append(lv[1:] != lv[:-1], True))
+            life_stride[lv[ends]] = s[ends]
+            life_conf[lv[ends]] = conf[ends]
+
+        # A block access that misses allocates; it evicts the LRU entry
+        # when the table is full, which takes more than ``cap`` ids.
+        allocated = np.flatnonzero(entry >= held)
+        if allocated.size:
+            self.stats.allocations += int(allocated.size)
+            if n_ids > cap:
+                # Before block access i the table holds ``held`` entries
+                # plus every id first used in the block before i.
+                first = np.sort(order[new_id])
+                first = first[first >= held]
+                full = held + np.searchsorted(first, entry[allocated]) >= cap
+                self.stats.evictions += int(full.sum())
+
+        # The table after the block: the ``cap`` most recently used ids in
+        # LRU order, each block id in the state of its last life.
+        ends = np.flatnonzero(np.append(new_id[1:], True))
+        table: "OrderedDict[int, _Stream]" = OrderedDict()
+        for w in ends[np.argsort(order[ends])][-cap:].tolist():
+            ref = int(walked[w])
+            if order[w] < held:
+                table[ref] = streams[ref]
+                continue
+            st = table[ref] = _Stream()
+            st.last_line = int(walk_lines[w])
+            st.stride = int(life_stride[life[w]])
+            st.confidence = int(life_conf[life[w]])
+        self._streams = table
+        if allocated.size:
+            occupancy = self.stats.occupancy = len(table)
+            if occupancy > self.stats.peak_occupancy:
+                self.stats.peak_occupancy = occupancy
+        out = np.empty(n, dtype=np.int64)
+        in_block = order >= held
+        out[order[in_block] - held] = codes[in_block]
+        return strides, out
+
     def reset(self) -> None:
         """Forget all stream training state (statistics are kept)."""
         self._streams.clear()
@@ -205,6 +355,41 @@ class StridePrefetcher:
         if stream is None:
             return (0, 0)
         return (stream.stride, stream.confidence)
+
+
+def _ids_used_since(order: np.ndarray, again: np.ndarray) -> np.ndarray:
+    """LRU stack distances of a key sequence, in walk order.
+
+    ``order`` is the stable argsort of the keys (the walk: each key's
+    positions in time order, one key after another) and ``again[w]`` marks
+    a walk entry whose key also precedes it in the walk.  Returns, per
+    walk entry, how many distinct keys occur strictly between its key's
+    previous position and its own (entries with no previous position get
+    a meaningless count).  A key occurs in between iff its last position
+    before the entry lies after the previous one; the last positions of
+    every key are swept in time order, a bounded slab of rows at a time.
+    """
+    size = order.size
+    key_of = np.empty(size, dtype=np.int64)
+    key_of[order] = np.cumsum(~again) - 1
+    n_keys = int(key_of.max()) + 1
+    prev = np.full(size, -1, dtype=np.int64)
+    repeats = np.flatnonzero(again)
+    prev[order[repeats]] = order[repeats - 1]
+    distance = np.empty(size, dtype=np.int64)
+    latest = np.full(n_keys, -1, dtype=np.int64)
+    rows = max(1, (1 << 18) // n_keys)
+    for start in range(0, size, rows):
+        stop = min(size, start + rows)
+        seen = np.full((stop - start + 1, n_keys), -1, dtype=np.int64)
+        seen[0] = latest
+        seen[np.arange(1, stop - start + 1), key_of[start:stop]] = np.arange(
+            start, stop
+        )
+        np.maximum.accumulate(seen, axis=0, out=seen)
+        distance[start:stop] = (seen[:-1] > prev[start:stop, None]).sum(axis=1)
+        latest = seen[-1]
+    return distance[order]
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@ or more pipeline stages, in order) against one shared
 earlier stages left behind — as on real hardware.
 
 Each sampling window is a :class:`~repro.sim.trace.TraceGenerator` whose
-blocks — flat ``(line, ref)`` streams in program order — go straight into
-the hierarchy's single demand loop (:meth:`CacheHierarchy.run`), which
-counts the serving level of every access in place; no per-chunk or
-per-access work happens here.  Each nest gets its own line budget; the
-per-nest counter deltas and the sampling scale factor are recorded in a
-:class:`NestCounters` for the timing model to extrapolate.
+blocks — flat ``(line, ref)`` streams in program order, as numpy arrays —
+go straight into :meth:`CacheHierarchy.run`, which counts the serving
+level of every access in place; no per-chunk or per-access work happens
+here.  Each nest gets its own line budget; the per-nest counter deltas
+and the sampling scale factor are recorded in a :class:`NestCounters`
+for the timing model to extrapolate.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ def _run_window(
     kinds = gen.ref_kinds
     level_hits = [0] * (num_levels + 2)
     for block in gen.blocks():
-        run(block.lines.tolist(), block.refs.tolist(), kinds, level_hits)
+        run(block.lines, block.refs, kinds, level_hits)
     # DRAM transactions after write-combining, not emitted store accesses.
     counters.nt_lines += stats.nt_store_lines - nt_before
     counters.l1_hits += level_hits[1]

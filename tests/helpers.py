@@ -352,3 +352,18 @@ def hierarchy_state(h):
         },
         "contents": [cache.contents() for cache in h.levels],
     }
+
+
+def assert_residency_invariant(cache):
+    """A level's residency map and its LRU set lists describe one set of
+    lines: the map's keys are exactly the lines of the lists, each list
+    holds distinct lines of its own set and no more than ``ways`` of them,
+    and every line whose prefetch flag is up is one of those lines."""
+    listed = [line for s in cache._sets for line in s]
+    assert len(listed) == len(set(listed)), cache.name
+    assert set(cache._resident) == set(listed), cache.name
+    flagged = {line for line, flag in cache._resident.items() if flag}
+    assert flagged <= set(listed), cache.name
+    for index, s in enumerate(cache._sets):
+        assert len(s) <= cache.ways, cache.name
+        assert all(cache.set_index(line) == index for line in s), cache.name

@@ -11,6 +11,8 @@ from repro.cachesim import (
     StridePrefetcher,
 )
 
+from tests.helpers import assert_residency_invariant
+
 
 class TestSetAssocCache:
     def test_miss_then_hit(self):
@@ -133,11 +135,8 @@ class TestSetAssocCache:
                 c.fill(line, prefetched=True)
             elif not c.lookup(line):
                 c.fill(line)
-            # A prefetch flag is only ever up on a resident line.
-            assert c._prefetched <= {x for s in c._sets for x in s}
+            assert_residency_invariant(c)
         assert c.occupancy() <= 4 * 2
-        for s in c._sets:
-            assert len(s) <= 2
 
 
 class TestNextLinePrefetcher:

@@ -1,15 +1,17 @@
 """Differential oracle for the hierarchy's demand loop.
 
-:meth:`CacheHierarchy.run` inlines the set index, the fills and the
-prefetch engines into one loop.  These tests drive it side by side with
+:meth:`CacheHierarchy.run` trains the stride engine over a whole block in
+numpy and inlines the set index, the fills and the other prefetch work
+into one loop.  These tests drive it side by side with
 :class:`tests.helpers.ReferenceHierarchy` — the reference
 ``SetAssocCache`` levels composed with the ``NextLinePrefetcher``,
 ``StridePrefetcher`` and ``MultiStreamPrefetcher`` engines through their
 public methods — and require the same level for every access and the
 same counters, stream-table statistics and cache contents throughout.
-Both prefetcher models are covered, on random traces and on corpus
-kernels' real traces.  Since both sides share ``SetAssocCache``'s set
-representation, the end state of every corpus replay is also pinned to a
+Both prefetcher models are covered, on random traces (some over more
+reference ids than the stride table holds) and on corpus kernels' real
+traces.  Since both sides share ``SetAssocCache``'s residency map and
+set lists, the end state of every corpus replay is also pinned to a
 digest recorded from the ``OrderedDict`` sets the simulator used before
 (``tests/data/demand_state_digests.json``), so a drift in LRU order or
 prefetch flags common to both sides still fails.
@@ -36,7 +38,11 @@ from repro.frontend.corpus import corpus_kernel
 from repro.ir import Schedule, lower
 from repro.sim.trace import MemoryLayout, TraceGenerator
 
-from tests.helpers import ReferenceHierarchy, hierarchy_state
+from tests.helpers import (
+    ReferenceHierarchy,
+    assert_residency_invariant,
+    hierarchy_state,
+)
 
 #: Hierarchy configurations: both platforms, both prefetcher models,
 #: prefetching off, and shrunken caches so that short traces evict.
@@ -144,7 +150,7 @@ class TestRandomTraces:
         for ref_id, kind, line in trace:
             refs.append(ids.setdefault((ref_id, kind), len(ids)))
             lines.append(line)
-        kinds = {n: kind for (_ref_id, kind), n in ids.items()}
+        kinds = tuple(kind for _ref_id, kind in ids)
         n_levels = fast.num_levels + 2
         got, want = [0] * n_levels, [0] * n_levels
         for block, start in enumerate(range(0, len(lines), cut)):
@@ -156,6 +162,119 @@ class TestRandomTraces:
             replay_reference(ref, lines[chunk], refs[chunk], kinds, want)
             assert got == want
         assert hierarchy_state(fast) == hierarchy_state(ref)
+
+
+#: Configurations that train the stride engine (legacy prefetch model).
+LEGACY_CONFIGS = sorted(
+    name for name, (_arch, kwargs) in CONFIGS.items()
+    if "stream_model" not in kwargs and kwargs.get("enable_prefetch", True)
+)
+
+#: Reference ids beyond the stride table's 64 entries.
+MANY_REFS = 100
+
+
+def many_ref_kind(ref_id):
+    """A fixed kind per reference id: mostly loads, some stores and
+    non-temporal stores."""
+    return (LOAD, LOAD, STORE, LOAD, LOAD, NT_STORE)[ref_id % 6]
+
+
+#: Segments over ``MANY_REFS`` ids: (ref id, first line, stride, length).
+many_ref_segments = st.lists(
+    st.tuples(
+        st.integers(0, MANY_REFS - 1),
+        st.integers(0, 1 << 12),
+        st.sampled_from([0, 1, 1, 2, -1, 3, 17, 64]),
+        st.integers(1, 6),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def many_ref_trace(first_touch, segs, interleave):
+    """``(ref id, line)`` accesses: one access per id in ``first_touch``
+    order, which overflows the stride table, then the segments, back to
+    back or round-robin."""
+    trace = [(ref_id, 1 << 20 | ref_id << 8) for ref_id in first_touch]
+    expanded = expand(
+        [(ref_id, LOAD, start, stride, length)
+         for ref_id, start, stride, length in segs],
+        interleave,
+    )
+    return trace + [(ref_id, line) for ref_id, _kind, line in expanded]
+
+
+class TestStrideTableEviction:
+    """More reference ids than the stride table holds, so its LRU
+    evictions decide which streams stay trained."""
+
+    @pytest.mark.parametrize("config", LEGACY_CONFIGS)
+    @given(
+        first_touch=st.permutations(range(MANY_REFS)),
+        segs=many_ref_segments,
+        interleave=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_every_access_hits_the_same_level(self, config, first_touch,
+                                              segs, interleave):
+        fast, ref = make_pair(config)
+        for ref_id, line in many_ref_trace(first_touch, segs, interleave):
+            kind = many_ref_kind(ref_id)
+            if kind == NT_STORE:
+                fast.nt_store(line)
+                ref.nt_store(line)
+                continue
+            got = fast.access(line, is_write=kind == STORE, ref_id=ref_id)
+            want = ref.access(line, is_write=kind == STORE, ref_id=ref_id)
+            assert (got.hit_level, got.prefetch_credit, got.late) == want
+        assert fast.stats.stream_tables["l2_stride"].evictions > 0
+        assert hierarchy_state(fast) == hierarchy_state(ref)
+        for cache in fast.levels:
+            assert_residency_invariant(cache)
+
+    @pytest.mark.parametrize("config", LEGACY_CONFIGS)
+    @given(
+        first_touch=st.permutations(range(MANY_REFS)),
+        segs=many_ref_segments,
+        interleave=st.booleans(),
+        cuts=st.lists(st.integers(1, 150), min_size=1, max_size=6),
+        mixed=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_batched_stream_matches(self, config, first_touch, segs,
+                                    interleave, cuts, mixed):
+        """Blocks of drawn lengths through ``run``; when ``mixed``, every
+        other block goes through ``access``/``nt_store`` one line at a
+        time, so the stride table passes between both training paths."""
+        fast, ref = make_pair(config)
+        trace = many_ref_trace(first_touch, segs, interleave)
+        lines = [line for _ref_id, line in trace]
+        refs = [ref_id for ref_id, _line in trace]
+        kinds = tuple(many_ref_kind(ref_id) for ref_id in range(MANY_REFS))
+        n_levels = fast.num_levels + 2
+        got, want = [0] * n_levels, [0] * n_levels
+        start = block = 0
+        while start < len(lines):
+            chunk = slice(start, start + cuts[block % len(cuts)])
+            if mixed and block % 2:
+                for line, ref_id in zip(lines[chunk], refs[chunk]):
+                    if kinds[ref_id] == NT_STORE:
+                        fast.nt_store(line)
+                        continue
+                    got[fast.access(
+                        line, is_write=kinds[ref_id] == STORE, ref_id=ref_id
+                    ).hit_level] += 1
+            else:
+                fast.run(lines[chunk], refs[chunk], kinds, got)
+            replay_reference(ref, lines[chunk], refs[chunk], kinds, want)
+            assert got == want
+            assert hierarchy_state(fast) == hierarchy_state(ref)
+            start, block = chunk.stop, block + 1
+        assert fast.stats.stream_tables["l2_stride"].evictions > 0
+        for cache in fast.levels:
+            assert_residency_invariant(cache)
 
 
 #: Corpus kernels (smoke sizes) whose nests cover streaming, transposed,
@@ -191,6 +310,8 @@ def test_corpus_traces_match(kernel, config):
             replay_reference(ref, lines, refs, gen.ref_kinds, want)
         assert got == want, nest.name
         assert hierarchy_state(fast) == hierarchy_state(ref), nest.name
+        for cache in fast.levels:
+            assert_residency_invariant(cache)
 
 
 #: Digests of the state after each (config, kernel) replay below.
@@ -225,6 +346,8 @@ def test_corpus_end_state_matches_golden(kernel, config):
             fast.run(lines, refs, gen.ref_kinds, got)
             replay_reference(ref, lines, refs, gen.ref_kinds, want)
     assert got == want
+    for cache in fast.levels:
+        assert_residency_invariant(cache)
     golden = STATE_DIGESTS[f"{config}/{kernel}"]
     assert state_digest(fast) == golden
     assert state_digest(ref) == golden
