@@ -2,8 +2,9 @@
 
 Each bench regenerates one table or figure of the paper at the paper's
 problem sizes (the simulator samples traces, so this is tractable) and
-records the wall-clock of the regeneration via pytest-benchmark
-(``rounds=1`` — these are experiments, not microbenchmarks).
+asserts its shape claims.  They are plain tests, kept out of the tier-1
+suite by their directory; ``pytest benchmarks/ --durations=0`` reports
+each regeneration's wall-clock.
 
 Budget knobs (override via environment):
 
@@ -35,8 +36,3 @@ _default("REPRO_AT_EVALS_DAY", "24")
 def config() -> ExperimentConfig:
     """One shared config so the cross-experiment measurement cache helps."""
     return ExperimentConfig()
-
-
-def run_once(benchmark, fn):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)

@@ -14,7 +14,6 @@ re-measures matmul at the paper's size:
 
 import pytest
 
-from conftest import run_once
 from repro.arch import intel_i7_5930k
 from repro.bench import make_benchmark
 from repro.core import optimize_temporal
@@ -36,26 +35,21 @@ def _measure(machine, name, n, **flags):
     return machine.time_funcs([(func, schedule)])
 
 
-def test_ablations_matmul(benchmark, config):
+def test_ablations_matmul(config):
     arch = intel_i7_5930k()
     machine = Machine(arch, line_budget=config.line_budget)
-
-    def run():
-        out = {
-            "full": _measure(machine, "matmul", 2048),
-            "no_emu": _measure(machine, "matmul", 2048, use_emu=False),
-            "no_order": _measure(machine, "matmul", 2048, order_step=False),
-        }
-        # Prefetchers off: same schedule, different machine.
-        blind = Machine(arch, line_budget=config.line_budget,
-                        enable_prefetch=False)
-        out["no_prefetch_hw"] = _measure(blind, "matmul", 2048)
-        print("\nAblation (matmul 2048, ms):")
-        for key, ms in out.items():
-            print(f"  {key:15s} {ms:9.2f}")
-        return out
-
-    out = run_once(benchmark, run)
+    out = {
+        "full": _measure(machine, "matmul", 2048),
+        "no_emu": _measure(machine, "matmul", 2048, use_emu=False),
+        "no_order": _measure(machine, "matmul", 2048, order_step=False),
+    }
+    # Prefetchers off: same schedule, different machine.
+    blind = Machine(arch, line_budget=config.line_budget,
+                    enable_prefetch=False)
+    out["no_prefetch_hw"] = _measure(blind, "matmul", 2048)
+    print("\nAblation (matmul 2048, ms):")
+    for key, ms in out.items():
+        print(f"  {key:15s} {ms:9.2f}")
     # The full method is never worse than its ablations (small tolerance
     # for simulator sampling noise).
     assert out["full"] <= out["no_emu"] * 1.10

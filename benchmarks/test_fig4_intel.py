@@ -12,7 +12,6 @@ Shape assertions follow the paper's reading of the figure:
   paper's stated exception).
 """
 
-from conftest import run_once
 from repro.experiments import fig4
 
 #: Dense linear algebra: the paper's headline wins, asserted strictly.
@@ -20,8 +19,8 @@ TEMPORAL = ("matmul", "gemm")
 SPATIAL = ("tpm", "tp")
 
 
-def test_fig4(benchmark, config):
-    data = run_once(benchmark, lambda: fig4.run(config=config))
+def test_fig4(config):
+    data = fig4.run(config=config)
     for platform in ("i7-6700", "i7-5930k"):
         rel = data[platform]
         for name in TEMPORAL:

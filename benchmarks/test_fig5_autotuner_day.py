@@ -5,12 +5,11 @@ proposed method on the four benchmarks of increasing loop depth, because
 its space only tiles output-array dimensions.
 """
 
-from conftest import run_once
 from repro.experiments import fig5
 
 
-def test_fig5(benchmark, config):
-    data = run_once(benchmark, lambda: fig5.run(config=config))
+def test_fig5(config):
+    data = fig5.run(config=config)
     assert set(data) == {"tpm", "convlayer", "matmul", "doitgen"}
     for name, rel in data.items():
         # Proposed is the reference winner (or ties within 10%).

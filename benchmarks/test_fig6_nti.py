@@ -5,12 +5,11 @@ on copy), because streaming stores eliminate the read-for-ownership and
 stop output lines from polluting the caches.
 """
 
-from conftest import run_once
 from repro.experiments import fig6
 
 
-def test_fig6(benchmark, config):
-    data = run_once(benchmark, lambda: fig6.run(config=config))
+def test_fig6(config):
+    data = fig6.run(config=config)
     assert set(data) == {"tpm", "tp", "copy", "mask"}
     for name, rel in data.items():
         assert rel["proposed"] == 1.0

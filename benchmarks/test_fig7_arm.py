@@ -4,12 +4,11 @@ Paper shape: the proposed algorithm outperforms the Auto-Scheduler and the
 baseline on the ARM platform too (shared L2, no L3, no NT stores).
 """
 
-from conftest import run_once
 from repro.experiments import fig7
 
 
-def test_fig7(benchmark, config):
-    data = run_once(benchmark, lambda: fig7.run(config=config))
+def test_fig7(config):
+    data = fig7.run(config=config)
     assert "copy" not in data and "mask" not in data  # excluded on ARM
     wins = 0
     near = 0

@@ -12,7 +12,6 @@ performance rides on the prefetchers the model assumes:
   reference" assumption.
 """
 
-from conftest import run_once
 from repro.arch import intel_i7_5930k
 from repro.bench import make_benchmark
 from repro.core import optimize
@@ -27,15 +26,11 @@ def _time_with(arch, enable_prefetch, budget):
     return machine.time_funcs([(func, schedule)])
 
 
-def test_prefetch_sensitivity(benchmark, config):
+def test_prefetch_sensitivity(config):
     arch = intel_i7_5930k()
-
-    def run():
-        on = _time_with(arch, True, config.line_budget)
-        off = _time_with(arch, False, config.line_budget)
-        print(f"\nmatmul 1024, proposed schedule: prefetch ON {on:.1f} ms, "
-              f"OFF {off:.1f} ms ({off / on:.2f}x)")
-        return {"on": on, "off": off}
-
-    out = run_once(benchmark, run)
+    on = _time_with(arch, True, config.line_budget)
+    off = _time_with(arch, False, config.line_budget)
+    print(f"\nmatmul 1024, proposed schedule: prefetch ON {on:.1f} ms, "
+          f"OFF {off:.1f} ms ({off / on:.2f}x)")
+    out = {"on": on, "off": off}
     assert out["off"] > out["on"] * 1.1, out

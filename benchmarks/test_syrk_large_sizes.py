@@ -6,7 +6,6 @@ schedule."  We re-run syrk at the paper size (tiling ~ baseline) and at a
 larger size (tiling should pull ahead).
 """
 
-from conftest import run_once
 from repro.arch import intel_i7_5930k
 from repro.baselines import baseline_schedule
 from repro.bench import make_benchmark
@@ -25,17 +24,13 @@ def _pair(machine, n):
     return t_prop, t_base
 
 
-def test_syrk_tiling_pays_off_at_scale(benchmark, config):
+def test_syrk_tiling_pays_off_at_scale(config):
     machine = Machine(intel_i7_5930k(), line_budget=config.line_budget)
-
-    def run():
-        small = _pair(machine, 2048)
-        large = _pair(machine, 4096)
-        print(f"\nsyrk 2048: proposed {small[0]:.1f} ms vs baseline {small[1]:.1f} ms")
-        print(f"syrk 4096: proposed {large[0]:.1f} ms vs baseline {large[1]:.1f} ms")
-        return {"small": small, "large": large}
-
-    out = run_once(benchmark, run)
+    small = _pair(machine, 2048)
+    large = _pair(machine, 4096)
+    print(f"\nsyrk 2048: proposed {small[0]:.1f} ms vs baseline {small[1]:.1f} ms")
+    print(f"syrk 4096: proposed {large[0]:.1f} ms vs baseline {large[1]:.1f} ms")
+    out = {"small": small, "large": large}
     small_gain = out["small"][1] / out["small"][0]
     large_gain = out["large"][1] / out["large"][0]
     # Larger problems benefit at least as much from tiling.

@@ -4,12 +4,11 @@ Paper-vs-measured notes land in EXPERIMENTS.md; here we assert only the
 structural claims that must hold for the table to be meaningful.
 """
 
-from conftest import run_once
 from repro.experiments import table4
 
 
-def test_table4(benchmark, config):
-    data = run_once(benchmark, lambda: table4.run(config=config))
+def test_table4(config):
+    data = table4.run(config=config)
     assert set(data) == {
         "convlayer", "doitgen", "matmul", "3mm", "gemm", "trmm",
         "syrk", "syr2k", "tpm", "tp", "copy", "mask",

@@ -5,12 +5,11 @@ convolution layer (7.604 s, dominated by the 5-D nest's permutation
 space).  We assert the same two-orders-of-magnitude split.
 """
 
-from conftest import run_once
 from repro.experiments import table5
 
 
-def test_table5(benchmark, config):
-    data = run_once(benchmark, lambda: table5.run(config=config))
+def test_table5(config):
+    data = table5.run(config=config)
     assert set(data) == {
         "convlayer", "doitgen", "matmul", "3mm", "gemm", "trmm",
         "syrk", "syr2k", "tpm", "tp", "copy", "mask",

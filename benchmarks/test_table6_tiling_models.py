@@ -8,13 +8,12 @@ baseline model is >= 1 (never slower on average), and Proposed wins
 outright at the largest size on matmul.
 """
 
-from conftest import run_once
 from repro.experiments import table6
 from repro.experiments.table6 import _geomean
 
 
-def test_table6(benchmark, config):
-    data = run_once(benchmark, lambda: table6.run(config=config))
+def test_table6(config):
+    data = table6.run(config=config)
     gains_tts, gains_tss = [], []
     for name, cells in data.items():
         for size, cell in cells.items():

@@ -95,7 +95,6 @@ from repro.util import (
     ReproError,
     canonical_json,
     jobs_arg,
-    resolve_workers,
     write_json,
 )
 
@@ -171,17 +170,7 @@ def _resolve_platform(name: str):
         ) from None
 
 
-def _check_jobs(args) -> None:
-    """``--jobs`` on optimize/compare/codegen/submit is a no-op kept for
-    compatibility; it is still validated, so bad values fail as before."""
-    try:
-        resolve_workers(args.jobs, name="jobs")
-    except ValueError as exc:
-        raise SystemExit(f"invalid options: {exc}") from None
-
-
 def _policy(args) -> FallbackPolicy:
-    _check_jobs(args)
     try:
         if args.lenient:
             return FallbackPolicy.lenient(deadline_ms=args.deadline_ms)
@@ -335,7 +324,6 @@ def cmd_submit(args) -> int:
     from repro.serve.client import ServeClient
     from repro.util import ServeOverloaded
 
-    _check_jobs(args)
     client = ServeClient(
         args.host,
         args.port,
@@ -893,9 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--deadline-ms", type=float, default=None,
                        metavar="MS",
                        help="per-stage optimizer time budget")
-        p.add_argument("--jobs", type=jobs_arg, default=1, metavar="N",
-                       help="accepted for compatibility and ignored "
-                            "(the search is serial)")
 
     def common(p):
         target(p)

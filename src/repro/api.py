@@ -36,7 +36,7 @@ for pipelines, ``rung``/``fell_back``/``diagnostics`` for safe mode,
 Versioning: this surface follows the package ``__version__`` under
 semantic-versioning rules — fields are only added (with defaults), never
 renamed or removed, within a major version; see docs/API.md's "Stable
-API" section and its migration notes for what 2.0 removed.
+API" section and its migration notes for what 2.0 and 3.0 removed.
 """
 
 from __future__ import annotations
@@ -393,7 +393,6 @@ def optimize(request: OptimizeRequest) -> OptimizeResult:
             request.arch,
             exhaustive=opts.exhaustive,
             use_emu=opts.use_emu,
-            order_step=opts.order_step,
             tracer=opts.tracer,
         )
         return OptimizeResult(

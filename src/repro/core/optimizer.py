@@ -105,10 +105,10 @@ def optimize(
     exhaustive:
         Evaluate every integer tile size instead of the candidate lattice.
     use_emu / order_step:
-        The temporal/spatial optimizers' ablation switches, forwarded
-        verbatim (see :func:`repro.core.optimize_temporal` and
-        :func:`repro.core.optimize_spatial`).  Both default to the
-        paper's full method.
+        The ablation switches, forwarded verbatim: ``use_emu`` to both
+        stage optimizers, ``order_step`` to
+        :func:`repro.core.optimize_temporal` only (Algorithm 3 has no
+        ordering step).  Both default to the paper's full method.
     multistride:
         ``"off"`` (default — the flow above, bit-identical to every
         pre-multistride release), ``"auto"`` (run the three-way
@@ -214,7 +214,6 @@ def _optimize_under_deadline(
             classification.info,
             exhaustive=exhaustive,
             use_emu=use_emu,
-            order_step=order_step,
             tracer=tracer,
         )
         tiles = dict(spatial_result.tiles)

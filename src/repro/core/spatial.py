@@ -77,7 +77,6 @@ def optimize_spatial(
     *,
     exhaustive: bool = False,
     use_emu: bool = True,
-    order_step: bool = True,
     tracer=None,
 ) -> SpatialResult:
     """Run Algorithm 3 on the main definition of ``func``.
@@ -87,17 +86,15 @@ def optimize_spatial(
 
     ``use_emu`` mirrors Algorithm 2's ablation switch: when disabled the
     Algorithm-1 interference bound on the tile height is replaced by a
-    plain halved-L2 capacity bound.  ``order_step`` is accepted for a
-    keyword surface uniform with :func:`repro.core.optimize_temporal`
-    but is a documented no-op — Algorithm 3 has no Step-2 ordering
-    search (the tile shape fixes the order).  ``tracer`` (default: the
+    plain halved-L2 capacity bound.  There is no ``order_step`` switch:
+    Algorithm 3 has no Step-2 ordering search (the tile shape fixes the
+    order).  ``tracer`` (default: the
     ambient :func:`repro.obs.current_tracer`) receives one
     ``search.bound`` event per tile width, one ``candidate.pruned``
     event per reason (with its count) and a ``spatial.search`` span;
     the returned ``stats`` are identical with or without a recording
     tracer.
     """
-    del order_step  # uniform keyword surface; no ordering step here
     info = info or analyze_func(func)
     patterns = extract_patterns(info)
     dts = info.dtype_size

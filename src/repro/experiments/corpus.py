@@ -34,6 +34,7 @@ from repro.baselines import baseline_schedule
 from repro.core import optimize
 from repro.core.classify import classify
 from repro.experiments.harness import ExperimentConfig, format_table
+from repro.experiments.mef import SECTION_BEGIN as MEF_SECTION_BEGIN
 from repro.frontend.corpus import CORPUS
 
 PLATFORM = "i7-5930k"
@@ -124,9 +125,24 @@ def run(
         print(_render(rows, classes, config))
     if not config.fast and only is None:
         path = os.environ.get(TABLE_ENV, TABLE_PATH)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(_markdown(rows, classes))
+        _write_table(_markdown(rows, classes), path)
     return {**rows, "classes": classes}
+
+
+def _write_table(text: str, path: str) -> None:
+    """Write the corpus tables over ``path``, keeping the marked section
+    that :mod:`repro.experiments.mef` splices into the same file (and
+    anything after it) byte for byte."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            old = handle.read()
+    except FileNotFoundError:
+        old = ""
+    begin = old.find(MEF_SECTION_BEGIN)
+    if begin != -1:
+        text = f"{text}\n{old[begin:]}"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def _kernel_rows(rows):

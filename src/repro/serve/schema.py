@@ -9,7 +9,7 @@ schedule-cache key (:meth:`repro.options.OptimizeOptions.cache_dict`)::
 
     {"format": "repro-serve-v1", "benchmark": "matmul", "fast": true,
      "platform": "i7-5930k", "options": {"use_nti": true, ...},
-     "jobs": 1, "deadline_ms": 2000.0}
+     "deadline_ms": 2000.0}
 
 ``repro-serve-v1.1`` adds the kernel spec language as a first-class
 target: instead of ``benchmark``, a request may carry a ``spec`` string
@@ -29,8 +29,9 @@ spec- and benchmark-submissions of the same kernel coalesce, cache-hit
 and shard together.
 
 ``jobs`` is a documented no-op kept for wire compatibility: both formats
-accept it (an integer ``>= 0`` or ``"auto"``; anything else is a 400),
-the value is ignored, and clients always send ``"jobs": 1``.
+accept it (an integer ``>= 0`` or ``"auto"``; anything else is a 400)
+and ignore its value.  Since 3.0 the client no longer sends it; a 2.x
+client's ``"jobs": 1`` gets the same response as a body without it.
 
 One result carries the serialized schedule of every pipeline stage
 (:func:`repro.ir.serialize.schedule_to_dict` — replayable on any machine
@@ -190,18 +191,6 @@ class ServeRequest:
         return f"spec:{match.group(1) if match else '?'}"
 
     def to_dict(self) -> Dict:
-        if self.format == SERVE_FORMAT:
-            payload = {
-                "format": SERVE_FORMAT,
-                "benchmark": self.benchmark,
-                "platform": self.platform,
-                "fast": self.fast,
-                "options": dict(self.options),
-                "jobs": 1,
-            }
-            if self.deadline_ms is not None:
-                payload["deadline_ms"] = self.deadline_ms
-            return payload
         payload = {"format": self.format}
         if self.benchmark is not None:
             payload["benchmark"] = self.benchmark
@@ -216,7 +205,6 @@ class ServeRequest:
             platform=self.platform,
             fast=self.fast,
             options=dict(self.options),
-            jobs=1,
         )
         if self.deadline_ms is not None:
             payload["deadline_ms"] = self.deadline_ms

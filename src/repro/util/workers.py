@@ -1,7 +1,6 @@
 """Worker-count normalization shared by every process- or thread-level
 pool knob (``OptimizeServer(workers=)``, ``repro sweep --jobs``) and by
-the validation of the no-op ``jobs`` field on the serve wire and CLI,
-plus the argparse type every such flag parses with."""
+the validation of the no-op ``jobs`` field on the serve wire, plus the argparse type every such flag parses with."""
 
 from __future__ import annotations
 

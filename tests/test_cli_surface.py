@@ -23,7 +23,7 @@ from repro.frontend.__main__ import main as frontend_main
 
 _TARGET = {
     "benchmark", "--spec", "--dims", "--dtypes", "--param", "--platform",
-    "--fast", "--no-nti", "--deadline-ms", "--jobs",
+    "--fast", "--no-nti", "--deadline-ms",
 }
 _SEARCH = _TARGET | {"--trace", "--strict", "--lenient"}
 _SWEEP = {

@@ -195,10 +195,11 @@ class TestUnifiedSwitches:
     def test_spatial_accepts_new_switches(self, arch):
         func, _ = make_copy(64)
         emu_on = optimize_spatial(func, arch, use_emu=True)
-        emu_off = optimize_spatial(
-            func, arch, use_emu=False, order_step=False
-        )
+        emu_off = optimize_spatial(func, arch, use_emu=False)
         assert emu_on.tiles and emu_off.tiles
+        # Algorithm 3 has no ordering step; 3.0 removed the no-op keyword.
+        with pytest.raises(TypeError, match="order_step"):
+            optimize_spatial(func, arch, order_step=False)
 
     def test_temporal_accepts_tracer_kwarg(self, arch):
         func, _, _ = make_matmul(32)

@@ -48,10 +48,6 @@ class TestParser:
         assert args.workers == 1
 
     def test_jobs_auto_spelling(self):
-        args = build_parser().parse_args(
-            ["optimize", "matmul", "--jobs", "auto"]
-        )
-        assert args.jobs == "auto"
         args = build_parser().parse_args(["serve", "--workers", "auto"])
         assert args.workers == "auto"
         args = build_parser().parse_args(["sweep", "--jobs", "auto"])
@@ -59,28 +55,19 @@ class TestParser:
 
     def test_jobs_rejects_nonsense(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["optimize", "matmul", "--jobs", "many"])
+            build_parser().parse_args(["sweep", "--jobs", "many"])
         assert excinfo.value.code == 2  # argparse usage error
         assert "integer or 'auto'" in capsys.readouterr().err
 
-    def test_optimize_output_ignores_jobs(self, capsys):
-        # --jobs is a no-op since 2.0; only the wall-clock line may vary.
-        def run(*extra):
-            assert main(["optimize", "matmul", "--fast", *extra]) == 0
-            out = capsys.readouterr().out
-            return [l for l in out.splitlines() if "runtime:" not in l]
-
-        plain = run()
-        assert run("--jobs", "4") == plain
-        assert run("--jobs", "auto") == plain
-
-    def test_bad_jobs_still_rejected(self):
-        for command in (["optimize", "matmul"], ["submit", "matmul"]):
-            with pytest.raises(SystemExit) as excinfo:
-                main([*command, "--fast", "--jobs", "-1"])
-            assert str(excinfo.value) == (
-                "invalid options: jobs must be >= 0 (0 = auto), got -1"
-            )
+    @pytest.mark.parametrize(
+        "command", ["optimize", "compare", "codegen", "submit"]
+    )
+    def test_jobs_is_gone_from_the_search_commands(self, command, capsys):
+        # The serial search ignored --jobs through 2.x; 3.0 removed it.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "matmul", "--fast", "--jobs", "4"])
+        assert excinfo.value.code == 2  # argparse usage error
+        assert "unrecognized arguments: --jobs 4" in capsys.readouterr().err
 
     def test_submit_defaults(self):
         args = build_parser().parse_args(["submit", "matmul"])

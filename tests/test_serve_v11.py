@@ -49,7 +49,8 @@ def make_server(tmp_path, **kwargs):
     return ServerThread(**kwargs)
 
 
-#: The exact v1 body a pre-v1.1 client sends — golden, not regenerated.
+#: The exact v1 body a 2.x client sent — golden, not regenerated.  Since
+#: 3.0 the client omits the no-op ``jobs``; servers still accept it.
 GOLDEN_V1_BODY = {
     "format": "repro-serve-v1",
     "benchmark": "matmul",
@@ -76,12 +77,13 @@ class TestSchemaVersioning:
 
     def test_v1_body_is_bit_identical(self):
         body = build_request("matmul", "i7-5930k", fast=True)
+        golden = {k: v for k, v in GOLDEN_V1_BODY.items() if k != "jobs"}
         assert json.dumps(body, sort_keys=True) == json.dumps(
-            GOLDEN_V1_BODY, sort_keys=True
+            golden, sort_keys=True
         )
 
     def test_v11_body_is_bit_identical(self):
-        # Byte order included: the body the 1.x client sent.
+        # Byte order included: the body the 2.x client sent, minus jobs.
         body = build_request(
             spec=MATMUL_SPEC, dims=MATMUL_DIMS, platform="i7-5930k", fast=True
         )
@@ -90,7 +92,7 @@ class TestSchemaVersioning:
             'B[k,j]", "dims": {"i": 256, "j": 256, "k": 256}, "platform": '
             '"i7-5930k", "fast": true, "options": {"use_nti": true, '
             '"parallelize": true, "vectorize": true, "exhaustive": false, '
-            '"use_emu": true, "order_step": true}, "jobs": 1}'
+            '"use_emu": true, "order_step": true}}'
         )
 
     def test_v11_body_shape(self):
