@@ -21,26 +21,30 @@ scaling, the same modelling device the paper itself uses
 This class is the simulator's innermost loop.  A block of a trace goes
 through :meth:`CacheHierarchy.run`, which splits the work in two:
 
-* what depends on the trace alone runs in numpy over the whole block:
-  the write-back set, write-combining of non-temporal stores and, under
-  the legacy prefetch model, the stride engine's training
-  (:meth:`~repro.cachesim.prefetch.StridePrefetcher.train`).  The paper's
-  stride engine trains per load on that load's addresses only, so every
-  decision it makes is known before any cache state is;
+* what depends on the trace alone runs in numpy, in passes of at most
+  8,192 accesses: the write-back set, write-combining of non-temporal
+  stores and the training of whichever prefetch engine is on, the
+  legacy stride engine
+  (:meth:`~repro.cachesim.prefetch.StridePrefetcher.train`) or the
+  multi-stream detector
+  (:meth:`~repro.cachesim.prefetch.MultiStreamPrefetcher.train`).  The
+  paper's stride engine trains per load on that load's addresses only,
+  and the detector's engines on the lines of their page, so every
+  decision either makes is known before any cache state is;
 * what depends on cache state runs in one Python demand loop
   (:meth:`CacheHierarchy._demand`): the probes, fills and evictions of
   every level, the next-line engine and the prefetch fills, each access
-  handed the offsets its trained stride prefetches.  The loop binds every
-  set list, residency map and counter to a local and inlines the set
-  index and the fills; counters are written back once per call.
+  handed the line offsets its engines prefetch.  Under the stream model
+  the loop also keeps the clock that tells late prefetch hits from
+  on-time ones.  The loop binds every set list, residency map and
+  counter to a local and inlines the set index and the fills; counters
+  are written back once per call.
 
-The multi-stream engine stays inside the loop: its engines are keyed by
-page and issue from a run-ahead frontier on a demand-access clock, a
-sequential recurrence over the LRU engine pool.  One
-:meth:`~CacheHierarchy.access` or :meth:`~CacheHierarchy.nt_store` skips
-numpy: it trains through
-:meth:`~repro.cachesim.prefetch.StridePrefetcher.observe` and runs the
-same loop on one line.
+One :meth:`~CacheHierarchy.access` or :meth:`~CacheHierarchy.nt_store`
+skips numpy: it trains through the engines' scalar steps
+(:meth:`~repro.cachesim.prefetch.StridePrefetcher.observe`,
+:meth:`~repro.cachesim.prefetch.MultiStreamPrefetcher.advance`) and runs
+the same loop on one line.
 The generic :class:`~repro.cachesim.cache.SetAssocCache` API and the
 engines' ``observe`` methods remain the reference implementation, which
 the tests compose into a plain hierarchy to cross-check this path access
@@ -60,7 +64,6 @@ from repro.cachesim.prefetch import (
     MultiStreamPrefetcher,
     StreamModelParams,
     StridePrefetcher,
-    _Engine,
 )
 from repro.cachesim.stats import HierarchyStats
 
@@ -70,6 +73,12 @@ LOAD, STORE, NT_STORE = 0, 1, 2
 #: The prefetch plan of an untrained demand access: the next-line
 #: engine's line + 1 (see :meth:`CacheHierarchy.run`).
 _UNTRAINED: Tuple[int, ...] = (1,)
+
+#: Accesses per numpy pass of :meth:`CacheHierarchy.run`: its int64
+#: temporaries stay near 64 KiB, under glibc's 128 KiB mmap threshold, so
+#: they come from the heap instead of fresh mappings faulted in for every
+#: pass.
+_CHUNK = 8192
 
 
 def access_kind(is_store: bool, nontemporal: bool) -> int:
@@ -107,7 +116,9 @@ class CacheHierarchy:
     perfbench ``price`` streams :meth:`run` takes about 1,350 ns per line
     access, against about 1,700 ns when the loop trained the stride engine
     inline and probed set lists (CPU time on a 2-vCPU Xeon VM, scaled to
-    perfbench's nominal host speed).
+    perfbench's nominal host speed).  On the ``multistride`` streams it
+    takes 23% less than when the multi-stream detector ran inside the
+    loop (see docs/MODEL.md § 2.2).
 
     Parameters
     ----------
@@ -196,13 +207,17 @@ class CacheHierarchy:
         if is_write and line not in self._dirty:
             self._dirty.add(line)
             stats.writeback_lines += 1
-        plan = _UNTRAINED
-        if self.enable_prefetch and self._multi is None:
-            # One access: the reference engine trains faster than a numpy
-            # pass over a block of one.
-            targets = self.l2_stride.observe(ref_id, line)
-            if targets:
-                plan = (1, *(target - line for target in targets))
+        # One access: the scalar engines train faster than a numpy pass
+        # over a block of one.
+        plan = ()
+        if self.enable_prefetch:
+            if self._multi is None:
+                plan = _UNTRAINED
+                targets = self.l2_stride.observe(ref_id, line)
+                if targets:
+                    plan = (1, *(target - line for target in targets))
+            else:
+                plan = self._multi.advance(line) or ()
         level_hits = [0] * (self.num_levels + 2)
         late = stats.late_prefetch_hits
         credit = self._demand((line,), (plan,), level_hits)
@@ -238,18 +253,30 @@ class CacheHierarchy:
 
         What depends on the trace alone is done here in numpy, before the
         demand loop: the write-back set, write-combining of non-temporal
-        stores, and the legacy stride engine's training.  The loop
-        (:meth:`_demand`) then gets one *plan* per access: ``None`` for a
-        non-temporal store that reaches memory, else the line offsets the
-        legacy engines prefetch into L2 after the demand access.
+        stores, and the training of whichever prefetch engine is on.  The
+        loop (:meth:`_demand`) then gets one *plan* per access: ``None``
+        for a non-temporal store that reaches memory, else the line offsets
+        the engines prefetch into L2 after the demand access.  The stream
+        goes through in passes of at most ``_CHUNK`` accesses, each picking
+        up the state the previous one left.
         """
         lines = np.asarray(lines, dtype=np.int64)
         refs = np.asarray(refs, dtype=np.int64)
-        if lines.size == 0:
-            return False
+        kinds = np.asarray(kinds, dtype=np.int64)
+        credit = False
+        for start in range(0, lines.size, _CHUNK):
+            stop = start + _CHUNK
+            credit = self._run_chunk(
+                lines[start:stop], refs[start:stop], kinds, level_hits, credit
+            )
+        return credit
+
+    def _run_chunk(self, lines, refs, kinds, level_hits, credit) -> bool:
+        """One numpy pass of :meth:`run`; returns the last demand access's
+        prefetch credit, ``credit`` when the pass has none."""
         stats = self.stats
         stats.total_accesses += int(lines.size)
-        kind = np.asarray(kinds, dtype=np.int64)[refs]
+        kind = kinds[refs]
         stored = lines[kind == STORE]
         if stored.size:
             written = set(stored.tolist()) - self._dirty
@@ -270,20 +297,28 @@ class CacheHierarchy:
             stats.nt_store_lines += int(reaches.sum())
             keep = demand.copy()
             keep[np.flatnonzero(nt)[reaches]] = True
-        # One plan per access: code 0 is the non-temporal store, 1 the
-        # untrained demand access, 2 + k an access trained on strides[k].
+        # One plan per access: code 0 is the non-temporal store, 1 a demand
+        # access whose engines issue only their default (the next line
+        # under the legacy model, nothing under the stream model), 2 + k
+        # the engine's k-th plan of the pass.
         codes = np.zeros(lines.size, dtype=np.int64)
-        plans = [None, _UNTRAINED]
-        if self.enable_prefetch and self._multi is None:
+        if not self.enable_prefetch:
+            plans = [None, ()]
+        elif self._multi is None:
             strides, codes[demand] = self.l2_stride.train(
                 refs[demand], lines[demand]
             )
+            plans = [None, _UNTRAINED]
             plans += [self._plan_for(step) for step in strides.tolist()]
+        else:
+            issued, codes[demand] = self._multi.train(lines[demand])
+            plans = [None, (), *issued]
         codes[demand] += 1
         by_code = np.empty(len(plans), dtype=object)
         by_code[:] = plans
         return self._demand(
-            lines[keep].tolist(), by_code[codes[keep]].tolist(), level_hits
+            lines[keep].tolist(), by_code[codes[keep]].tolist(), level_hits,
+            credit,
         )
 
     def _plan_for(self, stride: int) -> Tuple[int, ...]:
@@ -297,13 +332,17 @@ class CacheHierarchy:
             )
         return plan
 
-    def _demand(self, lines, plans, level_hits: List[int]) -> bool:
+    def _demand(
+        self, lines, plans, level_hits: List[int], credit: bool = False
+    ) -> bool:
         """The demand loop: every access's cache-state-dependent work.
 
         ``plans[i]`` is ``None`` when ``lines[i]`` is a non-temporal store
         (invalidate every level's copy), else the prefetch plan of a demand
         access (see :meth:`run`).  Counts the serving levels into
-        ``level_hits``; returns the last demand access's prefetch credit.
+        ``level_hits``; returns the last demand access's prefetch credit
+        (``credit`` when there is none).  Under the stream model the loop
+        owns the clock: one tick per demand access.
         """
         # L1 and L2 are modulo-indexed, an L3 is hashed (see __init__).
         l1, l2 = self.levels[0], self.levels[1]
@@ -320,16 +359,9 @@ class CacheHierarchy:
         multi = self._multi
         legacy = self.enable_prefetch and multi is None
         streamed = self.enable_prefetch and multi is not None
-        if multi is not None:
-            params = multi.params
-            engines = multi._engines
+        if streamed:
             clock = multi._clock
-            page_lines = params.page_lines
-            n_engines = params.n_engines
-            m_threshold = params.train_threshold
-            m_degree = params.degree
-            m_distance = params.max_distance
-            latency = params.latency_accesses
+            latency = multi.params.latency_accesses
 
         # Demand accesses served by L1 / L2 / L3 / DRAM.
         c1 = c2 = c3 = cm = 0
@@ -337,8 +369,7 @@ class CacheHierarchy:
         pfi1 = pfi2 = pfi3 = 0          # lines prefetch fills inserted
         evd1 = evd2 = evd3 = 0          # evictions by demand fills
         evp1 = evp2 = evp3 = 0          # evictions by prefetch fills
-        pf_mem = late = on_time = m_issued = m_trained = 0
-        credit = False
+        pf_mem = late = on_time = 0
 
         for line, plan in zip(lines, plans):
             if plan is None:
@@ -410,14 +441,6 @@ class CacheHierarchy:
                     del m1[s1.pop(0)]
                     evd1 += 1
 
-            if multi is not None and line in inflight:
-                arrival = inflight.pop(line)
-                if credit:
-                    if arrival > clock:
-                        late += 1
-                    else:
-                        on_time += 1
-
             if legacy:
                 # Next-line engines: the L1 engine pulls line + 1 into L1;
                 # it and the stride engine's targets (the plan) are then
@@ -431,101 +454,44 @@ class CacheHierarchy:
                     if len(t1) > w1:
                         del m1[t1.pop(0)]
                         evp1 += 1
-                for offset in plan:
-                    target = line + offset
-                    if target < 0 or target in m2:
-                        continue
-                    if m3 is None:
-                        pf_mem += 1
-                    elif target not in m3:
-                        pf_mem += 1
-                        t3 = sets3[(target ^ target // n3 ^ target // nn3) % n3]
-                        t3.append(target)
-                        m3[target] = True
-                        pfi3 += 1
-                        if len(t3) > w3:
-                            del m3[t3.pop(0)]
-                            evp3 += 1
-                    t2 = sets2[target % n2]
-                    t2.append(target)
-                    m2[target] = True
-                    pfi2 += 1
-                    if len(t2) > w2:
-                        del m2[t2.pop(0)]
-                        evp2 += 1
-
             elif streamed:
-                # Multi-stream detector: one engine per page, LRU pool.  Its
-                # engines are keyed by page and issue relative to a run-ahead
-                # frontier on a demand-access clock, a sequential recurrence
-                # that stays in this loop.
+                # A hit on a prefetched line is late when its prefetch
+                # arrives after the clock reached by the previous access;
+                # this access's prefetches arrive ``latency`` ticks after
+                # its own.
+                if line in inflight:
+                    arrival = inflight.pop(line)
+                    if credit:
+                        if arrival > clock:
+                            late += 1
+                        else:
+                            on_time += 1
                 clock += 1
-                page = line // page_lines
-                engine = engines.get(page)
-                if engine is None:
-                    if len(engines) >= n_engines:
-                        engines.popitem(last=False)
-                        multi.stats.evictions += 1
-                    engines[page] = _Engine(page, line)
-                    multi.stats.allocations += 1
-                    occupancy = multi.stats.occupancy = len(engines)
-                    if occupancy > multi.stats.peak_occupancy:
-                        multi.stats.peak_occupancy = occupancy
-                    continue
-                engines.move_to_end(page)
-                step = line - engine.last_line
-                if not step:
-                    continue
-                engine.last_line = line
-                if step == engine.stride:
-                    confidence = engine.confidence = engine.confidence + 1
-                else:
-                    engine.stride = step
-                    confidence = engine.confidence = 1
-                    engine.issued_until = line
-                if confidence < m_threshold:
-                    continue
-                if confidence == m_threshold:
-                    m_trained += 1
-                    engine.issued_until = line
-                # Rate-limited issue along the stride, within the run-ahead
-                # window, never past the page boundary.
-                page_lo = page * page_lines
-                page_hi = page_lo + page_lines - 1
                 arrival = clock + latency
-                frontier = engine.issued_until
-                for _ in range(m_degree):
-                    target = frontier + step
-                    if (
-                        target < page_lo
-                        or target > page_hi
-                        or abs(target - line) > m_distance
-                    ):
-                        break
-                    frontier = target
-                    m_issued += 1
-                    if target < 0 or target in m2:
-                        continue
-                    if m3 is None:
-                        pf_mem += 1
-                    elif target not in m3:
-                        pf_mem += 1
-                        t3 = sets3[(target ^ target // n3 ^ target // nn3) % n3]
-                        t3.append(target)
-                        m3[target] = True
-                        pfi3 += 1
-                        if len(t3) > w3:
-                            del m3[t3.pop(0)]
-                            evp3 += 1
-                    t2 = sets2[target % n2]
-                    t2.append(target)
-                    m2[target] = True
-                    pfi2 += 1
-                    if len(t2) > w2:
-                        del m2[t2.pop(0)]
-                        evp2 += 1
+            for offset in plan:
+                target = line + offset
+                if target < 0 or target in m2:
+                    continue
+                if m3 is None:
+                    pf_mem += 1
+                elif target not in m3:
+                    pf_mem += 1
+                    t3 = sets3[(target ^ target // n3 ^ target // nn3) % n3]
+                    t3.append(target)
+                    m3[target] = True
+                    pfi3 += 1
+                    if len(t3) > w3:
+                        del m3[t3.pop(0)]
+                        evp3 += 1
+                t2 = sets2[target % n2]
+                t2.append(target)
+                m2[target] = True
+                pfi2 += 1
+                if len(t2) > w2:
+                    del m2[t2.pop(0)]
+                    evp2 += 1
+                if streamed:
                     inflight[target] = arrival
-                engine.issued_until = frontier
 
         # Write the counters back.  served[k] is the count of level k + 1;
         # DRAM comes last.
@@ -552,10 +518,8 @@ class CacheHierarchy:
             level.stats.prefetches_issued += issued
             level.stats.evictions += ev_demand + ev_prefetch
             level.stats.prefetch_evictions += ev_prefetch
-        if multi is not None:
+        if streamed:
             multi._clock = clock
-            multi.stats.trained += m_trained
-            multi.stats.prefetches_issued += m_issued
             multi.stats.late_hits += late
             multi.stats.on_time_hits += on_time
         return credit

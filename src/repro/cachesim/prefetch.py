@@ -143,6 +143,10 @@ class StridePrefetcher:
             raise ValueError(f"max_distance must be positive, got {max_distance}")
         if max_streams <= 0:
             raise ValueError(f"max_streams must be positive, got {max_streams}")
+        if train_threshold < 1:
+            raise ValueError(
+                f"train_threshold must be at least 1, got {train_threshold}"
+            )
         self.degree = degree
         self.max_distance = max_distance
         self.train_threshold = train_threshold
@@ -229,12 +233,11 @@ class StridePrefetcher:
 
         Training depends on the address stream alone, so it runs over a
         whole block at once, one id's accesses after another.  The table
-        is LRU, so it always holds the ``max_streams`` most recently used
-        ids: an access finds its stream iff the id was used before and
-        fewer than ``max_streams`` other ids were used since.  A stream's
-        life runs from its allocation to its eviction; within it the
-        stride is the step between consecutive distinct lines and the
-        confidence is the length of the current run of equal strides.
+        is LRU, so an access finds its stream iff :func:`_lru_hits` says
+        so.  A stream's life runs from its allocation to its eviction;
+        within it the stride is the step between consecutive distinct
+        lines and the confidence is the length of the current run of
+        equal strides.
         """
         n = int(refs.size)
         if n == 0:
@@ -248,7 +251,7 @@ class StridePrefetcher:
         carried = list(streams.values())
         keys = np.concatenate((np.fromiter(streams, np.int64, held), refs))
         # Walk the accesses id by id, each id's in time order.
-        order = np.argsort(keys, kind="stable")
+        order = _stable_order(keys)
         walked = keys[order]
         new_id = np.ones(order.size, dtype=bool)
         new_id[1:] = walked[1:] != walked[:-1]
@@ -257,7 +260,7 @@ class StridePrefetcher:
         # the previous access of the walk touched last.
         found = ~new_id
         if n_ids > cap:
-            found &= _ids_used_since(order, found) < cap
+            found = _lru_hits(keys, cap)[order]
         walk_lines = np.concatenate((
             np.fromiter((st.last_line for st in carried), np.int64, held),
             lines,
@@ -357,39 +360,71 @@ class StridePrefetcher:
         return (stream.stride, stream.confidence)
 
 
-def _ids_used_since(order: np.ndarray, again: np.ndarray) -> np.ndarray:
-    """LRU stack distances of a key sequence, in walk order.
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """The stable argsort of integer ``keys``.  numpy radix-sorts 16-bit
+    keys, several times faster than it sorts int64, so keys that span
+    fewer than ``2**16`` values sort as 16-bit offsets from the least."""
+    low = keys.min()
+    if keys.max() - low < 1 << 16:
+        keys = (keys - low).astype(np.uint16)
+    return np.argsort(keys, kind="stable")
 
-    ``order`` is the stable argsort of the keys (the walk: each key's
-    positions in time order, one key after another) and ``again[w]`` marks
-    a walk entry whose key also precedes it in the walk.  Returns, per
-    walk entry, how many distinct keys occur strictly between its key's
-    previous position and its own (entries with no previous position get
-    a meaningless count).  A key occurs in between iff its last position
-    before the entry lies after the previous one; the last positions of
-    every key are swept in time order, a bounded slab of rows at a time.
+
+def _lru_hits(keys: np.ndarray, capacity: int) -> np.ndarray:
+    """Which accesses of a key sequence find their key in an LRU table.
+
+    Every access touches its key, allocating an entry when the key is
+    absent and evicting the least recently used one when ``capacity``
+    entries are live, so after any access the table holds the
+    ``capacity`` most recently used keys.  ``hit[i]`` is therefore true
+    iff ``keys[i]`` occurred before and fewer than ``capacity`` distinct
+    keys occurred since.
+
+    A repeat of the key just used always hits, so runs of one key
+    collapse to one position first.  In the collapsed sequence a gap of
+    fewer than ``capacity`` positions cannot hold ``capacity`` keys.  A
+    longer gap is certified a miss by the window that ends just before
+    the access, of length ``capacity * 2**k`` (the longest that fits in
+    the gap), when that window holds ``capacity`` distinct keys: one
+    ``bincount`` and one ``cumsum`` give every window of a length its
+    count.  The few gaps left unsure are counted exactly.
     """
-    size = order.size
-    key_of = np.empty(size, dtype=np.int64)
-    key_of[order] = np.cumsum(~again) - 1
-    n_keys = int(key_of.max()) + 1
-    prev = np.full(size, -1, dtype=np.int64)
-    repeats = np.flatnonzero(again)
-    prev[order[repeats]] = order[repeats - 1]
-    distance = np.empty(size, dtype=np.int64)
-    latest = np.full(n_keys, -1, dtype=np.int64)
-    rows = max(1, (1 << 18) // n_keys)
-    for start in range(0, size, rows):
-        stop = min(size, start + rows)
-        seen = np.full((stop - start + 1, n_keys), -1, dtype=np.int64)
-        seen[0] = latest
-        seen[np.arange(1, stop - start + 1), key_of[start:stop]] = np.arange(
-            start, stop
-        )
-        np.maximum.accumulate(seen, axis=0, out=seen)
-        distance[start:stop] = (seen[:-1] > prev[start:stop, None]).sum(axis=1)
-        latest = seen[-1]
-    return distance[order]
+    size = keys.size
+    head = np.ones(size, dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    runs = keys[head]
+    m = runs.size
+    order = _stable_order(runs)
+    again = runs[order[1:]] == runs[order[:-1]]
+    # The previous and next positions of each position's key (-1 and m
+    # when there is none).
+    later, earlier = order[1:][again], order[:-1][again]
+    prev = np.full(m, -1, dtype=np.int64)
+    prev[later] = earlier
+    after = np.full(m, m, dtype=np.int64)
+    after[earlier] = later
+    hit = prev >= 0
+    if m - int(again.sum()) > capacity:
+        index = np.arange(m)
+        unsure = np.flatnonzero(hit & (index - prev > capacity))
+        # Window length ``capacity << level``: the longest within the gap.
+        level = np.frexp((unsure - prev[unsure] - 1) // capacity)[1] - 1
+        evicted = np.zeros(unsure.size, dtype=bool)
+        for k in np.flatnonzero(np.bincount(level)).tolist():
+            width = capacity << k
+            # Keys of the window ending at e, each counted at its last
+            # position there: those whose next use is past e.
+            gone = np.bincount(np.minimum(after, index + width), minlength=m)
+            distinct = index + 1 - np.cumsum(gone[:m])
+            at = np.flatnonzero(level == k)
+            evicted[at] = distinct[unsure[at] - 1] >= capacity
+        for w in np.flatnonzero(~evicted).tolist():
+            i = int(unsure[w])
+            evicted[w] = (after[prev[i] + 1:i] >= i).sum() >= capacity
+        hit[unsure[evicted]] = False
+    out = np.ones(size, dtype=bool)
+    out[head] = hit
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +476,11 @@ class StreamModelParams:
     def __post_init__(self) -> None:
         if self.n_engines <= 0:
             raise ValueError(f"n_engines must be positive, got {self.n_engines}")
+        if self.train_threshold < 1:
+            raise ValueError(
+                f"train_threshold must be at least 1, "
+                f"got {self.train_threshold}"
+            )
         if self.degree < 0:
             raise ValueError(f"degree must be non-negative, got {self.degree}")
         if self.max_distance <= 0:
@@ -483,10 +523,14 @@ class MultiStreamPrefetcher:
 
     :meth:`observe` returns ``(targets, arrival)`` where ``arrival`` is the
     access-count timestamp at which the issued lines stop being in flight;
-    the hierarchy uses it to classify later demand hits as late/on-time.
+    the reference hierarchy of the tests uses it to classify later demand
+    hits as late/on-time.  The engines never read the clock, so
+    :meth:`advance` (one access) and :meth:`train` (a block, in numpy)
+    leave it alone: :class:`~repro.cachesim.hierarchy.CacheHierarchy`'s
+    demand loop ticks it once per demand access.
     """
 
-    __slots__ = ("params", "_engines", "stats", "_clock")
+    __slots__ = ("params", "_engines", "stats", "_clock", "_plans")
 
     def __init__(self, params: Optional[StreamModelParams] = None) -> None:
         self.params = params or StreamModelParams()
@@ -494,6 +538,8 @@ class MultiStreamPrefetcher:
         self._engines: "OrderedDict[int, _Engine]" = OrderedDict()
         self.stats = StreamTableStats(capacity=self.params.n_engines)
         self._clock = 0
+        # :meth:`train`'s packed (step, first offset, count) -> its plan.
+        self._plans: Dict[int, Tuple[int, ...]] = {}
 
     @property
     def occupancy(self) -> int:
@@ -505,8 +551,22 @@ class MultiStreamPrefetcher:
         Returns ``(targets, arrival_clock)``: the lines to prefetch (maybe
         empty) and the clock at which they arrive.
         """
-        p = self.params
         self._clock += 1
+        offsets = self.advance(line)
+        if offsets is None:
+            return [], self._clock
+        return (
+            [line + offset for offset in offsets],
+            self._clock + self.params.latency_accesses,
+        )
+
+    def advance(self, line: int) -> Optional[Tuple[int, ...]]:
+        """Record a demand access without ticking the clock.
+
+        Returns ``None`` when the access triggers no issue, else the offsets
+        (from ``line``) of the lines it issues, maybe none.
+        """
+        p = self.params
         page = line // p.page_lines
         engine = self._engines.get(page)
         if engine is None:
@@ -519,11 +579,11 @@ class MultiStreamPrefetcher:
             self.stats.occupancy = len(self._engines)
             if self.stats.occupancy > self.stats.peak_occupancy:
                 self.stats.peak_occupancy = self.stats.occupancy
-            return [], self._clock
+            return None
         self._engines.move_to_end(page)
         stride = line - engine.last_line
         if stride == 0:
-            return [], self._clock
+            return None
         engine.last_line = line
         if stride == engine.stride:
             engine.confidence += 1
@@ -532,28 +592,207 @@ class MultiStreamPrefetcher:
             engine.confidence = 1
             engine.issued_until = line
         if engine.confidence < p.train_threshold:
-            return [], self._clock
+            return None
         if engine.confidence == p.train_threshold:
             self.stats.trained += 1
             engine.issued_until = line
         # Rate-limited issue along the stride: at most ``degree`` new lines,
         # within the run-ahead window, never past the page boundary.
-        targets: List[int] = []
+        offsets: List[int] = []
         page_lo = page * p.page_lines
         page_hi = page_lo + p.page_lines - 1
-        step = engine.stride
         frontier = engine.issued_until
         for _ in range(p.degree):
-            nxt = frontier + step
+            nxt = frontier + stride
             if nxt < page_lo or nxt > page_hi:
                 break
             if abs(nxt - line) > p.max_distance:
                 break
-            targets.append(nxt)
+            offsets.append(nxt - line)
             frontier = nxt
         engine.issued_until = frontier
-        self.stats.prefetches_issued += len(targets)
-        return targets, self._clock + p.latency_accesses
+        self.stats.prefetches_issued += len(offsets)
+        return tuple(offsets)
+
+    def train(
+        self, lines: np.ndarray
+    ) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
+        """:meth:`advance` over every line in order, in numpy.
+
+        Returns ``(plans, codes)``: the distinct non-empty issues of the
+        block, each as line offsets from its demand line in issue order,
+        and per access 0 where it issues nothing, else ``k + 1`` for
+        ``plans[k]``.  The pool, its LRU order, every engine field and
+        every statistic end exactly as that sequence of :meth:`advance`
+        calls leaves them; the clock is not touched.
+
+        The engines read the line stream alone, never cache state.  The
+        pool is LRU over pages, so an access finds its engine iff
+        :func:`_lru_hits` says so, and an engine's life runs from its
+        allocation to its eviction.  Within a life the confidence is the
+        length of the current run of equal non-zero steps ``s``.  From the
+        access that trains a run (or, for a run the pool carries in
+        trained, from the carried last line), an access ``u`` strides
+        along has the run-ahead frontier ``F = min(F0 + degree * (t + 1),
+        max_distance // |s| + u, page edge)`` in stride units, where ``t``
+        counts the run's triggers before it and ``F0`` is the frontier the
+        run starts from; it issues the lines between the previous
+        frontier and ``F``.
+        """
+        n = int(lines.size)
+        codes = np.zeros(n, dtype=np.int64)
+        if n == 0:
+            return [], codes
+        p = self.params
+        cap = p.n_engines
+        engines = self._engines
+        # The pool's engines act as accesses just before the block, in LRU
+        # order, that resume their life: combined position ``k < held`` is
+        # engine ``k``, block access ``i`` is ``held + i``.
+        held = len(engines)
+        carried = list(engines.values())
+        every = np.concatenate((
+            np.fromiter((e.last_line for e in carried), np.int64, held),
+            lines,
+        ))
+        pages = every // p.page_lines
+        # Walk the accesses page by page, each page's in time order.
+        order = _stable_order(pages)
+        walked = pages[order]
+        walk_lines = every[order]
+        found = _lru_hits(pages, cap)[order]
+        step = np.zeros(order.size, dtype=np.int64)
+        step[1:] = walk_lines[1:] - walk_lines[:-1]
+        step[~found] = 0
+        # Every access that misses starts a life: an engine allocated at
+        # its line, or a carried engine with the fields it holds.
+        life = np.cumsum(~found) - 1
+        starts = np.flatnonzero(~found)
+        entry = order[starts]
+        life_stride = np.zeros(starts.size, dtype=np.int64)
+        life_conf = np.zeros(starts.size, dtype=np.int64)
+        life_until = walk_lines[starts]
+        for k in np.flatnonzero(entry < held).tolist():
+            engine = carried[entry[k]]
+            life_stride[k] = engine.stride
+            life_conf[k] = engine.confidence
+            life_until[k] = engine.issued_until
+
+        moving = np.flatnonzero(step)
+        plans: List[Tuple[int, ...]] = []
+        if moving.size:
+            s = step[moving]
+            lv = life[moving]
+            at = walk_lines[moving]
+            # Confidence: the run of equal steps within one life,
+            # continuing the carried run when it matches.
+            first_of_life = np.ones(s.size, dtype=bool)
+            first_of_life[1:] = lv[1:] != lv[:-1]
+            breaks = first_of_life.copy()
+            breaks[1:] |= s[1:] != s[:-1]
+            index = np.arange(s.size)
+            run_start = np.maximum.accumulate(np.where(breaks, index, 0))
+            carry = np.where(
+                first_of_life & (s == life_stride[lv]), life_conf[lv], 0
+            )[run_start]
+            conf = index - run_start + 1 + carry
+            threshold = p.train_threshold
+            self.stats.trained += int((conf == threshold).sum())
+            # Where the run's frontier is counted from: the training access
+            # (frontier 0, ``t == u``), or for a run carried in trained the
+            # carried last line (carried frontier, ``t == u - 1``).
+            trig = np.flatnonzero(conf >= threshold)
+            ts = s[trig]
+            rs = run_start[trig]
+            fresh = carry[trig] < threshold
+            base = np.where(fresh, rs + threshold - 1 - carry[trig], rs - 1)
+            u = trig - base
+            t = np.where(fresh, u, u - 1)
+            origin = at[trig] - ts * u
+            f0 = np.where(fresh, 0, (life_until[lv[trig]] - origin) // ts)
+            page_lo = origin // p.page_lines * p.page_lines
+            edge = np.where(
+                ts > 0, page_lo + p.page_lines - 1 - origin, origin - page_lo
+            ) // np.abs(ts)
+            reach = p.max_distance // np.abs(ts) + u
+            frontier = np.minimum(
+                np.minimum(f0 + p.degree * (t + 1), reach), edge
+            )
+            previous = np.where(
+                t == 0,
+                f0,
+                np.minimum(np.minimum(f0 + p.degree * t, reach - 1), edge),
+            )
+            count = frontier - previous
+            self.stats.prefetches_issued += int(count.sum())
+            # Each life ends on its last step's stride and confidence; its
+            # frontier is the trained run's, else the line where the run
+            # began (or the carried one, for a run carried in untrained).
+            until = np.where(carry > 0, life_until[lv], at[run_start])
+            until[trig] = origin + ts * frontier
+            ends = np.flatnonzero(np.append(lv[1:] != lv[:-1], True))
+            life_stride[lv[ends]] = s[ends]
+            life_conf[lv[ends]] = conf[ends]
+            life_until[lv[ends]] = until[ends]
+            # One plan per distinct (step, first offset, count), packed
+            # into one key; consecutive issues mostly repeat their plan.
+            issuing = np.flatnonzero(count)
+            if issuing.size:
+                width = p.max_distance + 2
+                key = (
+                    ts[issuing] * width + previous[issuing] + 1 - u[issuing]
+                ) * (p.degree + 1) + count[issuing]
+                change = np.ones(key.size, dtype=bool)
+                change[1:] = key[1:] != key[:-1]
+                distinct, which = np.unique(key[change], return_inverse=True)
+                for packed in distinct.tolist():
+                    plan = self._plans.get(packed)
+                    if plan is None:
+                        rest, n_lines = divmod(packed, p.degree + 1)
+                        stride, lo = divmod(rest, width)
+                        plan = self._plans[packed] = tuple(
+                            stride * j for j in range(lo, lo + n_lines)
+                        )
+                    plans.append(plan)
+                # Walk position -> block access: combined position - held.
+                codes[order[moving[trig[issuing]]] - held] = (
+                    which[np.cumsum(change) - 1] + 1
+                )
+
+        # A block access that misses allocates; it evicts the LRU engine
+        # when the pool is full, which takes more than ``cap`` pages.
+        new_page = np.ones(order.size, dtype=bool)
+        new_page[1:] = walked[1:] != walked[:-1]
+        allocated = np.flatnonzero(entry >= held)
+        if allocated.size:
+            self.stats.allocations += int(allocated.size)
+            # Before block access i the pool holds ``held`` engines plus
+            # every page first used in the block before i.
+            first_use = np.sort(order[new_page])
+            first_use = first_use[first_use >= held]
+            full = held + np.searchsorted(first_use, entry[allocated]) >= cap
+            self.stats.evictions += int(full.sum())
+
+        # The pool after the block: the ``cap`` most recently used pages in
+        # LRU order, each in the state of its last life.
+        last = np.flatnonzero(np.append(new_page[1:], True))
+        pool: "OrderedDict[int, _Engine]" = OrderedDict()
+        for w in last[np.argsort(order[last])][-cap:].tolist():
+            page = int(walked[w])
+            if order[w] < held:
+                pool[page] = engines[page]
+                continue
+            engine = pool[page] = _Engine(page, int(walk_lines[w]))
+            k = life[w]
+            engine.stride = int(life_stride[k])
+            engine.confidence = int(life_conf[k])
+            engine.issued_until = int(life_until[k])
+        self._engines = pool
+        if allocated.size:
+            occupancy = self.stats.occupancy = len(pool)
+            if occupancy > self.stats.peak_occupancy:
+                self.stats.peak_occupancy = occupancy
+        return plans, codes
 
     def reset(self) -> None:
         """Forget all engines and the clock (statistics are kept)."""

@@ -1,21 +1,27 @@
 """Property tests for the prefetch engines (:mod:`repro.cachesim.prefetch`).
 
-Covers the satellite contract of the multi-striding PR: training and
-eviction are deterministic, ``NextLinePrefetcher(degree=0)`` is a legal
-disabled engine, the bounded stride table evicts in LRU order, and the
-multi-stream detector saturates (and thrashes) exactly at its engine
-count.
+Covers training and eviction being deterministic,
+``NextLinePrefetcher(degree=0)`` being a legal disabled engine, the
+bounded stride table evicting in LRU order, the multi-stream detector
+saturating (and thrashing) exactly at its engine count, and the numpy
+:meth:`MultiStreamPrefetcher.train` matching the access-at-a-time
+engine, with the LRU membership rule both trains share.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cachesim.prefetch import (
     MultiStreamPrefetcher,
     NextLinePrefetcher,
     StreamModelParams,
     StridePrefetcher,
+    _lru_hits,
 )
 
 
@@ -89,6 +95,10 @@ class TestStridePrefetcher:
         # Ref 1 survived the eviction with its training intact.
         assert engine.stream_state(1) == (1, 2)
         assert engine.stream_state(2) == (0, 0)
+
+    def test_train_threshold_below_one_rejected(self):
+        with pytest.raises(ValueError, match="train_threshold"):
+            StridePrefetcher(train_threshold=0)
 
     def test_reset_keeps_statistics(self):
         engine = StridePrefetcher()
@@ -180,3 +190,196 @@ class TestMultiStreamPrefetcher:
             StreamModelParams(max_distance=0)
         with pytest.raises(ValueError, match="latency_accesses"):
             StreamModelParams(latency_accesses=-1)
+        with pytest.raises(ValueError, match="train_threshold"):
+            StreamModelParams(train_threshold=0)
+        with pytest.raises(ValueError, match="train_threshold"):
+            StreamModelParams(train_threshold=-2)
+        StreamModelParams(train_threshold=1)        # the least legal value
+
+    def test_advance_is_observe_without_the_clock(self):
+        a = MultiStreamPrefetcher(_params())
+        b = MultiStreamPrefetcher(_params())
+        for line in (0, 1, 2, 3, 3, 9, 4, 5):
+            targets, _arrival = a.observe(0, line)
+            offsets = b.advance(line) or ()
+            assert targets == [line + offset for offset in offsets]
+        assert a._clock == 8 and b._clock == 0
+        assert pool_state(a) == pool_state(b)
+
+
+def pool_state(engine):
+    """The pool in LRU order, every engine field, and the statistics."""
+    return (
+        [
+            (page, e.page, e.last_line, e.stride, e.confidence, e.issued_until)
+            for page, e in engine._engines.items()
+        ],
+        engine.stats.snapshot(),
+    )
+
+
+def lru_reference(keys, capacity):
+    """Which accesses find their key in an ``OrderedDict`` LRU table."""
+    table, hits = OrderedDict(), []
+    for key in keys:
+        hits.append(key in table)
+        if key in table:
+            table.move_to_end(key)
+        else:
+            table[key] = None
+            if len(table) > capacity:
+                table.popitem(last=False)
+    return hits
+
+
+#: Key sequences: stretches over a few hot keys, each followed by one key
+#: from a wider set, so gaps are long while holding few distinct keys.
+key_stretches = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 5), min_size=1, max_size=60),
+        st.integers(0, 40),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestLruHits:
+    @given(stretches=key_stretches, capacity=st.integers(1, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_an_ordered_dict_table(self, stretches, capacity):
+        keys = [k for hot, cold in stretches for k in (*hot, cold)]
+        got = _lru_hits(np.array(keys, dtype=np.int64), capacity)
+        assert got.tolist() == lru_reference(keys, capacity)
+
+    @given(
+        keys=st.lists(st.integers(-3, 30), min_size=1, max_size=300),
+        capacity=st.integers(1, 9),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_on_uniform_keys(self, keys, capacity):
+        got = _lru_hits(np.array(keys, dtype=np.int64), capacity)
+        assert got.tolist() == lru_reference(keys, capacity)
+
+    def test_long_gap_over_few_keys_still_hits(self):
+        # Key 9 returns after 200 accesses that use only two other keys:
+        # no window certifies an eviction, so the exact count decides.
+        keys = [9] + [1, 2] * 100 + [9, 3, 4, 5, 9]
+        got = _lru_hits(np.array(keys, dtype=np.int64), 3).tolist()
+        assert got == lru_reference(keys, 3)
+        assert got[201] and not got[-1]
+
+    def test_wide_keys_sort_like_narrow_ones(self):
+        keys = [5, 1 << 40, 5, -(1 << 40), 1 << 40, 5, 7, 1 << 40]
+        got = _lru_hits(np.array(keys, dtype=np.int64), 2)
+        assert got.tolist() == lru_reference(keys, 2)
+
+
+#: Parameter sets of the multi-stream engine: pools of 1-3 engines (so it
+#: thrashes), every threshold and degree, run-ahead caps both below and
+#: above the strides drawn, and small pages so runs cross page edges.
+stream_params = st.builds(
+    StreamModelParams,
+    n_engines=st.integers(1, 3),
+    train_threshold=st.integers(1, 3),
+    degree=st.integers(0, 3),
+    max_distance=st.integers(1, 12),
+    page_lines=st.sampled_from([8, 16, 64]),
+    latency_accesses=st.just(5),
+)
+
+#: Access runs: (first line, line stride, length), strides of both signs.
+line_runs = st.lists(
+    st.tuples(
+        st.integers(0, 400),
+        st.sampled_from([0, 1, 1, 2, -1, -2, 3, -3, 5, 7, -9, 13, 40]),
+        st.integers(1, 30),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+def interleaved(runs, ways):
+    """The runs' lines, ``ways`` runs at a time round-robin."""
+    out = []
+    for start in range(0, len(runs), ways):
+        group = [
+            [max(0, first + stride * k) for k in range(length)]
+            for first, stride, length in runs[start:start + ways]
+        ]
+        for k in range(max(len(g) for g in group)):
+            out.extend(g[k] for g in group if k < len(g))
+    return out
+
+
+class TestMultiStreamTrain:
+    """``train`` over blocks against ``advance`` one access at a time."""
+
+    @given(
+        params=stream_params,
+        runs=line_runs,
+        ways=st.integers(1, 4),
+        cuts=st.lists(st.integers(1, 70), min_size=1, max_size=8),
+        mixed=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_plans_pool_and_stats_match_advance(self, params, runs, ways,
+                                                cuts, mixed):
+        """Blocks of drawn lengths, so state carries over mid-run and
+        mid-page; when ``mixed``, every other block goes through
+        ``advance``, so the pool passes between both paths."""
+        lines = interleaved(runs, ways)
+        want_engine = MultiStreamPrefetcher(params)
+        got_engine = MultiStreamPrefetcher(params)
+        want = [want_engine.advance(line) or () for line in lines]
+        got = []
+        start = block = 0
+        while start < len(lines):
+            chunk = lines[start:start + cuts[block % len(cuts)]]
+            if mixed and block % 2:
+                got += [got_engine.advance(line) or () for line in chunk]
+            else:
+                plans, codes = got_engine.train(np.array(chunk, dtype=np.int64))
+                got += [plans[c - 1] if c else () for c in codes.tolist()]
+                assert all(plans)
+            start, block = start + len(chunk), block + 1
+            assert pool_state(got_engine) == pool_state(
+                _replayed(params, lines[:start])
+            )
+        assert got == want
+        assert pool_state(got_engine) == pool_state(want_engine)
+        assert got_engine._clock == 0
+
+    def test_carried_trained_run_keeps_its_frontier(self):
+        # Trained on stride 1 and three lines ahead when the block ends;
+        # the next block continues from the carried frontier until the
+        # run-ahead cap of 4 lines leaves room for one line per access.
+        engine = MultiStreamPrefetcher(_params(n_engines=1, degree=2,
+                                               max_distance=4))
+        plans, codes = engine.train(np.arange(0, 4, dtype=np.int64))
+        assert [plans[c - 1] if c else () for c in codes] == [
+            (), (), (1, 2), (2, 3),
+        ]
+        plans, codes = engine.train(np.arange(4, 7, dtype=np.int64))
+        assert [plans[c - 1] if c else () for c in codes] == [
+            (3, 4), (4,), (4,),
+        ]
+        (e,) = engine._engines.values()
+        assert (e.stride, e.confidence, e.issued_until) == (1, 6, 10)
+
+    def test_page_edge_stops_issue(self):
+        engine = MultiStreamPrefetcher(_params(page_lines=8, degree=3))
+        plans, codes = engine.train(np.array([7, 6, 5, 4, 3], dtype=np.int64))
+        # Stride -1 towards line 0: never past the page's first line.
+        assert [plans[c - 1] if c else () for c in codes] == [
+            (), (), (-1, -2, -3), (-3, -4), (),
+        ]
+        assert engine.stats.prefetches_issued == 5
+
+
+def _replayed(params, lines):
+    engine = MultiStreamPrefetcher(params)
+    for line in lines:
+        engine.advance(line)
+    return engine
