@@ -62,7 +62,9 @@ EVENT_SIM_STREAMS = "sim.streams"
 EVENT_MULTISTRIDE = "multistride.decision"
 #: One fallback-chain rung attempt in ``safe_optimize``.
 EVENT_RUNG = "rung"
-#: Sweep cell lifecycle (see :class:`repro.sweep.SweepRunner`).
+#: Sweep cell lifecycle (see :class:`repro.sweep.runner.CellRunner`):
+#: ``<ns>.cell.{resumed,attempt,retry,ok,quarantined}``, each with a
+#: ``cell`` attribute; the tune runner emits the same set under ``tune``.
 EVENT_CELL_RESUMED = "sweep.cell.resumed"
 EVENT_CELL_ATTEMPT = "sweep.cell.attempt"
 EVENT_CELL_RETRY = "sweep.cell.retry"
@@ -99,12 +101,14 @@ EVENT_CACHE_CORRUPT = "cache.corrupt"
 #: ``after_responses``, plus action-specific fields).
 EVENT_CHAOS_FAULT = "chaos.fault"
 #: Fleet-tune lifecycle (see :mod:`repro.tune`): job admission (attrs:
-#: ``tune_id``, ``cells``, ``platforms``), per-cell settlement, and the
-#: final report fold.
+#: ``tune_id``, ``cells``, ``platforms``), the sweep's per-cell
+#: lifecycle under ``tune``, and the final report fold.
 EVENT_TUNE_START = "tune.start"
 EVENT_TUNE_CELL_OK = "tune.cell.ok"
 EVENT_TUNE_CELL_QUARANTINED = "tune.cell.quarantined"
 EVENT_TUNE_CELL_RESUMED = "tune.cell.resumed"
+EVENT_TUNE_CELL_ATTEMPT = "tune.cell.attempt"
+EVENT_TUNE_CELL_RETRY = "tune.cell.retry"
 EVENT_TUNE_REPORT = "tune.report"
 
 # -- machine-readable pruning reasons ----------------------------------

@@ -27,8 +27,9 @@ installs one for a ``with`` body and :func:`current_tracer` retrieves it
 (defaulting to :data:`NULL_TRACER`), so deep call sites — ``emu``,
 ``run_nests`` — need no parameter threading.  Note that context
 variables do not propagate into worker threads; components that run
-work on a pool (:class:`repro.sweep.SweepRunner`) take the tracer as an
-explicit constructor argument instead.  All tracers are thread-safe.
+work on a pool (:class:`repro.sweep.runner.CellRunner`, behind the sweep
+and tune runners) take the tracer as an explicit constructor argument
+instead.  All tracers are thread-safe.
 """
 
 from __future__ import annotations

@@ -9,9 +9,11 @@ autotuner searches; this package makes it survivable and restartable:
   regenerators in recording mode;
 * :mod:`repro.sweep.worker` — the isolated subprocess that measures one
   cell (``python -m repro.sweep.worker``);
-* :mod:`repro.sweep.runner` — :class:`SweepRunner`: timeouts, retries
-  with backoff + jitter, quarantine, parallel ``--jobs``, and journal
-  resume;
+* :mod:`repro.sweep.runner` — the one journaled cell lifecycle
+  (``CellRunner``: dedupe, journal resume, retries with backoff +
+  jitter, quarantine, parallel ``--jobs``) that both
+  :class:`SweepRunner` (attempts in worker subprocesses, with timeouts)
+  and :class:`repro.tune.TuneRunner` run their cells through;
 * :mod:`repro.sweep.journal` — the append-only, checksummed JSONL store
   that doubles as a persistent cross-process measurement cache.
 

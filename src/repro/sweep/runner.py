@@ -1,26 +1,34 @@
-"""The crash-safe sweep runner.
+"""The crash-safe cell runner shared by sweeps and tunes.
 
-``SweepRunner.run(cells)`` drives a list of :class:`SweepCell` to
-completion with the durability story a tens-of-minutes evaluation needs:
+:class:`CellRunner` brings a list of :class:`SweepCell` to journaled
+outcomes with the durability story a tens-of-minutes evaluation needs;
+:class:`SweepRunner` (one ``python -m repro.sweep.worker`` subprocess
+per attempt) and :class:`repro.tune.TuneRunner` (one ``/v1/optimize``
+through the fleet per attempt) supply only the attempt itself:
 
-* **process isolation** — every attempt runs ``python -m
-  repro.sweep.worker`` in a fresh subprocess; a crash or OOM kill costs
-  one attempt, not the sweep;
-* **timeouts** — each attempt gets a hard wall-clock bound (the worker
-  also installs a slightly tighter cooperative
-  :class:`~repro.util.Deadline` so it usually stops cleanly first);
-* **retries** — failed attempts back off exponentially with
-  deterministic jitter (seeded per cell+attempt, so reruns behave
-  identically) before trying again;
+* **resume** — duplicate cells run once; a cell the journal already
+  holds as ``ok`` or ``quarantined`` settles from its record and is
+  never attempted again;
+* **retries** — any exception from an attempt is a failed attempt;
+  failed attempts back off exponentially with deterministic jitter
+  (seeded per cell+attempt, so reruns behave identically) before trying
+  again;
 * **quarantine** — a cell that exhausts its retries is journaled as
   ``quarantined`` (the poison list) and rendered as ``—`` downstream;
-  the sweep itself keeps going;
+  the run itself keeps going;
 * **journaling** — every outcome is durably appended to the
   :class:`~repro.sweep.journal.Journal` the moment it is known, so a
   SIGKILL of the driver never loses a completed cell, and a re-run
   resumes exactly where the last one died;
-* **parallelism** — ``jobs > 1`` runs that many workers concurrently
-  (cells are independent measurements).
+* **parallelism** — ``jobs > 1`` runs that many cells concurrently
+  (cells are independent measurements); outcomes still settle in one
+  order: resumed cells first, then live cells in input order.
+
+The sweep's attempts add **process isolation** (a crash or OOM kill
+costs one attempt, not the sweep) and **timeouts** (a hard wall-clock
+bound per attempt; the worker also installs a slightly tighter
+cooperative :class:`~repro.util.Deadline` so it usually stops cleanly
+first).
 
 Every cell carries a :class:`~repro.robust.Diagnostics` trail recording
 each attempt and its failure; the trail is journaled with the record so
@@ -34,20 +42,14 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from repro.core.exitcodes import EXIT_QUARANTINED
 from repro.experiments.harness import mark_quarantined, seed_measure_cache
-from repro.obs.events import (
-    EVENT_CELL_ATTEMPT,
-    EVENT_CELL_OK,
-    EVENT_CELL_QUARANTINED,
-    EVENT_CELL_RESUMED,
-    EVENT_CELL_RETRY,
-)
 from repro.obs.tracer import NULL_TRACER
 from repro.robust import Diagnostics, FaultPlan
 from repro.robust.faults import SITE_SPAWN, WORKER_FAULT_ENV
@@ -89,6 +91,26 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * rng.random())
 
 
+class AttemptFailed(Exception):
+    """A failed attempt whose message is already its journaled error."""
+
+
+def _error_text(exc: Exception) -> str:
+    if isinstance(exc, AttemptFailed):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
+
+
+#: Counter bumped with each ``<namespace>.cell.<what>`` event.
+_COUNTERS = {
+    "resumed": "cells.resumed",
+    "attempt": "attempts",
+    "retry": "retries",
+    "ok": "cells.ok",
+    "quarantined": "cells.quarantined",
+}
+
+
 @dataclass
 class CellOutcome:
     """What happened to one cell in this run."""
@@ -98,6 +120,7 @@ class CellOutcome:
     ms: Optional[float] = None
     attempts: int = 0
     error: Optional[str] = None
+    schedules: Optional[List[Dict]] = None
 
 
 @dataclass
@@ -124,7 +147,10 @@ class SweepReport:
 
     @property
     def retried(self) -> int:
-        return sum(1 for o in self.outcomes if o.attempts > 1)
+        return sum(
+            1 for o in self.outcomes
+            if o.status != "resumed" and o.attempts > 1
+        )
 
     def exit_code(self) -> int:
         return EXIT_QUARANTINED if self.quarantined else 0
@@ -146,8 +172,218 @@ class SweepReport:
         return "\n".join(parts)
 
 
-class SweepRunner:
+class CellRunner:
+    """The journaled cell lifecycle, written once for every runner.
+
+    Subclasses set :attr:`namespace` and implement :meth:`_attempt`
+    (return ``(ms, schedules)`` or raise); :meth:`_journal_trail` picks
+    the journaled wording of a cell's trail.
+    """
+
+    #: Prefix of the progress line, trace events and counters.
+    namespace: str
+
+    def __init__(
+        self,
+        journal: Journal,
+        *,
+        jobs: int,
+        retry: Optional[RetryPolicy],
+        progress: Optional[TextIO],
+        tracer,
+        sleeper: Callable[[float], None] = time.sleep,
+    ) -> None:
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        self.journal = journal
+        self.jobs = jobs
+        self.retry = retry or RetryPolicy()
+        self.progress = progress
+        # Explicit, not ambient: worker threads (jobs > 1) do not inherit
+        # the caller's context variables, so the cell-lifecycle events
+        # would silently vanish with a contextvar-based default.
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.sleeper = sleeper
+        #: Diagnostics trail per cell key, populated during run().
+        self.trails: Dict[str, Diagnostics] = {}
+        self._lock = threading.Lock()
+
+    def _attempt(
+        self, cell: SweepCell, attempt: int
+    ) -> Tuple[float, Optional[List[Dict]]]:
+        """One try at a cell: ``(ms, schedules)``, or raise."""
+        raise NotImplementedError
+
+    def _journal_trail(
+        self, trail: Diagnostics, errors: List[str]
+    ) -> List[str]:
+        """The trail journaled with a cell: every diagnostics record."""
+        return [record.describe() for record in trail]
+
+    # -- the run loop --------------------------------------------------
+
+    def _run(
+        self,
+        cells: Sequence[SweepCell],
+        settle: Callable[[CellOutcome], None],
+    ) -> None:
+        """Bring every distinct cell to a journaled outcome, handing each
+        to ``settle`` under one lock: resumed cells first, then live
+        cells in input order."""
+
+        def settle_locked(outcome: CellOutcome) -> None:
+            with self._lock:
+                settle(outcome)
+
+        journaled = self.journal.load()
+        for note in self.journal.load_diagnostics:
+            self._log(note)
+        pending: List[SweepCell] = []
+        seen: set = set()
+        for cell in cells:
+            key = cell.key()
+            if key in seen:
+                continue
+            seen.add(key)
+            record = journaled.get(key)
+            if record is None:
+                pending.append(cell)
+            elif record.status == STATUS_OK:
+                self._emit("resumed", cell=key, ms=record.ms)
+                settle_locked(CellOutcome(
+                    cell,
+                    "resumed",
+                    ms=record.ms,
+                    attempts=record.attempts,
+                    schedules=record.schedules,
+                ))
+            else:
+                settle_locked(CellOutcome(
+                    cell,
+                    "quarantined",
+                    attempts=record.attempts,
+                    error=record.error,
+                ))
+        if not pending:
+            return
+        self._log(
+            f"{self.namespace}: {len(pending)} cells to measure "
+            f"({len(seen) - len(pending)} already journaled), "
+            f"jobs={self.jobs}"
+        )
+        with self.tracer.span(
+            f"{self.namespace}.run", pending=len(pending), jobs=self.jobs
+        ):
+            if self.jobs == 1:
+                for outcome in map(self._run_cell, pending):
+                    settle_locked(outcome)
+            else:
+                with ThreadPoolExecutor(
+                    max_workers=self.jobs,
+                    thread_name_prefix=f"repro-{self.namespace}",
+                ) as pool:
+                    for outcome in pool.map(self._run_cell, pending):
+                        settle_locked(outcome)
+
+    # -- one cell ------------------------------------------------------
+
+    def _run_cell(self, cell: SweepCell) -> CellOutcome:
+        key = cell.key()
+        trail = Diagnostics()
+        self.trails[key] = trail
+        errors: List[str] = []
+        for attempt in range(1, self.retry.max_attempts + 1):
+            if attempt > 1:
+                delay = self.retry.delay_before(key, attempt)
+                trail.info(
+                    "retry", f"attempt {attempt} after {delay:.2f}s backoff"
+                )
+                self._emit(
+                    "retry",
+                    cell=key,
+                    attempt=attempt,
+                    backoff_s=round(delay, 4),
+                    error=errors[-1],
+                )
+                self.sleeper(delay)
+            self._emit("attempt", cell=key, attempt=attempt)
+            started = time.perf_counter()
+            try:
+                ms, schedules = self._attempt(cell, attempt)
+            except Exception as exc:  # noqa: BLE001 — a failed attempt
+                elapsed_ms = (time.perf_counter() - started) * 1000.0
+                errors.append(_error_text(exc))
+                trail.error(
+                    "worker",
+                    f"attempt {attempt} failed: {errors[-1]}",
+                    elapsed_ms=elapsed_ms,
+                )
+                self._log(
+                    f"  attempt {attempt} failed for {key}: {errors[-1]}"
+                )
+                continue
+            elapsed_ms = (time.perf_counter() - started) * 1000.0
+            trail.info(
+                "worker",
+                f"measured {ms:.4f} ms (attempt {attempt})",
+                elapsed_ms=elapsed_ms,
+            )
+            self.journal.append(
+                JournalRecord(
+                    cell=cell,
+                    status=STATUS_OK,
+                    ms=ms,
+                    attempts=attempt,
+                    trail=self._journal_trail(trail, errors),
+                    schedules=schedules,
+                )
+            )
+            self._emit(
+                "ok",
+                cell=key,
+                ms=ms,
+                attempt=attempt,
+                elapsed_ms=round(elapsed_ms, 3),
+            )
+            self._log(f"  ok         {key} ({ms:.2f} ms)")
+            return CellOutcome(
+                cell, "ok", ms=ms, attempts=attempt, schedules=schedules
+            )
+        attempts = self.retry.max_attempts
+        self.journal.append(
+            JournalRecord(
+                cell=cell,
+                status=STATUS_QUARANTINED,
+                attempts=attempts,
+                error=errors[-1],
+                trail=self._journal_trail(trail, errors),
+            )
+        )
+        self._emit(
+            "quarantined", cell=key, attempts=attempts, error=errors[-1]
+        )
+        self._log(f"  quarantine {key} after {attempts} attempts")
+        return CellOutcome(
+            cell, "quarantined", attempts=attempts, error=errors[-1]
+        )
+
+    # -- observability -------------------------------------------------
+
+    def _emit(self, what: str, **attrs) -> None:
+        """One ``<namespace>.cell.<what>`` event and its counter."""
+        if self.tracer.enabled:
+            self.tracer.count(f"{self.namespace}.{_COUNTERS[what]}")
+            self.tracer.event(f"{self.namespace}.cell.{what}", **attrs)
+
+    def _log(self, message: str) -> None:
+        if self.progress is not None:
+            print(message, file=self.progress, flush=True)
+
+
+class SweepRunner(CellRunner):
     """Executes cells in isolated workers, journaling every outcome."""
+
+    namespace = "sweep"
 
     def __init__(
         self,
@@ -161,82 +397,25 @@ class SweepRunner:
         tracer=None,
         schedule_cache: Optional[str] = None,
     ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        super().__init__(
+            journal, jobs=jobs, retry=retry, progress=progress, tracer=tracer
+        )
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
-        self.journal = journal
-        self.jobs = jobs
         self.timeout_s = timeout_s
-        self.retry = retry or RetryPolicy()
         self.fault_plan = fault_plan
-        self.progress = progress
         #: Optional path of a shared repro.cache.ScheduleCache file; each
         #: worker consults it before searching and stores what it finds
         #: (appends are line-atomic, so concurrent workers can share it).
         self.schedule_cache = schedule_cache
-        # Explicit, not ambient: worker threads (jobs > 1) do not inherit
-        # the caller's context variables, so the cell-lifecycle events
-        # would silently vanish with a contextvar-based default.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Diagnostics trail per cell key, populated during run().
-        self.trails: Dict[str, Diagnostics] = {}
 
     # -- public API ----------------------------------------------------
 
     def run(self, cells: Sequence[SweepCell]) -> SweepReport:
         """Bring every cell to a journaled outcome; never raises per-cell."""
         report = SweepReport()
-        journaled = self.journal.load()
+        self._run(cells, report.outcomes.append)
         report.journal_diagnostics = list(self.journal.load_diagnostics)
-        for note in report.journal_diagnostics:
-            self._log(note)
-
-        pending: List[SweepCell] = []
-        seen: set = set()
-        for cell in cells:
-            key = cell.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            record = journaled.get(key)
-            if record is not None and record.status == STATUS_OK:
-                if self.tracer.enabled:
-                    self.tracer.count("sweep.cells.resumed")
-                    self.tracer.event(
-                        EVENT_CELL_RESUMED, cell=key, ms=record.ms
-                    )
-                report.outcomes.append(
-                    CellOutcome(cell, "resumed", ms=record.ms)
-                )
-            elif record is not None and record.status == STATUS_QUARANTINED:
-                report.outcomes.append(
-                    CellOutcome(
-                        cell,
-                        "quarantined",
-                        attempts=record.attempts,
-                        error=record.error,
-                    )
-                )
-            else:
-                pending.append(cell)
-
-        if pending:
-            self._log(
-                f"sweep: {len(pending)} cells to measure "
-                f"({len(seen) - len(pending)} already journaled), "
-                f"jobs={self.jobs}"
-            )
-            with self.tracer.span(
-                "sweep.run", pending=len(pending), jobs=self.jobs
-            ):
-                if self.jobs == 1:
-                    outcomes = [self._run_cell(c) for c in pending]
-                else:
-                    with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                        outcomes = list(pool.map(self._run_cell, pending))
-            report.outcomes.extend(outcomes)
-
         self.install(journal_records=self.journal.load())
         return report
 
@@ -270,102 +449,12 @@ class SweepRunner:
         mark_quarantined(bad_keys)
         return len(ok_entries), len(bad_keys)
 
-    # -- one cell ------------------------------------------------------
-
-    def _run_cell(self, cell: SweepCell) -> CellOutcome:
-        key = cell.key()
-        trail = Diagnostics()
-        self.trails[key] = trail
-        traced = self.tracer.enabled
-        last_error = "unknown failure"
-        for attempt in range(1, self.retry.max_attempts + 1):
-            if attempt > 1:
-                delay = self.retry.delay_before(key, attempt)
-                trail.info(
-                    "retry", f"attempt {attempt} after {delay:.2f}s backoff"
-                )
-                if traced:
-                    self.tracer.count("sweep.retries")
-                    self.tracer.event(
-                        EVENT_CELL_RETRY,
-                        cell=key,
-                        attempt=attempt,
-                        backoff_s=round(delay, 4),
-                        error=last_error,
-                    )
-                time.sleep(delay)
-            if traced:
-                self.tracer.count("sweep.attempts")
-                self.tracer.event(EVENT_CELL_ATTEMPT, cell=key, attempt=attempt)
-            started = time.perf_counter()
-            ok, payload, error = self._attempt(cell)
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
-            if ok:
-                ms = float(payload["ms"])
-                trail.info(
-                    "worker",
-                    f"measured {ms:.4f} ms (attempt {attempt})",
-                    elapsed_ms=elapsed_ms,
-                )
-                self.journal.append(
-                    JournalRecord(
-                        cell=cell,
-                        status=STATUS_OK,
-                        ms=ms,
-                        attempts=attempt,
-                        trail=[r.describe() for r in trail],
-                        schedules=payload.get("schedules"),
-                    )
-                )
-                if traced:
-                    self.tracer.count("sweep.cells.ok")
-                    self.tracer.event(
-                        EVENT_CELL_OK,
-                        cell=key,
-                        ms=ms,
-                        attempt=attempt,
-                        elapsed_ms=round(elapsed_ms, 3),
-                    )
-                self._log(f"  ok         {key} ({ms:.2f} ms)")
-                return CellOutcome(cell, "ok", ms=ms, attempts=attempt)
-            last_error = error or "unknown failure"
-            trail.error(
-                "worker",
-                f"attempt {attempt} failed: {last_error}",
-                elapsed_ms=elapsed_ms,
-            )
-            self._log(f"  attempt {attempt} failed for {key}: {last_error}")
-        self.journal.append(
-            JournalRecord(
-                cell=cell,
-                status=STATUS_QUARANTINED,
-                attempts=self.retry.max_attempts,
-                error=last_error,
-                trail=[r.describe() for r in trail],
-            )
-        )
-        if traced:
-            self.tracer.count("sweep.cells.quarantined")
-            self.tracer.event(
-                EVENT_CELL_QUARANTINED,
-                cell=key,
-                attempts=self.retry.max_attempts,
-                error=last_error,
-            )
-        self._log(
-            f"  quarantine {key} after {self.retry.max_attempts} attempts"
-        )
-        return CellOutcome(
-            cell,
-            "quarantined",
-            attempts=self.retry.max_attempts,
-            error=last_error,
-        )
+    # -- one attempt ---------------------------------------------------
 
     def _attempt(
-        self, cell: SweepCell
-    ) -> Tuple[bool, Optional[dict], Optional[str]]:
-        """One isolated worker execution: (ok, payload, error)."""
+        self, cell: SweepCell, attempt: int
+    ) -> Tuple[float, Optional[List[Dict]]]:
+        """One isolated worker execution."""
         envelope = json.dumps(
             {
                 "cell": cell.to_dict(),
@@ -401,32 +490,26 @@ class SweepRunner:
                 timeout=self.timeout_s,
             )
         except subprocess.TimeoutExpired:
-            return False, None, f"timeout after {self.timeout_s}s (killed)"
+            raise AttemptFailed(
+                f"timeout after {self.timeout_s}s (killed)"
+            ) from None
         except OSError as exc:
-            return False, None, f"failed to spawn worker: {exc}"
+            raise AttemptFailed(f"failed to spawn worker: {exc}") from None
         if proc.returncode not in (0, 1):
-            return (
-                False,
-                None,
-                f"worker crashed with exit code {proc.returncode}",
+            raise AttemptFailed(
+                f"worker crashed with exit code {proc.returncode}"
             )
         try:
             payload = json.loads(proc.stdout.strip().splitlines()[-1])
         except (json.JSONDecodeError, IndexError):
-            return False, None, "worker produced corrupt/empty output"
+            raise AttemptFailed(
+                "worker produced corrupt/empty output"
+            ) from None
         if not isinstance(payload, dict) or "ok" not in payload:
-            return False, None, "worker produced a malformed result object"
-        if payload["ok"]:
-            return True, payload, None
-        return (
-            False,
-            None,
-            f"{payload.get('error', 'Error')}: "
-            f"{payload.get('message', 'worker reported failure')}",
-        )
-
-    # -- logging -------------------------------------------------------
-
-    def _log(self, message: str) -> None:
-        if self.progress is not None:
-            print(message, file=self.progress, flush=True)
+            raise AttemptFailed("worker produced a malformed result object")
+        if not payload["ok"]:
+            raise AttemptFailed(
+                f"{payload.get('error', 'Error')}: "
+                f"{payload.get('message', 'worker reported failure')}"
+            )
+        return float(payload["ms"]), payload.get("schedules")

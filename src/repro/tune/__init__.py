@@ -8,13 +8,15 @@ subsystem into the production end-state:
 * :mod:`repro.tune.planner` — expand a request (corpus kernels or
   families × platforms × an options grid) into ``tune``-kind
   :class:`~repro.sweep.SweepCell` values;
-* :mod:`repro.tune.runner` — :class:`TuneRunner`: every cell an
-  ordinary ``/v1/optimize`` through the fleet router (coalescing,
-  deadlines, breakers and failover apply), journaled in the resumable
-  checksummed ``repro-sweep-v1`` :class:`~repro.sweep.Journal`, settled
-  cells streamed as chunked NDJSON, milliseconds from a deterministic
-  simulator replay so an interrupted-then-resumed tune reports
-  bit-identically to an uninterrupted one.
+* :mod:`repro.tune.runner` — :class:`TuneRunner`: the sweep's own cell
+  runner (:class:`repro.sweep.runner.CellRunner`: resume, retry,
+  quarantine, journaling in the checksummed ``repro-sweep-v1``
+  :class:`~repro.sweep.Journal`) with every attempt an ordinary
+  ``/v1/optimize`` through the fleet router (coalescing, deadlines,
+  breakers and failover apply); settled cells stream as chunked NDJSON,
+  and milliseconds come from a deterministic simulator replay so an
+  interrupted-then-resumed tune reports bit-identically to an
+  uninterrupted one.
 
 Entry points: ``python -m repro tune`` (CLI) and ``POST /v1/tune`` on
 the fleet router; see docs/API.md, "Tuning".

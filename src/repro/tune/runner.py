@@ -8,9 +8,12 @@ schedule a cell searches lands in the home shard's
 :class:`~repro.cache.ScheduleCache` as a side effect (the fleet is warm
 for subsequent ``/v1/optimize`` calls by construction).
 
-Crash safety mirrors :class:`repro.sweep.SweepRunner`: per-cell retries
-on the deterministic :class:`~repro.sweep.runner.RetryPolicy` backoff,
-quarantine after repeated failures, and every settled cell appended to
+Crash safety is the sweep's own: :class:`TuneRunner` is a
+:class:`repro.sweep.runner.CellRunner`, the same runner
+:class:`repro.sweep.SweepRunner` is — per-cell retries on the
+deterministic :class:`~repro.sweep.runner.RetryPolicy` backoff (any
+error while submitting or replaying a cell is a failed attempt),
+quarantine after the last attempt, and every settled cell appended to
 the checksummed ``repro-sweep-v1`` :class:`~repro.sweep.Journal`.  A
 SIGKILLed tune re-run on the same journal resumes: completed cells are
 replayed from their journaled values, and because a cell's milliseconds
@@ -22,30 +25,14 @@ bit-identical to an uninterrupted run's.
 from __future__ import annotations
 
 import hashlib
-import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.exitcodes import EXIT_OK, EXIT_QUARANTINED
-from repro.obs.events import (
-    EVENT_TUNE_CELL_OK,
-    EVENT_TUNE_CELL_QUARANTINED,
-    EVENT_TUNE_CELL_RESUMED,
-    EVENT_TUNE_REPORT,
-    EVENT_TUNE_START,
-)
-from repro.obs.tracer import NULL_TRACER
-from repro.sweep import (
-    Journal,
-    JournalRecord,
-    STATUS_OK,
-    STATUS_QUARANTINED,
-    SweepCell,
-)
-from repro.sweep.runner import RetryPolicy
+from repro.obs.events import EVENT_TUNE_REPORT, EVENT_TUNE_START
+from repro.sweep import Journal, SweepCell
+from repro.sweep.runner import CellOutcome, CellRunner, RetryPolicy
 from repro.tune.schema import (
     CELL_OK,
     CELL_QUARANTINED,
@@ -53,7 +40,7 @@ from repro.tune.schema import (
     cell_record,
     tune_report,
 )
-from repro.util import ServeError, ServeOverloaded
+from repro.util import ServeError
 
 
 def _stable_seed(text: str) -> int:
@@ -111,31 +98,8 @@ def baseline_ms_for(cell: SweepCell) -> float:
     )
 
 
-@dataclass
-class TuneOutcome:
-    """One settled cell: its record-shaped view plus raw schedules."""
-
-    cell: SweepCell
-    status: str  # CELL_OK | CELL_QUARANTINED | CELL_RESUMED
-    ms: Optional[float] = None
-    attempts: int = 1
-    error: Optional[str] = None
-    schedules: Optional[List[Dict]] = None
-
-    def record(self) -> Dict:
-        """The repro-tune-v1 stream record for this outcome."""
-        return cell_record(
-            key=self.cell.key(),
-            status=self.status,
-            kernel=self.cell.benchmark,
-            platform=self.cell.platform,
-            options=self.cell.options.cache_dict(),
-            ms=self.ms,
-            baseline_ms=(
-                baseline_ms_for(self.cell) if self.ms is not None else None
-            ),
-            error=self.error,
-        )
+#: One settled tune cell (the runner's shared outcome type).
+TuneOutcome = CellOutcome
 
 
 @dataclass
@@ -150,12 +114,29 @@ class TuneReport:
     def quarantined(self) -> List[TuneOutcome]:
         return [o for o in self.outcomes if o.status == CELL_QUARANTINED]
 
+    @staticmethod
+    def record(outcome: TuneOutcome) -> Dict:
+        """The repro-tune-v1 stream record for one settled cell."""
+        cell = outcome.cell
+        return cell_record(
+            key=cell.key(),
+            status=outcome.status,
+            kernel=cell.benchmark,
+            platform=cell.platform,
+            options=cell.options.cache_dict(),
+            ms=outcome.ms,
+            baseline_ms=(
+                baseline_ms_for(cell) if outcome.ms is not None else None
+            ),
+            error=outcome.error,
+        )
+
     def document(self) -> Dict:
         """The final ``repro-tune-report-v1`` document (bit-stable)."""
         return tune_report(
             tune_id_value=self.tune_id,
             platforms=self.platforms,
-            outcomes=[o.record() for o in self.outcomes],
+            outcomes=[self.record(o) for o in self.outcomes],
         )
 
     def exit_code(self) -> int:
@@ -224,7 +205,7 @@ class TuneReport:
         return stores
 
 
-class TuneRunner:
+class TuneRunner(CellRunner):
     """Run tune cells against a fleet router, crash-safely.
 
     Parameters
@@ -249,6 +230,8 @@ class TuneRunner:
         delegated to :class:`~repro.serve.client.ServeClient`.
     """
 
+    namespace = "tune"
+
     def __init__(
         self,
         journal: Journal,
@@ -264,22 +247,19 @@ class TuneRunner:
         tracer=None,
         sleeper: Callable[[float], None] = time.sleep,
     ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.journal = journal
+        super().__init__(
+            journal,
+            jobs=jobs,
+            retry=retry,
+            progress=progress,
+            tracer=tracer,
+            sleeper=sleeper,
+        )
         self.host = host
         self.port = port
-        self.jobs = jobs
         self.timeout_s = timeout_s
         self.deadline_ms = deadline_ms
-        self.retry = retry or RetryPolicy()
         self.client_retries = client_retries
-        self.progress = progress
-        self.tracer = tracer or NULL_TRACER
-        self.sleeper = sleeper
-        self._lock = threading.Lock()
-
-    # -- driving -------------------------------------------------------
 
     def run(
         self,
@@ -290,60 +270,23 @@ class TuneRunner:
     ) -> TuneReport:
         """Execute every cell (resuming from the journal); returns the
         report.  ``on_record`` is invoked once per settled cell with its
-        stream record — resumed cells first, then live ones as they
-        finish (serialized under a lock for ``jobs > 1``)."""
-        unique: List[SweepCell] = []
-        seen = set()
-        for cell in cells:
-            if cell.key() not in seen:
-                seen.add(cell.key())
-                unique.append(cell)
-        platforms = sorted({cell.platform for cell in unique})
+        stream record — resumed cells first, then live ones in input
+        order (serialized under a lock for ``jobs > 1``)."""
+        platforms = sorted({cell.platform for cell in cells})
         self.tracer.event(
             EVENT_TUNE_START,
             tune_id=tune_id,
-            cells=len(unique),
+            cells=len({cell.key() for cell in cells}),
             platforms=platforms,
         )
         report = TuneReport(tune_id=tune_id, platforms=platforms)
-        journaled = self.journal.load()
-        pending: List[SweepCell] = []
-        for cell in unique:
-            record = journaled.get(cell.key())
-            if record is not None and record.status == STATUS_OK:
-                outcome = TuneOutcome(
-                    cell=cell,
-                    status=CELL_RESUMED,
-                    ms=record.ms,
-                    attempts=record.attempts,
-                    schedules=record.schedules,
-                )
-                self.tracer.event(EVENT_TUNE_CELL_RESUMED, key=cell.key())
-                self.tracer.count("tune.cells.resumed")
-                self._settle(report, outcome, on_record)
-            elif record is not None and record.status == STATUS_QUARANTINED:
-                outcome = TuneOutcome(
-                    cell=cell,
-                    status=CELL_QUARANTINED,
-                    attempts=record.attempts,
-                    error=record.error,
-                )
-                self._settle(report, outcome, on_record)
-            else:
-                pending.append(cell)
-        if pending:
-            if self.jobs == 1:
-                for cell in pending:
-                    self._settle(
-                        report, self._run_cell(cell), on_record
-                    )
-            else:
-                with ThreadPoolExecutor(
-                    max_workers=self.jobs,
-                    thread_name_prefix="repro-tune",
-                ) as pool:
-                    for outcome in pool.map(self._run_cell, pending):
-                        self._settle(report, outcome, on_record)
+
+        def settle(outcome: TuneOutcome) -> None:
+            report.outcomes.append(outcome)
+            if on_record is not None:
+                on_record(report.record(outcome))
+
+        self._run(cells, settle)
         self.tracer.event(
             EVENT_TUNE_REPORT,
             tune_id=tune_id,
@@ -352,80 +295,12 @@ class TuneRunner:
         )
         return report
 
-    def _settle(
-        self,
-        report: TuneReport,
-        outcome: TuneOutcome,
-        on_record: Optional[Callable[[Dict], None]],
-    ) -> None:
-        with self._lock:
-            report.outcomes.append(outcome)
-            if on_record is not None:
-                on_record(outcome.record())
-            if self.progress is not None:
-                print(
-                    f"  [tune] {outcome.cell.key()}: {outcome.status}"
-                    + (f" ({outcome.ms:.3f} ms)" if outcome.ms else "")
-                    + (f" — {outcome.error}" if outcome.error else ""),
-                    file=self.progress,
-                    flush=True,
-                )
-
-    # -- one cell ------------------------------------------------------
-
-    def _run_cell(self, cell: SweepCell) -> TuneOutcome:
-        key = cell.key()
-        trail: List[str] = []
-        last_error = "unknown"
-        for attempt in range(1, self.retry.max_attempts + 1):
-            if attempt > 1:
-                self.sleeper(self.retry.delay_before(key, attempt))
-            try:
-                ms, schedules = self._attempt(cell, attempt)
-            except (ConnectionError, ServeOverloaded, ServeError,
-                    KeyError, ValueError) as exc:
-                last_error = f"{type(exc).__name__}: {exc}"
-                trail.append(f"attempt {attempt}: {last_error}")
-                continue
-            outcome = TuneOutcome(
-                cell=cell,
-                status=CELL_OK,
-                ms=ms,
-                attempts=attempt,
-                schedules=schedules,
-            )
-            self.journal.append(
-                JournalRecord(
-                    cell=cell,
-                    status=STATUS_OK,
-                    ms=ms,
-                    attempts=attempt,
-                    trail=trail,
-                    schedules=schedules,
-                )
-            )
-            self.tracer.event(EVENT_TUNE_CELL_OK, key=key, attempts=attempt)
-            self.tracer.count("tune.cells.ok")
-            return outcome
-        self.journal.append(
-            JournalRecord(
-                cell=cell,
-                status=STATUS_QUARANTINED,
-                attempts=self.retry.max_attempts,
-                error=last_error,
-                trail=trail,
-            )
-        )
-        self.tracer.event(
-            EVENT_TUNE_CELL_QUARANTINED, key=key, error=last_error
-        )
-        self.tracer.count("tune.cells.quarantined")
-        return TuneOutcome(
-            cell=cell,
-            status=CELL_QUARANTINED,
-            attempts=self.retry.max_attempts,
-            error=last_error,
-        )
+    def _journal_trail(self, trail, errors: List[str]) -> List[str]:
+        """The tune trail: one ``attempt N: Type: msg`` per failure."""
+        return [
+            f"attempt {attempt}: {error}"
+            for attempt, error in enumerate(errors, 1)
+        ]
 
     def _attempt(self, cell: SweepCell, attempt: int):
         """One live try: submit through the router, replay the answer."""
