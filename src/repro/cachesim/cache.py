@@ -20,15 +20,27 @@ insert plus ``popitem(last=False)`` it replaced cost about 180 ns; fills,
 not hits, dominate the simulator's cost.  Probing the map instead of
 scanning the set's list saves a linear search per probe, which the
 simulator makes several times per access (demand levels, next-line and
-stride targets).  The simulator's demand loop,
-:meth:`~repro.cachesim.hierarchy.CacheHierarchy.run`, inlines this
-representation (see that module for its measured cost per access).
+stride targets).  The simulator's demand loops
+(:meth:`~repro.cachesim.hierarchy.CacheHierarchy.run`) inline this
+representation for the levels that prefetches fill (see that module for
+their measured cost per access).
+
+A level that takes no prefetch fill — L1 under the stream model, every
+level with prefetching off — has every flag down, so its sets are plain
+LRU tables of the demand stream: :meth:`SetAssocCache.run` resolves a
+whole block of accesses in numpy from per-set stack distances and writes
+the lists and the map back once, about 180 ns per access for the L1 of
+the seed-0 ``multistride`` streams (CPU time on a 2-vCPU VM).
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.cachesim.lru import lru_table, stable_order
 from repro.cachesim.stats import LevelStats
 
 
@@ -79,6 +91,13 @@ class SetAssocCache:
             folded = line ^ (line // n) ^ (line // (n * n))
             return folded % n
         return line % self.num_sets
+
+    def set_indices(self, lines: np.ndarray) -> np.ndarray:
+        """:meth:`set_index` of every line of an int64 array."""
+        n = self.num_sets
+        if self.hashed_index:
+            lines = lines ^ lines // n ^ lines // (n * n)
+        return lines % n
 
     def lookup(self, line: int) -> bool:
         """Demand lookup.  Returns True on hit (and updates LRU order and
@@ -131,6 +150,85 @@ class SetAssocCache:
                 self.stats.prefetch_evictions += 1
             return victim
         return None
+
+    def run(self, lines: np.ndarray) -> np.ndarray:
+        """Demand-access ``lines`` in order, in numpy; returns which hit.
+
+        Each access is :meth:`lookup` followed, on a miss, by a demand
+        :meth:`fill`, with the same state and counters at the end, for a
+        level that takes no prefetch fill (every prefetch flag is down).
+        Each set is an LRU table of ``ways`` entries, so one
+        :func:`~repro.cachesim.lru.lru_table` call on the accesses stably
+        sorted by set index answers every set: the residents of the sets
+        the block touches go first, in LRU order, and the last ``ways``
+        distinct lines of each set are the set after the block.  A block
+        whose sets hold more than twice as many lines as it has accesses
+        (an L3 behind two levels that filter most accesses) goes one
+        access at a time instead.
+        """
+        n = int(lines.size)
+        if n == 0:
+            return np.zeros(0, dtype=bool)
+        sets = self._sets
+        index = self.set_indices(lines)
+        # A set the block does not touch keeps its lines either way, so a
+        # level that holds no more lines than the block has accesses goes
+        # in whole.
+        whole = len(self._resident) <= n
+        if whole:
+            held = list(chain.from_iterable(sets))
+        else:
+            marked = np.zeros(self.num_sets, dtype=bool)
+            marked[index] = True
+            touched = np.flatnonzero(marked).tolist()
+            if len(touched) * self.ways > 2 * n:
+                # Sparse: the sets' lines would outnumber the accesses.
+                return self._run_lines(lines)
+            held = list(chain.from_iterable(map(sets.__getitem__, touched)))
+        resident = np.array(held, dtype=np.int64)
+        keys = np.concatenate((resident, lines))
+        by_set = np.concatenate((self.set_indices(resident), index))
+        order = stable_order(by_set)
+        walked = keys[order]
+        hit_walk, final = lru_table(walked, self.ways)
+        hit = np.empty(keys.size, dtype=bool)
+        hit[order] = hit_walk
+        hit = hit[len(held):]
+        # Each touched set keeps its ``ways`` most recently used lines.
+        final_set = by_set[order[final]]
+        last = np.append(final_set[1:] != final_set[:-1], True)
+        ends = np.flatnonzero(last)
+        rank = np.arange(final.size)
+        kept = ends[np.searchsorted(ends, rank)] - rank < self.ways
+        flat = walked[final[kept]].tolist()
+        group_end = np.flatnonzero(last[kept])
+        filled = final_set[kept][group_end].tolist()
+        flags = self._resident
+        if whole:
+            flags.clear()
+        else:
+            for line in held:
+                del flags[line]
+        flags.update(dict.fromkeys(flat, False))
+        start = 0
+        for t, stop in zip(filled, (group_end + 1).tolist()):
+            sets[t] = flat[start:stop]
+            start = stop
+        hits = int(np.count_nonzero(hit))
+        self.stats.hits += hits
+        self.stats.misses += n - hits
+        self.stats.evictions += len(held) + n - hits - len(flat)
+        return hit
+
+    def _run_lines(self, lines: np.ndarray) -> np.ndarray:
+        """:meth:`run` one access at a time."""
+        found = []
+        for line in lines.tolist():
+            hit = self.lookup(line)
+            if not hit:
+                self.fill(line)
+            found.append(hit)
+        return np.array(found, dtype=bool)
 
     def invalidate(self, line: int) -> bool:
         """Drop a line if present (used by non-temporal stores)."""

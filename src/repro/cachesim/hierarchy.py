@@ -19,32 +19,49 @@ scaling, the same modelling device the paper itself uses
 (``Liway / Nthreads``).
 
 This class is the simulator's innermost loop.  A block of a trace goes
-through :meth:`CacheHierarchy.run`, which splits the work in two:
+through :meth:`CacheHierarchy.run`, in passes of at most 8,192 accesses,
+which split the work by what it depends on:
 
-* what depends on the trace alone runs in numpy, in passes of at most
-  8,192 accesses: the write-back set, write-combining of non-temporal
-  stores and the training of whichever prefetch engine is on, the
-  legacy stride engine
+* the trace alone, in numpy: the write-back set, write-combining of
+  non-temporal stores and the training of whichever prefetch engine is
+  on, the legacy stride engine
   (:meth:`~repro.cachesim.prefetch.StridePrefetcher.train`) or the
   multi-stream detector
   (:meth:`~repro.cachesim.prefetch.MultiStreamPrefetcher.train`).  The
   paper's stride engine trains per load on that load's addresses only,
   and the detector's engines on the lines of their page, so every
   decision either makes is known before any cache state is;
-* what depends on cache state runs in one Python demand loop
-  (:meth:`CacheHierarchy._demand`): the probes, fills and evictions of
-  every level, the next-line engine and the prefetch fills, each access
-  handed the line offsets its engines prefetch.  Under the stream model
-  the loop also keeps the clock that tells late prefetch hits from
-  on-time ones.  The loop binds every set list, residency map and
-  counter to a local and inlines the set index and the fills; counters
-  are written back once per call.
+* every level that takes no prefetch fill, also in numpy
+  (:meth:`SetAssocCache.run <repro.cachesim.cache.SetAssocCache.run>`,
+  one per-set LRU stack-distance pass): L1 under the stream model, whose
+  engines fill L2 and L3 only, and with prefetching off the whole
+  hierarchy, L2 seeing exactly L1's misses and L3 seeing L2's, so that
+  no loop runs at all;
+* what depends on the state of a level that prefetches fill, in one
+  Python loop: under the legacy model :meth:`CacheHierarchy._demand`,
+  every access's probes, fills and evictions of every level, the
+  next-line engine and the prefetch fills; under the stream model
+  :meth:`CacheHierarchy._stream_demand`, which gets only L1's misses,
+  the accesses whose engine issues and the L1 hits on a line that may
+  still have a prefetch in flight, with each access's clock tick, and
+  tells late prefetch hits from on-time ones.  A loop binds every set
+  list, residency map and counter to a local and inlines the set index
+  and the fills; counters are written back once per call.
+
+On the recorded ``run`` inputs of a seed-0 perfbench pass (CPU time on a
+2-vCPU VM, unscaled), the ``multistride`` streams cost about 1,315 ns per
+access, against about 1,665 ns when L1 ran in the loop: the loop's share
+fell from about 1,225 to 680 ns, and the numpy L1 pass with its in-flight
+check costs about 235 ns.  With prefetching off the ``price`` streams
+cost about 620 ns per access, against about 1,310 ns in the loop.
 
 One :meth:`~CacheHierarchy.access` or :meth:`~CacheHierarchy.nt_store`
 skips numpy: it trains through the engines' scalar steps
 (:meth:`~repro.cachesim.prefetch.StridePrefetcher.observe`,
-:meth:`~repro.cachesim.prefetch.MultiStreamPrefetcher.advance`) and runs
-the same loop on one line.
+:meth:`~repro.cachesim.prefetch.MultiStreamPrefetcher.advance`), resolves
+a numpy level through its :meth:`~repro.cachesim.cache.SetAssocCache.lookup`
+and :meth:`~repro.cachesim.cache.SetAssocCache.fill` and runs the same
+loop on one line.
 The generic :class:`~repro.cachesim.cache.SetAssocCache` API and the
 engines' ``observe`` methods remain the reference implementation, which
 the tests compose into a plain hierarchy to cross-check this path access
@@ -60,6 +77,7 @@ import numpy as np
 
 from repro.arch import ArchSpec
 from repro.cachesim.cache import SetAssocCache
+from repro.cachesim.lru import stable_order
 from repro.cachesim.prefetch import (
     MultiStreamPrefetcher,
     StreamModelParams,
@@ -104,7 +122,7 @@ class AccessResult:
 class CacheHierarchy:
     """L1/L2(/L3) + DRAM with streaming and stride prefetchers.
 
-    The demand loop works directly on each level's
+    The loops work directly on each level's
     :class:`~repro.cachesim.cache.SetAssocCache` representation: the
     residency map (every resident line -> its prefetch flag), which
     answers each probe with one ``get``, and one list per set in LRU order
@@ -116,9 +134,10 @@ class CacheHierarchy:
     perfbench ``price`` streams :meth:`run` takes about 1,350 ns per line
     access, against about 1,700 ns when the loop trained the stride engine
     inline and probed set lists (CPU time on a 2-vCPU Xeon VM, scaled to
-    perfbench's nominal host speed).  On the ``multistride`` streams it
-    takes 23% less than when the multi-stream detector ran inside the
-    loop (see docs/MODEL.md § 2.2).
+    perfbench's nominal host speed).  Which levels leave the loop for
+    numpy, and what that saves, depends on the prefetch model (see the
+    module docstring and docs/MODEL.md § 2.2): L1 under the stream model,
+    every level with prefetching off, none under the legacy model.
 
     Parameters
     ----------
@@ -207,20 +226,39 @@ class CacheHierarchy:
         if is_write and line not in self._dirty:
             self._dirty.add(line)
             stats.writeback_lines += 1
-        # One access: the scalar engines train faster than a numpy pass
-        # over a block of one.
-        plan = ()
-        if self.enable_prefetch:
-            if self._multi is None:
-                plan = _UNTRAINED
-                targets = self.l2_stride.observe(ref_id, line)
-                if targets:
-                    plan = (1, *(target - line for target in targets))
-            else:
-                plan = self._multi.advance(line) or ()
+        # One access: the scalar engines and the levels' lookup/fill steps
+        # are faster than a numpy pass over a block of one.
+        if not self.enable_prefetch:
+            level = self.num_levels + 1
+            for idx, cache in enumerate(self.levels, start=1):
+                if cache.lookup(line):
+                    level = idx
+                    break
+                cache.fill(line)
+            if level > self.num_levels:
+                stats.memory_lines += 1
+            return AccessResult(level, False)
         level_hits = [0] * (self.num_levels + 2)
+        if self._multi is None:
+            plan = _UNTRAINED
+            targets = self.l2_stride.observe(ref_id, line)
+            if targets:
+                plan = (1, *(target - line for target in targets))
+            credit = self._demand((line,), (plan,), level_hits)
+            return AccessResult(level_hits.index(1), credit)
+        l1 = self.levels[0]
+        hit = l1.lookup(line)
+        if not hit:
+            l1.fill(line)
+        multi = self._multi
+        multi._clock += 1
+        level_hits[1] = int(hit)
         late = stats.late_prefetch_hits
-        credit = self._demand((line,), (plan,), level_hits)
+        tick = multi._clock
+        credit = self._stream_demand(
+            (line,), (multi.advance(line) or (),), (-tick if hit else tick,),
+            level_hits,
+        )
         return AccessResult(
             level_hits.index(1), credit, stats.late_prefetch_hits != late
         )
@@ -237,7 +275,16 @@ class CacheHierarchy:
             return
         self._last_nt_line = line
         self.stats.nt_store_lines += 1
-        self._demand((line,), (None,), [0] * (self.num_levels + 2))
+        if not self.enable_prefetch:
+            for cache in self.levels:
+                cache.invalidate(line)
+        elif self._multi is None:
+            self._demand((line,), (None,), [0] * (self.num_levels + 2))
+        else:
+            self.levels[0].invalidate(line)
+            self._stream_demand(
+                (line,), (None,), (0,), [0] * (self.num_levels + 2)
+            )
 
     def run(self, lines, refs, kinds, level_hits: List[int]) -> bool:
         """Drive a flat access stream through the hierarchy, in order.
@@ -253,12 +300,16 @@ class CacheHierarchy:
 
         What depends on the trace alone is done here in numpy, before the
         demand loop: the write-back set, write-combining of non-temporal
-        stores, and the training of whichever prefetch engine is on.  The
-        loop (:meth:`_demand`) then gets one *plan* per access: ``None``
-        for a non-temporal store that reaches memory, else the line offsets
-        the engines prefetch into L2 after the demand access.  The stream
-        goes through in passes of at most ``_CHUNK`` accesses, each picking
-        up the state the previous one left.
+        stores, and the training of whichever prefetch engine is on.  So
+        is every level that takes no prefetch fill
+        (:meth:`SetAssocCache.run
+        <repro.cachesim.cache.SetAssocCache.run>`): L1 under the stream
+        model, every level with prefetching off.  A loop then gets one
+        *plan* per access it still needs: ``None`` for a non-temporal
+        store that reaches memory, else the line offsets the engines
+        prefetch into L2 after the demand access.  The stream goes through
+        in passes of at most ``_CHUNK`` accesses, each picking up the
+        state the previous one left.
         """
         lines = np.asarray(lines, dtype=np.int64)
         refs = np.asarray(refs, dtype=np.int64)
@@ -287,7 +338,7 @@ class CacheHierarchy:
         keep = demand
         if nt.any():
             # Consecutive non-temporal stores to one line coalesce: only
-            # the first of a run reaches memory (and the loop).
+            # the first of a run reaches memory (and the levels).
             nt_lines = lines[nt]
             reaches = np.ones(nt_lines.size, dtype=bool)
             reaches[1:] = nt_lines[1:] != nt_lines[:-1]
@@ -297,29 +348,172 @@ class CacheHierarchy:
             stats.nt_store_lines += int(reaches.sum())
             keep = demand.copy()
             keep[np.flatnonzero(nt)[reaches]] = True
-        # One plan per access: code 0 is the non-temporal store, 1 a demand
-        # access whose engines issue only their default (the next line
-        # under the legacy model, nothing under the stream model), 2 + k
-        # the engine's k-th plan of the pass.
-        codes = np.zeros(lines.size, dtype=np.int64)
         if not self.enable_prefetch:
-            plans = [None, ()]
-        elif self._multi is None:
-            strides, codes[demand] = self.l2_stride.train(
-                refs[demand], lines[demand]
+            return self._run_unprefetched(
+                lines[keep], nt[keep], level_hits, credit
             )
-            plans = [None, _UNTRAINED]
-            plans += [self._plan_for(step) for step in strides.tolist()]
-        else:
-            issued, codes[demand] = self._multi.train(lines[demand])
-            plans = [None, (), *issued]
+        if self._multi is not None:
+            return self._run_streamed(
+                lines, demand, keep, nt[keep], level_hits, credit
+            )
+        # One plan per access: code 0 is the non-temporal store, 1 a demand
+        # access whose engines issue only the next line, 2 + k the stride
+        # engine's k-th stride of the pass.
+        codes = np.zeros(lines.size, dtype=np.int64)
+        strides, codes[demand] = self.l2_stride.train(
+            refs[demand], lines[demand]
+        )
         codes[demand] += 1
+        plans = [None, _UNTRAINED]
+        plans += [self._plan_for(step) for step in strides.tolist()]
         by_code = np.empty(len(plans), dtype=object)
         by_code[:] = plans
         return self._demand(
             lines[keep].tolist(), by_code[codes[keep]].tolist(), level_hits,
             credit,
         )
+
+    def _resolve(self, levels, lines, nt) -> List[np.ndarray]:
+        """Run ``lines`` through ``levels``, levels that take no prefetch
+        fill, in numpy: each level sees the previous one's misses.
+
+        ``nt[i]`` marks a non-temporal store, which invalidates its line in
+        every one of ``levels``.  Returns one hit mask per level, over the
+        demand accesses for the first and over the previous level's misses
+        for the others.  A store whose line is neither resident at the
+        start nor demanded in the block finds it nowhere; the block splits
+        at every other store, which then invalidates exactly.
+        """
+        if not nt.any():
+            found = []
+            for level in levels:
+                found.append(level.run(lines))
+                lines = lines[~found[-1]]
+            return found
+        at = np.flatnonzero(nt)
+        stored = lines[at]
+        maybe = np.zeros(at.size, dtype=bool)
+        demanded = np.sort(lines[~nt])
+        if demanded.size:
+            near = demanded.searchsorted(stored).clip(max=demanded.size - 1)
+            maybe = demanded[near] == stored
+        listed = stored.tolist()
+        for level in levels:
+            flags = level._resident
+            maybe |= [line in flags for line in listed]
+        cuts = at[maybe].tolist()
+        found: List[List[np.ndarray]] = [[] for _ in levels]
+        start = 0
+        for cut in cuts + [lines.size]:
+            reach = lines[start:cut][~nt[start:cut]]
+            for level, hits in zip(levels, found):
+                hit = level.run(reach)
+                hits.append(hit)
+                reach = reach[~hit]
+            if cut < lines.size:
+                for level in levels:
+                    level.invalidate(int(lines[cut]))
+            start = cut + 1
+        return [np.concatenate(hits) for hits in found]
+
+    def _run_unprefetched(self, lines, nt, level_hits, credit) -> bool:
+        """A pass with prefetching off: every level in numpy, no loop.
+        L2 sees exactly L1's misses, and L3 sees L2's."""
+        found = self._resolve(self.levels, lines, nt)
+        if not found[0].size:
+            return credit
+        for slot, hits in enumerate(found, start=1):
+            level_hits[slot] += int(np.count_nonzero(hits))
+        missed = int(found[-1].size - np.count_nonzero(found[-1]))
+        level_hits[self.num_levels + 1] += missed
+        self.stats.memory_lines += missed
+        return False
+
+    def _run_streamed(self, lines, demand, keep, nt, level_hits, credit):
+        """A pass under the stream model: L1 in numpy, then the loop
+        (:meth:`_stream_demand`) for what L1 leaves to L2 and beyond.
+
+        The loop gets each non-temporal store, each L1 miss, each access
+        whose engine issues, and each L1 hit on a line that may still have
+        a prefetch in flight: the first access to a line after a plan
+        targets it, or the first of the pass to a line the in-flight map
+        holds.  Every other access is an L1 hit with nothing to do past
+        L1.  The clock ticks once per demand access; each access the loop
+        gets carries its tick.
+        """
+        l1_hits = self._resolve(self.levels[:1], lines[keep], nt)[0]
+        met = lines[demand]
+        n = met.size
+        multi = self._multi
+        issued, codes = multi.train(met)
+        ticks = np.arange(multi._clock + 1, multi._clock + n + 1)
+        multi._clock += n
+        hits = int(np.count_nonzero(l1_hits))
+        level_hits[1] += hits
+        go = ~l1_hits | (codes > 0)
+        if hits and (issued or self._inflight):
+            go |= self._maybe_inflight(met, issued, codes) & l1_hits
+        sent = keep.copy()
+        sent[demand] = go
+        # An L1 hit goes with its tick negated.
+        at = np.zeros(lines.size, dtype=np.int64)
+        at[demand] = np.where(l1_hits, -ticks, ticks)
+        # Plan code 0 is the non-temporal store, 1 a demand access that
+        # issues nothing, 2 + k the k-th plan of the pass.
+        code = np.zeros(lines.size, dtype=np.int64)
+        code[demand] = codes + 1
+        by_code = np.empty(len(issued) + 2, dtype=object)
+        by_code[:] = [None, (), *issued]
+        last = self._stream_demand(
+            lines[sent].tolist(), by_code[code[sent]].tolist(),
+            at[sent].tolist(), level_hits, credit,
+        )
+        if n and l1_hits[-1]:
+            return False
+        return last
+
+    def _maybe_inflight(self, met, issued, codes) -> np.ndarray:
+        """Per demand access of ``met``, whether its line may have a
+        prefetch in flight: it is the first access to its line after a
+        plan targets the line, or the first of the pass to a line the
+        in-flight map holds."""
+        n = met.size
+        # Each event, a line and the access after which it may be in
+        # flight (-1: before the pass).
+        lines = [np.fromiter(self._inflight, np.int64, len(self._inflight))]
+        after = [np.full(lines[0].size, -1, dtype=np.int64)]
+        issuing = np.flatnonzero(codes)
+        if issuing.size:
+            sizes = np.array([len(plan) for plan in issued])
+            offsets = np.fromiter(
+                (offset for plan in issued for offset in plan), np.int64
+            )
+            which = codes[issuing] - 1
+            reps = sizes[which]
+            source = np.repeat(issuing, reps)
+            within = np.arange(source.size) - np.repeat(
+                np.cumsum(reps) - reps, reps
+            )
+            first = np.cumsum(sizes)[which] - reps
+            lines.append(met[source] + offsets[np.repeat(first, reps) + within])
+            after.append(source)
+        target = np.concatenate(lines)
+        # The first access to each event's line past the event: in (line,
+        # access) order, the next key past the event's.
+        by_line = stable_order(met)
+        ordered = met[by_line]
+        span = n + 1
+        found = np.searchsorted(
+            ordered * span + by_line,
+            target * span + np.concatenate(after),
+            side="right",
+        )
+        inside = found < n
+        found = found[inside]
+        found = found[ordered[found] == target[inside]]
+        maybe = np.zeros(n, dtype=bool)
+        maybe[by_line[found]] = True
+        return maybe
 
     def _plan_for(self, stride: int) -> Tuple[int, ...]:
         """Line offsets prefetched into L2 after a demand access trained on
@@ -335,14 +529,13 @@ class CacheHierarchy:
     def _demand(
         self, lines, plans, level_hits: List[int], credit: bool = False
     ) -> bool:
-        """The demand loop: every access's cache-state-dependent work.
+        """The legacy model's demand loop: every access's cache-state work.
 
         ``plans[i]`` is ``None`` when ``lines[i]`` is a non-temporal store
         (invalidate every level's copy), else the prefetch plan of a demand
         access (see :meth:`run`).  Counts the serving levels into
         ``level_hits``; returns the last demand access's prefetch credit
-        (``credit`` when there is none).  Under the stream model the loop
-        owns the clock: one tick per demand access.
+        (``credit`` when there is none).
         """
         # L1 and L2 are modulo-indexed, an L3 is hashed (see __init__).
         l1, l2 = self.levels[0], self.levels[1]
@@ -354,14 +547,6 @@ class CacheHierarchy:
         else:
             sets3, n3, w3, m3 = None, 1, 0, None
         nn3 = n3 * n3
-        inflight = self._inflight
-
-        multi = self._multi
-        legacy = self.enable_prefetch and multi is None
-        streamed = self.enable_prefetch and multi is not None
-        if streamed:
-            clock = multi._clock
-            latency = multi.params.latency_accesses
 
         # Demand accesses served by L1 / L2 / L3 / DRAM.
         c1 = c2 = c3 = cm = 0
@@ -369,7 +554,7 @@ class CacheHierarchy:
         pfi1 = pfi2 = pfi3 = 0          # lines prefetch fills inserted
         evd1 = evd2 = evd3 = 0          # evictions by demand fills
         evp1 = evp2 = evp3 = 0          # evictions by prefetch fills
-        pf_mem = late = on_time = 0
+        pf_mem = 0
 
         for line, plan in zip(lines, plans):
             if plan is None:
@@ -441,33 +626,18 @@ class CacheHierarchy:
                     del m1[s1.pop(0)]
                     evd1 += 1
 
-            if legacy:
-                # Next-line engines: the L1 engine pulls line + 1 into L1;
-                # it and the stride engine's targets (the plan) are then
-                # brought into L2 (and L3) when L2 lacks them.
-                nxt = line + 1
-                if nxt not in m1:
-                    t1 = sets1[nxt % n1]
-                    t1.append(nxt)
-                    m1[nxt] = True
-                    pfi1 += 1
-                    if len(t1) > w1:
-                        del m1[t1.pop(0)]
-                        evp1 += 1
-            elif streamed:
-                # A hit on a prefetched line is late when its prefetch
-                # arrives after the clock reached by the previous access;
-                # this access's prefetches arrive ``latency`` ticks after
-                # its own.
-                if line in inflight:
-                    arrival = inflight.pop(line)
-                    if credit:
-                        if arrival > clock:
-                            late += 1
-                        else:
-                            on_time += 1
-                clock += 1
-                arrival = clock + latency
+            # Next-line engines: the L1 engine pulls line + 1 into L1; it
+            # and the stride engine's targets (the plan) are then brought
+            # into L2 (and L3) when L2 lacks them.
+            nxt = line + 1
+            if nxt not in m1:
+                t1 = sets1[nxt % n1]
+                t1.append(nxt)
+                m1[nxt] = True
+                pfi1 += 1
+                if len(t1) > w1:
+                    del m1[t1.pop(0)]
+                    evp1 += 1
             for offset in plan:
                 target = line + offset
                 if target < 0 or target in m2:
@@ -490,39 +660,171 @@ class CacheHierarchy:
                 if len(t2) > w2:
                     del m2[t2.pop(0)]
                     evp2 += 1
-                if streamed:
-                    inflight[target] = arrival
 
-        # Write the counters back.  served[k] is the count of level k + 1;
-        # DRAM comes last.
-        served = (c1, c2, c3, cm) if m3 is not None else (c1, c2, cm)
-        for slot, count in enumerate(served, start=1):
-            level_hits[slot] += count
+        self._count(
+            level_hits, 0, (c1, c2, c3, cm), pf_mem, (pfh1, pfh2, pfh3),
+            (pfi1, pfi2, pfi3), (evd1, evd2, evd3), (evp1, evp2, evp3),
+        )
+        return credit
+
+    def _stream_demand(
+        self, lines, plans, ticks, level_hits: List[int], credit: bool = False
+    ) -> bool:
+        """The stream model's loop: what L1 leaves to L2 and beyond.
+
+        L1 is already resolved: ``ticks[i]`` is the clock after
+        ``lines[i]`` ticked it, negated when the access hit L1.
+        ``plans[i]`` is ``None`` for a non-temporal store (invalidate
+        L2's and L3's copies), else the access's prefetch plan.  An L1 miss
+        probes L2, L3 and memory and fills the levels that missed.  Every
+        demand access settles its line's prefetch in flight, and its plan
+        fills L2 (and L3) with the lines L2 lacks, in flight until
+        ``latency`` ticks later.  Counts the levels past L1 into
+        ``level_hits``; returns the last demand access's prefetch credit
+        (``credit`` when there is none).
+        """
+        l2 = self.levels[1]
+        sets2, n2, w2, m2 = l2._sets, l2.num_sets, l2.ways, l2._resident
+        if self.num_levels >= 3:
+            l3 = self.levels[2]
+            sets3, n3, w3, m3 = l3._sets, l3.num_sets, l3.ways, l3._resident
+        else:
+            sets3, n3, w3, m3 = None, 1, 0, None
+        nn3 = n3 * n3
+        inflight = self._inflight
+        latency = self._multi.params.latency_accesses
+
+        # Demand accesses served by L2 / L3 / DRAM.
+        c2 = c3 = cm = 0
+        pfh2 = pfh3 = 0                 # demand hits on prefetched lines
+        pfi2 = pfi3 = 0                 # lines prefetch fills inserted
+        evd2 = evd3 = 0                 # evictions by demand fills
+        evp2 = evp3 = 0                 # evictions by prefetch fills
+        pf_mem = late = on_time = 0
+
+        for line, plan, tick in zip(lines, plans, ticks):
+            if plan is None:
+                # Non-temporal store: drop the copies past L1.
+                if m2.pop(line, None) is not None:
+                    sets2[line % n2].remove(line)
+                if m3 is not None and m3.pop(line, None) is not None:
+                    sets3[(line ^ line // n3 ^ line // nn3) % n3].remove(line)
+                continue
+
+            if tick < 0:
+                # L1 takes no prefetch fill, so its hits carry no credit.
+                tick = -tick
+                credit = False
+            else:
+                credit = m2.get(line)
+                if credit is not None:
+                    if credit:
+                        m2[line] = False
+                        pfh2 += 1
+                    s2 = sets2[line % n2]
+                    if s2[-1] != line:
+                        s2.remove(line)
+                        s2.append(line)
+                    c2 += 1
+                else:
+                    if m3 is None:
+                        credit = False
+                        cm += 1
+                    else:
+                        s3 = sets3[(line ^ line // n3 ^ line // nn3) % n3]
+                        credit = m3.get(line)
+                        if credit is not None:
+                            if credit:
+                                m3[line] = False
+                                pfh3 += 1
+                            if s3[-1] != line:
+                                s3.remove(line)
+                                s3.append(line)
+                            c3 += 1
+                        else:
+                            credit = False
+                            cm += 1
+                            s3.append(line)
+                            m3[line] = False
+                            if len(s3) > w3:
+                                del m3[s3.pop(0)]
+                                evd3 += 1
+                    s2 = sets2[line % n2]
+                    s2.append(line)
+                    m2[line] = False
+                    if len(s2) > w2:
+                        del m2[s2.pop(0)]
+                        evd2 += 1
+
+            # A hit on a prefetched line is late when its prefetch arrives
+            # after the clock reached by the previous access; this access's
+            # prefetches arrive ``latency`` ticks after its own.
+            if line in inflight:
+                arrival = inflight.pop(line)
+                if credit:
+                    if arrival >= tick:
+                        late += 1
+                    else:
+                        on_time += 1
+            arrival = tick + latency
+            for offset in plan:
+                target = line + offset
+                if target < 0 or target in m2:
+                    continue
+                if m3 is None:
+                    pf_mem += 1
+                elif target not in m3:
+                    pf_mem += 1
+                    t3 = sets3[(target ^ target // n3 ^ target // nn3) % n3]
+                    t3.append(target)
+                    m3[target] = True
+                    pfi3 += 1
+                    if len(t3) > w3:
+                        del m3[t3.pop(0)]
+                        evp3 += 1
+                t2 = sets2[target % n2]
+                t2.append(target)
+                m2[target] = True
+                pfi2 += 1
+                if len(t2) > w2:
+                    del m2[t2.pop(0)]
+                    evp2 += 1
+                inflight[target] = arrival
+
+        self._count(
+            level_hits, 1, (c2, c3, cm), pf_mem, (pfh2, pfh3), (pfi2, pfi3),
+            (evd2, evd3), (evp2, evp3),
+        )
+        self.stats.late_prefetch_hits += late
+        self._multi.stats.late_hits += late
+        self._multi.stats.on_time_hits += on_time
+        return credit
+
+    def _count(self, level_hits, first, served, pf_mem, hits, issued,
+               ev_demand, ev_prefetch) -> None:
+        """Write a loop's counters back.  ``served`` counts the demand
+        accesses each level from index ``first`` on served, DRAM last;
+        the other tuples have one entry per such level.  An absent L3's
+        entries come last, all zero."""
+        levels = self.levels[first:]
+        if len(served) > len(levels) + 1:
+            served = served[:len(levels)] + served[-1:]
         farther = sum(served)
-        for level, count in zip(self.levels, served):
+        for slot, (level, count) in enumerate(zip(levels, served), first + 1):
+            level_hits[slot] += count
             farther -= count
             level.stats.hits += count
             level.stats.misses += farther
+        level_hits[self.num_levels + 1] += served[-1]
         stats = self.stats
-        stats.memory_lines += cm
+        stats.memory_lines += served[-1]
         stats.prefetch_memory_lines += pf_mem
-        stats.late_prefetch_hits += late
-        for level, hits, issued, ev_demand, ev_prefetch in zip(
-            self.levels,
-            (pfh1, pfh2, pfh3),
-            (pfi1, pfi2, pfi3),
-            (evd1, evd2, evd3),
-            (evp1, evp2, evp3),
-        ):
-            level.stats.prefetch_hits += hits
-            level.stats.prefetches_issued += issued
-            level.stats.evictions += ev_demand + ev_prefetch
-            level.stats.prefetch_evictions += ev_prefetch
-        if streamed:
-            multi._clock = clock
-            multi.stats.late_hits += late
-            multi.stats.on_time_hits += on_time
-        return credit
+        for level, *counts in zip(levels, hits, issued, ev_demand,
+                                  ev_prefetch):
+            level.stats.prefetch_hits += counts[0]
+            level.stats.prefetches_issued += counts[1]
+            level.stats.evictions += counts[2] + counts[3]
+            level.stats.prefetch_evictions += counts[3]
 
     # ------------------------------------------------------------------
 

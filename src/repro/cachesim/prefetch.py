@@ -41,6 +41,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.cachesim.lru import lru_hits, stable_order
+
 
 @dataclass
 class StreamTableStats:
@@ -233,11 +235,11 @@ class StridePrefetcher:
 
         Training depends on the address stream alone, so it runs over a
         whole block at once, one id's accesses after another.  The table
-        is LRU, so an access finds its stream iff :func:`_lru_hits` says
-        so.  A stream's life runs from its allocation to its eviction;
-        within it the stride is the step between consecutive distinct
-        lines and the confidence is the length of the current run of
-        equal strides.
+        is LRU, so an access finds its stream iff
+        :func:`~repro.cachesim.lru.lru_hits` says so.  A stream's life runs
+        from its allocation to its eviction; within it the stride is the
+        step between consecutive distinct lines and the confidence is the
+        length of the current run of equal strides.
         """
         n = int(refs.size)
         if n == 0:
@@ -251,7 +253,7 @@ class StridePrefetcher:
         carried = list(streams.values())
         keys = np.concatenate((np.fromiter(streams, np.int64, held), refs))
         # Walk the accesses id by id, each id's in time order.
-        order = _stable_order(keys)
+        order = stable_order(keys)
         walked = keys[order]
         new_id = np.ones(order.size, dtype=bool)
         new_id[1:] = walked[1:] != walked[:-1]
@@ -260,7 +262,7 @@ class StridePrefetcher:
         # the previous access of the walk touched last.
         found = ~new_id
         if n_ids > cap:
-            found = _lru_hits(keys, cap)[order]
+            found = lru_hits(keys, cap)[order]
         walk_lines = np.concatenate((
             np.fromiter((st.last_line for st in carried), np.int64, held),
             lines,
@@ -358,73 +360,6 @@ class StridePrefetcher:
         if stream is None:
             return (0, 0)
         return (stream.stride, stream.confidence)
-
-
-def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """The stable argsort of integer ``keys``.  numpy radix-sorts 16-bit
-    keys, several times faster than it sorts int64, so keys that span
-    fewer than ``2**16`` values sort as 16-bit offsets from the least."""
-    low = keys.min()
-    if keys.max() - low < 1 << 16:
-        keys = (keys - low).astype(np.uint16)
-    return np.argsort(keys, kind="stable")
-
-
-def _lru_hits(keys: np.ndarray, capacity: int) -> np.ndarray:
-    """Which accesses of a key sequence find their key in an LRU table.
-
-    Every access touches its key, allocating an entry when the key is
-    absent and evicting the least recently used one when ``capacity``
-    entries are live, so after any access the table holds the
-    ``capacity`` most recently used keys.  ``hit[i]`` is therefore true
-    iff ``keys[i]`` occurred before and fewer than ``capacity`` distinct
-    keys occurred since.
-
-    A repeat of the key just used always hits, so runs of one key
-    collapse to one position first.  In the collapsed sequence a gap of
-    fewer than ``capacity`` positions cannot hold ``capacity`` keys.  A
-    longer gap is certified a miss by the window that ends just before
-    the access, of length ``capacity * 2**k`` (the longest that fits in
-    the gap), when that window holds ``capacity`` distinct keys: one
-    ``bincount`` and one ``cumsum`` give every window of a length its
-    count.  The few gaps left unsure are counted exactly.
-    """
-    size = keys.size
-    head = np.ones(size, dtype=bool)
-    head[1:] = keys[1:] != keys[:-1]
-    runs = keys[head]
-    m = runs.size
-    order = _stable_order(runs)
-    again = runs[order[1:]] == runs[order[:-1]]
-    # The previous and next positions of each position's key (-1 and m
-    # when there is none).
-    later, earlier = order[1:][again], order[:-1][again]
-    prev = np.full(m, -1, dtype=np.int64)
-    prev[later] = earlier
-    after = np.full(m, m, dtype=np.int64)
-    after[earlier] = later
-    hit = prev >= 0
-    if m - int(again.sum()) > capacity:
-        index = np.arange(m)
-        unsure = np.flatnonzero(hit & (index - prev > capacity))
-        # Window length ``capacity << level``: the longest within the gap.
-        level = np.frexp((unsure - prev[unsure] - 1) // capacity)[1] - 1
-        evicted = np.zeros(unsure.size, dtype=bool)
-        for k in np.flatnonzero(np.bincount(level)).tolist():
-            width = capacity << k
-            # Keys of the window ending at e, each counted at its last
-            # position there: those whose next use is past e.
-            gone = np.bincount(np.minimum(after, index + width), minlength=m)
-            distinct = index + 1 - np.cumsum(gone[:m])
-            at = np.flatnonzero(level == k)
-            evicted[at] = distinct[unsure[at] - 1] >= capacity
-        for w in np.flatnonzero(~evicted).tolist():
-            i = int(unsure[w])
-            evicted[w] = (after[prev[i] + 1:i] >= i).sum() >= capacity
-        hit[unsure[evicted]] = False
-    out = np.ones(size, dtype=bool)
-    out[head] = hit
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -628,16 +563,16 @@ class MultiStreamPrefetcher:
 
         The engines read the line stream alone, never cache state.  The
         pool is LRU over pages, so an access finds its engine iff
-        :func:`_lru_hits` says so, and an engine's life runs from its
-        allocation to its eviction.  Within a life the confidence is the
-        length of the current run of equal non-zero steps ``s``.  From the
-        access that trains a run (or, for a run the pool carries in
-        trained, from the carried last line), an access ``u`` strides
-        along has the run-ahead frontier ``F = min(F0 + degree * (t + 1),
-        max_distance // |s| + u, page edge)`` in stride units, where ``t``
-        counts the run's triggers before it and ``F0`` is the frontier the
-        run starts from; it issues the lines between the previous
-        frontier and ``F``.
+        :func:`~repro.cachesim.lru.lru_hits` says so, and an engine's life
+        runs from its allocation to its eviction.  Within a life the
+        confidence is the length of the current run of equal non-zero
+        steps ``s``.  From the access that trains a run (or, for a run the
+        pool carries in trained, from the carried last line), an access
+        ``u`` strides along has the run-ahead frontier ``F = min(F0 +
+        degree * (t + 1), max_distance // |s| + u, page edge)`` in stride
+        units, where ``t`` counts the run's triggers before it and ``F0``
+        is the frontier the run starts from; it issues the lines between
+        the previous frontier and ``F``.
         """
         n = int(lines.size)
         codes = np.zeros(n, dtype=np.int64)
@@ -657,10 +592,10 @@ class MultiStreamPrefetcher:
         ))
         pages = every // p.page_lines
         # Walk the accesses page by page, each page's in time order.
-        order = _stable_order(pages)
+        order = stable_order(pages)
         walked = pages[order]
         walk_lines = every[order]
-        found = _lru_hits(pages, cap)[order]
+        found = lru_hits(pages, cap)[order]
         step = np.zeros(order.size, dtype=np.int64)
         step[1:] = walk_lines[1:] - walk_lines[:-1]
         step[~found] = 0

@@ -5,7 +5,8 @@ performance engineer actually wants after a traced run: where the time
 went (spans), how hard each search worked (candidate counters, the
 pruned-by-reason breakdown summed over the events' ``count``, and the
 Algorithm 1 caps that bound a tile dimension below its extent), what
-the simulator saw per nest, and how the sweep's cells fared.
+the simulator saw per nest, and how the sweep's and the tune's cells
+fared.
 ``python -m repro trace out.jsonl`` is the CLI front end.
 """
 
@@ -15,10 +16,6 @@ from typing import Dict, List, Optional
 
 from repro.obs.events import (
     EVENT_CANDIDATE_PRUNED,
-    EVENT_CELL_OK,
-    EVENT_CELL_QUARANTINED,
-    EVENT_CELL_RESUMED,
-    EVENT_CELL_RETRY,
     EVENT_CLASSIFY,
     EVENT_EMU,
     EVENT_RUNG,
@@ -65,6 +62,17 @@ def _counter_totals(events) -> Dict[str, float]:
     return summed
 
 
+#: Runner namespace -> the summary key of its ``<namespace>.cell.<what>``
+#: tally (:class:`repro.sweep.runner.CellRunner` and its subclasses).
+_CELL_TALLIES = {"sweep": "cells", "tune": "tune_cells"}
+
+#: ``<what>`` of a cell event -> its count in a tally.
+_CELL_OUTCOMES = {
+    "ok": "ok", "resumed": "resumed", "quarantined": "quarantined",
+    "retry": "retries",
+}
+
+
 def summarize(events) -> Dict:
     """Aggregate an event stream into a plain-data summary object."""
     events = [e for e in events if isinstance(e, dict)]
@@ -73,7 +81,10 @@ def summarize(events) -> Dict:
     nests: List[Dict] = []
     classifications: List[Dict] = []
     rungs: List[Dict] = []
-    cells = {"ok": 0, "resumed": 0, "quarantined": 0, "retries": 0}
+    cells = {
+        namespace: dict.fromkeys(_CELL_OUTCOMES.values(), 0)
+        for namespace in _CELL_TALLIES
+    }
     for payload in events:
         if payload.get("kind") != KIND_EVENT:
             continue
@@ -95,14 +106,10 @@ def summarize(events) -> Dict:
             classifications.append(attrs)
         elif name == EVENT_RUNG:
             rungs.append(attrs)
-        elif name == EVENT_CELL_OK:
-            cells["ok"] += 1
-        elif name == EVENT_CELL_RESUMED:
-            cells["resumed"] += 1
-        elif name == EVENT_CELL_QUARANTINED:
-            cells["quarantined"] += 1
-        elif name == EVENT_CELL_RETRY:
-            cells["retries"] += 1
+        elif isinstance(name, str) and ".cell." in name:
+            namespace, _, what = name.partition(".cell.")
+            if namespace in cells and what in _CELL_OUTCOMES:
+                cells[namespace][_CELL_OUTCOMES[what]] += 1
     return {
         "events": len(events),
         "spans": _span_rollup(events),
@@ -112,7 +119,7 @@ def summarize(events) -> Dict:
         "nests": nests,
         "classifications": classifications,
         "rungs": rungs,
-        "cells": cells,
+        **{key: cells[namespace] for namespace, key in _CELL_TALLIES.items()},
     }
 
 
@@ -207,13 +214,14 @@ def render_summary(events) -> str:
                 )
             )
 
-    cells = summary["cells"]
-    if any(cells.values()):
-        lines.append(
-            f"sweep cells: {cells['ok']} measured, {cells['resumed']} "
-            f"resumed, {cells['quarantined']} quarantined "
-            f"({cells['retries']} retries)"
-        )
+    for namespace, key in _CELL_TALLIES.items():
+        cells = summary[key]
+        if any(cells.values()):
+            lines.append(
+                f"{namespace} cells: {cells['ok']} measured, "
+                f"{cells['resumed']} resumed, {cells['quarantined']} "
+                f"quarantined ({cells['retries']} retries)"
+            )
 
     if summary["counters"]:
         lines.append("counters:")

@@ -44,6 +44,7 @@ import subprocess
 import sys
 import threading
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
@@ -99,6 +100,20 @@ def _error_text(exc: Exception) -> str:
     if isinstance(exc, AttemptFailed):
         return str(exc)
     return f"{type(exc).__name__}: {exc}"
+
+
+def _failure_text(exc: Exception) -> str:
+    """A failed attempt's trail entry: its error, and for an exception
+    other than :class:`AttemptFailed` (a bug, not a reported failure) the
+    innermost frame of its traceback, ``file:line in function``."""
+    frames = traceback.extract_tb(exc.__traceback__)
+    if isinstance(exc, AttemptFailed) or not frames:
+        return _error_text(exc)
+    frame = frames[-1]
+    return (
+        f"{_error_text(exc)} ({frame.filename}:{frame.lineno} in "
+        f"{frame.name})"
+    )
 
 
 #: Counter bumped with each ``<namespace>.cell.<what>`` event.
@@ -315,7 +330,7 @@ class CellRunner:
                 errors.append(_error_text(exc))
                 trail.error(
                     "worker",
-                    f"attempt {attempt} failed: {errors[-1]}",
+                    f"attempt {attempt} failed: {_failure_text(exc)}",
                     elapsed_ms=elapsed_ms,
                 )
                 self._log(

@@ -335,6 +335,47 @@ class ReferenceHierarchy:
         self.last_nt_line = None
 
 
+class ReferenceLRU:
+    """A set-associative LRU level as one ``OrderedDict`` per set (least
+    recently used first): the reference for the numpy levels
+    (:meth:`SetAssocCache.run`)."""
+
+    def __init__(self, num_sets, ways, *, hashed_index=False):
+        from collections import OrderedDict
+
+        from repro.cachesim import SetAssocCache
+
+        self.index = SetAssocCache("ref", num_sets, ways,
+                                   hashed_index=hashed_index).set_index
+        self.ways = ways
+        self.sets = [OrderedDict() for _ in range(num_sets)]
+        self.hits = self.misses = self.evictions = 0
+
+    def access(self, line):
+        """A demand access: True on a hit; a miss fills, evicting the LRU
+        line of a full set."""
+        s = self.sets[self.index(line)]
+        if line in s:
+            s.move_to_end(line)
+            self.hits += 1
+            return True
+        self.misses += 1
+        s[line] = None
+        if len(s) > self.ways:
+            s.popitem(last=False)
+            self.evictions += 1
+        return False
+
+    def invalidate(self, line):
+        self.sets[self.index(line)].pop(line, None)
+
+    def contents(self):
+        """Per set, ``(line, False)`` pairs in LRU order, as
+        :meth:`SetAssocCache.contents` lists a level without prefetch
+        fills."""
+        return [[(line, False) for line in s] for s in self.sets]
+
+
 def hierarchy_state(h):
     """Every counter and the full cache contents (with prefetch flags, in
     LRU order) of a hierarchy, for exact comparison."""

@@ -243,16 +243,43 @@ class TestContract:
         assert report.exit_code() == EXIT_QUARANTINED
 
     def test_unexpected_exceptions_are_failed_attempts(self, kind, journal):
-        runner = kind.build(journal, [])
+        tracer = CollectingTracer()
+        runner = kind.build(journal, [], tracer=tracer)
 
         def attempt(cell, attempt_no):
             raise TypeError("string indices must be integers")
 
+        raised_at = attempt.__code__.co_firstlineno + 1
         runner._attempt = attempt
         (outcome,) = runner.run([A]).outcomes
+        error = "TypeError: string indices must be integers"
         assert outcome.status == "quarantined"
-        assert outcome.error == "TypeError: string indices must be integers"
-        assert journal.load()[A.key()].status == STATUS_QUARANTINED
+        assert outcome.error == error
+        record = journal.load()[A.key()]
+        assert record.status == STATUS_QUARANTINED
+        assert record.error == error
+        # The trail says where the bug is; the journal's error and the
+        # events keep the plain ``Type: message``.
+        where = f"{__file__}:{raised_at} in attempt"
+        failed = [
+            r.message for r in runner.trails[A.key()].records
+            if " failed: " in r.message
+        ]
+        assert len(failed) == POLICY.max_attempts
+        assert all(line == f"attempt {n} failed: {error} ({where})"
+                   for n, line in enumerate(failed, start=1))
+        assert {
+            e["attrs"]["error"] for e in tracer.events
+            if e.get("name", "").endswith((".retry", ".quarantined"))
+        } == {error}
+
+    def test_reported_failures_carry_no_frame(self, journal):
+        runner = SWEEP.build(journal, [])
+        script(runner, SWEEP, {A.key(): ["fail", "fail"]})
+        runner.run([A])
+        assert not any(
+            " in attempt)" in r.message for r in runner.trails[A.key()].records
+        )
 
     def test_parallel_jobs_settle_in_input_order(self, kind, journal):
         # More threads than cores and a tiny switch interval: every

@@ -100,3 +100,24 @@ class TestRenderSummary:
         text = render_summary(tracer.events)
         assert "temporal:" in text and "candidates considered" in text
         assert "spans:" in text and "optimize" in text
+
+    def test_tune_cells_get_their_own_line(self, tmp_path):
+        from repro.sweep import Journal, SweepCell
+        from repro.tune import TuneRunner
+
+        tracer = CollectingTracer()
+        runner = TuneRunner(
+            Journal(str(tmp_path / "journal.jsonl")), port=1, tracer=tracer,
+            sleeper=lambda _s: None,
+        )
+        runner._attempt = lambda cell, attempt: (
+            1.5, [{"stage": "s", "schedule": {}}]
+        )
+        runner.run([SweepCell("copy", "baseline", "i7-5930k", line_budget=2000,
+                              fast=True)])
+        summary = summarize(tracer.events)
+        assert summary["tune_cells"]["ok"] == 1
+        assert not any(summary["cells"].values())
+        text = render_summary(tracer.events)
+        assert "tune cells: 1 measured, 0 resumed, 0 quarantined" in text
+        assert "sweep cells:" not in text

@@ -21,8 +21,8 @@ from repro.cachesim.prefetch import (
     NextLinePrefetcher,
     StreamModelParams,
     StridePrefetcher,
-    _lru_hits,
 )
+from repro.cachesim.lru import lru_hits
 
 
 class TestNextLinePrefetcher:
@@ -249,7 +249,7 @@ class TestLruHits:
     @settings(max_examples=300, deadline=None)
     def test_matches_an_ordered_dict_table(self, stretches, capacity):
         keys = [k for hot, cold in stretches for k in (*hot, cold)]
-        got = _lru_hits(np.array(keys, dtype=np.int64), capacity)
+        got = lru_hits(np.array(keys, dtype=np.int64), capacity)
         assert got.tolist() == lru_reference(keys, capacity)
 
     @given(
@@ -258,20 +258,29 @@ class TestLruHits:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_on_uniform_keys(self, keys, capacity):
-        got = _lru_hits(np.array(keys, dtype=np.int64), capacity)
+        got = lru_hits(np.array(keys, dtype=np.int64), capacity)
         assert got.tolist() == lru_reference(keys, capacity)
 
     def test_long_gap_over_few_keys_still_hits(self):
         # Key 9 returns after 200 accesses that use only two other keys:
         # no window certifies an eviction, so the exact count decides.
         keys = [9] + [1, 2] * 100 + [9, 3, 4, 5, 9]
-        got = _lru_hits(np.array(keys, dtype=np.int64), 3).tolist()
+        got = lru_hits(np.array(keys, dtype=np.int64), 3).tolist()
         assert got == lru_reference(keys, 3)
         assert got[201] and not got[-1]
 
+    def test_many_long_gaps_over_few_keys(self):
+        # Several keys return after long stretches of two others: the gaps
+        # left unsure outnumber the positions, so each tries its window
+        # of capacity * 2**k first, then the exact count.
+        keys = [9, 8, 7] + [1, 2] * 100 + [9, 8, 7] + [3, 4, 5] * 40 + [9]
+        got = lru_hits(np.array(keys, dtype=np.int64), 5).tolist()
+        assert got == lru_reference(keys, 5)
+        assert got[203:206] == [True, True, True] and not got[-1]
+
     def test_wide_keys_sort_like_narrow_ones(self):
         keys = [5, 1 << 40, 5, -(1 << 40), 1 << 40, 5, 7, 1 << 40]
-        got = _lru_hits(np.array(keys, dtype=np.int64), 2)
+        got = lru_hits(np.array(keys, dtype=np.int64), 2)
         assert got.tolist() == lru_reference(keys, 2)
 
 
