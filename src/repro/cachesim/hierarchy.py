@@ -71,7 +71,7 @@ by access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -197,8 +197,6 @@ class CacheHierarchy:
             degree=arch.l2_prefetches_per_access,
             max_distance=arch.l2_max_prefetch_distance,
         )
-        # Trained stride -> the demand access's prefetch plan.
-        self._plans: Dict[int, Tuple[int, ...]] = {}
         self.stream_model = stream_model
         self._multi: Optional[MultiStreamPrefetcher] = None
         # line -> simulated arrival time of its outstanding prefetch.
@@ -365,7 +363,10 @@ class CacheHierarchy:
         )
         codes[demand] += 1
         plans = [None, _UNTRAINED]
-        plans += [self._plan_for(step) for step in strides.tolist()]
+        plans += [
+            _UNTRAINED + self.l2_stride.offsets(step)
+            for step in strides.tolist()
+        ]
         by_code = np.empty(len(plans), dtype=object)
         by_code[:] = plans
         return self._demand(
@@ -514,17 +515,6 @@ class CacheHierarchy:
         maybe = np.zeros(n, dtype=bool)
         maybe[by_line[found]] = True
         return maybe
-
-    def _plan_for(self, stride: int) -> Tuple[int, ...]:
-        """Line offsets prefetched into L2 after a demand access trained on
-        ``stride``: the next-line engine's +1 first, then the stride
-        engine's targets."""
-        plan = self._plans.get(stride)
-        if plan is None:
-            plan = self._plans[stride] = (
-                _UNTRAINED + self.l2_stride.offsets(stride)
-            )
-        return plan
 
     def _demand(
         self, lines, plans, level_hits: List[int], credit: bool = False

@@ -4,18 +4,20 @@ An LRU table of capacity ``W`` that every access touches holds, after any
 access, the ``W`` most recently used keys.  So an access finds its key iff
 the key occurred before and fewer than ``W`` distinct keys occurred since:
 which accesses hit, and what the table holds at the end, follow from the
-key sequence alone.  The prefetch engines' trains use this for their
-bounded tables (:mod:`repro.cachesim.prefetch`), and the cache levels that
-take no prefetch fill for their sets (:meth:`SetAssocCache.run
-<repro.cachesim.cache.SetAssocCache.run>`): the sets of a cache are
-independent tables, and on the accesses stably sorted by set index a
-line's previous use, and every access between the two, lie in its own
-set's run, so one call answers every set.
+key sequence alone.  The prefetch engines' shared table walk
+(:mod:`repro.cachesim.prefetch`) uses this for both bounded tables, the
+stride table keyed by load and the stream-engine pool keyed by page, and
+hands :func:`lru_table` the stable order it already sorted the keys into.
+So do the cache levels that take no prefetch fill for their sets
+(:meth:`SetAssocCache.run <repro.cachesim.cache.SetAssocCache.run>`): the
+sets of a cache are independent tables, and on the accesses stably sorted
+by set index a line's previous use, and every access between the two, lie
+in its own set's run, so one call answers every set.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -50,13 +52,16 @@ def lru_hits(keys: np.ndarray, capacity: int) -> np.ndarray:
 
 
 def lru_table(
-    keys: np.ndarray, capacity: int
+    keys: np.ndarray, capacity: int, order: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`lru_hits` and the positions of each key's last run.
 
     Returns ``(hit, final)``: ``final`` holds, ascending, one position per
     distinct key, inside the key's last run of repeats, so ``keys[final]``
-    lists every key once, least recently used first.
+    lists every key once, least recently used first, and
+    ``keys[final][-capacity:]`` is the table after the sequence.  A caller
+    that already holds ``order = stable_order(keys)`` passes it, and the
+    keys are not sorted again.
 
     A repeat of the key just used always hits, so runs of one key
     collapse to one position first.  In the collapsed sequence a gap of
@@ -76,7 +81,11 @@ def lru_table(
     head[1:] = keys[1:] != keys[:-1]
     runs = keys[head]
     m = runs.size
-    order = stable_order(runs)
+    if order is None:
+        order = stable_order(runs)
+    else:
+        # The runs in the order of their heads among the sorted keys.
+        order = (np.cumsum(head) - 1)[order[head[order]]]
     again = runs[order[1:]] == runs[order[:-1]]
     # The previous and next positions of each position's key (-1 and m
     # when there is none).

@@ -28,20 +28,26 @@ about:
   is exactly what turns late hits into on-time hits — the effect the
   ``multistride(loop, K)`` directive exists to exploit.
 
-The stride and multi-stream tables share :class:`StreamTableStats`, the
-occupancy/eviction counters :class:`repro.cachesim.stats.HierarchyStats`
-surfaces under ``stream_tables``.
+The stride and multi-stream engines keep one kind of table: a bounded LRU
+table of stride detectors, keyed by load or by page, each entry holding
+its last line, its stride and the confidence of its current run.  Both
+step it one access at a time through :func:`_touch` (``observe``,
+``advance``) and a block at a time in numpy through :class:`_TableWalk`
+(``train``); each engine supplies only its key and what it issues.  Both
+count into :class:`StreamTableStats`, the occupancy/eviction counters
+:class:`repro.cachesim.stats.HierarchyStats` surfaces under
+``stream_tables``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cachesim.lru import lru_hits, stable_order
+from repro.cachesim.lru import lru_table, stable_order
 
 
 @dataclass
@@ -72,6 +78,169 @@ class StreamTableStats:
         }
 
 
+def _touch(
+    table: OrderedDict, key: int, capacity: int, stats: StreamTableStats,
+    new: Callable, *args,
+) -> Tuple[object, bool]:
+    """Touch ``key`` in the bounded LRU ``table``: returns ``(entry,
+    False)`` with the entry made most recently used, or, when ``key`` is
+    absent, ``(new(*args), True)`` for the entry allocated in its place,
+    after evicting the least recently used one from a full table."""
+    entry = table.get(key)
+    if entry is not None:
+        table.move_to_end(key)
+        return entry, False
+    if len(table) >= capacity:
+        table.popitem(last=False)
+        stats.evictions += 1
+    entry = table[key] = new(*args)
+    stats.allocations += 1
+    stats.occupancy = len(table)
+    if stats.occupancy > stats.peak_occupancy:
+        stats.peak_occupancy = stats.occupancy
+    return entry, True
+
+
+class _TableWalk:
+    """A block of accesses to a bounded LRU table of stride detectors,
+    walked key by key in numpy.
+
+    The table's entries act as accesses just before the block, in LRU
+    order, that resume their entry's life: combined position ``k < held``
+    is entry ``k``, block access ``i`` is ``held + i``.  The walk visits
+    the accesses key by key, each key's in time order, from one stable
+    sort.  The table is LRU, so an access finds its entry iff
+    :func:`~repro.cachesim.lru.lru_table` says so, or, when the distinct
+    keys fit the table, iff the key occurred before.  Every access that
+    misses starts a life, which runs to the entry's eviction; within it
+    the stride is the step between consecutive distinct lines and the
+    confidence the length of the current run of equal strides, continuing
+    the run a carried entry holds when it matches.
+
+    Over the walk's non-zero steps (walk positions ``moving``) the walk
+    holds ``s`` the stride, ``lv`` the life, ``run_start`` the step that
+    starts the run, ``carry`` the confidence the run carries in, and
+    ``conf`` the confidence; ``life`` maps every field an entry carries to
+    its per-life values.  The engine reads these to decide what it issues,
+    then :meth:`finish` closes the lives and returns the table after the
+    block.
+    """
+
+    def __init__(self, table: OrderedDict, keys: np.ndarray,
+                 lines: np.ndarray, capacity: int, threshold: int,
+                 stats: StreamTableStats) -> None:
+        held = self.held = len(table)
+        self._table = table
+        self._stats = stats
+        carried = list(table.values())
+        every = np.concatenate((np.fromiter(table, np.int64, held), keys))
+        order = self.order = stable_order(every)
+        walked = self._walked = every[order]
+        new_key = np.ones(order.size, dtype=bool)
+        new_key[1:] = walked[1:] != walked[:-1]
+        ends = np.flatnonzero(np.append(new_key[1:], True))
+        # ``found[w]``: the walk's access w finds its key's entry, which the
+        # previous access of the walk touched last.  ``_last``: the walk
+        # position of each key's last use, for the keys the table holds
+        # after the block, least recently used first.
+        if ends.size <= capacity:
+            found = ~new_key
+            self._last = ends[np.argsort(order[ends])]
+        else:
+            hit, final = lru_table(every, capacity, order)
+            found = hit[order]
+            self._last = ends[np.searchsorted(
+                walked[ends], every[final[-capacity:]]
+            )]
+        walk_lines = self.lines = np.concatenate((
+            np.fromiter((e.last_line for e in carried), np.int64, held),
+            lines,
+        ))[order]
+        step = np.zeros(order.size, dtype=np.int64)
+        step[1:] = walk_lines[1:] - walk_lines[:-1]
+        step[~found] = 0
+        self._life = np.cumsum(~found) - 1
+        self.starts = np.flatnonzero(~found)
+        entry = order[self.starts]
+        self.allocations = self.starts.size - held
+        # The lives the table's entries resume, and those entries.
+        self._resumed = np.flatnonzero(entry < held)
+        self._carried = [carried[k] for k in entry[self._resumed].tolist()]
+        self.life: Dict[str, np.ndarray] = {}
+        stride = self.carry_in("stride", 0)
+        confidence = self.carry_in("confidence", 0)
+
+        moving = self.moving = np.flatnonzero(step)
+        s = self.s = step[moving]
+        lv = self.lv = self._life[moving]
+        first_of_life = np.ones(s.size, dtype=bool)
+        first_of_life[1:] = lv[1:] != lv[:-1]
+        breaks = first_of_life.copy()
+        breaks[1:] |= s[1:] != s[:-1]
+        index = np.arange(s.size)
+        run_start = self.run_start = np.maximum.accumulate(
+            np.where(breaks, index, 0)
+        )
+        self.carry = np.where(
+            first_of_life & (s == stride[lv]), confidence[lv], 0
+        )[run_start]
+        self.conf = index - run_start + 1 + self.carry
+        stats.trained += int((self.conf == threshold).sum())
+
+    def carry_in(self, name: str, fresh) -> np.ndarray:
+        """Per life, the field ``name`` of the entry it resumes, else
+        ``fresh`` (one value, or one per life); :meth:`finish` writes it
+        into every entry it builds."""
+        values = self.life[name] = np.empty(self.starts.size, dtype=np.int64)
+        values[:] = fresh
+        values[self._resumed] = [getattr(e, name) for e in self._carried]
+        return values
+
+    def block(self, walked: np.ndarray) -> np.ndarray:
+        """The block accesses at walk positions ``walked``."""
+        return self.order[walked] - self.held
+
+    def finish(self, new: Callable, **closing: np.ndarray) -> OrderedDict:
+        """Close each life on its last step's stride and confidence (and on
+        each per-step field of ``closing``), count the block's allocations and
+        evictions, and return the table after the block: the most recently
+        used keys in LRU order, each entry untouched by the block kept, the
+        others built by ``new(key, last line)`` in the state of their last
+        life."""
+        life = self.life
+        if self.moving.size:
+            lv = self.lv
+            last = np.flatnonzero(np.append(lv[1:] != lv[:-1], True))
+            closing.update(stride=self.s, confidence=self.conf)
+            for name, values in closing.items():
+                life[name][lv[last]] = values[last]
+        kept = self._last
+        fields = {
+            name: values[self._life[kept]].tolist()
+            for name, values in life.items()
+        }
+        table: OrderedDict = OrderedDict()
+        for k, (at, key, line) in enumerate(zip(
+            self.order[kept].tolist(), self._walked[kept].tolist(),
+            self.lines[kept].tolist(),
+        )):
+            if at < self.held:
+                table[key] = self._table[key]
+                continue
+            entry = table[key] = new(key, line)
+            for name, values in fields.items():
+                setattr(entry, name, values[k])
+        stats = self._stats
+        if self.allocations:
+            stats.allocations += self.allocations
+            # Every entry the table held or allocated is in it or evicted.
+            stats.evictions += self.held + self.allocations - len(table)
+            occupancy = stats.occupancy = len(table)
+            if occupancy > stats.peak_occupancy:
+                stats.peak_occupancy = occupancy
+        return table
+
+
 class NextLinePrefetcher:
     """Streaming (adjacent-line) prefetcher.
 
@@ -100,8 +269,8 @@ class _Stream:
 
     __slots__ = ("last_line", "stride", "confidence")
 
-    def __init__(self) -> None:
-        self.last_line = None
+    def __init__(self, last_line: Optional[int] = None) -> None:
+        self.last_line = last_line
         self.stride = 0
         self.confidence = 0
 
@@ -158,25 +327,11 @@ class StridePrefetcher:
         # Stride -> the line offsets a trained access prefetches.
         self._offsets: Dict[int, Tuple[int, ...]] = {}
 
-    def _stream_for(self, ref_id: int) -> _Stream:
-        stream = self._streams.get(ref_id)
-        if stream is not None:
-            self._streams.move_to_end(ref_id)
-            return stream
-        stream = _Stream()
-        if len(self._streams) >= self.max_streams:
-            self._streams.popitem(last=False)
-            self.stats.evictions += 1
-        self._streams[ref_id] = stream
-        self.stats.allocations += 1
-        self.stats.occupancy = len(self._streams)
-        if self.stats.occupancy > self.stats.peak_occupancy:
-            self.stats.peak_occupancy = self.stats.occupancy
-        return stream
-
     def observe(self, ref_id: int, line: int) -> List[int]:
         """Record a demand access; return lines to prefetch (maybe empty)."""
-        stream = self._stream_for(ref_id)
+        stream, _ = _touch(
+            self._streams, ref_id, self.max_streams, self.stats, _Stream
+        )
         if stream.last_line is None:
             stream.last_line = line
             return []
@@ -234,120 +389,28 @@ class StridePrefetcher:
         sequence of :meth:`observe` calls leaves them.
 
         Training depends on the address stream alone, so it runs over a
-        whole block at once, one id's accesses after another.  The table
-        is LRU, so an access finds its stream iff
-        :func:`~repro.cachesim.lru.lru_hits` says so.  A stream's life runs
-        from its allocation to its eviction; within it the stride is the
-        step between consecutive distinct lines and the confidence is the
-        length of the current run of equal strides.
+        whole block at once, in one :class:`_TableWalk` of the table keyed
+        by ref id; a trained access prefetches along its stride.
         """
         n = int(refs.size)
         if n == 0:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        cap = self.max_streams
-        streams = self._streams
-        # The table's entries act as accesses just before the block, in LRU
-        # order, that resume their stream's life: combined position ``k <
-        # held`` is entry ``k``, block access ``i`` is ``held + i``.
-        held = len(streams)
-        carried = list(streams.values())
-        keys = np.concatenate((np.fromiter(streams, np.int64, held), refs))
-        # Walk the accesses id by id, each id's in time order.
-        order = stable_order(keys)
-        walked = keys[order]
-        new_id = np.ones(order.size, dtype=bool)
-        new_id[1:] = walked[1:] != walked[:-1]
-        n_ids = int(new_id.sum())
-        # ``found[w]``: the walk's access w finds its id's stream, which
-        # the previous access of the walk touched last.
-        found = ~new_id
-        if n_ids > cap:
-            found = lru_hits(keys, cap)[order]
-        walk_lines = np.concatenate((
-            np.fromiter((st.last_line for st in carried), np.int64, held),
-            lines,
-        ))[order]
-        step = np.zeros(order.size, dtype=np.int64)
-        step[1:] = walk_lines[1:] - walk_lines[:-1]
-        step[~found] = 0
-        # Every access that misses starts a life, the table's entries
-        # starting theirs with the stride and confidence they carry.
-        life = np.cumsum(~found) - 1
-        starts = np.flatnonzero(~found)
-        life_stride = np.zeros(starts.size, dtype=np.int64)
-        life_conf = np.zeros(starts.size, dtype=np.int64)
-        entry = order[starts]
-        resumed = entry < held
-        life_stride[resumed] = [carried[k].stride for k in entry[resumed]]
-        life_conf[resumed] = [carried[k].confidence for k in entry[resumed]]
-        # Confidence along the non-zero steps: the run of equal strides
-        # within one life, continuing the carried run when it matches.
-        moving = np.flatnonzero(step)
-        codes = np.zeros(order.size, dtype=np.int64)
-        strides = np.zeros(0, dtype=np.int64)
-        if moving.size:
-            s = step[moving]
-            lv = life[moving]
-            first_of_life = np.ones(s.size, dtype=bool)
-            first_of_life[1:] = lv[1:] != lv[:-1]
-            breaks = first_of_life.copy()
-            breaks[1:] |= s[1:] != s[:-1]
-            index = np.arange(s.size)
-            run_start = np.maximum.accumulate(np.where(breaks, index, 0))
-            carry = np.where(
-                first_of_life & (s == life_stride[lv]), life_conf[lv], 0
-            )
-            conf = index - run_start + 1 + carry[run_start]
-            trained = conf >= self.train_threshold
-            self.stats.trained += int((conf == self.train_threshold).sum())
-            strides, which, counts = np.unique(
-                s[trained], return_inverse=True, return_counts=True
-            )
-            codes[moving[trained]] = which + 1
-            self.stats.prefetches_issued += sum(
-                len(self.offsets(stride)) * count
-                for stride, count in zip(strides.tolist(), counts.tolist())
-            )
-            # Each life ends on its last non-zero step's stride/confidence.
-            ends = np.flatnonzero(np.append(lv[1:] != lv[:-1], True))
-            life_stride[lv[ends]] = s[ends]
-            life_conf[lv[ends]] = conf[ends]
-
-        # A block access that misses allocates; it evicts the LRU entry
-        # when the table is full, which takes more than ``cap`` ids.
-        allocated = np.flatnonzero(entry >= held)
-        if allocated.size:
-            self.stats.allocations += int(allocated.size)
-            if n_ids > cap:
-                # Before block access i the table holds ``held`` entries
-                # plus every id first used in the block before i.
-                first = np.sort(order[new_id])
-                first = first[first >= held]
-                full = held + np.searchsorted(first, entry[allocated]) >= cap
-                self.stats.evictions += int(full.sum())
-
-        # The table after the block: the ``cap`` most recently used ids in
-        # LRU order, each block id in the state of its last life.
-        ends = np.flatnonzero(np.append(new_id[1:], True))
-        table: "OrderedDict[int, _Stream]" = OrderedDict()
-        for w in ends[np.argsort(order[ends])][-cap:].tolist():
-            ref = int(walked[w])
-            if order[w] < held:
-                table[ref] = streams[ref]
-                continue
-            st = table[ref] = _Stream()
-            st.last_line = int(walk_lines[w])
-            st.stride = int(life_stride[life[w]])
-            st.confidence = int(life_conf[life[w]])
-        self._streams = table
-        if allocated.size:
-            occupancy = self.stats.occupancy = len(table)
-            if occupancy > self.stats.peak_occupancy:
-                self.stats.peak_occupancy = occupancy
-        out = np.empty(n, dtype=np.int64)
-        in_block = order >= held
-        out[order[in_block] - held] = codes[in_block]
-        return strides, out
+        walk = _TableWalk(
+            self._streams, refs, lines, self.max_streams,
+            self.train_threshold, self.stats,
+        )
+        trained = walk.conf >= self.train_threshold
+        strides, which, counts = np.unique(
+            walk.s[trained], return_inverse=True, return_counts=True
+        )
+        codes = np.zeros(n, dtype=np.int64)
+        codes[walk.block(walk.moving[trained])] = which + 1
+        self.stats.prefetches_issued += sum(
+            len(self.offsets(stride)) * count
+            for stride, count in zip(strides.tolist(), counts.tolist())
+        )
+        self._streams = walk.finish(lambda ref, line: _Stream(line))
+        return strides, codes
 
     def reset(self) -> None:
         """Forget all stream training state (statistics are kept)."""
@@ -503,19 +566,11 @@ class MultiStreamPrefetcher:
         """
         p = self.params
         page = line // p.page_lines
-        engine = self._engines.get(page)
-        if engine is None:
-            engine = _Engine(page, line)
-            if len(self._engines) >= p.n_engines:
-                self._engines.popitem(last=False)
-                self.stats.evictions += 1
-            self._engines[page] = engine
-            self.stats.allocations += 1
-            self.stats.occupancy = len(self._engines)
-            if self.stats.occupancy > self.stats.peak_occupancy:
-                self.stats.peak_occupancy = self.stats.occupancy
+        engine, allocated = _touch(
+            self._engines, page, p.n_engines, self.stats, _Engine, page, line
+        )
+        if allocated:
             return None
-        self._engines.move_to_end(page)
         stride = line - engine.last_line
         if stride == 0:
             return None
@@ -561,172 +616,84 @@ class MultiStreamPrefetcher:
         every statistic end exactly as that sequence of :meth:`advance`
         calls leaves them; the clock is not touched.
 
-        The engines read the line stream alone, never cache state.  The
-        pool is LRU over pages, so an access finds its engine iff
-        :func:`~repro.cachesim.lru.lru_hits` says so, and an engine's life
-        runs from its allocation to its eviction.  Within a life the
-        confidence is the length of the current run of equal non-zero
-        steps ``s``.  From the access that trains a run (or, for a run the
-        pool carries in trained, from the carried last line), an access
-        ``u`` strides along has the run-ahead frontier ``F = min(F0 +
-        degree * (t + 1), max_distance // |s| + u, page edge)`` in stride
-        units, where ``t`` counts the run's triggers before it and ``F0``
-        is the frontier the run starts from; it issues the lines between
-        the previous frontier and ``F``.
+        The engines read the line stream alone, never cache state, so a
+        block goes through in one :class:`_TableWalk` of the pool keyed by
+        page.  From the access that trains a run (or, for a run the pool
+        carries in trained, from the carried last line), an access ``u``
+        strides along has the run-ahead frontier ``F = min(F0 + degree *
+        (t + 1), max_distance // |s| + u, page edge)`` in stride units,
+        where ``t`` counts the run's triggers before it and ``F0`` is the
+        frontier the run starts from; it issues the lines between the
+        previous frontier and ``F``.
         """
         n = int(lines.size)
         codes = np.zeros(n, dtype=np.int64)
         if n == 0:
             return [], codes
         p = self.params
-        cap = p.n_engines
-        engines = self._engines
-        # The pool's engines act as accesses just before the block, in LRU
-        # order, that resume their life: combined position ``k < held`` is
-        # engine ``k``, block access ``i`` is ``held + i``.
-        held = len(engines)
-        carried = list(engines.values())
-        every = np.concatenate((
-            np.fromiter((e.last_line for e in carried), np.int64, held),
-            lines,
-        ))
-        pages = every // p.page_lines
-        # Walk the accesses page by page, each page's in time order.
-        order = stable_order(pages)
-        walked = pages[order]
-        walk_lines = every[order]
-        found = lru_hits(pages, cap)[order]
-        step = np.zeros(order.size, dtype=np.int64)
-        step[1:] = walk_lines[1:] - walk_lines[:-1]
-        step[~found] = 0
-        # Every access that misses starts a life: an engine allocated at
-        # its line, or a carried engine with the fields it holds.
-        life = np.cumsum(~found) - 1
-        starts = np.flatnonzero(~found)
-        entry = order[starts]
-        life_stride = np.zeros(starts.size, dtype=np.int64)
-        life_conf = np.zeros(starts.size, dtype=np.int64)
-        life_until = walk_lines[starts]
-        for k in np.flatnonzero(entry < held).tolist():
-            engine = carried[entry[k]]
-            life_stride[k] = engine.stride
-            life_conf[k] = engine.confidence
-            life_until[k] = engine.issued_until
-
-        moving = np.flatnonzero(step)
+        threshold = p.train_threshold
+        walk = _TableWalk(
+            self._engines, lines // p.page_lines, lines, p.n_engines,
+            threshold, self.stats,
+        )
+        # A new engine's frontier is the line it was allocated at.
+        life_until = walk.carry_in("issued_until", walk.lines[walk.starts])
+        s, lv, run_start, carry = walk.s, walk.lv, walk.run_start, walk.carry
+        at = walk.lines[walk.moving]
+        # Where the run's frontier is counted from: the training access
+        # (frontier 0, ``t == u``), or for a run carried in trained the
+        # carried last line (carried frontier, ``t == u - 1``).
+        trig = np.flatnonzero(walk.conf >= threshold)
+        ts = s[trig]
+        rs = run_start[trig]
+        fresh = carry[trig] < threshold
+        base = np.where(fresh, rs + threshold - 1 - carry[trig], rs - 1)
+        u = trig - base
+        t = np.where(fresh, u, u - 1)
+        origin = at[trig] - ts * u
+        f0 = np.where(fresh, 0, (life_until[lv[trig]] - origin) // ts)
+        page_lo = origin // p.page_lines * p.page_lines
+        edge = np.where(
+            ts > 0, page_lo + p.page_lines - 1 - origin, origin - page_lo
+        ) // np.abs(ts)
+        reach = p.max_distance // np.abs(ts) + u
+        frontier = np.minimum(np.minimum(f0 + p.degree * (t + 1), reach), edge)
+        previous = np.where(
+            t == 0,
+            f0,
+            np.minimum(np.minimum(f0 + p.degree * t, reach - 1), edge),
+        )
+        count = frontier - previous
+        self.stats.prefetches_issued += int(count.sum())
+        # A life's frontier is its trained run's, else the line where the
+        # run began (or the carried one, for a run carried in untrained).
+        until = np.where(carry > 0, life_until[lv], at[run_start])
+        until[trig] = origin + ts * frontier
+        # One plan per distinct (step, first offset, count), packed into one
+        # key; consecutive issues mostly repeat their plan.
         plans: List[Tuple[int, ...]] = []
-        if moving.size:
-            s = step[moving]
-            lv = life[moving]
-            at = walk_lines[moving]
-            # Confidence: the run of equal steps within one life,
-            # continuing the carried run when it matches.
-            first_of_life = np.ones(s.size, dtype=bool)
-            first_of_life[1:] = lv[1:] != lv[:-1]
-            breaks = first_of_life.copy()
-            breaks[1:] |= s[1:] != s[:-1]
-            index = np.arange(s.size)
-            run_start = np.maximum.accumulate(np.where(breaks, index, 0))
-            carry = np.where(
-                first_of_life & (s == life_stride[lv]), life_conf[lv], 0
-            )[run_start]
-            conf = index - run_start + 1 + carry
-            threshold = p.train_threshold
-            self.stats.trained += int((conf == threshold).sum())
-            # Where the run's frontier is counted from: the training access
-            # (frontier 0, ``t == u``), or for a run carried in trained the
-            # carried last line (carried frontier, ``t == u - 1``).
-            trig = np.flatnonzero(conf >= threshold)
-            ts = s[trig]
-            rs = run_start[trig]
-            fresh = carry[trig] < threshold
-            base = np.where(fresh, rs + threshold - 1 - carry[trig], rs - 1)
-            u = trig - base
-            t = np.where(fresh, u, u - 1)
-            origin = at[trig] - ts * u
-            f0 = np.where(fresh, 0, (life_until[lv[trig]] - origin) // ts)
-            page_lo = origin // p.page_lines * p.page_lines
-            edge = np.where(
-                ts > 0, page_lo + p.page_lines - 1 - origin, origin - page_lo
-            ) // np.abs(ts)
-            reach = p.max_distance // np.abs(ts) + u
-            frontier = np.minimum(
-                np.minimum(f0 + p.degree * (t + 1), reach), edge
+        issuing = np.flatnonzero(count)
+        if issuing.size:
+            width = p.max_distance + 2
+            key = (
+                ts[issuing] * width + previous[issuing] + 1 - u[issuing]
+            ) * (p.degree + 1) + count[issuing]
+            change = np.ones(key.size, dtype=bool)
+            change[1:] = key[1:] != key[:-1]
+            distinct, which = np.unique(key[change], return_inverse=True)
+            for packed in distinct.tolist():
+                plan = self._plans.get(packed)
+                if plan is None:
+                    rest, n_lines = divmod(packed, p.degree + 1)
+                    stride, lo = divmod(rest, width)
+                    plan = self._plans[packed] = tuple(
+                        stride * j for j in range(lo, lo + n_lines)
+                    )
+                plans.append(plan)
+            codes[walk.block(walk.moving[trig[issuing]])] = (
+                which[np.cumsum(change) - 1] + 1
             )
-            previous = np.where(
-                t == 0,
-                f0,
-                np.minimum(np.minimum(f0 + p.degree * t, reach - 1), edge),
-            )
-            count = frontier - previous
-            self.stats.prefetches_issued += int(count.sum())
-            # Each life ends on its last step's stride and confidence; its
-            # frontier is the trained run's, else the line where the run
-            # began (or the carried one, for a run carried in untrained).
-            until = np.where(carry > 0, life_until[lv], at[run_start])
-            until[trig] = origin + ts * frontier
-            ends = np.flatnonzero(np.append(lv[1:] != lv[:-1], True))
-            life_stride[lv[ends]] = s[ends]
-            life_conf[lv[ends]] = conf[ends]
-            life_until[lv[ends]] = until[ends]
-            # One plan per distinct (step, first offset, count), packed
-            # into one key; consecutive issues mostly repeat their plan.
-            issuing = np.flatnonzero(count)
-            if issuing.size:
-                width = p.max_distance + 2
-                key = (
-                    ts[issuing] * width + previous[issuing] + 1 - u[issuing]
-                ) * (p.degree + 1) + count[issuing]
-                change = np.ones(key.size, dtype=bool)
-                change[1:] = key[1:] != key[:-1]
-                distinct, which = np.unique(key[change], return_inverse=True)
-                for packed in distinct.tolist():
-                    plan = self._plans.get(packed)
-                    if plan is None:
-                        rest, n_lines = divmod(packed, p.degree + 1)
-                        stride, lo = divmod(rest, width)
-                        plan = self._plans[packed] = tuple(
-                            stride * j for j in range(lo, lo + n_lines)
-                        )
-                    plans.append(plan)
-                # Walk position -> block access: combined position - held.
-                codes[order[moving[trig[issuing]]] - held] = (
-                    which[np.cumsum(change) - 1] + 1
-                )
-
-        # A block access that misses allocates; it evicts the LRU engine
-        # when the pool is full, which takes more than ``cap`` pages.
-        new_page = np.ones(order.size, dtype=bool)
-        new_page[1:] = walked[1:] != walked[:-1]
-        allocated = np.flatnonzero(entry >= held)
-        if allocated.size:
-            self.stats.allocations += int(allocated.size)
-            # Before block access i the pool holds ``held`` engines plus
-            # every page first used in the block before i.
-            first_use = np.sort(order[new_page])
-            first_use = first_use[first_use >= held]
-            full = held + np.searchsorted(first_use, entry[allocated]) >= cap
-            self.stats.evictions += int(full.sum())
-
-        # The pool after the block: the ``cap`` most recently used pages in
-        # LRU order, each in the state of its last life.
-        last = np.flatnonzero(np.append(new_page[1:], True))
-        pool: "OrderedDict[int, _Engine]" = OrderedDict()
-        for w in last[np.argsort(order[last])][-cap:].tolist():
-            page = int(walked[w])
-            if order[w] < held:
-                pool[page] = engines[page]
-                continue
-            engine = pool[page] = _Engine(page, int(walk_lines[w]))
-            k = life[w]
-            engine.stride = int(life_stride[k])
-            engine.confidence = int(life_conf[k])
-            engine.issued_until = int(life_until[k])
-        self._engines = pool
-        if allocated.size:
-            occupancy = self.stats.occupancy = len(pool)
-            if occupancy > self.stats.peak_occupancy:
-                self.stats.peak_occupancy = occupancy
+        self._engines = walk.finish(_Engine, issued_until=until)
         return plans, codes
 
     def reset(self) -> None:

@@ -3,9 +3,10 @@
 Covers training and eviction being deterministic,
 ``NextLinePrefetcher(degree=0)`` being a legal disabled engine, the
 bounded stride table evicting in LRU order, the multi-stream detector
-saturating (and thrashing) exactly at its engine count, and the numpy
-:meth:`MultiStreamPrefetcher.train` matching the access-at-a-time
-engine, with the LRU membership rule both trains share.
+saturating (and thrashing) exactly at its engine count, and both numpy
+trains (:meth:`StridePrefetcher.train`, :meth:`MultiStreamPrefetcher.train`)
+matching their access-at-a-time engines, with the LRU membership and
+end-of-sequence table rule both trains share.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.cachesim.prefetch import (
     StreamModelParams,
     StridePrefetcher,
 )
-from repro.cachesim.lru import lru_hits
+from repro.cachesim.lru import lru_hits, lru_table, stable_order
 
 
 class TestNextLinePrefetcher:
@@ -219,7 +220,8 @@ def pool_state(engine):
 
 
 def lru_reference(keys, capacity):
-    """Which accesses find their key in an ``OrderedDict`` LRU table."""
+    """Which accesses find their key in an ``OrderedDict`` LRU table, and
+    the table's keys at the end, least recently used first."""
     table, hits = OrderedDict(), []
     for key in keys:
         hits.append(key in table)
@@ -229,7 +231,18 @@ def lru_reference(keys, capacity):
             table[key] = None
             if len(table) > capacity:
                 table.popitem(last=False)
-    return hits
+    return hits, list(table)
+
+
+def assert_lru_table(keys, capacity):
+    """``lru_table``'s hits and final table, with and without the keys'
+    stable order passed in, against :func:`lru_reference`."""
+    array = np.array(keys, dtype=np.int64)
+    hits, table = lru_reference(keys, capacity)
+    for order in (None, stable_order(array)):
+        got, final = lru_table(array, capacity, order)
+        assert got.tolist() == hits
+        assert array[final][-capacity:].tolist() == table
 
 
 #: Key sequences: stretches over a few hot keys, each followed by one key
@@ -250,7 +263,8 @@ class TestLruHits:
     def test_matches_an_ordered_dict_table(self, stretches, capacity):
         keys = [k for hot, cold in stretches for k in (*hot, cold)]
         got = lru_hits(np.array(keys, dtype=np.int64), capacity)
-        assert got.tolist() == lru_reference(keys, capacity)
+        assert got.tolist() == lru_reference(keys, capacity)[0]
+        assert_lru_table(keys, capacity)
 
     @given(
         keys=st.lists(st.integers(-3, 30), min_size=1, max_size=300),
@@ -259,14 +273,15 @@ class TestLruHits:
     @settings(max_examples=300, deadline=None)
     def test_matches_on_uniform_keys(self, keys, capacity):
         got = lru_hits(np.array(keys, dtype=np.int64), capacity)
-        assert got.tolist() == lru_reference(keys, capacity)
+        assert got.tolist() == lru_reference(keys, capacity)[0]
+        assert_lru_table(keys, capacity)
 
     def test_long_gap_over_few_keys_still_hits(self):
         # Key 9 returns after 200 accesses that use only two other keys:
         # no window certifies an eviction, so the exact count decides.
         keys = [9] + [1, 2] * 100 + [9, 3, 4, 5, 9]
         got = lru_hits(np.array(keys, dtype=np.int64), 3).tolist()
-        assert got == lru_reference(keys, 3)
+        assert got == lru_reference(keys, 3)[0]
         assert got[201] and not got[-1]
 
     def test_many_long_gaps_over_few_keys(self):
@@ -275,13 +290,13 @@ class TestLruHits:
         # of capacity * 2**k first, then the exact count.
         keys = [9, 8, 7] + [1, 2] * 100 + [9, 8, 7] + [3, 4, 5] * 40 + [9]
         got = lru_hits(np.array(keys, dtype=np.int64), 5).tolist()
-        assert got == lru_reference(keys, 5)
+        assert got == lru_reference(keys, 5)[0]
         assert got[203:206] == [True, True, True] and not got[-1]
 
     def test_wide_keys_sort_like_narrow_ones(self):
         keys = [5, 1 << 40, 5, -(1 << 40), 1 << 40, 5, 7, 1 << 40]
         got = lru_hits(np.array(keys, dtype=np.int64), 2)
-        assert got.tolist() == lru_reference(keys, 2)
+        assert got.tolist() == lru_reference(keys, 2)[0]
 
 
 #: Parameter sets of the multi-stream engine: pools of 1-3 engines (so it
@@ -392,3 +407,81 @@ def _replayed(params, lines):
     for line in lines:
         engine.advance(line)
     return engine
+
+
+def table_state(engine):
+    """The stride table in LRU order, every stream field, and the
+    statistics."""
+    return (
+        [
+            (ref, st.last_line, st.stride, st.confidence)
+            for ref, st in engine._streams.items()
+        ],
+        engine.stats.snapshot(),
+    )
+
+
+#: Parameter sets of the stride engine: tables of 1-4 streams (so they
+#: evict), every threshold and degree, small run-ahead caps.
+stride_params = st.fixed_dictionaries({
+    "max_streams": st.integers(1, 4),
+    "train_threshold": st.integers(1, 3),
+    "degree": st.integers(0, 3),
+    "max_distance": st.integers(1, 12),
+})
+
+
+class TestStrideTrain:
+    """``train`` over blocks against ``observe`` one access at a time."""
+
+    @given(
+        params=stride_params,
+        runs=line_runs,
+        refs=st.lists(st.integers(0, 5), min_size=1, max_size=10),
+        ways=st.integers(1, 4),
+        cuts=st.lists(st.integers(1, 70), min_size=1, max_size=8),
+        mixed=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_targets_table_and_stats_match_observe(self, params, runs, refs,
+                                                   ways, cuts, mixed):
+        """Run ``k`` goes through ref id ``refs[k]``, so ids change
+        stride and share the table; blocks of drawn lengths carry state
+        mid-run, and when ``mixed`` every other block goes through
+        ``observe``, so the table passes between both paths."""
+        # Each access's id: its run's, interleaved as the lines are.
+        ids = interleaved(
+            [(refs[k % len(refs)], 0, length)
+             for k, (_, _, length) in enumerate(runs)],
+            ways,
+        )
+        accesses = list(zip(ids, interleaved(runs, ways)))
+        want_engine = StridePrefetcher(**params)
+        got_engine = StridePrefetcher(**params)
+        want = [want_engine.observe(ref, line) for ref, line in accesses]
+        got = []
+        start = block = 0
+        while start < len(accesses):
+            chunk = accesses[start:start + cuts[block % len(cuts)]]
+            if mixed and block % 2:
+                got += [got_engine.observe(ref, line) for ref, line in chunk]
+            else:
+                chunk_refs, chunk_lines = (
+                    np.array(column, dtype=np.int64) for column in zip(*chunk)
+                )
+                strides, codes = got_engine.train(chunk_refs, chunk_lines)
+                got += [
+                    [
+                        line + offset
+                        for offset in got_engine.offsets(strides[c - 1])
+                    ] if c else []
+                    for line, c in zip(chunk_lines.tolist(), codes.tolist())
+                ]
+            start, block = start + len(chunk), block + 1
+            replayed = StridePrefetcher(**params)
+            for ref, line in accesses[:start]:
+                replayed.observe(ref, line)
+            assert table_state(got_engine) == table_state(replayed)
+            assert got == want[:start]
+        assert table_state(got_engine) == table_state(want_engine)
+
