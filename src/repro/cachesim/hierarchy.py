@@ -38,22 +38,18 @@ which split the work by what it depends on:
   hierarchy, L2 seeing exactly L1's misses and L3 seeing L2's, so that
   no loop runs at all;
 * what depends on the state of a level that prefetches fill, in one
-  Python loop: under the legacy model :meth:`CacheHierarchy._demand`,
-  every access's probes, fills and evictions of every level, the
-  next-line engine and the prefetch fills; under the stream model
-  :meth:`CacheHierarchy._stream_demand`, which gets only L1's misses,
+  Python loop, :meth:`CacheHierarchy._demand`, for both prefetch models:
+  the probes, fills and evictions of every level the engines fill, and
+  the prefetch fills of each access's plan.  Under the legacy model that
+  is every level and every access, L1's next-line engine included; under
+  the stream model it is L2 and L3, and the loop gets only L1's misses,
   the accesses whose engine issues and the L1 hits on a line that may
-  still have a prefetch in flight, with each access's clock tick, and
-  tells late prefetch hits from on-time ones.  A loop binds every set
-  list, residency map and counter to a local and inlines the set index
-  and the fills; counters are written back once per call.
+  still have a prefetch in flight, each with its clock tick, and tells
+  late prefetch hits from on-time ones.  The loop binds every set list,
+  residency map and counter to a local and inlines the set index and the
+  fills; counters are written back once per call.
 
-On the recorded ``run`` inputs of a seed-0 perfbench pass (CPU time on a
-2-vCPU VM, unscaled), the ``multistride`` streams cost about 1,315 ns per
-access, against about 1,665 ns when L1 ran in the loop: the loop's share
-fell from about 1,225 to 680 ns, and the numpy L1 pass with its in-flight
-check costs about 235 ns.  With prefetching off the ``price`` streams
-cost about 620 ns per access, against about 1,310 ns in the loop.
+docs/MODEL.md § 2.2 gives what each part costs per access.
 
 One :meth:`~CacheHierarchy.access` or :meth:`~CacheHierarchy.nt_store`
 skips numpy: it trains through the engines' scalar steps
@@ -71,6 +67,7 @@ by access.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -122,7 +119,7 @@ class AccessResult:
 class CacheHierarchy:
     """L1/L2(/L3) + DRAM with streaming and stride prefetchers.
 
-    The loops work directly on each level's
+    The loop works directly on each level's
     :class:`~repro.cachesim.cache.SetAssocCache` representation: the
     residency map (every resident line -> its prefetch flag), which
     answers each probe with one ``get``, and one list per set in LRU order
@@ -130,14 +127,10 @@ class CacheHierarchy:
     there and clears its flag; a fill appends and, when the set overflows,
     pops its head and deletes the victim from the map; a non-temporal
     store removes the line from both.  Fills dominate the cost (the
-    ``price`` kernels evict 1.4 L1 and 0.7 L2 lines per access).  On the
-    perfbench ``price`` streams :meth:`run` takes about 1,350 ns per line
-    access, against about 1,700 ns when the loop trained the stride engine
-    inline and probed set lists (CPU time on a 2-vCPU Xeon VM, scaled to
-    perfbench's nominal host speed).  Which levels leave the loop for
-    numpy, and what that saves, depends on the prefetch model (see the
-    module docstring and docs/MODEL.md § 2.2): L1 under the stream model,
-    every level with prefetching off, none under the legacy model.
+    ``price`` kernels evict 1.4 L1 and 0.7 L2 lines per access).  Which
+    levels leave the loop for numpy depends on the prefetch model (see
+    the module docstring): L1 under the stream model, every level with
+    prefetching off, none under the legacy model.
 
     Parameters
     ----------
@@ -237,26 +230,26 @@ class CacheHierarchy:
                 stats.memory_lines += 1
             return AccessResult(level, False)
         level_hits = [0] * (self.num_levels + 2)
-        if self._multi is None:
+        multi = self._multi
+        if multi is None:
             plan = _UNTRAINED
             targets = self.l2_stride.observe(ref_id, line)
             if targets:
                 plan = (1, *(target - line for target in targets))
-            credit = self._demand((line,), (plan,), level_hits)
-            return AccessResult(level_hits.index(1), credit)
-        l1 = self.levels[0]
-        hit = l1.lookup(line)
-        if not hit:
-            l1.fill(line)
-        multi = self._multi
-        multi._clock += 1
-        level_hits[1] = int(hit)
+            tick = 0
+        else:
+            # L1 takes no prefetch fill: resolve it here, as run() does in
+            # numpy, and hand the loop the outcome in the tick's sign.
+            l1 = self.levels[0]
+            hit = l1.lookup(line)
+            if not hit:
+                l1.fill(line)
+            level_hits[1] = int(hit)
+            multi._clock += 1
+            tick = -multi._clock if hit else multi._clock
+            plan = multi.advance(line) or ()
         late = stats.late_prefetch_hits
-        tick = multi._clock
-        credit = self._stream_demand(
-            (line,), (multi.advance(line) or (),), (-tick if hit else tick,),
-            level_hits,
-        )
+        credit = self._demand((line,), (plan,), level_hits, (tick,))
         return AccessResult(
             level_hits.index(1), credit, stats.late_prefetch_hits != late
         )
@@ -276,15 +269,12 @@ class CacheHierarchy:
         if not self.enable_prefetch:
             for cache in self.levels:
                 cache.invalidate(line)
-        elif self._multi is None:
-            self._demand((line,), (None,), [0] * (self.num_levels + 2))
-        else:
+            return
+        if self._multi is not None:
             self.levels[0].invalidate(line)
-            self._stream_demand(
-                (line,), (None,), (0,), [0] * (self.num_levels + 2)
-            )
+        self._demand((line,), (None,), [0] * (self.num_levels + 2))
 
-    def run(self, lines, refs, kinds, level_hits: List[int]) -> bool:
+    def run(self, lines, refs, kinds, level_hits: List[int]) -> None:
         """Drive a flat access stream through the hierarchy, in order.
 
         ``lines[i]`` is accessed through reference ``refs[i]`` (int64
@@ -293,8 +283,7 @@ class CacheHierarchy:
         sequence indexed by reference id).  The level that
         served each demand access (1..num_levels, ``num_levels + 1`` for
         DRAM) is counted into ``level_hits`` in place; non-temporal stores
-        count nowhere there.  Returns whether the last demand access hit a
-        prefetched line.
+        count nowhere there.
 
         What depends on the trace alone is done here in numpy, before the
         demand loop: the write-back set, write-combining of non-temporal
@@ -302,7 +291,7 @@ class CacheHierarchy:
         is every level that takes no prefetch fill
         (:meth:`SetAssocCache.run
         <repro.cachesim.cache.SetAssocCache.run>`): L1 under the stream
-        model, every level with prefetching off.  A loop then gets one
+        model, every level with prefetching off.  The loop then gets one
         *plan* per access it still needs: ``None`` for a non-temporal
         store that reaches memory, else the line offsets the engines
         prefetch into L2 after the demand access.  The stream goes through
@@ -312,17 +301,14 @@ class CacheHierarchy:
         lines = np.asarray(lines, dtype=np.int64)
         refs = np.asarray(refs, dtype=np.int64)
         kinds = np.asarray(kinds, dtype=np.int64)
-        credit = False
         for start in range(0, lines.size, _CHUNK):
             stop = start + _CHUNK
-            credit = self._run_chunk(
-                lines[start:stop], refs[start:stop], kinds, level_hits, credit
+            self._run_chunk(
+                lines[start:stop], refs[start:stop], kinds, level_hits
             )
-        return credit
 
-    def _run_chunk(self, lines, refs, kinds, level_hits, credit) -> bool:
-        """One numpy pass of :meth:`run`; returns the last demand access's
-        prefetch credit, ``credit`` when the pass has none."""
+    def _run_chunk(self, lines, refs, kinds, level_hits) -> None:
+        """One numpy pass of :meth:`run`."""
         stats = self.stats
         stats.total_accesses += int(lines.size)
         kind = kinds[refs]
@@ -347,13 +333,11 @@ class CacheHierarchy:
             keep = demand.copy()
             keep[np.flatnonzero(nt)[reaches]] = True
         if not self.enable_prefetch:
-            return self._run_unprefetched(
-                lines[keep], nt[keep], level_hits, credit
-            )
+            self._run_unprefetched(lines[keep], nt[keep], level_hits)
+            return
         if self._multi is not None:
-            return self._run_streamed(
-                lines, demand, keep, nt[keep], level_hits, credit
-            )
+            self._run_streamed(lines, demand, keep, nt[keep], level_hits)
+            return
         # One plan per access: code 0 is the non-temporal store, 1 a demand
         # access whose engines issue only the next line, 2 + k the stride
         # engine's k-th stride of the pass.
@@ -369,9 +353,8 @@ class CacheHierarchy:
         ]
         by_code = np.empty(len(plans), dtype=object)
         by_code[:] = plans
-        return self._demand(
-            lines[keep].tolist(), by_code[codes[keep]].tolist(), level_hits,
-            credit,
+        self._demand(
+            lines[keep].tolist(), by_code[codes[keep]].tolist(), level_hits
         )
 
     def _resolve(self, levels, lines, nt) -> List[np.ndarray]:
@@ -417,22 +400,19 @@ class CacheHierarchy:
             start = cut + 1
         return [np.concatenate(hits) for hits in found]
 
-    def _run_unprefetched(self, lines, nt, level_hits, credit) -> bool:
+    def _run_unprefetched(self, lines, nt, level_hits) -> None:
         """A pass with prefetching off: every level in numpy, no loop.
         L2 sees exactly L1's misses, and L3 sees L2's."""
         found = self._resolve(self.levels, lines, nt)
-        if not found[0].size:
-            return credit
         for slot, hits in enumerate(found, start=1):
             level_hits[slot] += int(np.count_nonzero(hits))
         missed = int(found[-1].size - np.count_nonzero(found[-1]))
         level_hits[self.num_levels + 1] += missed
         self.stats.memory_lines += missed
-        return False
 
-    def _run_streamed(self, lines, demand, keep, nt, level_hits, credit):
+    def _run_streamed(self, lines, demand, keep, nt, level_hits) -> None:
         """A pass under the stream model: L1 in numpy, then the loop
-        (:meth:`_stream_demand`) for what L1 leaves to L2 and beyond.
+        (:meth:`_demand`) for what L1 leaves to L2 and beyond.
 
         The loop gets each non-temporal store, each L1 miss, each access
         whose engine issues, and each L1 hit on a line that may still have
@@ -465,13 +445,10 @@ class CacheHierarchy:
         code[demand] = codes + 1
         by_code = np.empty(len(issued) + 2, dtype=object)
         by_code[:] = [None, (), *issued]
-        last = self._stream_demand(
-            lines[sent].tolist(), by_code[code[sent]].tolist(),
-            at[sent].tolist(), level_hits, credit,
+        self._demand(
+            lines[sent].tolist(), by_code[code[sent]].tolist(), level_hits,
+            at[sent].tolist(),
         )
-        if n and l1_hits[-1]:
-            return False
-        return last
 
     def _maybe_inflight(self, met, issued, codes) -> np.ndarray:
         """Per demand access of ``met``, whether its line may have a
@@ -517,19 +494,33 @@ class CacheHierarchy:
         return maybe
 
     def _demand(
-        self, lines, plans, level_hits: List[int], credit: bool = False
+        self, lines, plans, level_hits: List[int], ticks=None
     ) -> bool:
-        """The legacy model's demand loop: every access's cache-state work.
+        """The demand loop: every access's cache-state work, both models.
 
         ``plans[i]`` is ``None`` when ``lines[i]`` is a non-temporal store
-        (invalidate every level's copy), else the prefetch plan of a demand
-        access (see :meth:`run`).  Counts the serving levels into
-        ``level_hits``; returns the last demand access's prefetch credit
-        (``credit`` when there is none).
+        (invalidate the copies of the levels the loop holds), else the
+        prefetch plan of a demand access (see :meth:`run`).  Under the
+        legacy model the loop holds every level: an access probes L1 first
+        and L1's next-line engine fills line + 1.  Under the stream model
+        it holds L2 and L3: L1 is already resolved, and ``ticks[i]`` is the
+        clock after ``lines[i]`` ticked it, negated when the access hit L1.
+        Every demand access then settles its line's prefetch in flight, and
+        its plan's fills stay in flight until ``latency`` ticks later.
+        Counts the serving levels the loop holds into ``level_hits``;
+        returns the last demand access's prefetch credit (``False`` when
+        there is none).
         """
+        streamed = self._multi is not None
         # L1 and L2 are modulo-indexed, an L3 is hashed (see __init__).
-        l1, l2 = self.levels[0], self.levels[1]
-        sets1, n1, w1, m1 = l1._sets, l1.num_sets, l1.ways, l1._resident
+        if streamed:
+            sets1 = n1 = w1 = m1 = None
+            inflight = self._inflight
+            latency = self._multi.params.latency_accesses
+        else:
+            l1 = self.levels[0]
+            sets1, n1, w1, m1 = l1._sets, l1.num_sets, l1.ways, l1._resident
+        l2 = self.levels[1]
         sets2, n2, w2, m2 = l2._sets, l2.num_sets, l2.ways, l2._resident
         if self.num_levels >= 3:
             l3 = self.levels[2]
@@ -537,6 +528,8 @@ class CacheHierarchy:
         else:
             sets3, n3, w3, m3 = None, 1, 0, None
         nn3 = n3 * n3
+        if ticks is None:
+            ticks = repeat(0)
 
         # Demand accesses served by L1 / L2 / L3 / DRAM.
         c1 = c2 = c3 = cm = 0
@@ -544,12 +537,13 @@ class CacheHierarchy:
         pfi1 = pfi2 = pfi3 = 0          # lines prefetch fills inserted
         evd1 = evd2 = evd3 = 0          # evictions by demand fills
         evp1 = evp2 = evp3 = 0          # evictions by prefetch fills
-        pf_mem = 0
+        pf_mem = late = on_time = 0
+        credit = False
 
-        for line, plan in zip(lines, plans):
+        for line, plan, tick in zip(lines, plans, ticks):
             if plan is None:
-                # Non-temporal store: drop every cached copy.
-                if m1.pop(line, None) is not None:
+                # Non-temporal store: drop every copy the loop holds.
+                if m1 is not None and m1.pop(line, None) is not None:
                     sets1[line % n1].remove(line)
                 if m2.pop(line, None) is not None:
                     sets2[line % n2].remove(line)
@@ -559,153 +553,32 @@ class CacheHierarchy:
 
             # Probe nearest first; fill every level that missed.  A probe
             # reads the line's prefetch flag (None: not resident).
-            credit = m1.get(line)
-            if credit is not None:
-                if credit:
-                    m1[line] = False
-                    pfh1 += 1
+            if streamed:
+                if tick < 0:
+                    # L1 takes no prefetch fill, so its hits carry no
+                    # credit.
+                    tick = -tick
+                    credit = False
+                else:
+                    credit = None
+            else:
+                credit = m1.get(line)
                 s1 = sets1[line % n1]
-                if s1[-1] != line:
-                    s1.remove(line)
+                if credit is not None:
+                    if credit:
+                        m1[line] = False
+                        pfh1 += 1
+                    if s1[-1] != line:
+                        s1.remove(line)
+                        s1.append(line)
+                    c1 += 1
+                else:
                     s1.append(line)
-                c1 += 1
-            else:
-                credit = m2.get(line)
-                if credit is not None:
-                    if credit:
-                        m2[line] = False
-                        pfh2 += 1
-                    s2 = sets2[line % n2]
-                    if s2[-1] != line:
-                        s2.remove(line)
-                        s2.append(line)
-                    c2 += 1
-                else:
-                    if m3 is None:
-                        credit = False
-                        cm += 1
-                    else:
-                        s3 = sets3[(line ^ line // n3 ^ line // nn3) % n3]
-                        credit = m3.get(line)
-                        if credit is not None:
-                            if credit:
-                                m3[line] = False
-                                pfh3 += 1
-                            if s3[-1] != line:
-                                s3.remove(line)
-                                s3.append(line)
-                            c3 += 1
-                        else:
-                            credit = False
-                            cm += 1
-                            s3.append(line)
-                            m3[line] = False
-                            if len(s3) > w3:
-                                del m3[s3.pop(0)]
-                                evd3 += 1
-                    s2 = sets2[line % n2]
-                    s2.append(line)
-                    m2[line] = False
-                    if len(s2) > w2:
-                        del m2[s2.pop(0)]
-                        evd2 += 1
-                s1 = sets1[line % n1]
-                s1.append(line)
-                m1[line] = False
-                if len(s1) > w1:
-                    del m1[s1.pop(0)]
-                    evd1 += 1
-
-            # Next-line engines: the L1 engine pulls line + 1 into L1; it
-            # and the stride engine's targets (the plan) are then brought
-            # into L2 (and L3) when L2 lacks them.
-            nxt = line + 1
-            if nxt not in m1:
-                t1 = sets1[nxt % n1]
-                t1.append(nxt)
-                m1[nxt] = True
-                pfi1 += 1
-                if len(t1) > w1:
-                    del m1[t1.pop(0)]
-                    evp1 += 1
-            for offset in plan:
-                target = line + offset
-                if target < 0 or target in m2:
-                    continue
-                if m3 is None:
-                    pf_mem += 1
-                elif target not in m3:
-                    pf_mem += 1
-                    t3 = sets3[(target ^ target // n3 ^ target // nn3) % n3]
-                    t3.append(target)
-                    m3[target] = True
-                    pfi3 += 1
-                    if len(t3) > w3:
-                        del m3[t3.pop(0)]
-                        evp3 += 1
-                t2 = sets2[target % n2]
-                t2.append(target)
-                m2[target] = True
-                pfi2 += 1
-                if len(t2) > w2:
-                    del m2[t2.pop(0)]
-                    evp2 += 1
-
-        self._count(
-            level_hits, 0, (c1, c2, c3, cm), pf_mem, (pfh1, pfh2, pfh3),
-            (pfi1, pfi2, pfi3), (evd1, evd2, evd3), (evp1, evp2, evp3),
-        )
-        return credit
-
-    def _stream_demand(
-        self, lines, plans, ticks, level_hits: List[int], credit: bool = False
-    ) -> bool:
-        """The stream model's loop: what L1 leaves to L2 and beyond.
-
-        L1 is already resolved: ``ticks[i]`` is the clock after
-        ``lines[i]`` ticked it, negated when the access hit L1.
-        ``plans[i]`` is ``None`` for a non-temporal store (invalidate
-        L2's and L3's copies), else the access's prefetch plan.  An L1 miss
-        probes L2, L3 and memory and fills the levels that missed.  Every
-        demand access settles its line's prefetch in flight, and its plan
-        fills L2 (and L3) with the lines L2 lacks, in flight until
-        ``latency`` ticks later.  Counts the levels past L1 into
-        ``level_hits``; returns the last demand access's prefetch credit
-        (``credit`` when there is none).
-        """
-        l2 = self.levels[1]
-        sets2, n2, w2, m2 = l2._sets, l2.num_sets, l2.ways, l2._resident
-        if self.num_levels >= 3:
-            l3 = self.levels[2]
-            sets3, n3, w3, m3 = l3._sets, l3.num_sets, l3.ways, l3._resident
-        else:
-            sets3, n3, w3, m3 = None, 1, 0, None
-        nn3 = n3 * n3
-        inflight = self._inflight
-        latency = self._multi.params.latency_accesses
-
-        # Demand accesses served by L2 / L3 / DRAM.
-        c2 = c3 = cm = 0
-        pfh2 = pfh3 = 0                 # demand hits on prefetched lines
-        pfi2 = pfi3 = 0                 # lines prefetch fills inserted
-        evd2 = evd3 = 0                 # evictions by demand fills
-        evp2 = evp3 = 0                 # evictions by prefetch fills
-        pf_mem = late = on_time = 0
-
-        for line, plan, tick in zip(lines, plans, ticks):
-            if plan is None:
-                # Non-temporal store: drop the copies past L1.
-                if m2.pop(line, None) is not None:
-                    sets2[line % n2].remove(line)
-                if m3 is not None and m3.pop(line, None) is not None:
-                    sets3[(line ^ line // n3 ^ line // nn3) % n3].remove(line)
-                continue
-
-            if tick < 0:
-                # L1 takes no prefetch fill, so its hits carry no credit.
-                tick = -tick
-                credit = False
-            else:
+                    m1[line] = False
+                    if len(s1) > w1:
+                        del m1[s1.pop(0)]
+                        evd1 += 1
+            if credit is None:
                 credit = m2.get(line)
                 if credit is not None:
                     if credit:
@@ -746,17 +619,32 @@ class CacheHierarchy:
                         del m2[s2.pop(0)]
                         evd2 += 1
 
-            # A hit on a prefetched line is late when its prefetch arrives
-            # after the clock reached by the previous access; this access's
-            # prefetches arrive ``latency`` ticks after its own.
-            if line in inflight:
-                arrival = inflight.pop(line)
-                if credit:
-                    if arrival >= tick:
-                        late += 1
-                    else:
-                        on_time += 1
-            arrival = tick + latency
+            if streamed:
+                # A hit on a prefetched line is late when its prefetch
+                # arrives after the clock reached by the previous access;
+                # this access's prefetches arrive ``latency`` ticks after
+                # its own.
+                if line in inflight:
+                    arrival = inflight.pop(line)
+                    if credit:
+                        if arrival >= tick:
+                            late += 1
+                        else:
+                            on_time += 1
+                arrival = tick + latency
+            else:
+                # L1's next-line engine pulls line + 1 into L1.
+                nxt = line + 1
+                if nxt not in m1:
+                    t1 = sets1[nxt % n1]
+                    t1.append(nxt)
+                    m1[nxt] = True
+                    pfi1 += 1
+                    if len(t1) > w1:
+                        del m1[t1.pop(0)]
+                        evp1 += 1
+            # The plan's targets are brought into L2 (and L3) when L2
+            # lacks them.
             for offset in plan:
                 target = line + offset
                 if target < 0 or target in m2:
@@ -779,26 +667,28 @@ class CacheHierarchy:
                 if len(t2) > w2:
                     del m2[t2.pop(0)]
                     evp2 += 1
-                inflight[target] = arrival
+                if streamed:
+                    inflight[target] = arrival
 
         self._count(
-            level_hits, 1, (c2, c3, cm), pf_mem, (pfh2, pfh3), (pfi2, pfi3),
-            (evd2, evd3), (evp2, evp3),
+            level_hits, 1 if streamed else 0, (c1, c2, c3, cm), pf_mem,
+            (pfh1, pfh2, pfh3), (pfi1, pfi2, pfi3), (evd1, evd2, evd3),
+            (evp1, evp2, evp3),
         )
-        self.stats.late_prefetch_hits += late
-        self._multi.stats.late_hits += late
-        self._multi.stats.on_time_hits += on_time
+        if streamed:
+            self.stats.late_prefetch_hits += late
+            self._multi.stats.late_hits += late
+            self._multi.stats.on_time_hits += on_time
         return credit
 
     def _count(self, level_hits, first, served, pf_mem, hits, issued,
                ev_demand, ev_prefetch) -> None:
-        """Write a loop's counters back.  ``served`` counts the demand
-        accesses each level from index ``first`` on served, DRAM last;
-        the other tuples have one entry per such level.  An absent L3's
-        entries come last, all zero."""
+        """Write the loop's counters back.  ``served`` counts the demand
+        accesses L1, L2, L3 and DRAM served; the other tuples have one
+        entry per level, L1 first.  The levels before index ``first`` were
+        counted before the loop; an absent L3's entries are all zero."""
         levels = self.levels[first:]
-        if len(served) > len(levels) + 1:
-            served = served[:len(levels)] + served[-1:]
+        served = served[first:self.num_levels] + served[-1:]
         farther = sum(served)
         for slot, (level, count) in enumerate(zip(levels, served), first + 1):
             level_hits[slot] += count
@@ -809,8 +699,8 @@ class CacheHierarchy:
         stats = self.stats
         stats.memory_lines += served[-1]
         stats.prefetch_memory_lines += pf_mem
-        for level, *counts in zip(levels, hits, issued, ev_demand,
-                                  ev_prefetch):
+        for level, *counts in zip(levels, hits[first:], issued[first:],
+                                  ev_demand[first:], ev_prefetch[first:]):
             level.stats.prefetch_hits += counts[0]
             level.stats.prefetches_issued += counts[1]
             level.stats.evictions += counts[2] + counts[3]

@@ -17,7 +17,10 @@ subprocesses with per-cell timeouts, retries with backoff, quarantine
 for repeat offenders, and a durable journal.  Re-running this command
 resumes from the journal — completed cells are never re-measured — and
 the tables/figures then render from the journaled values, with ``—``
-placeholders (plus a completion summary) for quarantined cells.
+placeholders (plus a completion summary) for quarantined cells.  The
+default journal, ``.repro-sweep-<digest>.jsonl`` in the working
+directory, is named after a digest of the package's sources, so a run
+resumes only cells that the same code measured.
 
 Sweep progress and timing go to **stderr**; stdout carries only the
 tables and figures, so an interrupted-then-resumed run produces output
@@ -36,10 +39,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import importlib
 import os
 import sys
 import time
+from typing import Optional
 
 from repro.obs import NULL_TRACER, JsonlTracer, activate_tracer
 from repro.experiments import ExperimentConfig
@@ -72,8 +77,43 @@ ORDER = [
 #: same reason.
 SWEPT_MODULES = ("table5", "fig4", "fig6", "fig5", "fig7", "table4")
 
-#: Journal location when neither --journal nor REPRO_SWEEP_JOURNAL is set.
-DEFAULT_JOURNAL = ".repro-sweep.jsonl"
+#: Journal location when neither --journal nor REPRO_SWEEP_JOURNAL is
+#: set, named after the package's sources (:func:`source_digest`): cells
+#: journaled by other code are never resumed.
+DEFAULT_JOURNAL = ".repro-sweep-{digest}.jsonl"
+
+#: The ``repro`` package directory, whose sources :func:`source_digest`
+#: hashes.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def source_digest() -> str:
+    """12 hex digits of a SHA-256 over every ``.py`` file under
+    :data:`PACKAGE_ROOT`: each file's relative path and bytes, in path
+    order.  Any edit to the package's code changes it."""
+    digest = hashlib.sha256()
+    for folder, dirs, files in os.walk(PACKAGE_ROOT):
+        dirs.sort()
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                body = fh.read()
+            rel = os.path.relpath(path, PACKAGE_ROOT).replace(os.sep, "/")
+            digest.update(f"{rel}\0{len(body)}\0".encode())
+            digest.update(body)
+    return digest.hexdigest()[:12]
+
+
+def journal_path(explicit: Optional[str]) -> str:
+    """The sweep journal: ``explicit`` (``--journal``), else
+    ``$REPRO_SWEEP_JOURNAL``, else :data:`DEFAULT_JOURNAL`."""
+    return (
+        explicit
+        or os.environ.get("REPRO_SWEEP_JOURNAL")
+        or DEFAULT_JOURNAL.format(digest=source_digest())
+    )
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -155,12 +195,7 @@ def run(args) -> int:
 
         from repro.sweep import Journal, SweepRunner, plan_cells
 
-        journal_path = (
-            args.journal
-            or os.environ.get("REPRO_SWEEP_JOURNAL")
-            or DEFAULT_JOURNAL
-        )
-        journal = Journal(journal_path)
+        journal = Journal(journal_path(args.journal))
         if args.fresh:
             journal.clear()
 

@@ -8,12 +8,14 @@ few milliseconds of simulation.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from repro.experiments import ExperimentConfig, clear_measure_cache, measure_case
+from repro.experiments import __main__ as experiments_main
 from repro.robust import (
     FaultPlan,
     FaultSpec,
@@ -196,6 +198,49 @@ class TestRunner:
             SweepRunner(journal, jobs=0)
         with pytest.raises(ValueError):
             SweepRunner(journal, timeout_s=0)
+
+
+class TestDefaultJournal:
+    def test_is_named_after_the_package_sources(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SWEEP_JOURNAL", raising=False)
+        path = experiments_main.journal_path(None)
+        assert re.fullmatch(r"\.repro-sweep-[0-9a-f]{12}\.jsonl", path)
+        assert path == f".repro-sweep-{experiments_main.source_digest()}.jsonl"
+
+    def test_explicit_paths_are_kept(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SWEEP_JOURNAL", "env.jsonl")
+        assert experiments_main.journal_path(None) == "env.jsonl"
+        assert experiments_main.journal_path("flag.jsonl") == "flag.jsonl"
+
+    def test_a_journal_of_other_sources_is_not_resumed(self, tmp_path,
+                                                       monkeypatch):
+        """A cell journaled by default is resumed while the sources stay
+        as they were, and measured again once they change; compiled
+        files do not count as sources."""
+        package = tmp_path / "pkg"
+        (package / "sub" / "__pycache__").mkdir(parents=True)
+        (package / "__init__.py").write_text("X = 1\n")
+        (package / "sub" / "mod.py").write_text("Y = 2\n")
+        monkeypatch.setattr(experiments_main, "PACKAGE_ROOT", str(package))
+        monkeypatch.setattr(
+            experiments_main, "DEFAULT_JOURNAL",
+            str(tmp_path / experiments_main.DEFAULT_JOURNAL),
+        )
+        monkeypatch.delenv("REPRO_SWEEP_JOURNAL", raising=False)
+
+        def sweep():
+            journal = Journal(experiments_main.journal_path(None))
+            return SweepRunner(journal, timeout_s=120).run([CHEAP])
+
+        first = experiments_main.journal_path(None)
+        assert sweep().completed == 1
+        (package / "sub" / "__pycache__" / "mod.pyc").write_bytes(b"\0")
+        assert experiments_main.journal_path(None) == first
+        assert sweep().resumed == 1
+        (package / "sub" / "mod.py").write_text("Y = 3\n")
+        assert experiments_main.journal_path(None) != first
+        report = sweep()
+        assert (report.resumed, report.completed) == (0, 1)
 
 
 class TestInstall:
