@@ -161,30 +161,17 @@ class SetAssocCache:
         :func:`~repro.cachesim.lru.lru_table` call on the accesses stably
         sorted by set index answers every set: the residents of the sets
         the block touches go first, in LRU order, and the last ``ways``
-        distinct lines of each set are the set after the block.  A block
-        whose sets hold more than twice as many lines as it has accesses
-        (an L3 behind two levels that filter most accesses) goes one
-        access at a time instead.
+        distinct lines of each set are the set after the block.
         """
         n = int(lines.size)
         if n == 0:
             return np.zeros(0, dtype=bool)
         sets = self._sets
         index = self.set_indices(lines)
-        # A set the block does not touch keeps its lines either way, so a
-        # level that holds no more lines than the block has accesses goes
-        # in whole.
-        whole = len(self._resident) <= n
-        if whole:
-            held = list(chain.from_iterable(sets))
-        else:
-            marked = np.zeros(self.num_sets, dtype=bool)
-            marked[index] = True
-            touched = np.flatnonzero(marked).tolist()
-            if len(touched) * self.ways > 2 * n:
-                # Sparse: the sets' lines would outnumber the accesses.
-                return self._run_lines(lines)
-            held = list(chain.from_iterable(map(sets.__getitem__, touched)))
+        marked = np.zeros(self.num_sets, dtype=bool)
+        marked[index] = True
+        touched = np.flatnonzero(marked).tolist()
+        held = list(chain.from_iterable(map(sets.__getitem__, touched)))
         resident = np.array(held, dtype=np.int64)
         keys = np.concatenate((resident, lines))
         by_set = np.concatenate((self.set_indices(resident), index))
@@ -204,11 +191,8 @@ class SetAssocCache:
         group_end = np.flatnonzero(last[kept])
         filled = final_set[kept][group_end].tolist()
         flags = self._resident
-        if whole:
-            flags.clear()
-        else:
-            for line in held:
-                del flags[line]
+        for line in held:
+            del flags[line]
         flags.update(dict.fromkeys(flat, False))
         start = 0
         for t, stop in zip(filled, (group_end + 1).tolist()):
@@ -219,16 +203,6 @@ class SetAssocCache:
         self.stats.misses += n - hits
         self.stats.evictions += len(held) + n - hits - len(flat)
         return hit
-
-    def _run_lines(self, lines: np.ndarray) -> np.ndarray:
-        """:meth:`run` one access at a time."""
-        found = []
-        for line in lines.tolist():
-            hit = self.lookup(line)
-            if not hit:
-                self.fill(line)
-            found.append(hit)
-        return np.array(found, dtype=bool)
 
     def invalidate(self, line: int) -> bool:
         """Drop a line if present (used by non-temporal stores)."""

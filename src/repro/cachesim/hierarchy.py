@@ -19,8 +19,8 @@ scaling, the same modelling device the paper itself uses
 (``Liway / Nthreads``).
 
 This class is the simulator's innermost loop.  A block of a trace goes
-through :meth:`CacheHierarchy.run`, in passes of at most 8,192 accesses,
-which split the work by what it depends on:
+through :meth:`CacheHierarchy.run` in one pass, which splits the work by
+what it depends on:
 
 * the trace alone, in numpy: the write-back set, write-combining of
   non-temporal stores and the training of whichever prefetch engine is
@@ -54,7 +54,7 @@ docs/MODEL.md § 2.2 gives what each part costs per access.
 One :meth:`~CacheHierarchy.access` or :meth:`~CacheHierarchy.nt_store`
 skips numpy: it trains through the engines' scalar steps
 (:meth:`~repro.cachesim.prefetch.StridePrefetcher.observe`,
-:meth:`~repro.cachesim.prefetch.MultiStreamPrefetcher.advance`), resolves
+:meth:`~repro.cachesim.prefetch.MultiStreamPrefetcher.observe`), resolves
 a numpy level through its :meth:`~repro.cachesim.cache.SetAssocCache.lookup`
 and :meth:`~repro.cachesim.cache.SetAssocCache.fill` and runs the same
 loop on one line.
@@ -88,12 +88,6 @@ LOAD, STORE, NT_STORE = 0, 1, 2
 #: The prefetch plan of an untrained demand access: the next-line
 #: engine's line + 1 (see :meth:`CacheHierarchy.run`).
 _UNTRAINED: Tuple[int, ...] = (1,)
-
-#: Accesses per numpy pass of :meth:`CacheHierarchy.run`: its int64
-#: temporaries stay near 64 KiB, under glibc's 128 KiB mmap threshold, so
-#: they come from the heap instead of fresh mappings faulted in for every
-#: pass.
-_CHUNK = 8192
 
 
 def access_kind(is_store: bool, nontemporal: bool) -> int:
@@ -245,9 +239,9 @@ class CacheHierarchy:
             if not hit:
                 l1.fill(line)
             level_hits[1] = int(hit)
-            multi._clock += 1
+            targets, _ = multi.observe(ref_id, line)
             tick = -multi._clock if hit else multi._clock
-            plan = multi.advance(line) or ()
+            plan = tuple(target - line for target in targets)
         late = stats.late_prefetch_hits
         credit = self._demand((line,), (plan,), level_hits, (tick,))
         return AccessResult(
@@ -294,21 +288,12 @@ class CacheHierarchy:
         model, every level with prefetching off.  The loop then gets one
         *plan* per access it still needs: ``None`` for a non-temporal
         store that reaches memory, else the line offsets the engines
-        prefetch into L2 after the demand access.  The stream goes through
-        in passes of at most ``_CHUNK`` accesses, each picking up the
-        state the previous one left.
+        prefetch into L2 after the demand access.  The whole stream goes
+        through in one pass: the executor's trace blocks already bound it.
         """
         lines = np.asarray(lines, dtype=np.int64)
         refs = np.asarray(refs, dtype=np.int64)
         kinds = np.asarray(kinds, dtype=np.int64)
-        for start in range(0, lines.size, _CHUNK):
-            stop = start + _CHUNK
-            self._run_chunk(
-                lines[start:stop], refs[start:stop], kinds, level_hits
-            )
-
-    def _run_chunk(self, lines, refs, kinds, level_hits) -> None:
-        """One numpy pass of :meth:`run`."""
         stats = self.stats
         stats.total_accesses += int(lines.size)
         kind = kinds[refs]
@@ -368,24 +353,22 @@ class CacheHierarchy:
         start nor demanded in the block finds it nowhere; the block splits
         at every other store, which then invalidates exactly.
         """
-        if not nt.any():
-            found = []
-            for level in levels:
-                found.append(level.run(lines))
-                lines = lines[~found[-1]]
-            return found
         at = np.flatnonzero(nt)
-        stored = lines[at]
-        maybe = np.zeros(at.size, dtype=bool)
-        demanded = np.sort(lines[~nt])
-        if demanded.size:
-            near = demanded.searchsorted(stored).clip(max=demanded.size - 1)
-            maybe = demanded[near] == stored
-        listed = stored.tolist()
-        for level in levels:
-            flags = level._resident
-            maybe |= [line in flags for line in listed]
-        cuts = at[maybe].tolist()
+        cuts = []
+        if at.size:
+            stored = lines[at]
+            maybe = np.zeros(at.size, dtype=bool)
+            demanded = np.sort(lines[~nt])
+            if demanded.size:
+                near = demanded.searchsorted(stored).clip(
+                    max=demanded.size - 1
+                )
+                maybe = demanded[near] == stored
+            listed = stored.tolist()
+            for level in levels:
+                flags = level._resident
+                maybe |= [line in flags for line in listed]
+            cuts = at[maybe].tolist()
         found: List[List[np.ndarray]] = [[] for _ in levels]
         start = 0
         for cut in cuts + [lines.size]:

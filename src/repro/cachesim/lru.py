@@ -40,23 +40,17 @@ def stable_order(keys: np.ndarray) -> np.ndarray:
     return order[np.argsort(high, kind="stable")]
 
 
-def lru_hits(keys: np.ndarray, capacity: int) -> np.ndarray:
-    """Which accesses of a key sequence find their key in an LRU table.
-
-    Every access touches its key, allocating an entry when the key is
-    absent and evicting the least recently used one when ``capacity``
-    entries are live.  ``hit[i]`` is true iff ``keys[i]`` occurred before
-    and fewer than ``capacity`` distinct keys occurred since.
-    """
-    return lru_table(keys, capacity)[0]
-
-
 def lru_table(
     keys: np.ndarray, capacity: int, order: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`lru_hits` and the positions of each key's last run.
+    """Which accesses of a key sequence find their key in an LRU table,
+    and the positions of each key's last run.
 
-    Returns ``(hit, final)``: ``final`` holds, ascending, one position per
+    Every access touches its key, allocating an entry when the key is
+    absent and evicting the least recently used one when ``capacity``
+    entries are live.  Returns ``(hit, final)``: ``hit[i]`` is true iff
+    ``keys[i]`` occurred before and fewer than ``capacity`` distinct keys
+    occurred since; ``final`` holds, ascending, one position per
     distinct key, inside the key's last run of repeats, so ``keys[final]``
     lists every key once, least recently used first, and
     ``keys[final][-capacity:]`` is the table after the sequence.  A caller
@@ -64,17 +58,18 @@ def lru_table(
     keys are not sorted again.
 
     A repeat of the key just used always hits, so runs of one key
-    collapse to one position first.  In the collapsed sequence a gap of
-    fewer than ``capacity`` positions cannot hold ``capacity`` keys.  A
-    longer gap is certified a miss by a window that ends just before the
-    access when that window holds ``capacity`` distinct keys.  The window
-    of ``capacity`` positions settles most gaps: it does iff none of its
-    keys recurs in it, which a sliding minimum of the next uses tells.
-    The gaps left are counted exactly, a few times the sequence's length
-    of positions at a time.  When they total more than that, each first
-    tries the longest window of ``capacity * 2**k`` positions that fits in
-    it, whose counts for every position come from one ``bincount`` and one
-    ``cumsum``.
+    collapse to one position first.  A sequence of at most ``capacity``
+    distinct keys misses only on first uses, and none of the rest runs.
+    In the collapsed sequence a gap of fewer than ``capacity`` positions
+    cannot hold ``capacity`` keys.  A longer gap is certified a miss by a
+    window that ends just before the access when that window holds
+    ``capacity`` distinct keys.  The window of ``capacity`` positions
+    settles most gaps: it does iff none of its keys recurs in it, which a
+    sliding minimum of the next uses tells.  The gaps left are counted
+    exactly, a few times the sequence's length of positions at a time.
+    When they total more than that, each first tries the longest window
+    of ``capacity * 2**k`` positions that fits in it, whose counts for
+    every position come from one ``bincount`` and one ``cumsum``.
     """
     size = keys.size
     head = np.ones(size, dtype=bool)

@@ -31,9 +31,9 @@ about:
 The stride and multi-stream engines keep one kind of table: a bounded LRU
 table of stride detectors, keyed by load or by page, each entry holding
 its last line, its stride and the confidence of its current run.  Both
-step it one access at a time through :func:`_touch` (``observe``,
-``advance``) and a block at a time in numpy through :class:`_TableWalk`
-(``train``); each engine supplies only its key and what it issues.  Both
+step it one access at a time through :func:`_touch` (``observe``) and a
+block at a time in numpy through :class:`_TableWalk` (``train``); each
+engine supplies only its key and what it issues.  Both
 count into :class:`StreamTableStats`, the occupancy/eviction counters
 :class:`repro.cachesim.stats.HierarchyStats` surfaces under
 ``stream_tables``.
@@ -110,8 +110,7 @@ class _TableWalk:
     is entry ``k``, block access ``i`` is ``held + i``.  The walk visits
     the accesses key by key, each key's in time order, from one stable
     sort.  The table is LRU, so an access finds its entry iff
-    :func:`~repro.cachesim.lru.lru_table` says so, or, when the distinct
-    keys fit the table, iff the key occurred before.  Every access that
+    :func:`~repro.cachesim.lru.lru_table` says so.  Every access that
     misses starts a life, which runs to the entry's eviction; within it
     the stride is the step between consecutive distinct lines and the
     confidence the length of the current run of equal strides, continuing
@@ -143,15 +142,11 @@ class _TableWalk:
         # previous access of the walk touched last.  ``_last``: the walk
         # position of each key's last use, for the keys the table holds
         # after the block, least recently used first.
-        if ends.size <= capacity:
-            found = ~new_key
-            self._last = ends[np.argsort(order[ends])]
-        else:
-            hit, final = lru_table(every, capacity, order)
-            found = hit[order]
-            self._last = ends[np.searchsorted(
-                walked[ends], every[final[-capacity:]]
-            )]
+        hit, final = lru_table(every, capacity, order)
+        found = hit[order]
+        self._last = ends[np.searchsorted(
+            walked[ends], every[final[-capacity:]]
+        )]
         walk_lines = self.lines = np.concatenate((
             np.fromiter((e.last_line for e in carried), np.int64, held),
             lines,
@@ -298,7 +293,7 @@ class StridePrefetcher:
 
     __slots__ = (
         "degree", "max_distance", "max_streams", "_streams",
-        "train_threshold", "stats", "_offsets",
+        "train_threshold", "stats",
     )
 
     def __init__(
@@ -324,8 +319,6 @@ class StridePrefetcher:
         self.max_streams = max_streams
         self._streams: "OrderedDict[int, _Stream]" = OrderedDict()
         self.stats = StreamTableStats(capacity=max_streams)
-        # Stride -> the line offsets a trained access prefetches.
-        self._offsets: Dict[int, Tuple[int, ...]] = {}
 
     def observe(self, ref_id: int, line: int) -> List[int]:
         """Record a demand access; return lines to prefetch (maybe empty)."""
@@ -348,33 +341,23 @@ class StridePrefetcher:
             return []
         if stream.confidence == self.train_threshold:
             self.stats.trained += 1
-        out: List[int] = []
-        for d in range(1, self.degree + 1):
-            target = line + stride * d
-            if abs(target - line) > self.max_distance and abs(stride) > 1:
-                break
-            if abs(stride * d) > self.max_distance * 4:
-                break
-            out.append(target)
-        self.stats.prefetches_issued += len(out)
-        return out
+        offsets = self.offsets(stride)
+        self.stats.prefetches_issued += len(offsets)
+        return [line + offset for offset in offsets]
 
     def offsets(self, stride: int) -> Tuple[int, ...]:
         """Line offsets (from the demand line) that an access trained on
         ``stride`` prefetches: what :meth:`observe` returns, minus the
         line."""
-        out = self._offsets.get(stride)
-        if out is None:
-            found = []
-            for d in range(1, self.degree + 1):
-                offset = stride * d
-                if abs(offset) > self.max_distance and abs(stride) > 1:
-                    break
-                if abs(offset) > self.max_distance * 4:
-                    break
-                found.append(offset)
-            out = self._offsets[stride] = tuple(found)
-        return out
+        out = []
+        for d in range(1, self.degree + 1):
+            offset = stride * d
+            if abs(offset) > self.max_distance and abs(stride) > 1:
+                break
+            if abs(offset) > self.max_distance * 4:
+                break
+            out.append(offset)
+        return tuple(out)
 
     def train(
         self, refs: np.ndarray, lines: np.ndarray
@@ -519,16 +502,17 @@ class MultiStreamPrefetcher:
     engine issues at most ``degree`` prefetches per trigger, keeps its
     run-ahead within ``max_distance`` lines and never crosses its page.
 
-    :meth:`observe` returns ``(targets, arrival)`` where ``arrival`` is the
-    access-count timestamp at which the issued lines stop being in flight;
-    the reference hierarchy of the tests uses it to classify later demand
-    hits as late/on-time.  The engines never read the clock, so
-    :meth:`advance` (one access) and :meth:`train` (a block, in numpy)
-    leave it alone: :class:`~repro.cachesim.hierarchy.CacheHierarchy`'s
-    demand loop ticks it once per demand access.
+    :meth:`observe` ticks the clock, one tick per demand access, and
+    returns ``(targets, arrival)`` where ``arrival`` is the access-count
+    timestamp at which the issued lines stop being in flight; the
+    reference hierarchy of the tests uses it to classify later demand hits
+    as late/on-time.  The engines never read the clock, so :meth:`train`
+    (a block, in numpy) leaves it alone:
+    :meth:`CacheHierarchy.run <repro.cachesim.hierarchy.CacheHierarchy.run>`
+    ticks it once per demand access.
     """
 
-    __slots__ = ("params", "_engines", "stats", "_clock", "_plans")
+    __slots__ = ("params", "_engines", "stats", "_clock")
 
     def __init__(self, params: Optional[StreamModelParams] = None) -> None:
         self.params = params or StreamModelParams()
@@ -536,8 +520,6 @@ class MultiStreamPrefetcher:
         self._engines: "OrderedDict[int, _Engine]" = OrderedDict()
         self.stats = StreamTableStats(capacity=self.params.n_engines)
         self._clock = 0
-        # :meth:`train`'s packed (step, first offset, count) -> its plan.
-        self._plans: Dict[int, Tuple[int, ...]] = {}
 
     @property
     def occupancy(self) -> int:
@@ -547,33 +529,20 @@ class MultiStreamPrefetcher:
         """Record a demand access at the next clock tick.
 
         Returns ``(targets, arrival_clock)``: the lines to prefetch (maybe
-        empty) and the clock at which they arrive.
+        empty) and the clock at which they arrive, which is the access's
+        own tick when it triggers no issue.
         """
         self._clock += 1
-        offsets = self.advance(line)
-        if offsets is None:
-            return [], self._clock
-        return (
-            [line + offset for offset in offsets],
-            self._clock + self.params.latency_accesses,
-        )
-
-    def advance(self, line: int) -> Optional[Tuple[int, ...]]:
-        """Record a demand access without ticking the clock.
-
-        Returns ``None`` when the access triggers no issue, else the offsets
-        (from ``line``) of the lines it issues, maybe none.
-        """
         p = self.params
         page = line // p.page_lines
         engine, allocated = _touch(
             self._engines, page, p.n_engines, self.stats, _Engine, page, line
         )
         if allocated:
-            return None
+            return [], self._clock
         stride = line - engine.last_line
         if stride == 0:
-            return None
+            return [], self._clock
         engine.last_line = line
         if stride == engine.stride:
             engine.confidence += 1
@@ -582,13 +551,13 @@ class MultiStreamPrefetcher:
             engine.confidence = 1
             engine.issued_until = line
         if engine.confidence < p.train_threshold:
-            return None
+            return [], self._clock
         if engine.confidence == p.train_threshold:
             self.stats.trained += 1
             engine.issued_until = line
         # Rate-limited issue along the stride: at most ``degree`` new lines,
         # within the run-ahead window, never past the page boundary.
-        offsets: List[int] = []
+        targets: List[int] = []
         page_lo = page * p.page_lines
         page_hi = page_lo + p.page_lines - 1
         frontier = engine.issued_until
@@ -598,22 +567,22 @@ class MultiStreamPrefetcher:
                 break
             if abs(nxt - line) > p.max_distance:
                 break
-            offsets.append(nxt - line)
+            targets.append(nxt)
             frontier = nxt
         engine.issued_until = frontier
-        self.stats.prefetches_issued += len(offsets)
-        return tuple(offsets)
+        self.stats.prefetches_issued += len(targets)
+        return targets, self._clock + p.latency_accesses
 
     def train(
         self, lines: np.ndarray
     ) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
-        """:meth:`advance` over every line in order, in numpy.
+        """:meth:`observe` over every line in order, in numpy.
 
         Returns ``(plans, codes)``: the distinct non-empty issues of the
         block, each as line offsets from its demand line in issue order,
         and per access 0 where it issues nothing, else ``k + 1`` for
         ``plans[k]``.  The pool, its LRU order, every engine field and
-        every statistic end exactly as that sequence of :meth:`advance`
+        every statistic end exactly as that sequence of :meth:`observe`
         calls leaves them; the clock is not touched.
 
         The engines read the line stream alone, never cache state, so a
@@ -682,14 +651,11 @@ class MultiStreamPrefetcher:
             change[1:] = key[1:] != key[:-1]
             distinct, which = np.unique(key[change], return_inverse=True)
             for packed in distinct.tolist():
-                plan = self._plans.get(packed)
-                if plan is None:
-                    rest, n_lines = divmod(packed, p.degree + 1)
-                    stride, lo = divmod(rest, width)
-                    plan = self._plans[packed] = tuple(
-                        stride * j for j in range(lo, lo + n_lines)
-                    )
-                plans.append(plan)
+                rest, n_lines = divmod(packed, p.degree + 1)
+                stride, lo = divmod(rest, width)
+                plans.append(
+                    tuple(stride * j for j in range(lo, lo + n_lines))
+                )
             codes[walk.block(walk.moving[trig[issuing]])] = (
                 which[np.cumsum(change) - 1] + 1
             )

@@ -116,7 +116,6 @@ def run_nests(
     *,
     layout: Optional[MemoryLayout] = None,
     line_budget: int = 200_000,
-    adaptive_budget: bool = True,
 ) -> SimResult:
     """Simulate ``nests`` in order on ``hierarchy``.
 
@@ -130,22 +129,16 @@ def run_nests(
         Shared memory layout; created on demand.  Pass one explicitly when
         several ``run_nests`` calls must agree on buffer placement.
     line_budget:
-        Per-nest cap on emitted line accesses (sampling window).
-    adaptive_budget:
-        Grow the window so it covers at least two of the nest's inner
-        reuse blocks (see :func:`_adaptive_budget`); strongly recommended
-        for tiled schedules.
+        Per-nest cap on emitted line accesses (sampling window), grown so
+        the window covers at least two of the nest's inner reuse blocks
+        (see :func:`_adaptive_budget`).
     """
     layout = layout or MemoryLayout()
     out: List[NestCounters] = []
     num_levels = hierarchy.num_levels
     tracer = current_tracer()
     for nest in nests:
-        budget = (
-            _adaptive_budget(nest, line_budget)
-            if adaptive_budget
-            else line_budget
-        )
+        budget = _adaptive_budget(nest, line_budget)
         counters = NestCounters(nest=nest)
         # Window 1: a prefix of the iteration space.  If it does not cover
         # the nest, add a second window starting mid-space: long-distance

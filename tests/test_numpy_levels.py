@@ -69,6 +69,42 @@ class TestLevelRun:
             ref.hits, ref.misses, ref.evictions
         )
 
+    @given(
+        geometry=st.sampled_from(
+            [(64, 8, False), (64, 8, True), (48, 12, True), (512, 16, True)]
+        ),
+        passes=st.lists(
+            st.lists(st.integers(0, 3 << 13), min_size=1, max_size=3),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sparse_passes_match_an_ordered_dict_per_set(self, geometry,
+                                                         passes):
+        """Passes whose touched sets hold more than twice as many lines as
+        the pass has accesses, as an L3 behind two filtering levels sees:
+        every set is full, and a pass of at most 3 accesses touches sets
+        of at least 8 ways."""
+        num_sets, ways, hashed = geometry
+        fast = SetAssocCache("L", num_sets, ways, hashed_index=hashed)
+        ref = ReferenceLRU(num_sets, ways, hashed_index=hashed)
+        warm = np.arange(1 << 13, 1 << 14, dtype=np.int64)
+        fast.run(warm)
+        for line in warm.tolist():
+            ref.access(line)
+        for lines in passes:
+            touched = set(fast.set_indices(np.array(lines)).tolist())
+            assert sum(len(fast._sets[t]) for t in touched) > 2 * len(lines)
+            got = fast.run(np.array(lines, dtype=np.int64)).tolist()
+            assert got == [ref.access(line) for line in lines]
+            assert fast.contents() == ref.contents()
+            assert_residency_invariant(fast)
+        stats = fast.stats
+        assert (stats.hits, stats.misses, stats.evictions) == (
+            ref.hits, ref.misses, ref.evictions
+        )
+
     def test_hashed_sets_of_a_power_of_two_stride_spread(self):
         # A stride of num_sets lines maps every line to set 0 under modulo
         # indexing; the hashed index spreads them, so they all stay.

@@ -23,7 +23,7 @@ from repro.cachesim.prefetch import (
     StreamModelParams,
     StridePrefetcher,
 )
-from repro.cachesim.lru import lru_hits, lru_table, stable_order
+from repro.cachesim.lru import lru_table, stable_order
 
 
 class TestNextLinePrefetcher:
@@ -197,16 +197,6 @@ class TestMultiStreamPrefetcher:
             StreamModelParams(train_threshold=-2)
         StreamModelParams(train_threshold=1)        # the least legal value
 
-    def test_advance_is_observe_without_the_clock(self):
-        a = MultiStreamPrefetcher(_params())
-        b = MultiStreamPrefetcher(_params())
-        for line in (0, 1, 2, 3, 3, 9, 4, 5):
-            targets, _arrival = a.observe(0, line)
-            offsets = b.advance(line) or ()
-            assert targets == [line + offset for offset in offsets]
-        assert a._clock == 8 and b._clock == 0
-        assert pool_state(a) == pool_state(b)
-
 
 def pool_state(engine):
     """The pool in LRU order, every engine field, and the statistics."""
@@ -262,7 +252,7 @@ class TestLruHits:
     @settings(max_examples=300, deadline=None)
     def test_matches_an_ordered_dict_table(self, stretches, capacity):
         keys = [k for hot, cold in stretches for k in (*hot, cold)]
-        got = lru_hits(np.array(keys, dtype=np.int64), capacity)
+        got = lru_table(np.array(keys, dtype=np.int64), capacity)[0]
         assert got.tolist() == lru_reference(keys, capacity)[0]
         assert_lru_table(keys, capacity)
 
@@ -272,7 +262,7 @@ class TestLruHits:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_on_uniform_keys(self, keys, capacity):
-        got = lru_hits(np.array(keys, dtype=np.int64), capacity)
+        got = lru_table(np.array(keys, dtype=np.int64), capacity)[0]
         assert got.tolist() == lru_reference(keys, capacity)[0]
         assert_lru_table(keys, capacity)
 
@@ -280,7 +270,7 @@ class TestLruHits:
         # Key 9 returns after 200 accesses that use only two other keys:
         # no window certifies an eviction, so the exact count decides.
         keys = [9] + [1, 2] * 100 + [9, 3, 4, 5, 9]
-        got = lru_hits(np.array(keys, dtype=np.int64), 3).tolist()
+        got = lru_table(np.array(keys, dtype=np.int64), 3)[0].tolist()
         assert got == lru_reference(keys, 3)[0]
         assert got[201] and not got[-1]
 
@@ -289,13 +279,13 @@ class TestLruHits:
         # left unsure outnumber the positions, so each tries its window
         # of capacity * 2**k first, then the exact count.
         keys = [9, 8, 7] + [1, 2] * 100 + [9, 8, 7] + [3, 4, 5] * 40 + [9]
-        got = lru_hits(np.array(keys, dtype=np.int64), 5).tolist()
+        got = lru_table(np.array(keys, dtype=np.int64), 5)[0].tolist()
         assert got == lru_reference(keys, 5)[0]
         assert got[203:206] == [True, True, True] and not got[-1]
 
     def test_wide_keys_sort_like_narrow_ones(self):
         keys = [5, 1 << 40, 5, -(1 << 40), 1 << 40, 5, 7, 1 << 40]
-        got = lru_hits(np.array(keys, dtype=np.int64), 2)
+        got = lru_table(np.array(keys, dtype=np.int64), 2)[0]
         assert got.tolist() == lru_reference(keys, 2)[0]
 
 
@@ -337,8 +327,13 @@ def interleaved(runs, ways):
     return out
 
 
+def observed(engine, line):
+    """What ``engine.observe`` issues for ``line``, as offsets from it."""
+    return tuple(target - line for target in engine.observe(0, line)[0])
+
+
 class TestMultiStreamTrain:
-    """``train`` over blocks against ``advance`` one access at a time."""
+    """``train`` over blocks against ``observe`` one access at a time."""
 
     @given(
         params=stream_params,
@@ -348,21 +343,22 @@ class TestMultiStreamTrain:
         mixed=st.booleans(),
     )
     @settings(max_examples=400, deadline=None)
-    def test_plans_pool_and_stats_match_advance(self, params, runs, ways,
+    def test_plans_pool_and_stats_match_observe(self, params, runs, ways,
                                                 cuts, mixed):
         """Blocks of drawn lengths, so state carries over mid-run and
         mid-page; when ``mixed``, every other block goes through
-        ``advance``, so the pool passes between both paths."""
+        ``observe``, so the pool passes between both paths."""
         lines = interleaved(runs, ways)
         want_engine = MultiStreamPrefetcher(params)
         got_engine = MultiStreamPrefetcher(params)
-        want = [want_engine.advance(line) or () for line in lines]
+        want = [observed(want_engine, line) for line in lines]
         got = []
-        start = block = 0
+        start = block = ticked = 0
         while start < len(lines):
             chunk = lines[start:start + cuts[block % len(cuts)]]
             if mixed and block % 2:
-                got += [got_engine.advance(line) or () for line in chunk]
+                got += [observed(got_engine, line) for line in chunk]
+                ticked += len(chunk)
             else:
                 plans, codes = got_engine.train(np.array(chunk, dtype=np.int64))
                 got += [plans[c - 1] if c else () for c in codes.tolist()]
@@ -373,7 +369,7 @@ class TestMultiStreamTrain:
             )
         assert got == want
         assert pool_state(got_engine) == pool_state(want_engine)
-        assert got_engine._clock == 0
+        assert got_engine._clock == ticked
 
     def test_carried_trained_run_keeps_its_frontier(self):
         # Trained on stride 1 and three lines ahead when the block ends;
@@ -405,7 +401,7 @@ class TestMultiStreamTrain:
 def _replayed(params, lines):
     engine = MultiStreamPrefetcher(params)
     for line in lines:
-        engine.advance(line)
+        engine.observe(0, line)
     return engine
 
 

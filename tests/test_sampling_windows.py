@@ -65,9 +65,7 @@ class TestTwoWindowExecutor:
     def test_truncated_nest_gets_second_window(self, arch):
         c, _, _ = make_matmul(64)
         hierarchy = CacheHierarchy(arch)
-        sim = run_nests(
-            lower(c), hierarchy, line_budget=2000, adaptive_budget=False
-        )
+        sim = run_nests(lower(c), hierarchy, line_budget=2000)
         update = sim.nest_named("C.update0")
         assert update.truncated
         # Both windows contribute statements; scale stays consistent.

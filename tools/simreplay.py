@@ -13,7 +13,10 @@ or ``multistride``) with the checkout TREE's ``perfbench/`` and
 ``src/``, and pickles to OUT every ``CacheHierarchy`` it builds (its
 constructor arguments) and every ``CacheHierarchy.run`` call (the
 hierarchy, ``lines``, ``refs`` and ``kinds``).  It only imports
-perfbench's modules; it changes nothing there.
+perfbench's modules; it changes nothing there.  WORKLOAD
+``price-noprefetch`` is the ``price`` pass with every hierarchy built
+with ``enable_prefetch=False``: the all-numpy configuration the ablation
+regenerators run, which no perfbench workload covers.
 
 ``ab`` imports the ``repro`` package of both checkouts into one process
 and replays OUT on fresh hierarchies of each, round after round.  Within
@@ -52,6 +55,7 @@ def _forget_repro() -> None:
 def record(tree: str, workload: str, out: str) -> None:
     """Pickle the constructor arguments of every hierarchy and every
     ``run`` call of one seed-0 perfbench pass of ``workload``."""
+    workload, _, variant = workload.partition("-")
     tree = os.path.abspath(tree)
     sys.path[:0] = [os.path.join(tree, "perfbench"), os.path.join(tree, "src")]
     import numpy as np
@@ -63,6 +67,8 @@ def record(tree: str, workload: str, out: str) -> None:
     init, run = cls.__init__, cls.run
 
     def recording_init(self, arch, **kw):
+        if variant == "noprefetch":
+            kw["enable_prefetch"] = False
         self._recorded_as = len(hiers)
         hiers.append((arch, kw))
         init(self, arch, **kw)
@@ -169,7 +175,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     rec = sub.add_parser("record", help="record one seed-0 perfbench pass")
     rec.add_argument("tree", help="checkout whose perfbench and src run")
-    rec.add_argument("workload", choices=("price", "multistride"))
+    rec.add_argument(
+        "workload", choices=("price", "multistride", "price-noprefetch")
+    )
     rec.add_argument("out", help="recording to write (pickle)")
     cmp_ = sub.add_parser("ab", help="replay a recording on two checkouts")
     cmp_.add_argument("tree_a")
