@@ -42,83 +42,63 @@ and sweeps behind a zero-overhead default), :mod:`repro.cache` (the
 persistent cross-run schedule cache), :mod:`repro.bench` (Table 4's
 benchmarks plus the ``python -m repro.bench`` perf harness) and
 :mod:`repro.experiments` (one regenerator per table/figure).
+
+The names below are imported on first use, so ``import repro`` itself
+loads no numpy and no optimizer (docs/API.md, "Importing repro").
 """
 
-from repro import api
-from repro.api import OptimizeOptions, OptimizeRequest, OptimizeResult
-from repro.arch import ArchSpec, CacheSpec, platform_by_name
-from repro.cache import ScheduleCache
-from repro.core import (
-    Classification,
-    Locality,
-    OptimizationResult,
-    classify,
-    optimize,
-)
-from repro.ir import (
-    Buffer,
-    Func,
-    Pipeline,
-    RVar,
-    Schedule,
-    Var,
-    float32,
-    float64,
-    int32,
-    lower,
-    print_nest,
-)
-from repro.robust import (
-    Diagnostics,
-    FallbackPolicy,
-    SafeResult,
-    safe_optimize,
-    safe_optimize_pipeline,
-)
-from repro.sim import Machine
-from repro.util import (
-    Deadline,
-    DeadlineExceeded,
-    ReproError,
-    ValidationError,
-)
+import os
+
+# Nothing in the package calls BLAS, yet OpenBLAS starts a pool of
+# worker threads when numpy loads.  One thread unless the caller chose
+# otherwise; it takes effect only if numpy is not imported yet, and
+# child processes (sweep and fleet workers) inherit it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from repro._lazy import lazy_exports  # noqa: E402
 
 __version__ = "3.0.0"
 
-__all__ = [
-    "api",
-    "OptimizeOptions",
-    "OptimizeRequest",
-    "OptimizeResult",
-    "ScheduleCache",
-    "ArchSpec",
-    "CacheSpec",
-    "platform_by_name",
-    "Classification",
-    "Locality",
-    "OptimizationResult",
-    "classify",
-    "optimize",
-    "Buffer",
-    "Func",
-    "Pipeline",
-    "RVar",
-    "Schedule",
-    "Var",
-    "float32",
-    "float64",
-    "int32",
-    "lower",
-    "print_nest",
-    "Machine",
-    "Diagnostics",
-    "FallbackPolicy",
-    "SafeResult",
-    "safe_optimize",
-    "safe_optimize_pipeline",
-    "Deadline",
-    "DeadlineExceeded",
-    "ReproError",
-    "ValidationError",
-    "__version__",
-]
+#: Each public name and the module it is imported from on first use
+#: (PEP 562), so ``import repro.arch`` does not load the optimizer,
+#: the simulator or the schedule cache.
+_EXPORTS = {
+    "api": "repro.api",
+    "OptimizeOptions": "repro.api",
+    "OptimizeRequest": "repro.api",
+    "OptimizeResult": "repro.api",
+    "ScheduleCache": "repro.cache",
+    "ArchSpec": "repro.arch",
+    "CacheSpec": "repro.arch",
+    "platform_by_name": "repro.arch",
+    "Classification": "repro.core",
+    "Locality": "repro.core",
+    "OptimizationResult": "repro.core",
+    "classify": "repro.core",
+    "optimize": "repro.core",
+    "Buffer": "repro.ir",
+    "Func": "repro.ir",
+    "Pipeline": "repro.ir",
+    "RVar": "repro.ir",
+    "Schedule": "repro.ir",
+    "Var": "repro.ir",
+    "float32": "repro.ir",
+    "float64": "repro.ir",
+    "int32": "repro.ir",
+    "lower": "repro.ir",
+    "print_nest": "repro.ir",
+    "Machine": "repro.sim",
+    "Diagnostics": "repro.robust",
+    "FallbackPolicy": "repro.robust",
+    "SafeResult": "repro.robust",
+    "safe_optimize": "repro.robust",
+    "safe_optimize_pipeline": "repro.robust",
+    "Deadline": "repro.util",
+    "DeadlineExceeded": "repro.util",
+    "ReproError": "repro.util",
+    "ValidationError": "repro.util",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

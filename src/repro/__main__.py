@@ -66,20 +66,10 @@ import errno
 import sys
 
 from repro.arch import PLATFORMS, platform_by_name
-from repro.baselines import Autotuner, autoschedule, baseline_schedule
-from repro.bench import benchmark_names, make_benchmark, size_for
 from repro.experiments.__main__ import add_arguments as add_sweep_arguments
 from repro.experiments.__main__ import run as run_sweep
 from repro.frontend.__main__ import add_spec_args
-from repro.ir import lower, print_nest
-from repro.ir.codegen_c import codegen
-from repro.obs import (
-    JsonlTracer,
-    activate_tracer,
-    read_trace,
-    render_summary,
-    validate_trace,
-)
+from repro.obs import JsonlTracer, activate_tracer
 from repro.core.exitcodes import (
     EXIT_BIND,
     EXIT_FALLBACK,
@@ -89,8 +79,6 @@ from repro.core.exitcodes import (
     EXIT_USAGE,
 )
 from repro.options import OptimizeOptions
-from repro.robust import FallbackPolicy, safe_optimize
-from repro.sim import Machine
 from repro.util import (
     ReproError,
     canonical_json,
@@ -120,6 +108,8 @@ def _report_bind_error(host: str, port: int, exc: OSError, *, what: str) -> int:
 
 
 def _make_case(name: str, fast: bool):
+    from repro.bench import make_benchmark, size_for
+
     try:
         return make_benchmark(name, **size_for(name, small=fast))
     except KeyError:
@@ -170,7 +160,9 @@ def _resolve_platform(name: str):
         ) from None
 
 
-def _policy(args) -> FallbackPolicy:
+def _policy(args):
+    from repro.robust import FallbackPolicy
+
     try:
         if args.lenient:
             return FallbackPolicy.lenient(deadline_ms=args.deadline_ms)
@@ -181,6 +173,8 @@ def _policy(args) -> FallbackPolicy:
 
 
 def cmd_list(_args) -> int:
+    from repro.bench import benchmark_names
+
     print("Table 4 benchmarks:", ", ".join(sorted(benchmark_names())))
     print("extra kernels:     ", ", ".join(sorted(benchmark_names("extra"))))
     print("platforms:         ", ", ".join(sorted(PLATFORMS)))
@@ -188,6 +182,8 @@ def cmd_list(_args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from repro.robust import safe_optimize
+
     arch = _resolve_platform(args.platform)
     case = _resolve_case(args)
     policy = _policy(args)
@@ -208,6 +204,8 @@ def cmd_optimize(args) -> int:
         if args.lenient and safe.result is not None and safe.diagnostics:
             print(safe.diagnostics.summary())
         if args.show_nest:
+            from repro.ir import lower, print_nest
+
             nests = lower(stage, safe.schedule)
             print(print_nest(nests[-1]))
         if args.halide:
@@ -219,6 +217,10 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from repro.baselines import Autotuner, autoschedule, baseline_schedule
+    from repro.robust import safe_optimize
+    from repro.sim import Machine
+
     arch = _resolve_platform(args.platform)
     machine = Machine(arch, line_budget=args.budget)
     times = {}
@@ -269,6 +271,8 @@ def cmd_compare(args) -> int:
 
 def cmd_trace(args) -> int:
     """Summarize (or schema-validate) a recorded JSONL event log."""
+    from repro.obs import read_trace, render_summary, validate_trace
+
     events, problems = read_trace(args.path)
     if args.validate:
         issues = problems + validate_trace(events)
@@ -829,6 +833,10 @@ def cmd_tune(args) -> int:
 
 
 def cmd_codegen(args) -> int:
+    from repro.ir import lower
+    from repro.ir.codegen_c import codegen
+    from repro.robust import safe_optimize
+
     arch = _resolve_platform(args.platform)
     case = _resolve_case(args)
     policy = _policy(args)

@@ -31,13 +31,17 @@ Two families of numbers:
   tolerance; a ratio of adjacent passes shares the machine's state.
 
   The scenarios must produce **bit-identical schedules**; the harness
-  verifies this and records it, and the CI gate fails on regressions of
-  the two speedup ratios beyond a tolerance (machine-independent, where
-  absolute milliseconds are not).
+  verifies this and records it.  The CI gate fails when they differ,
+  when a warm pass misses the schedule cache or runs a search, and when
+  ``speedup_cold`` falls beyond a tolerance (machine-independent, where
+  absolute milliseconds are not).  ``speedup_warm`` is
+  ``serial_uncached_ms / warm_ms``: it grows with the cost of the
+  search, not with how well the cache works, so it is informational.
 
 Determinism note: timings use ``time.perf_counter`` and vary run to
-run; the JSON therefore separates ``*_ms`` (informational) from the
-``speedup_*`` ratios and the ``schedules_identical`` flag (gated).
+run; the JSON therefore separates ``*_ms`` and ``speedup_warm``
+(informational) from ``speedup_cold``, the warm-pass counts and the
+``schedules_identical`` flag (gated).
 """
 
 from __future__ import annotations
@@ -166,14 +170,16 @@ def _optimize_suite(
     arch: ArchSpec,
     *,
     cache: Optional[ScheduleCache],
-) -> Tuple[float, List[Dict]]:
+) -> Tuple[float, List[Dict], int]:
     """Time one full pass of ``optimize`` over every suite stage.
 
-    Returns (elapsed_ms, serialized schedules in stage order) so the
-    caller can verify cross-scenario schedule identity.
+    Returns (elapsed_ms, serialized schedules in stage order, searches
+    run) so the caller can verify cross-scenario schedule identity and
+    that a warm pass searched nothing.
     """
     options = OptimizeOptions().cache_dict()
     schedules: List[Dict] = []
+    searches = 0
     start = _now_ms()
     for _, case in cases:
         for stage in case.pipeline:
@@ -182,10 +188,11 @@ def _optimize_suite(
                 schedule = cache.get(stage, arch, options)
             if schedule is None:
                 schedule = optimize(stage, arch).schedule
+                searches += 1
                 if cache is not None:
                     cache.put(stage, arch, options, schedule)
             schedules.append(schedule_to_dict(schedule))
-    return _now_ms() - start, schedules
+    return _now_ms() - start, schedules, searches
 
 
 def run_bench(
@@ -201,6 +208,7 @@ def run_bench(
 
     # --- end-to-end scenarios (fresh emu memo per cold pass) ----------
     serial, cold, warm = [], [], []
+    warm_hits = warm_misses = 0
     previous = configure_emu_cache(True)
     try:
         with tempfile.TemporaryDirectory() as tmp:
@@ -213,7 +221,10 @@ def run_bench(
                 serial.append(_optimize_suite(cases, arch, cache=None))
                 # A warm pass is what a second run of the same sweep pays.
                 configure_emu_cache(True)
+                hits, misses = cache.stats.hits, cache.stats.misses
                 warm.append(_optimize_suite(cases, arch, cache=cache))
+                warm_hits += cache.stats.hits - hits
+                warm_misses += cache.stats.misses - misses
                 if len(warm) == 1:
                     warm_cache_stats = cache.stats.to_dict()
                 clear_emu_cache()
@@ -225,21 +236,21 @@ def run_bench(
         clear_emu_cache()
 
     serial_ms, cold_ms, warm_ms = (
-        statistics.median(ms for ms, _ in passes)
+        statistics.median(ms for ms, _, _ in passes)
         for passes in (serial, cold, warm)
     )
     # Each speedup is the median of its rounds' ratios: a ratio of two
     # passes timed moments apart.
     speedup_cold, speedup_warm = (
         statistics.median(
-            s / max(ms, 1e-9) for (s, _), (ms, _) in zip(serial, passes)
+            s / max(ms, 1e-9) for (s, _, _), (ms, _, _) in zip(serial, passes)
         )
         for passes in (cold, warm)
     )
     serial_schedules = serial[0][1]
     identical = all(
         schedules == serial_schedules
-        for _, schedules in serial + cold + warm
+        for _, schedules, _ in serial + cold + warm
     )
     payload = {
         "format": BENCH_FORMAT,
@@ -255,6 +266,10 @@ def run_bench(
             "speedup_cold": round(speedup_cold, 3),
             "speedup_warm": round(speedup_warm, 3),
             "schedules_identical": identical,
+            "warm_passes": len(warm),
+            "warm_hits": warm_hits,
+            "warm_misses": warm_misses,
+            "warm_searches": sum(searches for _, _, searches in warm),
         },
         "emu_cache": {
             "hits": emu_stats.hits,
@@ -272,7 +287,10 @@ def run_bench(
 
 #: The ratios the CI gate protects (regression-only: current may exceed
 #: the baseline freely, it may not fall more than ``tolerance`` below).
-GATED_RATIOS = ("speedup_cold", "speedup_warm")
+GATED_RATIOS = ("speedup_cold",)
+
+#: The warm-pass counts the CI gate requires of the current run alone.
+WARM_COUNTS = ("warm_passes", "warm_hits", "warm_misses", "warm_searches")
 
 
 def check_regression(
@@ -281,9 +299,11 @@ def check_regression(
     """Compare a fresh run against the committed baseline.
 
     Returns a list of human-readable failures (empty = gate passes).
-    Only machine-independent quantities are gated: the two speedup
-    ratios (within ``tolerance``, one-sided) and schedule identity.
-    Absolute milliseconds are informational.
+    Only machine-independent quantities are gated: schedule identity,
+    a warm path served wholly from the schedule cache (every lookup of
+    every warm pass a hit, no search), and ``speedup_cold`` (within
+    ``tolerance``, one-sided).  Absolute milliseconds and
+    ``speedup_warm`` are informational.
     """
     failures = like_with_like(current, baseline, ("mode",), "mode mismatch")
     if failures:
@@ -295,6 +315,18 @@ def check_regression(
             "schedules are not identical across serial/cold/cached "
             "scenarios — determinism regression"
         )
+    counts = [cur_e2e.get(key) for key in WARM_COUNTS]
+    if None in counts:
+        failures.append("missing warm-pass counts in current")
+    else:
+        passes, hits, misses, searches = counts
+        lookups = passes * cur_e2e.get("stages", 0)
+        if not lookups or (hits, misses, searches) != (lookups, 0, 0):
+            failures.append(
+                f"warm passes not served from the schedule cache: "
+                f"{hits} hits and {misses} misses in {lookups} lookups, "
+                f"{searches} searches — schedule-cache regression"
+            )
     for key in GATED_RATIOS:
         failures += floor_failures(
             key,

@@ -17,14 +17,20 @@ sweep runner (``schedule_cache=`` / ``--schedule-cache``), and the
 """
 
 from repro.cache.fingerprint import func_fingerprint, options_fingerprint
-from repro.cache.store import (
-    CACHE_FORMAT,
-    CacheStats,
-    ScheduleCache,
-    cache_key,
-    check_shard_caches,
-    shard_cache_path,
-)
+from repro._lazy import lazy_exports
+
+# Spec lowering fingerprints every stage; only cache users need the store.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    name: "repro.cache.store"
+    for name in (
+        "CACHE_FORMAT",
+        "CacheStats",
+        "ScheduleCache",
+        "cache_key",
+        "check_shard_caches",
+        "shard_cache_path",
+    )
+})
 
 __all__ = [
     "CACHE_FORMAT",

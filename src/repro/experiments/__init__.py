@@ -20,19 +20,7 @@ budget, autotuner evaluations, small sizes for smoke runs) are env-var
 controlled — see :class:`repro.experiments.harness.ExperimentConfig`.
 """
 
-from repro.experiments.harness import (
-    ExperimentConfig,
-    TECHNIQUES,
-    clear_measure_cache,
-    mark_quarantined,
-    measure_case,
-    measure_key,
-    optimize_runtime,
-    optimize_runtime_key,
-    recording_cells,
-    schedules_for,
-    seed_measure_cache,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ExperimentConfig",
@@ -47,3 +35,9 @@ __all__ = [
     "schedules_for",
     "seed_measure_cache",
 ]
+
+# The harness loads the optimizer, the baselines and the simulator;
+# ``python -m repro`` registers the sweep flags without them.
+__getattr__, __dir__ = lazy_exports(
+    __name__, {name: "repro.experiments.harness" for name in __all__}
+)

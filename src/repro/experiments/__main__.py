@@ -47,7 +47,6 @@ import time
 from typing import Optional
 
 from repro.obs import NULL_TRACER, JsonlTracer, activate_tracer
-from repro.experiments import ExperimentConfig
 from repro.util import jobs_arg, resolve_workers
 
 #: (label, regenerator module in :mod:`repro.experiments`, takes a
@@ -151,7 +150,7 @@ def _regenerator(name: str):
     return importlib.import_module(f"repro.experiments.{name}")
 
 
-def _render_all(config: ExperimentConfig) -> None:
+def _render_all(config) -> None:
     """Run every regenerator; tables to stdout, timings to stderr."""
     for label, name, takes_config in ORDER:
         print(f"--- {label} " + "-" * (60 - len(label)))
@@ -172,6 +171,8 @@ def run(args) -> int:
         jobs = resolve_workers(args.jobs, name="jobs")
     except ValueError as exc:
         raise SystemExit(f"invalid options: {exc}") from None
+    from repro.experiments import ExperimentConfig
+
     if args.fast:
         os.environ["REPRO_FAST"] = "1"
     config = ExperimentConfig()

@@ -44,16 +44,24 @@ from repro.ir.analysis import (
     analyze_definition,
     analyze_func,
 )
-from repro.ir.printer import print_nest, print_expr
 from repro.ir.validate import validate_func, validate_schedule
-from repro.ir.codegen_c import codegen, codegen_nest, signature_buffers
-from repro.ir.halide_out import emit_halide
 from repro.ir.serialize import (
     schedule_from_dict,
     schedule_from_json,
     schedule_to_dict,
     schedule_to_json,
 )
+from repro._lazy import lazy_exports
+
+# The printers and code generators serve the CLI, not the optimizer.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "print_nest": "repro.ir.printer",
+    "print_expr": "repro.ir.printer",
+    "codegen": "repro.ir.codegen_c",
+    "codegen_nest": "repro.ir.codegen_c",
+    "signature_buffers": "repro.ir.codegen_c",
+    "emit_halide": "repro.ir.halide_out",
+})
 
 __all__ = [
     "Expr",

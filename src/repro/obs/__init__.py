@@ -26,7 +26,6 @@ from repro.obs.events import (
     validate_trace,
 )
 from repro.obs.stats import CandidateCounter, CandidateStats
-from repro.obs.summary import render_summary, summarize
 from repro.obs.tracer import (
     NULL_TRACER,
     CollectingTracer,
@@ -36,6 +35,13 @@ from repro.obs.tracer import (
     activate_tracer,
     current_tracer,
 )
+from repro._lazy import lazy_exports
+
+# The trace summary renders ``repro trace``; a traced run never reads it.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "render_summary": "repro.obs.summary",
+    "summarize": "repro.obs.summary",
+})
 
 __all__ = [
     "Tracer",

@@ -24,12 +24,15 @@ from repro.sim.executor import NestCounters, SimResult, run_nests
 from repro.sim.timing import TimingModel, NestTime
 from repro.sim.machine import Machine, MachineReport
 from repro.sim.report import explain
-from repro.sim.interpret import (
-    BufferStore,
-    execute,
-    execute_nest,
-    execute_pipeline,
-)
+from repro._lazy import lazy_exports
+
+# The value interpreter checks schedules in tests; no timing run uses it.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "BufferStore": "repro.sim.interpret",
+    "execute": "repro.sim.interpret",
+    "execute_nest": "repro.sim.interpret",
+    "execute_pipeline": "repro.sim.interpret",
+})
 
 __all__ = [
     "MemoryLayout",

@@ -41,7 +41,6 @@ import time
 
 from repro.arch import platform_by_name
 from repro.bench import make_benchmark, size_for
-from repro.cache import ScheduleCache
 from repro.experiments.harness import modeled_optimize_seconds, schedules_for
 from repro.ir.serialize import schedule_to_dict
 from repro.robust.faults import (
@@ -78,7 +77,11 @@ def run_cell(payload: dict) -> dict:
     cell = SweepCell.from_dict(payload["cell"])
     deadline_s = payload.get("deadline_s")
     cache_path = payload.get("schedule_cache")
-    schedule_cache = ScheduleCache(cache_path) if cache_path else None
+    schedule_cache = None
+    if cache_path:
+        from repro.cache import ScheduleCache
+
+        schedule_cache = ScheduleCache(cache_path)
     config = cell.config()
     started = time.perf_counter()
     schedules = None

@@ -10,6 +10,7 @@ import repro.bench.__main__ as bench_cli
 from repro.bench.perf import (
     BENCH_FORMAT,
     GATED_RATIOS,
+    WARM_COUNTS,
     check_regression,
     run_bench,
 )
@@ -31,6 +32,10 @@ def _payload(**overrides):
             "speedup_cold": 1.667,
             "speedup_warm": 50.0,
             "schedules_identical": True,
+            "warm_passes": 2,
+            "warm_hits": 2,
+            "warm_misses": 0,
+            "warm_searches": 0,
         },
         "emu_cache": {"hits": 10, "misses": 2, "hit_rate": 0.833},
         "schedule_cache": {"hits": 1, "misses": 1, "stores": 1,
@@ -46,20 +51,47 @@ class TestCheckRegression:
 
     def test_improvement_passes(self):
         current = _payload()
-        current["end_to_end"]["speedup_warm"] = 500.0
+        current["end_to_end"]["speedup_cold"] = 5.0
         assert check_regression(current, _payload()) == []
 
     def test_regression_beyond_tolerance_fails(self):
         current = _payload()
-        current["end_to_end"]["speedup_warm"] = 30.0  # 40% below 50x
+        current["end_to_end"]["speedup_cold"] = 1.0  # 40% below 1.667x
         failures = check_regression(current, _payload(), tolerance=0.2)
         assert len(failures) == 1
-        assert "speedup_warm" in failures[0]
+        assert "speedup_cold" in failures[0]
 
     def test_regression_within_tolerance_passes(self):
         current = _payload()
-        current["end_to_end"]["speedup_warm"] = 45.0  # 10% below 50x
+        current["end_to_end"]["speedup_cold"] = 1.5  # 10% below 1.667x
         assert check_regression(current, _payload(), tolerance=0.2) == []
+
+    def test_faster_search_is_not_a_warm_regression(self):
+        # speedup_warm = serial_uncached_ms / warm_ms falls when the
+        # search gets faster; it is informational.
+        current = _payload()
+        current["end_to_end"]["speedup_warm"] = 5.0  # 90% below 50x
+        assert check_regression(current, _payload(), tolerance=0.2) == []
+
+    @pytest.mark.parametrize("counts", [
+        {"warm_hits": 1, "warm_misses": 1},
+        {"warm_searches": 1},
+        {"warm_hits": 1},
+        {"warm_passes": 0, "warm_hits": 0},
+    ])
+    def test_warm_pass_off_the_cache_fails(self, counts):
+        current = _payload()
+        current["end_to_end"].update(counts)
+        failures = check_regression(current, _payload())
+        assert len(failures) == 1
+        assert "schedule-cache regression" in failures[0]
+
+    def test_missing_warm_counts_fail(self):
+        for key in WARM_COUNTS:
+            current = _payload()
+            del current["end_to_end"][key]
+            failures = check_regression(current, _payload())
+            assert failures == ["missing warm-pass counts in current"]
 
     def test_schedule_divergence_fails(self):
         current = _payload()
@@ -78,9 +110,9 @@ class TestCheckRegression:
 
     def test_missing_ratio_fails(self):
         current = _payload()
-        del current["end_to_end"]["speedup_warm"]
+        del current["end_to_end"]["speedup_cold"]
         failures = check_regression(current, _payload())
-        assert any("speedup_warm" in f for f in failures)
+        assert any("speedup_cold" in f for f in failures)
 
     def test_every_gated_ratio_is_present_in_payloads(self):
         for key in GATED_RATIOS:
@@ -94,7 +126,7 @@ class TestCheckRegression:
         with open(path, encoding="utf-8") as handle:
             baseline = json.load(handle)
         assert baseline["format"] == BENCH_FORMAT
-        for key in GATED_RATIOS:
+        for key in GATED_RATIOS + WARM_COUNTS:
             assert key in baseline["end_to_end"]
 
 
@@ -126,14 +158,14 @@ class TestCli:
 
     def test_check_detects_regression(self, fake_bench, tmp_path, capsys):
         better = copy.deepcopy(fake_bench)
-        better["end_to_end"]["speedup_warm"] = 500.0
+        better["end_to_end"]["speedup_cold"] = 5.0
         baseline = tmp_path / "baseline.json"
         write_json(better, str(baseline))
         assert (
             bench_cli.main(["--fast", "--check", "--baseline", str(baseline)])
             == 1
         )
-        assert "speedup_warm" in capsys.readouterr().err
+        assert "speedup_cold" in capsys.readouterr().err
 
     def test_check_missing_baseline_errors(self, fake_bench, tmp_path, capsys):
         assert (
@@ -159,5 +191,7 @@ class TestRealRun:
         assert e2e["speedup_warm"] > 3.0
         assert payload["emu_cache"]["hits"] > 0
         assert payload["schedule_cache"]["hits"] == e2e["stages"]
+        assert e2e["warm_hits"] == e2e["warm_passes"] * e2e["stages"]
+        assert e2e["warm_misses"] == e2e["warm_searches"] == 0
         # A payload must always gate cleanly against itself.
         assert check_regression(payload, payload) == []
