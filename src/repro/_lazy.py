@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import importlib
 import sys
+import types
 from typing import Callable, Dict, List, Tuple
 
 __all__ = ["lazy_exports"]
@@ -25,10 +26,19 @@ def lazy_exports(
 
     ``table`` maps each lazily exported name to the module that defines
     it; a name that is a submodule of ``package`` (``repro.api``) stands
-    for the module itself.  The first read imports the module and binds
-    the name in the package, so later reads never reach ``__getattr__``.
+    for the module itself, unless that submodule defines the name
+    (``repro.core.classify`` defines ``classify``).  The first read
+    imports the module and binds the name in the package, so later reads
+    never reach ``__getattr__``.  Importing such a submodule binds it on
+    the package; the package then keeps the name's export instead.
     """
-    namespace = sys.modules[package].__dict__
+    module = sys.modules[package]
+    namespace = module.__dict__
+
+    def export(name: str, source: types.ModuleType) -> object:
+        if source.__name__ == f"{package}.{name}":
+            return getattr(source, name, source)
+        return getattr(source, name)
 
     def __getattr__(name: str) -> object:
         try:
@@ -37,11 +47,20 @@ def lazy_exports(
             raise AttributeError(
                 f"module {package!r} has no attribute {name!r}"
             ) from None
-        value: object = importlib.import_module(source)
-        if source != f"{package}.{name}":
-            value = getattr(value, name)
+        value = export(name, importlib.import_module(source))
         namespace[name] = value
         return value
+
+    class Namespace(types.ModuleType):
+        def __setattr__(self, name: str, value: object) -> None:
+            if (
+                isinstance(value, types.ModuleType)
+                and table.get(name) == value.__name__
+            ):
+                value = export(name, value)
+            super().__setattr__(name, value)
+
+    module.__class__ = Namespace
 
     def __dir__() -> List[str]:
         return sorted(set(namespace) | set(table))

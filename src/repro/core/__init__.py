@@ -21,47 +21,38 @@ Modules follow the paper's structure:
   :class:`~repro.ir.schedule.Schedule`.
 """
 
-from repro.core.classify import Locality, Classification, classify
-from repro.core.emu import emu, emu_l1, emu_l2, EmuParams
-from repro.core.costs import (
-    RefPattern,
-    extract_patterns,
-    level1_misses,
-    level2_misses,
-    working_set_l1,
-    working_set_l2,
-    total_cost,
-    order_cost,
-    spatial_partial_cost,
-    spatial_working_sets,
-)
-from repro.core.temporal import TemporalResult, optimize_temporal
-from repro.core.spatial import SpatialResult, optimize_spatial
-from repro.core.optimizer import OptimizationResult, optimize, optimize_pipeline
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Locality",
-    "Classification",
-    "classify",
-    "emu",
-    "emu_l1",
-    "emu_l2",
-    "EmuParams",
-    "RefPattern",
-    "extract_patterns",
-    "level1_misses",
-    "level2_misses",
-    "working_set_l1",
-    "working_set_l2",
-    "total_cost",
-    "order_cost",
-    "spatial_partial_cost",
-    "spatial_working_sets",
-    "TemporalResult",
-    "optimize_temporal",
-    "SpatialResult",
-    "optimize_spatial",
-    "OptimizationResult",
-    "optimize",
-    "optimize_pipeline",
-]
+#: Each public name and the module that defines it, imported on first use
+#: (PEP 562): ``repro.core.exitcodes`` serves every CLI and loads neither
+#: numpy nor the optimizer.
+_EXPORTS = {
+    "Locality": "repro.core.classify",
+    "Classification": "repro.core.classify",
+    "classify": "repro.core.classify",
+    "emu": "repro.core.emu",
+    "emu_l1": "repro.core.emu",
+    "emu_l2": "repro.core.emu",
+    "EmuParams": "repro.core.emu",
+    "RefPattern": "repro.core.costs",
+    "extract_patterns": "repro.core.costs",
+    "level1_misses": "repro.core.costs",
+    "level2_misses": "repro.core.costs",
+    "working_set_l1": "repro.core.costs",
+    "working_set_l2": "repro.core.costs",
+    "total_cost": "repro.core.costs",
+    "order_cost": "repro.core.costs",
+    "spatial_partial_cost": "repro.core.costs",
+    "spatial_working_sets": "repro.core.costs",
+    "TemporalResult": "repro.core.temporal",
+    "optimize_temporal": "repro.core.temporal",
+    "SpatialResult": "repro.core.spatial",
+    "optimize_spatial": "repro.core.spatial",
+    "OptimizationResult": "repro.core.optimizer",
+    "optimize": "repro.core.optimizer",
+    "optimize_pipeline": "repro.core.optimizer",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

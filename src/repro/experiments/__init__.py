@@ -13,7 +13,11 @@ paper reports and returning the raw numbers for tests and benches:
 * :mod:`repro.experiments.fig7` — Fig. 7 (ARM Cortex-A15 results).
 * :mod:`repro.experiments.table6` — Table 6 (TTS / TSS / proposed).
 * :mod:`repro.experiments.corpus` — per-class win/loss of the classifier
-  over the :mod:`repro.frontend` kernel corpus (writes ``CORPUS.md``).
+  over the :mod:`repro.frontend` kernel corpus (writes the head of
+  ``CORPUS.md``).
+* :mod:`repro.experiments.mef` — the three-strategy table (tile vs
+  multistride vs combined) over the corpus's ``mef`` family (writes its
+  marked section of ``CORPUS.md``).
 
 Shared machinery lives in :mod:`repro.experiments.harness`; knobs (trace
 budget, autotuner evaluations, small sizes for smoke runs) are env-var

@@ -62,18 +62,16 @@ ORDER = [
     ("Table 6", "table6", True),
     ("Table 4", "table4", True),
     ("Corpus", "corpus", True),
-    # After Corpus: the mef regenerator appends its marked section to the
-    # CORPUS.md the corpus regenerator just rewrote.
     ("Multistride", "mef", True),
 ]
 
 #: Regenerators whose measurements flow through the recording-aware
 #: harness entry points (``measure_case`` / ``optimize_runtime``) — the
-#: set the sweep plans and executes in workers.  Table 6 (tile-size
-#: models) measures inline by design: its cells are deterministic
-#: simulator runs, cheap relative to the autotuner searches — and the
-#: corpus win/loss and mef three-strategy tables measure inline for the
-#: same reason.
+#: set the sweep plans and executes in workers.  Table 6 and the per-row
+#: studies (corpus, mef) measure inline: a swept cell pays for a fresh
+#: worker.  On a 2-CPU VM a ``--fast`` run with CI's small budgets sweeps
+#: 162 cells in 43-61 s, mostly worker starts, while corpus measures its
+#: 43 rows in about 1.2 s (as 86 cells, about 25 s) and mef in 0.4 s.
 SWEPT_MODULES = ("table5", "fig4", "fig6", "fig5", "fig7", "table4")
 
 #: Journal location when neither --journal nor REPRO_SWEEP_JOURNAL is

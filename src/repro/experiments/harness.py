@@ -26,16 +26,22 @@ The in-process memo integrates with the crash-safe sweep layer
 * :func:`mark_quarantined` — cells that repeatedly crashed in sweep
   workers return NaN instead of recomputing, and the table/figure
   renderers show them as ``—``.
+
+The per-row studies (corpus, mef) measure inline and share one kernel
+selection, :func:`select_kernels`, one command line, :func:`study_main`,
+and one ``CORPUS.md`` writer, :func:`write_corpus`.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Sequence, Set, Tuple
 
 from repro.arch import ArchSpec, platform_by_name
 from repro.baselines import Autotuner, autoschedule, baseline_schedule
@@ -97,8 +103,13 @@ class ExperimentConfig:
     def machine(self, arch: ArchSpec) -> Machine:
         return Machine(arch, line_budget=self.line_budget)
 
-    def case(self, name: str) -> BenchmarkCase:
-        return make_benchmark(name, **size_for(name, small=self.fast))
+    def case(
+        self, name: str, overrides: Optional[dict] = None
+    ) -> BenchmarkCase:
+        """Suite row ``name`` at ``overrides``, else at its run's size."""
+        return make_benchmark(
+            name, **(overrides or size_for(name, small=self.fast))
+        )
 
 
 def schedules_for(
@@ -267,8 +278,7 @@ def measure_case(
     if key in _QUARANTINED:
         return float("nan")
     arch = platform_by_name(platform)
-    sizes = size_overrides or size_for(name, small=config.fast)
-    case = make_benchmark(name, **sizes)
+    case = config.case(name, size_overrides)
     schedules = schedules_for(
         case, technique, arch, config=config, autotune_evals=autotune_evals
     )
@@ -347,7 +357,7 @@ def optimize_runtime(
     if key in _QUARANTINED:
         return float("nan")
     arch = platform_by_name(platform)
-    case = make_benchmark(name, **size_for(name, small=config.fast))
+    case = config.case(name)
     seconds = modeled_optimize_seconds(case, arch)
     _MEASURE_CACHE[key] = seconds
     return seconds
@@ -471,3 +481,98 @@ def format_table(
     lines = [fmt_row(headers), fmt_row(["-" * w for w in widths])]
     lines.extend(fmt_row(r) for r in rendered)
     return "\n".join(lines)
+
+
+def markdown_table(headers: Sequence[str], rows) -> str:
+    """A GitHub markdown table; cells are rendered with ``str``."""
+    out = [
+        "| " + " | ".join(str(h) for h in headers) + " |",
+        "|" + "|".join(" --- " for _ in headers) + "|",
+    ]
+    out += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
+    return "\n".join(out)
+
+
+def geomean(values) -> float:
+    """Geometric mean as the n-th root of the product (the committed
+    tables' rounding; ``statistics.geometric_mean`` differs)."""
+    prod = 1.0
+    for v in values:
+        prod *= v
+    return prod ** (1.0 / len(values))
+
+
+#: Where the per-row studies publish: every study's table lives in this
+#: one file, and ``REPRO_CORPUS_TABLE`` points them all at a copy.
+TABLE_ENV = "REPRO_CORPUS_TABLE"
+TABLE_PATH = "CORPUS.md"
+
+_FIRST_SECTION = re.compile(r"^<!-- .+:begin -->$", re.MULTILINE)
+
+
+def write_corpus(text: str, section: Optional[str] = None) -> None:
+    """Write one part of the per-row studies' file, keeping the rest.
+
+    With no ``section``, ``text`` replaces the file's head: everything
+    before the first marked section, which follows after one blank line.
+    With a ``section``, ``text`` becomes that marked section's body; the
+    section is removed from where it stood and written last, one blank
+    line after the rest.  A missing file is created.  The file is
+    ``$REPRO_CORPUS_TABLE``, else ``CORPUS.md``.
+    """
+    path = os.environ.get(TABLE_ENV, TABLE_PATH)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            old = handle.read()
+    except FileNotFoundError:
+        old = ""
+    if section is None:
+        first = _FIRST_SECTION.search(old)
+        new = text if first is None else f"{text}\n{old[first.start():]}"
+    else:
+        begin, end = f"<!-- {section}:begin -->", f"<!-- {section}:end -->"
+        start, stop = old.find(begin), old.find(end)
+        if start != -1 and stop != -1:
+            old = old[:start] + old[stop + len(end):].lstrip("\n")
+        block = f"{begin}\n{text}{end}\n"
+        old = old.rstrip("\n")
+        new = f"{old}\n\n{block}" if old else block
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(new)
+
+
+def select_kernels(
+    kernels, only: Optional[Sequence[str]], what: str
+) -> List:
+    """The ``kernels`` named in ``only`` (all of them when ``None``), in
+    their own order; an unknown name exits with the list of unknowns."""
+    if only is None:
+        return list(kernels)
+    wanted = set(only)
+    unknown = wanted - {kernel.name for kernel in kernels}
+    if unknown:
+        raise SystemExit(
+            f"unknown {what} kernel(s): {', '.join(sorted(unknown))}"
+        )
+    return [kernel for kernel in kernels if kernel.name in wanted]
+
+
+def study_main(run: Callable, *, prog: str, description: str) -> None:
+    """The per-row studies' command line: ``[--fast] [--only K1,K2,...]``."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog=prog, description=description)
+    parser.add_argument(
+        "--fast", action="store_true",
+        help="smoke sizes (never rewrites CORPUS.md)",
+    )
+    parser.add_argument(
+        "--only",
+        metavar="K1,K2,...",
+        help="comma-separated kernel subset (never rewrites CORPUS.md)",
+    )
+    args = parser.parse_args()
+    run(
+        config=ExperimentConfig(fast=args.fast),
+        only=args.only.split(",") if args.only else None,
+    )

@@ -18,19 +18,26 @@ budget, the stream model has no randomness), so two runs of ::
     python -m repro.experiments.mef
 
 produce bit-identical tables; CI's ``multistride-smoke`` job compares a
-4-kernel sweep run twice, byte for byte.  On full-size runs the rendered
+5-kernel sweep run twice, byte for byte.  On full-size runs the rendered
 markdown replaces the marked section at the end of ``CORPUS.md``
-(``--fast`` and ``--only`` runs never rewrite it).
+(:func:`~repro.experiments.harness.write_corpus`; ``--fast`` and
+``--only`` runs never rewrite it).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional, Sequence
 
 from repro.arch import platform_by_name
 from repro.core import optimize
-from repro.experiments.harness import ExperimentConfig, format_table
+from repro.experiments.harness import (
+    ExperimentConfig,
+    format_table,
+    markdown_table,
+    select_kernels,
+    study_main,
+    write_corpus,
+)
 from repro.frontend.corpus import CORPUS
 from repro.multistride import (
     STRATEGY_COMBINED,
@@ -45,19 +52,11 @@ PLATFORM = "i7-5930k"
 #: Family this regenerator sweeps.
 FAMILY = "mef"
 
-#: Where the committed table lives: a marked section appended to the
-#: corpus artifact (regenerated on full runs only).
-TABLE_ENV = "REPRO_MEF_TABLE"
-TABLE_PATH = "CORPUS.md"
-
-SECTION_BEGIN = "<!-- mef-three-strategy:begin -->"
-SECTION_END = "<!-- mef-three-strategy:end -->"
+#: The marked section of ``CORPUS.md`` that holds the committed table
+#: (regenerated on full runs only).
+SECTION = "mef-three-strategy"
 
 STRATEGIES = (STRATEGY_TILE, STRATEGY_MULTISTRIDE, STRATEGY_COMBINED)
-
-
-def _family_kernels():
-    return [kernel for kernel in CORPUS if kernel.family == FAMILY]
 
 
 def run(
@@ -76,18 +75,9 @@ def run(
     arch = platform_by_name(PLATFORM)
     machine = pricing_machine(arch)
 
-    kernels = _family_kernels()
-    if only is not None:
-        wanted = set(only)
-        unknown = wanted - {kernel.name for kernel in kernels}
-        if unknown:
-            raise SystemExit(
-                f"unknown {FAMILY} kernel(s): {', '.join(sorted(unknown))}"
-            )
-        kernels = [kernel for kernel in kernels if kernel.name in wanted]
-
+    family = [kernel for kernel in CORPUS if kernel.family == FAMILY]
     rows: Dict[str, Dict] = {}
-    for kernel in kernels:
+    for kernel in select_kernels(family, only, FAMILY):
         case = kernel.case(fast=config.fast)
         for stage in case.funcs:
             tile = optimize(stage, arch).schedule
@@ -122,8 +112,7 @@ def run(
     if echo:
         print(_render(rows, strategies, config))
     if not config.fast and only is None:
-        path = os.environ.get(TABLE_ENV, TABLE_PATH)
-        _write_section(_markdown(rows, strategies), path)
+        write_corpus(_markdown(rows, strategies), SECTION)
     return {**rows, "strategies": strategies}
 
 
@@ -183,14 +172,6 @@ def _render(rows, strategies, config) -> str:
 
 
 def _markdown(rows, strategies) -> str:
-    def table(headers, body):
-        out = [
-            "| " + " | ".join(str(h) for h in headers) + " |",
-            "|" + "|".join(" --- " for _ in headers) + "|",
-        ]
-        out += ["| " + " | ".join(str(c) for c in r) + " |" for r in body]
-        return "\n".join(out)
-
     return (
         "## Multi-striding: three-strategy classification\n\n"
         "Per-stage verdict of the three-way strategy classifier\n"
@@ -203,50 +184,17 @@ def _markdown(rows, strategies) -> str:
         "with no feasible candidate.  Regenerate with\n"
         "`python -m repro.experiments.mef` (full sizes; `--fast` and\n"
         "`--only` runs never rewrite this section).\n\n"
-        + table(_STAGE_HEADERS, _stage_rows(rows))
+        + markdown_table(_STAGE_HEADERS, _stage_rows(rows))
         + "\n\n### Per-strategy summary\n\n"
-        + table(_STRATEGY_HEADERS, _strategy_rows(strategies))
+        + markdown_table(_STRATEGY_HEADERS, _strategy_rows(strategies))
         + "\n"
     )
 
 
-def _write_section(section: str, path: str) -> None:
-    """Replace (or append) the marked section of ``path``, idempotently."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except FileNotFoundError:
-        text = ""
-    begin = text.find(SECTION_BEGIN)
-    end = text.find(SECTION_END)
-    if begin != -1 and end != -1:
-        text = text[:begin] + text[end + len(SECTION_END):]
-    block = f"{SECTION_BEGIN}\n{section}{SECTION_END}\n"
-    text = text.rstrip("\n")
-    text = f"{text}\n\n{block}" if text else block
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-
-
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(
+    study_main(
+        run,
         prog="python -m repro.experiments.mef",
         description="Three-way tile/multistride/combined classification "
         "over the mef corpus family.",
-    )
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="smoke sizes (never rewrites the committed table)",
-    )
-    parser.add_argument(
-        "--only",
-        metavar="K1,K2,...",
-        help="comma-separated kernel subset (never rewrites the table)",
-    )
-    args = parser.parse_args()
-    run(
-        config=ExperimentConfig(fast=args.fast),
-        only=args.only.split(",") if args.only else None,
     )

@@ -23,9 +23,8 @@ from typing import Dict, Optional, Tuple
 
 from repro.arch import platform_by_name
 from repro.baselines import tss_schedule, tss_tiles, tts_schedule, tts_tiles
-from repro.bench import make_benchmark
 from repro.core import optimize
-from repro.experiments.harness import ExperimentConfig, format_table
+from repro.experiments.harness import ExperimentConfig, format_table, geomean
 
 BENCHMARKS = ("matmul", "trmm", "syrk", "syr2k")
 SIZES = (400, 800, 1024, 1600)
@@ -64,7 +63,7 @@ def run(
     for name in benchmarks:
         out[name] = {}
         for n in sizes:
-            case = make_benchmark(name, n=n)
+            case = config.case(name, {"n": n})
             func = case.funcs[-1]
             tss_t = tss_tiles(func, arch).tiles
             tts_t = tts_tiles(func, arch).tiles
@@ -99,16 +98,9 @@ def _print_speedup_summary(data) -> None:
     if gains_tts:
         print(
             f"geo-mean speedup of Proposed: vs TTS "
-            f"{_geomean(gains_tts):.2f}x, vs TSS {_geomean(gains_tss):.2f}x "
+            f"{geomean(gains_tts):.2f}x, vs TSS {geomean(gains_tss):.2f}x "
             f"(paper: 1.26x / 1.41x average)"
         )
-
-
-def _geomean(values) -> float:
-    prod = 1.0
-    for v in values:
-        prod *= v
-    return prod ** (1.0 / len(values))
 
 
 if __name__ == "__main__":

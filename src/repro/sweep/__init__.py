@@ -22,40 +22,28 @@ the whole thing; see ``docs/API.md`` for the journal format, resume
 semantics, and the quarantine policy.
 """
 
-from repro.sweep.cell import (
-    KIND_MEASURE,
-    KIND_OPTIMIZE_RUNTIME,
-    KIND_TUNE,
-    SweepCell,
-)
-from repro.sweep.journal import (
-    JOURNAL_FORMAT,
-    Journal,
-    JournalRecord,
-    STATUS_OK,
-    STATUS_QUARANTINED,
-)
-from repro.sweep.plan import plan_cells
-from repro.sweep.runner import (
-    CellOutcome,
-    RetryPolicy,
-    SweepReport,
-    SweepRunner,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CellOutcome",
-    "JOURNAL_FORMAT",
-    "Journal",
-    "JournalRecord",
-    "KIND_MEASURE",
-    "KIND_OPTIMIZE_RUNTIME",
-    "KIND_TUNE",
-    "RetryPolicy",
-    "STATUS_OK",
-    "STATUS_QUARANTINED",
-    "SweepCell",
-    "SweepReport",
-    "SweepRunner",
-    "plan_cells",
-]
+#: Each public name and the module that defines it, imported on first use
+#: (PEP 562): a sweep worker imports ``repro.sweep.cell`` and never the
+#: runner, the planner or the journal.
+_EXPORTS = {
+    "CellOutcome": "repro.sweep.runner",
+    "JOURNAL_FORMAT": "repro.sweep.journal",
+    "Journal": "repro.sweep.journal",
+    "JournalRecord": "repro.sweep.journal",
+    "KIND_MEASURE": "repro.sweep.cell",
+    "KIND_OPTIMIZE_RUNTIME": "repro.sweep.cell",
+    "KIND_TUNE": "repro.sweep.cell",
+    "RetryPolicy": "repro.sweep.runner",
+    "STATUS_OK": "repro.sweep.journal",
+    "STATUS_QUARANTINED": "repro.sweep.journal",
+    "SweepCell": "repro.sweep.cell",
+    "SweepReport": "repro.sweep.runner",
+    "SweepRunner": "repro.sweep.runner",
+    "plan_cells": "repro.sweep.plan",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -40,7 +40,6 @@ import sys
 import time
 
 from repro.arch import platform_by_name
-from repro.bench import make_benchmark, size_for
 from repro.experiments.harness import modeled_optimize_seconds, schedules_for
 from repro.ir.serialize import schedule_to_dict
 from repro.robust.faults import (
@@ -87,10 +86,7 @@ def run_cell(payload: dict) -> dict:
     schedules = None
     try:
         arch = platform_by_name(cell.platform)
-        sizes = dict(cell.size_overrides) or size_for(
-            cell.benchmark, small=cell.fast
-        )
-        case = make_benchmark(cell.benchmark, **sizes)
+        case = config.case(cell.benchmark, dict(cell.size_overrides))
         deadline = Deadline(deadline_s, label=f"sweep:{cell.key()}")
         with active_deadline(deadline):
             if cell.kind == KIND_OPTIMIZE_RUNTIME:

@@ -68,8 +68,7 @@ def replay_ms(cell: SweepCell, schedules_payload: Sequence[Dict]) -> float:
     from repro.frontend.corpus import corpus_kernel
     from repro.ir.serialize import schedule_from_dict
 
-    kernel = corpus_kernel(cell.benchmark)
-    case = kernel.case(fast=cell.fast)
+    case = corpus_kernel(cell.benchmark).case(fast=cell.fast)
     arch, machine = _machine_for(cell)
     by_stage = {
         entry["stage"]: entry["schedule"] for entry in schedules_payload
@@ -86,15 +85,13 @@ def replay_ms(cell: SweepCell, schedules_payload: Sequence[Dict]) -> float:
 
 def baseline_ms_for(cell: SweepCell) -> float:
     """Deterministic baseline milliseconds for a cell's kernel."""
-    from repro.baselines import baseline_schedule
+    from repro.experiments.harness import schedules_for
     from repro.frontend.corpus import corpus_kernel
 
-    kernel = corpus_kernel(cell.benchmark)
-    case = kernel.case(fast=cell.fast)
+    case = corpus_kernel(cell.benchmark).case(fast=cell.fast)
     arch, machine = _machine_for(cell)
     return machine.time_pipeline(
-        case.pipeline,
-        {stage: baseline_schedule(stage, arch) for stage in case.pipeline},
+        case.pipeline, schedules_for(case, "baseline", arch)
     )
 
 

@@ -141,13 +141,22 @@ class TestImportSet:
         for package in NOT_ON_OP_PATH + TRIMMED:
             assert under(modules, package) == [], package
 
+    def test_exit_codes_load_no_numpy(self):
+        # Every CLI imports them only for integer constants.
+        assert loaded_after("import repro.core.exitcodes") == {
+            "repro", "repro._lazy", "repro.core", "repro.core.exitcodes"
+        }
+
     @pytest.mark.parametrize("statement, absent", [
         ("import repro.__main__", (
             "repro.api", "repro.baselines", "repro.bench", "repro.cache",
             "repro.experiments.harness", "repro.robust", "repro.sim",
-            "repro.ir.codegen_c", "repro.serve", "repro.fleet",
+            "repro.ir.codegen_c", "repro.serve", "repro.fleet", "numpy",
         )),
-        ("import repro.sweep.worker", ("repro.cache", "repro.api")),
+        ("import repro.sweep.worker", (
+            "repro.cache", "repro.api", "repro.sweep.runner",
+            "repro.sweep.plan", "repro.sweep.journal",
+        )),
     ])
     def test_entry_points_import_per_use(self, statement, absent):
         modules = loaded_after(statement)
@@ -212,6 +221,31 @@ class TestNamespace:
             f"                  {name!r} in package.__all__]))"
         )
         assert result == [False, True, True, True]
+
+
+    @pytest.mark.parametrize(
+        "first", ["", "import repro.core.optimizer"],
+        ids=["fresh", "submodules-first"],
+    )
+    def test_core_names_are_their_definitions(self, first):
+        # repro.core.classify and repro.core.emu are both submodules and
+        # exported functions; importing the submodules first (``first``)
+        # must not shadow the functions.
+        result = fresh(
+            "import json, sys\n"
+            f"{first}\n"
+            "import repro.core\n"
+            "from repro.core import optimize\n"
+            "wrong = []\n"
+            "for name in repro.core.__all__:\n"
+            "    value = getattr(repro.core, name)\n"
+            "    home = sys.modules.get(getattr(value, '__module__', ''))\n"
+            "    if getattr(home, name, None) is not value:\n"
+            "        wrong.append(name)\n"
+            "print(json.dumps([wrong, len(repro.core.__all__),\n"
+            "                  optimize.__module__]))"
+        )
+        assert result == [[], 24, "repro.core.optimizer"]
 
 
 class TestBlasDefault:

@@ -2,8 +2,9 @@
 
 CI compares two full-size runs with each other, byte for byte; here we
 keep the cheap invariants (smoke-size determinism, the ``--only``
-contract, the idempotent marked-section rewrite of ``CORPUS.md``) and
-pin a full-size subset of the committed table, unopposed stages included.
+contract, the idempotent marked-section rewrite of ``CORPUS.md`` through
+the harness's one writer) and pin a full-size subset of the committed
+table, unopposed stages included.
 """
 
 from __future__ import annotations
@@ -13,11 +14,18 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import mef
-from repro.experiments.harness import ExperimentConfig
+from repro.experiments.harness import (
+    TABLE_ENV,
+    TABLE_PATH,
+    ExperimentConfig,
+    write_corpus,
+)
 from repro.frontend.corpus import CORPUS
 
 
 SMOKE = ["mef-mxv", "mef-doitgen"]
+BEGIN = "<!-- mef-three-strategy:begin -->"
+END = "<!-- mef-three-strategy:end -->"
 
 
 def _fast_run(only=SMOKE):
@@ -69,40 +77,58 @@ class TestCommittedTable:
         results = mef.run(only=["mef-doitgen", "mef-gemver"], echo=False)
         rows = {k: v for k, v in results.items() if k != "strategies"}
         assert set(rows) == {"mef-doitgen", "mef-gemver/Ah", "mef-gemver/w"}
-        corpus = Path(__file__).resolve().parents[1] / mef.TABLE_PATH
+        corpus = Path(__file__).resolve().parents[1] / TABLE_PATH
         text = corpus.read_text(encoding="utf-8")
-        section = text[text.index(mef.SECTION_BEGIN):text.index(mef.SECTION_END)]
+        section = text[text.index(BEGIN):text.index(END)]
         committed = set(section.splitlines())
         for cells in mef._stage_rows(rows):
             assert cells[1] != "—"
             assert "| " + " | ".join(cells) + " |" in committed
 
 
+@pytest.fixture
+def table(tmp_path, monkeypatch) -> Path:
+    """The file the writer writes: a fresh path under ``tmp_path``."""
+    path = tmp_path / "CORPUS.md"
+    monkeypatch.setenv(TABLE_ENV, str(path))
+    return path
+
+
 class TestSectionRewrite:
-    def test_append_then_replace_is_idempotent(self, tmp_path):
-        path = tmp_path / "CORPUS.md"
-        path.write_text("# Corpus win/loss\n\nbody\n", encoding="utf-8")
-        mef._write_section("table one\n", str(path))
-        first = path.read_text(encoding="utf-8")
+    def test_append_then_replace_is_idempotent(self, table):
+        table.write_text("# Corpus win/loss\n\nbody\n", encoding="utf-8")
+        write_corpus("table one\n", mef.SECTION)
+        first = table.read_text(encoding="utf-8")
         assert "table one" in first
         assert first.startswith("# Corpus win/loss")
-        mef._write_section("table one\n", str(path))
-        assert path.read_text(encoding="utf-8") == first
+        write_corpus("table one\n", mef.SECTION)
+        assert table.read_text(encoding="utf-8") == first
 
-    def test_replaces_only_the_marked_section(self, tmp_path):
-        path = tmp_path / "CORPUS.md"
-        path.write_text("prefix\n", encoding="utf-8")
-        mef._write_section("old table\n", str(path))
-        mef._write_section("new table\n", str(path))
-        text = path.read_text(encoding="utf-8")
+    def test_replaces_only_the_marked_section(self, table):
+        table.write_text("prefix\n", encoding="utf-8")
+        write_corpus("old table\n", mef.SECTION)
+        write_corpus("new table\n", mef.SECTION)
+        text = table.read_text(encoding="utf-8")
         assert "old table" not in text
         assert "new table" in text
         assert text.startswith("prefix\n")
-        assert text.count(mef.SECTION_BEGIN) == 1
+        assert text.count(BEGIN) == 1
 
-    def test_missing_file_gets_created(self, tmp_path):
-        path = tmp_path / "fresh.md"
-        mef._write_section("table\n", str(path))
-        text = path.read_text(encoding="utf-8")
-        assert text.startswith(mef.SECTION_BEGIN)
-        assert text.endswith(f"{mef.SECTION_END}\n")
+    def test_missing_file_gets_created(self, table):
+        write_corpus("table\n", mef.SECTION)
+        text = table.read_text(encoding="utf-8")
+        assert text.startswith(BEGIN)
+        assert text.endswith(f"{END}\n")
+
+    def test_rewritten_section_moves_to_the_end(self, table):
+        sections = (
+            "<!-- b:begin -->\nb\n<!-- b:end -->\n\n"
+            "<!-- a:begin -->\na2\n<!-- a:end -->\n"
+        )
+        write_corpus("head\n")
+        write_corpus("a\n", "a")
+        write_corpus("b\n", "b")
+        write_corpus("a2\n", "a")
+        assert table.read_text(encoding="utf-8") == f"head\n\n{sections}"
+        write_corpus("new head\n")
+        assert table.read_text(encoding="utf-8") == f"new head\n\n{sections}"
